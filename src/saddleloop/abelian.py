@@ -15,7 +15,6 @@ half-ellipse, (1,0) -> (-1,0)).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,15 +26,16 @@ from .ovals import OvalSlice, slice_oval, x1_loop_root
 
 HALF_PI = math.pi / 2.0
 MIN_TOL = 1e-12
+QUAD_LIMIT = 200    # QUADPACK subinterval budget
 
 
 class QuadratureError(RuntimeError):
     pass
 
 
-def _quad(f, lo, hi, tol, limit=200):
+def _quad(f, lo, hi, tol):
     val, err, info, *msg = quad(f, lo, hi, epsabs=tol, epsrel=tol,
-                                limit=limit, full_output=1)
+                                limit=QUAD_LIMIT, full_output=1)
     # A roundoff warning with a still-tiny error estimate means QUADPACK
     # could not hit an epsabs below machine noise; the achieved bound is
     # what matters for the caller's contract.
@@ -67,8 +67,8 @@ class AbelianTriple:
         return {-1: self.jm1, 0: self.j0, 1: self.j1}[k]
 
 
-def jk_on_slice(sl: OvalSlice, k: int, tol: float = 1e-11,
-                limit: int = 200) -> tuple[float, float, bool]:
+def jk_on_slice(sl: OvalSlice, k: int,
+                tol: float = 1e-11) -> tuple[float, float, bool]:
     """One Abelian integral J_k on a normal-form slice.
 
     Returns (value, error estimate, converged).
@@ -88,18 +88,17 @@ def jk_on_slice(sl: OvalSlice, k: int, tol: float = 1e-11,
         x = m + w * s
         return (x**k) * math.sqrt(phi(x)) * c * c
 
-    val, err, ok = _quad(f, -HALF_PI, HALF_PI, 0.25 * tol / max(w * w, 1e-30),
-                         limit=limit)
+    val, err, ok = _quad(f, -HALF_PI, HALF_PI, 0.25 * tol / max(w * w, 1e-30))
     return 2.0 * w * w * val, 2.0 * w * w * err, ok
 
 
 def triple(spec: HamiltonianSpec, annulus: Annulus, t: float,
-           tol: float = 1e-11, limit: int = 200) -> AbelianTriple:
+           tol: float = 1e-11) -> AbelianTriple:
     """(J_{-1}, J_0, J_1) at energy t, with error flags."""
     sl = slice_oval(spec, annulus, t)
     out, errs, ok = [], [], True
     for k in (-1, 0, 1):
-        v, e, conv = jk_on_slice(sl, k, tol=tol, limit=limit)
+        v, e, conv = jk_on_slice(sl, k, tol=tol)
         out.append(v)
         errs.append(e)
         ok = ok and conv
@@ -110,12 +109,9 @@ def triple(spec: HamiltonianSpec, annulus: Annulus, t: float,
 
 
 def triples_on_grid(spec: HamiltonianSpec, annulus: Annulus,
-                    ts: Sequence[float], tol: float = 1e-11,
-                    threads: int = 1) -> list[AbelianTriple]:
-    """Triples over a t-grid; thread-parallel but order-preserving."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(lambda t: triple(spec, annulus, t, tol=tol), ts))
+                    ts: Sequence[float],
+                    tol: float = 1e-11) -> list[AbelianTriple]:
+    """Triples over a t-grid, in grid order."""
     return [triple(spec, annulus, t, tol=tol) for t in ts]
 
 

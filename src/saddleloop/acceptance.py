@@ -264,7 +264,7 @@ def criterion_9() -> CriterionResult:
                            f"first-order zeros {zc.count} (<= {w['melnikov_max_zeros']})")
 
 
-def criterion_10(threads: int = 1) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """Cycle-count bound over a seeded scan of random quadratic one-forms.
 
     Every seventh draw is a pure x^{-1}-direction one-form, censused in
@@ -306,7 +306,7 @@ def criterion_10(threads: int = 1) -> CriterionResult:
                                 one_form=one_form)
         res = flowsim.census(flow, annulus=Annulus.SIGMA_PLUS,
                              s_range=s_range, n=100, T_max=60.0,
-                             threads=threads, with_saddle_data=False)
+                             with_saddle_data=False)
         if pure_gamma:
             max_gamma = max(max_gamma, len(res.cycles))
         else:
@@ -328,17 +328,10 @@ DEFAULT = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 ALL = tuple(range(1, 11))
 
 
-def run(numbers=None, threads: int = 1) -> list[CriterionResult]:
+def run(numbers=None) -> list[CriterionResult]:
     if numbers is None:
         numbers = DEFAULT
-    results = []
-    for n in numbers:
-        fn = CRITERIA[int(n)]
-        if n == 10:
-            results.append(fn(threads=threads))
-        else:
-            results.append(fn())
-    return results
+    return [CRITERIA[int(n)]() for n in numbers]
 
 
 def format_table(results) -> str:

@@ -15,7 +15,6 @@ and avoids 2-D clipping predicates.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -24,8 +23,11 @@ import numpy as np
 from .model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs, critical_data
 from .abelian import jk_at_loop, triples_on_grid
 
-_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
+# relative distance of the default grid from the center and loop energies
+CENTER_MARGIN = 1e-5
+LOOP_MARGIN = 1e-6
+# relative band around zero in which a non-crossing sample flags tangency
+TANGENCY_BAND = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +84,8 @@ def loop_abscissa_exact(spec: HamiltonianSpec) -> float:
     return jk_at_loop(spec, 1) / jk_at_loop(spec, 0)
 
 
-def default_grid(spec: HamiltonianSpec, annulus: Annulus, n: int = 200,
-                 center_margin: float = 1e-5,
-                 loop_margin: float = 1e-6) -> np.ndarray:
+def default_grid(spec: HamiltonianSpec, annulus: Annulus,
+                 n: int = 200) -> np.ndarray:
     """Samples clustered toward the center endpoint (cosine map), with
     relative margins off both singular ends."""
     if n < 4:
@@ -92,13 +93,13 @@ def default_grid(spec: HamiltonianSpec, annulus: Annulus, n: int = 200,
     cd = critical_data(spec)
     if annulus is Annulus.SIGMA_PLUS:
         t_center = cd.center0.energy
-        t_loop = -loop_margin * abs(t_center)
+        t_loop = -LOOP_MARGIN * abs(t_center)
     else:
         if cd.center1 is None:
             raise ValueError("no second annulus for this parameter")
         t_center = cd.center1.energy
-        t_loop = loop_margin * t_center
-    v0 = 2.0 / math.pi * math.sqrt(center_margin)
+        t_loop = LOOP_MARGIN * t_center
+    v0 = 2.0 / math.pi * math.sqrt(CENTER_MARGIN)
     v = np.linspace(v0, 1.0, n)
     s = 0.5 * (1.0 - np.cos(math.pi * v))
     ts = t_center + s * (t_loop - t_center)
@@ -106,22 +107,15 @@ def default_grid(spec: HamiltonianSpec, annulus: Annulus, n: int = 200,
 
 
 def sample_curve(spec: HamiltonianSpec, annulus: Annulus, t_grid=None,
-                 n: int = 200, tol: float = 1e-11,
-                 threads: int = 1) -> CentroidCurve:
-    """Sample the centroid curve; results are cached per grid."""
+                 n: int = 200, tol: float = 1e-11) -> CentroidCurve:
+    """Sample the centroid curve on t_grid, or on default_grid(n)."""
     if spec.family is not Family.NORMAL_FORM:
         raise ValueError("centroid curves are defined for the normal-form "
                          "family")
     if t_grid is None:
         t_grid = default_grid(spec, annulus, n=n)
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    key = (spec.a, annulus.value, tol, t_grid.tobytes())
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    trs = triples_on_grid(spec, annulus, t_grid, tol=tol, threads=threads)
+    trs = triples_on_grid(spec, annulus, t_grid, tol=tol)
     j = np.array([tr.as_vector() for tr in trs])  # columns J_-1, J_0, J_1
     if np.any(j[:, 1] == 0.0):
         raise ArithmeticError("J_0 vanished on the grid; orientation "
@@ -131,15 +125,12 @@ def sample_curve(spec: HamiltonianSpec, annulus: Annulus, t_grid=None,
     cd = critical_data(spec)
     t_center = (cd.center0.energy if annulus is Annulus.SIGMA_PLUS
                 else cd.center1.energy)
-    curve = CentroidCurve(
+    return CentroidCurve(
         spec=spec, annulus=annulus, ts=t_grid, xi=xi, eta=eta,
         endpoint=center_endpoint(spec, annulus),
         asymptote=_fit_asymptote(t_grid, xi, annulus),
         t_center=t_center,
         converged=all(tr.converged for tr in trs))
-    with _CACHE_LOCK:
-        _CACHE[key] = curve
-    return curve
 
 
 def _fit_asymptote(ts: np.ndarray, xi: np.ndarray, annulus: Annulus) -> float:
@@ -221,12 +212,12 @@ class LineIntersections:
     contains_curve: bool
 
 
-def line_intersections(curve: CentroidCurve, coeffs: MelnikovCoeffs,
-                       dead_band: float = 1e-8) -> LineIntersections:
+def line_intersections(curve: CentroidCurve,
+                       coeffs: MelnikovCoeffs) -> LineIntersections:
     """Count crossings of alpha + beta*xi + gamma*eta = 0 with the curve.
 
     Sign-change count along t with linear-in-t refinement; values inside
-    the dead band that do not produce a sign change raise the tangency
+    TANGENCY_BAND that do not produce a sign change raise the tangency
     flag (multiplicity is not certified).
     """
     if coeffs.all_zero:
@@ -251,7 +242,7 @@ def line_intersections(curve: CentroidCurve, coeffs: MelnikovCoeffs,
     if g[-1] == 0.0:
         ts.append(float(curve.ts[-1]))
         pts.append((float(curve.xi[-1]), float(curve.eta[-1])))
-    near = np.abs(g) < dead_band * scale
+    near = np.abs(g) < TANGENCY_BAND * scale
     tangent = False
     for i in np.nonzero(near)[0]:
         left = g[i - 1] if i > 0 else g[i]

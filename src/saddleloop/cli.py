@@ -4,7 +4,7 @@ Every module is exposed as a subcommand with reproducible runs: a run is
 fully described by its config (flags, or a JSON file overriding them), and
 every run writes its artifact plus a manifest echoing the config, the
 toolkit version, and wall time. Artifacts are deterministic for a fixed
-config and --threads 1; the manifest is not (it carries the wall time).
+config; the manifest is not (it carries the wall time).
 
 Exit codes: 0 success, 1 hard failure, 2 invalid config, 3 degraded
 (artifact written, but one or more numerical quality flags were raised).
@@ -29,6 +29,8 @@ from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
 from .ovals import section_segment
 
 OUT_DIR_ENV = "SADDLELOOP_OUT_DIR"
+TRAJ_T = 100.0          # sim --traj duration when --T is not given
+CENSUS_T_MAX = 400.0    # sim --census return-map time limit when --T is not given
 
 
 class ConfigError(Exception):
@@ -145,30 +147,29 @@ def _spec_for(args) -> HamiltonianSpec:
 
 
 def cmd_abelian(args) -> int:
+    t0 = time.time()
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=float(args.a))
     ts = _parse_grid(args.t_grid, "t-grid")
     trs = abelian.triples_on_grid(spec, _annulus(args.annulus), ts,
-                                  tol=args.tol, threads=args.threads)
+                                  tol=args.tol)
     out = _out_path(args, "abelian.csv")
-    t0 = time.time()
     rows = [(tr.t, tr.jm1, tr.j0, tr.j1,
              tr.err[0], tr.err[1], tr.err[2], int(tr.converged))
             for tr in trs]
     _write_csv(out, ["t", "j_minus1", "j0", "j1",
                      "err_minus1", "err0", "err1", "converged"], rows)
     flags = [f"row t={tr.t:g} not converged" for tr in trs if not tr.converged]
-    _write_manifest(out, _config_echo(args, ("a", "annulus", "t_grid", "tol",
-                                             "threads", "seed")),
+    _write_manifest(out, _config_echo(args, ("a", "annulus", "t_grid", "tol")),
                     [str(out)], time.time() - t0, flags)
     print(out)
     return 3 if flags else 0
 
 
 def cmd_pf(args) -> int:
+    t0 = time.time()
     sys_ = picard_fuchs.pf_system(float(args.a))
     fund = picard_fuchs.fundamental(float(args.a), order=args.order)
     out = _out_path(args, "pf.json")
-    t0 = time.time()
     payload = {
         "a": float(args.a),
         "A1": sys_.A1.tolist(),
@@ -180,7 +181,7 @@ def cmd_pf(args) -> int:
         "q": np.asarray(fund.q).tolist(),
     }
     _write_json(out, payload)
-    _write_manifest(out, _config_echo(args, ("a", "order", "seed")),
+    _write_manifest(out, _config_echo(args, ("a", "order")),
                     [str(out)], time.time() - t0, [])
     print(out)
     return 0
@@ -221,34 +222,31 @@ def cmd_melnikov(args) -> int:
         ts = _parse_grid(args.t_grid, "t-grid")
         vals, conv = melnikov.values_on_grid(spec, coeffs,
                                              _annulus(args.annulus), ts,
-                                             tol=args.tol,
-                                             threads=args.threads)
+                                             tol=args.tol)
         rows = list(zip((float(t) for t in ts), (float(v) for v in vals)))
         _write_csv(out, ["t", "value"], rows)
         flags = [f"row t={float(t):g} not converged"
                  for t, c in zip(ts, conv) if not c]
     _write_manifest(out, _config_echo(args, ("family", "a", "c", "annulus",
                                              "alpha", "beta", "gamma", "mu2",
-                                             "t_grid", "h_grid", "tol",
-                                             "threads", "seed")),
+                                             "t_grid", "h_grid", "tol")),
                     [str(out)], time.time() - t0, flags)
     print(out)
     return 3 if flags else 0
 
 
 def cmd_centroid(args) -> int:
+    t0 = time.time()
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=float(args.a))
     curve = centroid.sample_curve(spec, _annulus(args.annulus), n=args.n,
-                                  tol=args.tol, threads=args.threads)
+                                  tol=args.tol)
     out = _out_path(args, "centroid.csv")
-    t0 = time.time()
     rows = list(zip((float(t) for t in curve.ts),
                     (float(x) for x in curve.xi),
                     (float(e) for e in curve.eta)))
     _write_csv(out, ["t", "xi", "eta"], rows)
     flags = [] if curve.converged else ["curve quadrature not converged"]
-    _write_manifest(out, _config_echo(args, ("a", "annulus", "n", "tol",
-                                             "threads", "seed")),
+    _write_manifest(out, _config_echo(args, ("a", "annulus", "n", "tol")),
                     [str(out)], time.time() - t0, flags)
     print(out)
     return 3 if flags else 0
@@ -279,14 +277,15 @@ def cmd_sim(args) -> int:
     flags: list[str] = []
     config_fields = ("family", "a", "c", "eps", "mu1", "mu2", "f", "g",
                      "annulus", "window", "n", "traj", "start", "T",
-                     "tol", "threads", "seed")
+                     "tol")
     if args.census:
         out = _out_path(args, "census.json")
         t0 = time.time()
         s_range = (_parse_pair(args.window, "window")
                    if args.window else None)
         res = census(flow, annulus=_annulus(args.annulus), s_range=s_range,
-                     n=args.n, threads=args.threads)
+                     n=args.n,
+                     T_max=CENSUS_T_MAX if args.T is None else args.T)
         payload = {
             "family": args.family,
             "epsilon": args.eps,
@@ -318,7 +317,8 @@ def cmd_sim(args) -> int:
     start = _parse_pair(args.start, "start") if args.start else None
     if start is None:
         raise ConfigError("start (X,Y) is required with --traj")
-    traj = integrate(flow, np.array(start), args.T)
+    traj = integrate(flow, np.array(start),
+                     TRAJ_T if args.T is None else args.T)
     rows = [(float(t), float(z[0]), float(z[1]), float(flow.energy(z)))
             for t, z in zip(traj.ts, traj.states)]
     _write_csv(out, ["t", "x", "y", "H"], rows)
@@ -345,7 +345,7 @@ def cmd_verify(args) -> int:
         numbers = acceptance.ALL
     else:
         numbers = acceptance.DEFAULT
-    results = acceptance.run(numbers, threads=args.threads)
+    results = acceptance.run(numbers)
     print(acceptance.format_table(results))
     if args.out:
         payload = {
@@ -360,15 +360,10 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_common(p, tol_default: float = 1e-11) -> None:
+def _add_common(p) -> None:
     p.add_argument("--out", help="artifact path (default: subcommand name "
                    f"under ${OUT_DIR_ENV} or the working directory)")
     p.add_argument("--config", help="JSON file whose fields override flags")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; 1 is the deterministic reference path")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed echoed into the manifest for randomized scans")
-    p.add_argument("--tol", type=float, default=tol_default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
     p.add_argument("--t-grid", required=True, metavar="LO:HI:N")
+    p.add_argument("--tol", type=float, default=1e-11)
     _add_common(p)
     p.set_defaults(fn=cmd_abelian)
 
@@ -403,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu2", type=float, default=0.0)
     p.add_argument("--t-grid", metavar="LO:HI:N")
     p.add_argument("--h-grid", metavar="LO:HI:N")
+    p.add_argument("--tol", type=float, default=1e-11)
     _add_common(p)
     p.set_defaults(fn=cmd_melnikov)
 
@@ -410,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
     p.add_argument("--n", type=int, default=200)
+    p.add_argument("--tol", type=float, default=1e-11)
     _add_common(p)
     p.set_defaults(fn=cmd_centroid)
 
@@ -430,8 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100, help="census grid size")
     p.add_argument("--traj", action="store_true")
     p.add_argument("--start", metavar="X,Y")
-    p.add_argument("--T", type=float, default=100.0)
-    _add_common(p, tol_default=1e-10)
+    p.add_argument("--T", type=float, default=None,
+                   help=f"duration: trajectory length (default {TRAJ_T:g}) "
+                   f"or return-map time limit (default {CENSUS_T_MAX:g})")
+    p.add_argument("--tol", type=float, default=1e-10)
+    _add_common(p)
     p.set_defaults(fn=cmd_sim)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

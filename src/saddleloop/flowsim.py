@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -36,6 +35,11 @@ SADDLE_BALL_RADIUS = 0.05
 BALL_MAX_STEP = 0.01
 OUTER_MAX_STEP = 0.2
 BALL_HYSTERESIS = 1e-6
+MAX_SEGMENTS = 10000        # ball crossings before a run counts as stuck
+ESCAPE_RADIUS = 12.0        # |z| at which a trajectory has left the loop region
+BURN_IN = 1e-3              # return-map lead time before the section event arms
+SEPARATRIX_OFFSET = 1e-8    # launch distance along the saddle eigenvectors
+SEPARATRIX_T_MAX = 60.0     # time budget for a separatrix to reach x = 0
 
 # coefficient order for quadratic polynomials
 QUAD_BASIS = ("1", "x", "y", "x^2", "x*y", "y^2")
@@ -164,8 +168,7 @@ def _saddle_centers(spec: HamiltonianSpec) -> list[np.ndarray]:
 
 def integrate(flow: FlowSpec, start, T: float,
               user_events: Sequence[EventSpec] = (),
-              time_direction: int = 1,
-              max_segments: int = 10000) -> Trajectory:
+              time_direction: int = 1) -> Trajectory:
     """Integrate for duration T (one time direction), segmenting at
     saddle-ball boundaries to cap the step size near slow passages.
 
@@ -188,7 +191,7 @@ def integrate(flow: FlowSpec, start, T: float,
     ts_parts, zs_parts = [], []
     t_now = 0.0
     n_seg = 0
-    while n_seg < max_segments:
+    while n_seg < MAX_SEGMENTS:
         n_seg += 1
         events = []
         labels = []
@@ -268,15 +271,14 @@ def _section_event(section: SectionSegment) -> EventSpec:
                      direction=section.direction, name="section")
 
 
-def _escape_event(radius: float) -> EventSpec:
-    return EventSpec(func=lambda z: float(z[0] * z[0] + z[1] * z[1]
-                                          - radius * radius),
-                     direction=1, name="escape")
+_ESCAPE_EVENT = EventSpec(
+    func=lambda z: float(z[0] * z[0] + z[1] * z[1]
+                         - ESCAPE_RADIUS * ESCAPE_RADIUS),
+    direction=1, name="escape")
 
 
 def return_map(flow: FlowSpec, section: SectionSegment, s: float,
-               T_max: float = 400.0, escape_radius: float = 12.0,
-               burn_in: float = 1e-3) -> ReturnResult:
+               T_max: float = 400.0) -> ReturnResult:
     """First return to the section in the flow direction.
 
     A short burn-in keeps the departure itself from registering as the
@@ -286,15 +288,13 @@ def return_map(flow: FlowSpec, section: SectionSegment, s: float,
     if not section.contains(s):
         raise ValueError(f"s={s} outside section range {section.s_bounds()}")
     start = section.point(s)
-    lead = integrate(flow, start, burn_in,
-                     user_events=(_escape_event(escape_radius),))
+    lead = integrate(flow, start, BURN_IN, user_events=(_ESCAPE_EVENT,))
     if lead.status == "event":
         return ReturnResult(None, "escape", None)
     if lead.status == "failed":
         return ReturnResult(None, "failed", None)
-    tr = integrate(flow, lead.states[-1], T_max - burn_in,
-                   user_events=(_section_event(section),
-                                _escape_event(escape_radius)))
+    tr = integrate(flow, lead.states[-1], T_max - BURN_IN,
+                   user_events=(_section_event(section), _ESCAPE_EVENT))
     if tr.status == "event" and tr.event_name == "section":
         coord = 0 if section.axis == "x" else 1
         s_ret = float(tr.event_state[coord])
@@ -302,7 +302,7 @@ def return_map(flow: FlowSpec, section: SectionSegment, s: float,
             # crossed the section line outside the annulus (slipped
             # through a broken connection): an exit, not a return
             return ReturnResult(None, "left_annulus", None)
-        return ReturnResult(s_ret, "ok", burn_in + tr.event_time)
+        return ReturnResult(s_ret, "ok", BURN_IN + tr.event_time)
     if tr.status == "event":
         return ReturnResult(None, "escape", None)
     if tr.status == "failed":
@@ -311,8 +311,8 @@ def return_map(flow: FlowSpec, section: SectionSegment, s: float,
 
 
 def displacement(flow: FlowSpec, section: SectionSegment, s: float,
-                 **kw) -> float | None:
-    res = return_map(flow, section, s, **kw)
+                 T_max: float = 400.0) -> float | None:
+    res = return_map(flow, section, s, T_max=T_max)
     return None if res.s_return is None else res.s_return - s
 
 
@@ -338,8 +338,8 @@ class CycleCensus:
 def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
            s_range=None, n: int = 100, margin: float = 0.0,
            refine_tol: float = 1e-10, stability_delta: float = 1e-4,
-           T_max: float = 400.0, escape_radius: float = 12.0,
-           threads: int = 1, with_saddle_data: bool = True) -> CycleCensus:
+           T_max: float = 400.0,
+           with_saddle_data: bool = True) -> CycleCensus:
     """Limit-cycle census by return-map fixed points on one annulus.
 
     s_range defaults to the full section span (slightly shrunk); pass a
@@ -367,14 +367,9 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
                            grid_size=n, flow=flow)
 
     def disp(s):
-        return displacement(flow, sec, float(s), T_max=T_max,
-                            escape_radius=escape_radius)
+        return displacement(flow, sec, float(s), T_max=T_max)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = list(ex.map(disp, grid))
-    else:
-        vals = [disp(s) for s in grid]
+    vals = [disp(s) for s in grid]
     no_return = sum(1 for v in vals if v is None)
 
     class _Escaped(Exception):
@@ -422,10 +417,8 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
                                 stability="undetermined",
                                 return_derivative=math.nan))
             continue
-        rp = return_map(flow, sec, r + d, T_max=T_max,
-                        escape_radius=escape_radius).s_return
-        rm = return_map(flow, sec, r - d, T_max=T_max,
-                        escape_radius=escape_radius).s_return
+        rp = return_map(flow, sec, r + d, T_max=T_max).s_return
+        rm = return_map(flow, sec, r - d, T_max=T_max).s_return
         if rp is None or rm is None:
             deriv = math.nan
             stab = "undetermined"
@@ -516,12 +509,11 @@ class ShiftPair:
 
 
 def _transversal_energy(flow: FlowSpec, start, direction: int,
-                        time_direction: int, T_max: float,
-                        escape_radius: float) -> float:
+                        time_direction: int) -> float:
     ev = EventSpec(func=lambda z: float(z[0]), direction=direction,
                    name="transversal")
-    tr = integrate(flow, start, T_max, user_events=(ev,
-                   _escape_event(escape_radius)),
+    tr = integrate(flow, start, SEPARATRIX_T_MAX,
+                   user_events=(ev, _ESCAPE_EVENT),
                    time_direction=time_direction)
     if tr.status != "event" or tr.event_name != "transversal":
         raise RuntimeError(f"separatrix did not reach the transversal "
@@ -529,9 +521,7 @@ def _transversal_energy(flow: FlowSpec, start, direction: int,
     return flow.energy(tr.event_state)
 
 
-def separatrix_shifts(flow: FlowSpec, offset: float = 1e-8,
-                      T_max: float = 60.0,
-                      escape_radius: float = 12.0) -> ShiftPair:
+def separatrix_shifts(flow: FlowSpec) -> ShiftPair:
     """Shift functions b_1, b_2 of the two broken connections.
 
     Each b_i is the difference of H-values, measured on the transversal
@@ -539,8 +529,8 @@ def separatrix_shifts(flow: FlowSpec, offset: float = 1e-8,
     stable separatrix: b_i = H(unstable) - H(stable).  To first order
     b_1 = 2*eps*mu1 and b_2 = eps*(-2*mu1 - pi*sqrt(3)*mu2).
 
-    Launch points sit `offset` along the saddle eigenvectors; the O(offset^2)
-    manifold curvature error is far below the O(eps*mu) shifts.
+    Launch points sit SEPARATRIX_OFFSET along the saddle eigenvectors; the
+    O(offset^2) manifold curvature error is far below the O(eps*mu) shifts.
     """
     if flow.hamiltonian.family is not Family.APPENDIX_ELLIPSE:
         raise ValueError("shift functions are defined for the appendix family")
@@ -552,23 +542,19 @@ def separatrix_shifts(flow: FlowSpec, offset: float = 1e-8,
     # lower connection: flow runs from s2 to s1 along y = 0.
     u2 = u2 if u2[0] < 0.0 else -u2        # unstable of s2 into the segment
     v1 = v1 if v1[0] > 0.0 else -v1        # stable of s1 from inside
-    hu = _transversal_energy(flow, s2 + offset * u2, direction=-1,
-                             time_direction=1, T_max=T_max,
-                             escape_radius=escape_radius)
-    hs = _transversal_energy(flow, s1 + offset * v1, direction=1,
-                             time_direction=-1, T_max=T_max,
-                             escape_radius=escape_radius)
+    hu = _transversal_energy(flow, s2 + SEPARATRIX_OFFSET * u2,
+                             direction=-1, time_direction=1)
+    hs = _transversal_energy(flow, s1 + SEPARATRIX_OFFSET * v1,
+                             direction=1, time_direction=-1)
     b1 = hu - hs
 
     # upper connection: flow runs from s1 over the arc to s2.
     u1 = u1 if u1[1] > 0.0 else -u1        # unstable of s1, ascending branch
     v2 = v2 if v2[1] > 0.0 else -v2        # stable of s2 from above
-    hu = _transversal_energy(flow, s1 + offset * u1, direction=1,
-                             time_direction=1, T_max=T_max,
-                             escape_radius=escape_radius)
-    hs = _transversal_energy(flow, s2 + offset * v2, direction=-1,
-                             time_direction=-1, T_max=T_max,
-                             escape_radius=escape_radius)
+    hu = _transversal_energy(flow, s1 + SEPARATRIX_OFFSET * u1,
+                             direction=1, time_direction=1)
+    hs = _transversal_energy(flow, s2 + SEPARATRIX_OFFSET * v2,
+                             direction=-1, time_direction=-1)
     b2 = hu - hs
     return ShiftPair(b1=b1, b2=b2,
                      saddle1=(float(s1[0]), float(s1[1])),

@@ -42,10 +42,10 @@ def value(spec: HamiltonianSpec, coeffs: MelnikovCoeffs, annulus: Annulus,
 
 
 def values_on_grid(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
-                   annulus: Annulus, ts, tol: float = 1e-11,
-                   threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                   annulus: Annulus, ts,
+                   tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
     """Returns (values, converged mask) over the grid."""
-    trs = triples_on_grid(spec, annulus, ts, tol=tol, threads=threads)
+    trs = triples_on_grid(spec, annulus, ts, tol=tol)
     vals = np.array([coeffs.alpha * tr.j0 + coeffs.beta * tr.j1
                      + coeffs.gamma * tr.jm1 for tr in trs])
     ok = np.array([tr.converged for tr in trs])
@@ -158,8 +158,7 @@ def _count_sign_changes(f, grid, vals, refine_tol: float) -> ZeroCount:
 
 def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
                 annulus: Annulus, t_range=None, resolution: int = 200,
-                refine_tol: float = 1e-10, tol: float = 1e-11,
-                threads: int = 1) -> ZeroCount:
+                refine_tol: float = 1e-10, tol: float = 1e-11) -> ZeroCount:
     """Count sign changes of M on the annulus, bisecting each bracket.
 
     Counts isolated sign-crossing zeros only; no multiplicity claim.
@@ -171,8 +170,7 @@ def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
         t_range = _default_range(spec, annulus)
     lo, hi = float(t_range[0]), float(t_range[1])
     grid = np.linspace(lo, hi, resolution)
-    vals, ok = values_on_grid(spec, coeffs, annulus, grid, tol=tol,
-                              threads=threads)
+    vals, ok = values_on_grid(spec, coeffs, annulus, grid, tol=tol)
     if not ok.all():
         warnings.warn("zero count grid contains unconverged quadrature "
                       "points", RuntimeWarning)

@@ -27,16 +27,16 @@ from scipy.optimize import brentq
 from .model import Annulus, CriticalData, Family, HamiltonianSpec, critical_data
 
 
+# samples on which section_segment checks that the energy chart is monotone
+CHART_CHECK_POINTS = 100
+
+
 class OvalRangeError(ValueError):
     """Energy outside the requested annulus."""
 
 
 class BracketingError(RuntimeError):
     """Sign-change bracket not found where the structure guarantees one."""
-
-
-class Orientation:
-    WITH_FLOW = "with_flow"
 
 
 def r_eval(a: float, x):
@@ -48,36 +48,37 @@ def r_prime(a: float, x):
     return -2.0 * a * x + 3.0 * (a - 1.0)
 
 
-def x1_loop_root(a: float) -> float:
-    """Smaller positive root of r(x); right corner of the loop on y=0."""
-    if a == 0.0:
-        return 2.0
+def _r_roots(a: float) -> list[float]:
+    """Both real roots of r(x) for a != 0, polished to machine precision."""
     disc = 9.0 * (a - 1.0) ** 2 - 12.0 * a * (a - 2.0)
     if disc < 0.0:
         raise OvalRangeError(f"r(x) has no real roots for a={a}")
     sq = math.sqrt(disc)
-    roots = [(3.0 * (a - 1.0) + sq) / (2.0 * a), (3.0 * (a - 1.0) - sq) / (2.0 * a)]
-    pos = sorted(x for x in roots if x > 0.0)
+    roots = []
+    for x in ((3.0 * (a - 1.0) + sq) / (2.0 * a),
+              (3.0 * (a - 1.0) - sq) / (2.0 * a)):
+        for _ in range(2):
+            x -= r_eval(a, x) / r_prime(a, x)
+        roots.append(x)
+    return roots
+
+
+def x1_loop_root(a: float) -> float:
+    """Smaller positive root of r(x); right corner of the loop on y=0."""
+    if a == 0.0:
+        return 2.0
+    pos = sorted(x for x in _r_roots(a) if x > 0.0)
     if not pos:
         raise OvalRangeError(f"r(x) has no positive root for a={a}")
-    x = pos[0]
-    for _ in range(2):  # polish to machine precision
-        x -= r_eval(a, x) / r_prime(a, x)
-    return x
+    return pos[0]
 
 
 def x_ell_left(a: float) -> float:
     """Negative root of r(x) (left corner of the ellipse), a in (0, 2)."""
-    disc = 9.0 * (a - 1.0) ** 2 - 12.0 * a * (a - 2.0)
-    sq = math.sqrt(disc)
-    roots = [(3.0 * (a - 1.0) + sq) / (2.0 * a), (3.0 * (a - 1.0) - sq) / (2.0 * a)]
-    neg = [x for x in roots if x < 0.0]
+    neg = [x for x in _r_roots(a) if x < 0.0]
     if not neg:
         raise OvalRangeError(f"r(x) has no negative root for a={a}")
-    x = neg[0]
-    for _ in range(2):
-        x -= r_eval(a, x) / r_prime(a, x)
-    return x
+    return neg[0]
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,6 @@ class OvalSlice:
     hi: float
     axis: str
     third_root: float
-    orientation: str = Orientation.WITH_FLOW
     degenerate: bool = False
 
     def branch_sq(self, u):
@@ -299,7 +299,6 @@ def section_segment(
     spec: HamiltonianSpec,
     annulus: Annulus = Annulus.SIGMA_PLUS,
     margin: float = 0.0,
-    n_check: int = 100,
 ) -> SectionSegment:
     """Build the annulus section and check the energy chart is monotone.
 
@@ -325,7 +324,7 @@ def section_segment(
         seg = SectionSegment(
             spec, annulus, crit.center1.xy[0], x_ell_left(spec.a), margin, "x", -1
         )
-    ss = np.linspace(seg.s_center, seg.s_loop, n_check)
+    ss = np.linspace(seg.s_center, seg.s_loop, CHART_CHECK_POINTS)
     hs = np.array([seg.energy(s) for s in ss])
     dh = np.diff(hs)
     if not (np.all(dh > 0.0) or np.all(dh < 0.0)):

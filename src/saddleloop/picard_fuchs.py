@@ -50,14 +50,13 @@ class PFSystem:
     def coefficient(self, t: float) -> np.ndarray:
         return self.A1 * t + self.A0
 
-    def residual(self, t: float, J: np.ndarray, Jprime: np.ndarray,
-                 floor: float = 1e-30) -> float:
+    def residual(self, t: float, J: np.ndarray, Jprime: np.ndarray) -> float:
         """Relative defect of one (J, J') sample in the system."""
         J = np.asarray(J, dtype=float)
         Jprime = np.asarray(Jprime, dtype=float)
         lhs = self.coefficient(t) @ Jprime
         rhs = self.B @ J
-        return float(np.linalg.norm(lhs - rhs) / (np.linalg.norm(rhs) + floor))
+        return float(np.linalg.norm(lhs - rhs) / (np.linalg.norm(rhs) + 1e-30))
 
     def derivative(self, t: float, J: np.ndarray) -> np.ndarray:
         """Solve for J'(t); fails on the critical energies where the

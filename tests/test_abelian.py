@@ -75,15 +75,6 @@ def test_triples_on_grid_matches_pointwise(spec_a1):
         assert g.j0 == pytest.approx(single.j0, rel=1e-13)
 
 
-def test_triples_on_grid_threaded_deterministic(spec_a1):
-    ts = list(np.linspace(-1.8, -0.2, 9))
-    seq = triples_on_grid(spec_a1, Annulus.SIGMA_PLUS, ts, threads=1)
-    par = triples_on_grid(spec_a1, Annulus.SIGMA_PLUS, ts, threads=4)
-    for s, p in zip(seq, par):
-        assert s.t == p.t
-        assert s.jm1 == p.jm1 and s.j0 == p.j0 and s.j1 == p.j1
-
-
 def test_tolerance_floor(spec_a1):
     with pytest.raises(ValueError):
         triple(spec_a1, Annulus.SIGMA_PLUS, -1.0, tol=1e-13)

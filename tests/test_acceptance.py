@@ -4,7 +4,7 @@ Each test prints the criterion's one-line verdict (visible with -s or
 in failure output) and asserts both the verdict and the runtime budget.
 
 Known red: criterion 8's b2 clause. At eps=1e-3, c=17 the measured
-lower-connection shift carries a second-order contribution of about
+upper-connection shift carries a second-order contribution of about
 207*eps^2, which is ~8x the entire first-order value at mu-grid scale
 1e-2, so no correct measurement can sit within 5% of the first-order
 law at those parameters. The criterion is implemented exactly as
@@ -18,9 +18,8 @@ import pytest
 from saddleloop import acceptance
 
 
-def _check(number: int, threads: int = 1):
-    fn = acceptance.CRITERIA[number]
-    result = fn(threads=threads) if number == 10 else fn()
+def _check(number: int):
+    result = acceptance.CRITERIA[number]()
     print(result.line())
     assert result.passed, result.detail
     assert result.within_budget, (

@@ -1,9 +1,13 @@
 import csv
+import importlib
 import json
+import time
 
 import pytest
 
+from saddleloop import cli
 from saddleloop.cli import main
+from saddleloop.flowsim import CycleCensus
 
 
 def run(args, capsys):
@@ -199,3 +203,68 @@ def test_verify_subcommand(tmp_path, capsys):
 def test_verify_rejects_bad_criterion(capsys):
     code, _, err = run(["verify", "--criteria", "3,99"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["abelian", "--a", "1", "--t-grid=-1.0:-0.5:3"], "abelian",
+     "triples_on_grid"),
+    (["pf", "--a", "0.5"], "picard_fuchs", "fundamental"),
+    (["centroid", "--a", "1", "--n", "8"], "centroid", "sample_curve"),
+])
+def test_manifest_clock_covers_computation(tmp_path, capsys, monkeypatch,
+                                           argv, module, name):
+    mod = importlib.import_module(f"saddleloop.{module}")
+    orig = getattr(mod, name)
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(mod, name, slow)
+    out = tmp_path / "artifact"
+    code, _, _ = run(argv + ["--out", str(out)], capsys)
+    assert code == 0
+    man = json.loads((tmp_path / "artifact.manifest.json").read_text())
+    assert man["wall_time_s"] >= 0.2
+
+
+@pytest.mark.parametrize("extra, t_max", [(["--T", "80"], 80.0), ([], 400.0)])
+def test_sim_census_passes_T(tmp_path, capsys, monkeypatch, extra, t_max):
+    seen = {}
+
+    def fake_census(flow, **kwargs):
+        seen.update(kwargs)
+        return CycleCensus(cycles=(), saddle_traces=None, shifts=None,
+                           degenerate_continuum=False, no_return_count=0,
+                           grid_size=kwargs["n"], flow=flow)
+
+    monkeypatch.setattr(cli, "census", fake_census)
+    out = tmp_path / "census.json"
+    code, _, _ = run(["sim", "--family", "normal", "--a", "1",
+                      "--eps", "0.001", "--f", "0.3,0,0,0,0,0", "--census",
+                      "--out", str(out)] + extra, capsys)
+    assert code == 0
+    assert seen["T_max"] == t_max
+    man = json.loads((tmp_path / "census.json.manifest.json").read_text())
+    assert man["config"].get("T") == (80.0 if extra else None)
+
+
+_VALID_ARGV = {
+    "abelian": ["--a", "1", "--t-grid=-1.0:-0.5:3"],
+    "pf": ["--a", "1"],
+    "melnikov": ["--a", "1", "--alpha", "1", "--beta", "1",
+                 "--t-grid=-1.0:-0.5:3"],
+    "centroid": ["--a", "1"],
+    "sim": ["--eps", "0", "--traj", "--start", "0,1"],
+    "verify": ["--criteria", "3"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((c, f) for c in sorted(_VALID_ARGV) for f in ("--threads", "--seed")),
+    ("pf", "--tol"), ("verify", "--tol")])
+def test_removed_flags_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command] + _VALID_ARGV[command] + [flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

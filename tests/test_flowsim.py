@@ -180,23 +180,6 @@ def test_census_validation(spec_a1):
                annulus=Annulus.SIGMA_MINUS, n=100)
 
 
-def test_census_threaded_deterministic(spec_a1):
-    one_form = QuadraticOneForm(
-        f=(0.3, -0.1, 0.2, 0.05, -0.4, 0.15),
-        g=(-0.2, 0.1, 0.3, -0.25, 0.05, -0.1))
-    flow = FlowSpec(hamiltonian=spec_a1, epsilon=1e-3, one_form=one_form)
-    sect = section_segment(spec_a1, Annulus.SIGMA_PLUS)
-    win = (sect.coord_for_energy(-0.4), sect.coord_for_energy(-1e-3))
-    win = (min(win), max(win))
-    seq = census(flow, s_range=win, n=100, T_max=60.0, with_saddle_data=False)
-    par = census(flow, s_range=win, n=100, T_max=60.0, threads=4,
-                 with_saddle_data=False)
-    assert len(seq.cycles) == len(par.cycles)
-    for a, b in zip(seq.cycles, par.cycles):
-        assert a.section_coordinate == b.section_coordinate
-        assert a.stability == b.stability
-
-
 # --- committed witness ---------------------------------------------------
 
 
