@@ -97,10 +97,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # serialize before opening: a payload json cannot encode must not
+    # leave a truncated file behind
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(text)
 
 
 def _write_manifest(path: Path, config: dict, artifacts: list[str],
@@ -276,15 +277,15 @@ def cmd_sim(args) -> int:
     flow = _sim_flow(args)
     flags: list[str] = []
     config_fields = ("family", "a", "c", "eps", "mu1", "mu2", "f", "g",
-                     "annulus", "window", "n", "traj", "start", "T",
-                     "tol")
+                     "annulus", "window", "n", "stability_delta", "traj",
+                     "start", "T", "tol")
     if args.census:
         out = _out_path(args, "census.json")
         t0 = time.time()
         s_range = (_parse_pair(args.window, "window")
                    if args.window else None)
         res = census(flow, annulus=_annulus(args.annulus), s_range=s_range,
-                     n=args.n,
+                     n=args.n, stability_delta=args.stability_delta,
                      T_max=CENSUS_T_MAX if args.T is None else args.T)
         payload = {
             "family": args.family,
@@ -292,6 +293,7 @@ def cmd_sim(args) -> int:
             "grid_size": res.grid_size,
             "degenerate_continuum": res.degenerate_continuum,
             "no_return_count": res.no_return_count,
+            "outcomes": res.outcomes,
             "cycles": [{
                 "section_coordinate": c.section_coordinate,
                 "energy": c.energy_estimate,
@@ -426,6 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", metavar="LO:HI",
                    help="section window for the census")
     p.add_argument("--n", type=int, default=100, help="census grid size")
+    p.add_argument("--stability-delta", type=float, default=1e-4,
+                   help="census stability probe offset, as a fraction of "
+                   "the window")
     p.add_argument("--traj", action="store_true")
     p.add_argument("--start", metavar="X,Y")
     p.add_argument("--T", type=float, default=None,

@@ -5,12 +5,19 @@ i.e. xdot = H_y + eps*g, ydot = -H_x - eps*f, for quadratic f and g.
 The appendix family uses f = (16 + c*x - pi*sqrt(3)*y)*y + mu1 + mu2*y,
 g = 0.
 
-Tooling here: adaptive DOP853 integration with saddle-ball segmentation
-(short max step inside balls of radius 0.05 around the saddles, where
-passage times diverge), Poincare return maps located by terminal
-section events, a cycle census by displacement sign changes, saddle
-traces by Newton continuation, and separatrix shift functions measured
-in the Hamiltonian chart on mid-connection transversals.
+Both integrators here are adaptive DOP853 with a short maximum step
+inside balls of radius 0.05 around the saddles, where passage times
+diverge.  Single long trajectories (``integrate``: ``sim --traj`` and
+the separatrix shifts) run through scipy's solve_ivp, segmented at the
+ball boundaries to change the maximum step.  Poincare return maps run
+in lockstep (``return_maps``, on ``saddleloop.lockstep``): all lanes of
+a census advance together as numpy arrays, each with its own step
+control and a per-lane step cap near the saddles, and each return is
+located on the lane's dense output.  Also here: a cycle census by
+displacement sign changes, refined together by a lockstep Illinois
+search, saddle traces by Newton continuation, and separatrix shift
+functions measured in the Hamiltonian chart on mid-connection
+transversals.
 
 Cycle detection is fixed-point based rather than attractor settling:
 the cycles of interest can be repelling or nearly neutral (traces are
@@ -25,8 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
+from .lockstep import advance, illinois
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     PerturbationSpec, critical_data)
 from .ovals import SectionSegment, section_segment
@@ -264,50 +271,120 @@ class ReturnResult:
     t_return: float | None
 
 
-def _section_event(section: SectionSegment) -> EventSpec:
-    # crossing functional is the off-section coordinate
-    idx = 1 if section.axis == "x" else 0
-    return EventSpec(func=lambda z, i=idx: float(z[i]),
-                     direction=section.direction, name="section")
+REASONS = ("ok", "escape", "left_annulus", "timeout", "failed")
+_OK, _ESCAPE, _LEFT, _TIMEOUT, _FAILED = range(len(REASONS))
 
 
-_ESCAPE_EVENT = EventSpec(
-    func=lambda z: float(z[0] * z[0] + z[1] * z[1]
-                         - ESCAPE_RADIUS * ESCAPE_RADIUS),
-    direction=1, name="escape")
+def _escape(z):
+    return z[0] * z[0] + z[1] * z[1] - ESCAPE_RADIUS * ESCAPE_RADIUS
+
+
+_ESCAPE_EVENT = EventSpec(func=lambda z: float(_escape(z)), direction=1,
+                          name="escape")
+
+
+def _lockstep_field(flow: FlowSpec):
+    """The flow's vector field on a (2, n) array of lanes.  Both
+    components are quadratics in QUAD_BASIS order."""
+    hx, hy = flow.hamiltonian.grad_H_coeffs()
+    e, w = flow.epsilon, flow.one_form
+    coef = np.array([[p + e * q for p, q in zip(hy, w.g)],
+                     [-p - e * q for p, q in zip(hx, w.f)]])
+    const = coef[:, :1]
+    terms = [(k - 1, coef[:, k:k + 1]) for k in range(1, 6)
+             if coef[:, k].any()]
+
+    def field(z):
+        x, y = z
+        mono = (x, y, x * x, x * y, y * y)
+        out = np.repeat(const, z.shape[1], axis=1)
+        for k, c in terms:
+            out += c * mono[k]
+        return out
+
+    return field
+
+
+def _ball_step_cap(flow: FlowSpec):
+    """Step cap per lane: BALL_MAX_STEP within SADDLE_BALL_RADIUS of a
+    saddle, OUTER_MAX_STEP elsewhere."""
+    saddles = np.array(_saddle_centers(flow.hamiltonian))[:, :, None]
+
+    def cap(z):
+        d = z - saddles
+        d *= d
+        near = (d[:, 0] + d[:, 1] < SADDLE_BALL_RADIUS ** 2).any(axis=0)
+        return np.where(near, BALL_MAX_STEP, OUTER_MAX_STEP)
+
+    return cap
+
+
+@dataclass(frozen=True)
+class ReturnLanes:
+    """First returns of many starting points, one entry per lane."""
+
+    s_return: np.ndarray        # nan where the lane did not return
+    reason: np.ndarray          # entries of REASONS
+    t_return: np.ndarray        # nan where the lane did not return
+
+
+def return_maps(flow: FlowSpec, section: SectionSegment, s,
+                T_max: float = 400.0) -> ReturnLanes:
+    """First returns to the section from every coordinate in s, with all
+    lanes advanced in lockstep.
+
+    Each lane first runs a BURN_IN lead with only the escape event
+    armed, so that the departure itself cannot register as the return.
+    Then the section crossing (off-section coordinate, in the section's
+    direction) and the escape event are armed until T_max.  A lane's
+    reason is ok, escape, left_annulus (it crossed the section line
+    outside the annulus: it slipped through a broken connection),
+    timeout (no crossing within T_max) or failed (step size underflow).
+    """
+    if T_max <= BURN_IN:
+        raise ValueError(f"T_max={T_max} does not exceed the burn-in "
+                         f"{BURN_IN}")
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    lo, hi = section.s_bounds()
+    outside = ~((lo <= s) & (s <= hi))
+    if outside.any():
+        raise ValueError(f"s={s[outside][0]} outside section range "
+                         f"{section.s_bounds()}")
+    coord = 0 if section.axis == "x" else 1
+    z = np.zeros((2, s.size))
+    z[coord] = s
+
+    reason = np.full(s.size, _FAILED)
+    s_ret = np.full(s.size, np.nan)
+    t_ret = np.full(s.size, np.nan)
+    rhs, cap = _lockstep_field(flow), _ball_step_cap(flow)
+    tols = (flow.tol, 0.01 * flow.tol)
+    st, _, _, z = advance(rhs, z, BURN_IN, ((_escape, 1),), cap, *tols)
+    reason[st == 1] = _ESCAPE
+    go = np.flatnonzero(st == 0)
+    events = ((lambda z: z[1 - coord], section.direction), (_escape, 1))
+    st, which, t, z = advance(rhs, z[:, go], T_max - BURN_IN, events, cap,
+                              *tols)
+    crossed = (st == 1) & (which == 0)
+    inside = (lo <= z[coord]) & (z[coord] <= hi)
+    r = np.select([crossed & inside, crossed, st == 1, st == 0],
+                  [_OK, _LEFT, _ESCAPE, _TIMEOUT], _FAILED)
+    reason[go] = r
+    ok = r == _OK
+    s_ret[go[ok]] = z[coord, ok]
+    t_ret[go[ok]] = BURN_IN + t[ok]
+    return ReturnLanes(s_ret, np.array(REASONS)[reason], t_ret)
 
 
 def return_map(flow: FlowSpec, section: SectionSegment, s: float,
                T_max: float = 400.0) -> ReturnResult:
-    """First return to the section in the flow direction.
-
-    A short burn-in keeps the departure itself from registering as the
-    return.  No-return outcomes (escape through the broken loop, or no
-    crossing within T_max) are reported as data, not errors.
-    """
-    if not section.contains(s):
-        raise ValueError(f"s={s} outside section range {section.s_bounds()}")
-    start = section.point(s)
-    lead = integrate(flow, start, BURN_IN, user_events=(_ESCAPE_EVENT,))
-    if lead.status == "event":
-        return ReturnResult(None, "escape", None)
-    if lead.status == "failed":
-        return ReturnResult(None, "failed", None)
-    tr = integrate(flow, lead.states[-1], T_max - BURN_IN,
-                   user_events=(_section_event(section), _ESCAPE_EVENT))
-    if tr.status == "event" and tr.event_name == "section":
-        coord = 0 if section.axis == "x" else 1
-        s_ret = float(tr.event_state[coord])
-        if not section.contains(s_ret):
-            # crossed the section line outside the annulus (slipped
-            # through a broken connection): an exit, not a return
-            return ReturnResult(None, "left_annulus", None)
-        return ReturnResult(s_ret, "ok", BURN_IN + tr.event_time)
-    if tr.status == "event":
-        return ReturnResult(None, "escape", None)
-    if tr.status == "failed":
-        return ReturnResult(None, "failed", None)
-    return ReturnResult(None, "timeout", None)
+    """First return to the section in the flow direction: one lane of
+    return_maps.  No-return outcomes are reported as data, not errors."""
+    lanes = return_maps(flow, section, s, T_max=T_max)
+    if lanes.reason[0] != "ok":
+        return ReturnResult(None, str(lanes.reason[0]), None)
+    return ReturnResult(float(lanes.s_return[0]), "ok",
+                        float(lanes.t_return[0]))
 
 
 def displacement(flow: FlowSpec, section: SectionSegment, s: float,
@@ -333,6 +410,7 @@ class CycleCensus:
     no_return_count: int
     grid_size: int
     flow: FlowSpec
+    outcomes: dict[str, int] = field(default_factory=dict)  # lanes by reason
 
 
 def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
@@ -344,7 +422,12 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
 
     s_range defaults to the full section span (slightly shrunk); pass a
     narrow window near the loop end for near-loop censuses, with margin
-    extending the section past the unperturbed loop.
+    extending the section past the unperturbed loop.  The grid is one
+    lockstep batch of return maps; every displacement sign change is
+    refined in one lockstep Illinois search to refine_tol, and the
+    stability probes r +- d of every root are one more batch.
+    no_return_count counts grid lanes without a return plus brackets
+    abandoned because a refinement lane did not return.
     """
     if n < 100:
         raise ValueError("census needs a grid of at least 100 points")
@@ -366,36 +449,23 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
                            degenerate_continuum=True, no_return_count=0,
                            grid_size=n, flow=flow)
 
-    def disp(s):
-        return displacement(flow, sec, float(s), T_max=T_max)
+    lanes = return_maps(flow, sec, grid, T_max=T_max)
+    outcomes = {r: int(np.count_nonzero(lanes.reason == r))
+                for r in REASONS if r in lanes.reason}
+    no_return = n - outcomes.get("ok", 0)
+    vals = lanes.s_return - grid
+    va, vb = vals[:-1], vals[1:]
+    pair = ~np.isnan(va) & ~np.isnan(vb)
+    roots = [float(s) for s in grid[:-1][pair & (va == 0.0)]]
+    i = np.flatnonzero(pair & (va * vb < 0.0))
+    if i.size:
+        def disp(_, s):
+            return return_maps(flow, sec, s, T_max=T_max).s_return - s
 
-    vals = [disp(s) for s in grid]
-    no_return = sum(1 for v in vals if v is None)
-
-    class _Escaped(Exception):
-        pass
-
-    def disp_strict(s):
-        v = disp(s)
-        if v is None:
-            raise _Escaped
-        return v
-
-    roots = []
-    for i in range(n - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va is None or vb is None:
-            continue
-        if va == 0.0:
-            roots.append(float(grid[i]))
-        elif va * vb < 0.0:
-            try:
-                r = brentq(disp_strict, grid[i], grid[i + 1],
-                           xtol=refine_tol, rtol=8.9e-16, maxiter=120)
-            except _Escaped:
-                no_return += 1
-                continue
-            roots.append(float(r))
+        refined = illinois(disp, grid[i], grid[i + 1], va[i], vb[i],
+                           refine_tol, 8.9e-16, maxiter=120)
+        no_return += int(np.isnan(refined).sum())
+        roots += [float(r) for r in refined if not np.isnan(r)]
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     # deduplicate
@@ -407,32 +477,28 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
 
     slo, shi = sec.s_bounds()
     slo, shi = min(slo, shi), max(slo, shi)
+    rs = np.array(merged)
+    d = np.minimum(stability_delta * span,
+                   np.minimum(0.5 * (rs - slo), 0.5 * (shi - rs)))
+    probed = d >= 1e-13 * span
+    deriv = np.full(rs.size, math.nan)
+    if probed.any():
+        rp, rm = np.split(return_maps(
+            flow, sec, np.concatenate([rs[probed] + d[probed],
+                                       rs[probed] - d[probed]]),
+            T_max=T_max).s_return, 2)
+        deriv[probed] = (rp - rm) / (2.0 * d[probed])
     cycles = []
-    for r in merged:
-        d = stability_delta * span
-        d = min(d, 0.5 * (r - slo), 0.5 * (shi - r))
-        if d < 1e-13 * span:
-            cycles.append(Cycle(section_coordinate=r,
-                                energy_estimate=sec.energy(r),
-                                stability="undetermined",
-                                return_derivative=math.nan))
-            continue
-        rp = return_map(flow, sec, r + d, T_max=T_max).s_return
-        rm = return_map(flow, sec, r - d, T_max=T_max).s_return
-        if rp is None or rm is None:
-            deriv = math.nan
+    for r, dv in zip(merged, deriv):
+        if math.isnan(dv) or abs(dv - 1.0) < 1e-5:
             stab = "undetermined"
+        elif abs(dv) < 1.0:
+            stab = "attracting"
         else:
-            deriv = (rp - rm) / (2.0 * d)
-            if abs(deriv - 1.0) < 1e-5:
-                stab = "undetermined"
-            elif abs(deriv) < 1.0:
-                stab = "attracting"
-            else:
-                stab = "repelling"
+            stab = "repelling"
         cycles.append(Cycle(section_coordinate=r,
                             energy_estimate=sec.energy(r),
-                            stability=stab, return_derivative=deriv))
+                            stability=stab, return_derivative=float(dv)))
 
     traces = shifts = None
     if with_saddle_data and flow.hamiltonian.family is Family.APPENDIX_ELLIPSE:
@@ -442,7 +508,8 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
         shifts = (sh.b1, sh.b2)
     return CycleCensus(cycles=tuple(cycles), saddle_traces=traces,
                        shifts=shifts, degenerate_continuum=False,
-                       no_return_count=no_return, grid_size=n, flow=flow)
+                       no_return_count=no_return, grid_size=n, flow=flow,
+                       outcomes=outcomes)
 
 
 class NewtonError(RuntimeError):

@@ -1,0 +1,237 @@
+"""Lockstep DOP853: many lanes of one autonomous planar ODE, advanced
+together as numpy arrays.
+
+A lane is one initial state.  Every lane takes its own steps under
+scipy's DOP853 tableau and step control (Hairer, Norsett & Wanner,
+*Solving ODEs I*, II.4-II.6): the err5/err3 norm, safety 0.9, step
+factors in [0.2, 10], exponent -1/8 and select_initial_step's first
+step.  Terminal events are detected by sign changes at step ends, as
+solve_ivp does, and located on the step's dense output.
+
+Every sum over stages is accumulated term by term in a fixed order,
+never by a matrix product, whose summation order depends on the array
+shape.  All other arithmetic is elementwise and correctly rounded
+(+ - * /, square roots, abs, min, max), so a lane gives the same bits
+alone as in any batch.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.integrate._ivp import dop853_coefficients as _dop
+
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+EVENT_TOL = 4.0 * np.finfo(float).eps       # solve_ivp's event-root tolerance
+
+
+def _terms(row) -> tuple[tuple[int, float], ...]:
+    return tuple((j, float(c)) for j, c in enumerate(row) if c != 0.0)
+
+
+_N_STAGES = _dop.N_STAGES
+# Sums over the stages of one step, accumulated as each stage arrives:
+# rows 0..10 feed stages 1..11, then y_new (B) and the err5 and err3
+# estimates.  Column j multiplies stage j; the last stage (the derivative
+# at y_new) has zero weight in both error estimates.
+_W = np.vstack([_dop.A[1:_N_STAGES, :_N_STAGES], _dop.B,
+                _dop.E5[:_N_STAGES], _dop.E3[:_N_STAGES]])[:, :, None, None]
+_Y_ROW = _N_STAGES - 1
+# the three extra stages and the interpolant rows of the dense output
+_EXTRA = tuple(_terms(_dop.A[s, :s])
+               for s in range(_N_STAGES + 1, _dop.N_STAGES_EXTENDED))
+_D = tuple(_terms(row) for row in _dop.D)
+
+
+def _combo(terms, K):
+    """sum(c * K[j] for j, c in terms), accumulated in the listed order."""
+    (j, c), *rest = terms
+    acc = c * K[j]
+    for j, c in rest:
+        acc += c * K[j]
+    return acc
+
+
+def _root8(x):
+    # x**(1/8) from correctly rounded square roots
+    return np.sqrt(np.sqrt(np.sqrt(x)))
+
+
+def _rms(z):
+    return np.sqrt(z[0] * z[0] + z[1] * z[1]) / math.sqrt(2.0)
+
+
+def _initial_step(field, z, f, t_end, cap, rtol, atol):
+    """scipy's select_initial_step, per lane (error estimator order 7)."""
+    scale = atol + np.abs(z) * rtol
+    d0, d1 = _rms(z / scale), _rms(f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, t_end)
+    d2 = _rms((field(z + h0 * f) - f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                  np.maximum(1e-6, h0 * 1e-3),
+                  _root8(0.01 / np.maximum(d1, d2)))
+    return np.minimum(np.minimum(100.0 * h0, h1), np.minimum(t_end, cap))
+
+
+def _dense_output(field, K, p, h, z, y):
+    """DOP853 interpolant coefficients, shape (7, 2, len(p)), of lanes p
+    over the step z -> y."""
+    K = [k[:, p] for k in K]
+    h, z = h[p], z[:, p]
+    for terms in _EXTRA:
+        K.append(field(z + _combo(terms, K) * h))
+    dy = y[:, p] - z
+    return np.array([dy, h * K[0] - dy, 2.0 * dy - h * (K[_N_STAGES] + K[0])]
+                    + [h * _combo(terms, K) for terms in _D])
+
+
+def _dense_eval(t_old, h, z_old, F, t):
+    x = (t - t_old) / h
+    y = np.zeros_like(z_old)
+    for i, f in enumerate(reversed(F)):
+        y += f
+        y *= x if i % 2 == 0 else 1.0 - x
+    return y + z_old
+
+
+def illinois(fun, a, b, fa, fb, xtol, rtol, maxiter=100):
+    """Lockstep Illinois (modified regula falsi) search for one root in
+    each sign-change bracket [a[i], b[i]] with end values fa[i], fb[i].
+
+    fun(i, x) evaluates brackets i at points x; a nan value abandons a
+    bracket, whose root is then nan.  A bracket is done when it is
+    narrower than xtol + rtol*|b| or a point evaluates to exactly 0; its
+    root is the last point evaluated.  Each bracket's iterates depend on
+    its own values only.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    root = np.where(fa == 0.0, a, b)
+    live = (fa != 0.0) & (fb != 0.0)
+    kept = np.zeros(a.size, dtype=int)      # end retained last: 1 a, -1 b
+    for _ in range(maxiter):
+        live &= np.abs(b - a) > xtol + rtol * np.abs(b)
+        i = np.flatnonzero(live)
+        if not i.size:
+            break
+        ai, bi = a[i], b[i]
+        c = (ai * fb[i] - bi * fa[i]) / (fb[i] - fa[i])
+        inside = (c > np.minimum(ai, bi)) & (c < np.maximum(ai, bi))
+        c = np.where(inside, c, 0.5 * (ai + bi))
+        fc = fun(i, c)
+        root[i] = np.where(np.isnan(fc), np.nan, c)
+        live[i[np.isnan(fc) | (fc == 0.0)]] = False
+        to_b, to_a = fc * fb[i] > 0.0, fc * fa[i] > 0.0
+        ib, ia = i[to_b], i[to_a]
+        fa[ib[kept[ib] == 1]] *= 0.5
+        fb[ia[kept[ia] == -1]] *= 0.5
+        b[ib], fb[ib], kept[ib] = c[to_b], fc[to_b], 1
+        a[ia], fa[ia], kept[ia] = c[to_a], fc[to_a], -1
+    return root
+
+
+def advance(field, z, t_end, events, max_step, rtol, atol):
+    """Advance lanes z (shape (2, n)) from t = 0 to t_end, stopping each
+    lane at the first of its terminal events.
+
+    field maps a (2, m) array of states to their derivatives.  events
+    holds (func, direction) pairs: func maps a (2, m) array to m values,
+    direction is as in solve_ivp.  max_step maps a (2, m) array to each
+    lane's step cap at those states.  Returns per lane the status (0
+    reached t_end, 1 event, -1 step size underflow), the index of the
+    event that stopped it, and the time and state where it stopped.
+    Event times are roots of the event function on the step's dense
+    output, located to 4 eps as solve_ivp does.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _advance(field, z, t_end, events, max_step, rtol, atol)
+
+
+def _advance(field, z, t_end, events, max_step, rtol, atol):
+    n = z.shape[1]
+    status = np.zeros(n, dtype=int)
+    which = np.full(n, -1)
+    t_stop = np.zeros(n)
+    z_stop = z.copy()
+    dirs = np.array([[d] for _, d in events])
+    lane = np.arange(n)
+    t = np.zeros(n)
+    f = field(z)
+    h_abs = _initial_step(field, z, f, t_end, max_step(z), rtol, atol)
+    retry = np.zeros(n, dtype=bool)
+    g = np.array([fn(z) for fn, _ in events])
+    hits = []       # lanes, bracket, dense output and event values per hit
+    while lane.size:
+        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(retry, h_abs, np.minimum(np.maximum(h_abs, min_step),
+                                                  max_step(z)))
+        failed = h_abs < min_step
+        t_new = np.minimum(t + h_abs, t_end)
+        h = t_new - t
+        K = [f]
+        S = np.zeros((len(_W), 2, lane.size))
+        for j in range(_N_STAGES):
+            S[j:] += _W[j:, j] * K[j]
+            if j < _Y_ROW:
+                K.append(field(z + S[j] * h))
+        y = z + h * S[_Y_ROW]
+        K.append(field(y))
+        scale = atol + np.maximum(np.abs(z), np.abs(y)) * rtol
+        e5 = S[-2] / scale
+        e3 = S[-1] / scale
+        n5 = e5[0] * e5[0] + e5[1] * e5[1]
+        n3 = e3[0] * e3[0] + e3[1] * e3[1]
+        err = np.where((n5 == 0.0) & (n3 == 0.0), 0.0,
+                       h * n5 / np.sqrt((n5 + 0.01 * n3) * 2.0))
+        ok = (err < 1.0) & ~failed
+        factor = SAFETY / _root8(err)
+        grow = np.where(err == 0.0, MAX_FACTOR,
+                        np.minimum(MAX_FACTOR, factor))
+        grow = np.where(retry, np.minimum(1.0, grow), grow)
+        h_abs = h * np.where(ok, grow, np.fmax(MIN_FACTOR, factor))
+
+        g_new = np.array([fn(y) for fn, _ in events])
+        up, down = (g <= 0.0) & (g_new >= 0.0), (g >= 0.0) & (g_new <= 0.0)
+        act = ok & (((dirs > 0) & up) | ((dirs < 0) & down)
+                    | ((dirs == 0) & (up | down)))
+        fired = act.any(axis=0)
+        if fired.any():
+            p = np.flatnonzero(fired)
+            hits.append((lane[p], t[p], t_new[p], h[p], z[:, p],
+                         _dense_output(field, K, p, h, z, y),
+                         act[:, p], g[:, p], g_new[:, p]))
+        reached = ok & ~fired & (t_new >= t_end)
+        status[lane[failed]] = -1
+        t_stop[lane[failed]] = t[failed]
+        z_stop[:, lane[failed]] = z[:, failed]
+        t_stop[lane[reached]] = t_new[reached]
+        z_stop[:, lane[reached]] = y[:, reached]
+
+        z = np.where(ok, y, z)
+        f = np.where(ok, K[-1], f)
+        t = np.where(ok, t_new, t)
+        g = np.where(ok, g_new, g)
+        retry = ~ok
+        keep = ~(failed | fired | reached)
+        if not keep.all():
+            lane, t, z, f = lane[keep], t[keep], z[:, keep], f[:, keep]
+            h_abs, retry, g = h_abs[keep], retry[keep], g[:, keep]
+
+    if hits:
+        lanes, t0, t1, h, z0, F, act, ga, gb = (
+            np.concatenate(v, axis=-1) for v in zip(*hits))
+        t_hit = np.full(act.shape, np.inf)
+        for k, (fn, _) in enumerate(events):
+            i = np.flatnonzero(act[k])
+
+            def gk(j, tt, i=i, fn=fn):
+                m = i[j]
+                return fn(_dense_eval(t0[m], h[m], z0[:, m], F[..., m], tt))
+
+            t_hit[k, i] = illinois(gk, t0[i], t1[i], ga[k, i], gb[k, i],
+                                   EVENT_TOL, EVENT_TOL)
+        first = np.argmin(t_hit, axis=0)
+        th = t_hit[first, np.arange(lanes.size)]
+        status[lanes], which[lanes], t_stop[lanes] = 1, first, th
+        z_stop[:, lanes] = _dense_eval(t0, h, z0, F, th)
+    return status, which, t_stop, z_stop

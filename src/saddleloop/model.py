@@ -89,6 +89,16 @@ class HamiltonianSpec:
         hy = x * x + 0.25 * y * y - 1.0
         return hx, hy
 
+    def grad_H_coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(H_x, H_y) as quadratic coefficient tuples ordered as
+        (1, x, y, x^2, x*y, y^2)."""
+        if self.family is Family.NORMAL_FORM:
+            a = self.a
+            return ((3.0 * (a - 2.0), -6.0 * (a - 1.0), 0.0, 3.0 * a, 0.0, 1.0),
+                    (0.0, 0.0, 0.0, 0.0, 2.0, 0.0))
+        return ((0.0, 0.0, 0.0, 0.0, 2.0, 0.0),
+                (-1.0, 0.0, 0.0, 1.0, 0.0, 0.25))
+
     def hess_H(self, x: float, y: float) -> tuple[float, float, float]:
         """(H_xx, H_xy, H_yy)."""
         if self.family is Family.NORMAL_FORM:

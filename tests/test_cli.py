@@ -126,10 +126,28 @@ def test_sim_census_json(tmp_path, capsys):
     assert doc["family"] == "normal"
     assert doc["epsilon"] == 0.001
     assert doc["grid_size"] == 100
+    assert sum(doc["outcomes"].values()) == 100
+    assert doc["no_return_count"] >= 100 - doc["outcomes"].get("ok", 0)
     assert isinstance(doc["cycles"], list)
     for c in doc["cycles"]:
         assert set(c) == {"section_coordinate", "energy", "stability",
                           "return_derivative"}
+
+
+def test_sim_census_witness_replay(tmp_path, capsys):
+    # the README witness command, at the fixture's stability delta
+    out = tmp_path / "census.json"
+    code, _, _ = run(["sim", "--family", "appendix", "--c", "60",
+                      "--eps", "3.6e-3", "--mu1", "0.352", "--mu2", "0.657",
+                      "--census", "--window", "1.15e-3,4.0e-3", "--n", "160",
+                      "--T", "80", "--stability-delta", "1e-6",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["outcomes"] == {"ok": 155, "left_annulus": 5}
+    assert doc["no_return_count"] == 5
+    assert [c["stability"] for c in doc["cycles"]] == ["repelling",
+                                                       "attracting"]
 
 
 def test_sim_requires_exactly_one_mode(tmp_path, capsys):
@@ -200,6 +218,16 @@ def test_verify_subcommand(tmp_path, capsys):
     assert all(r["passed"] for r in doc["results"])
 
 
+def test_verify_out_with_criterion_4(tmp_path, capsys):
+    # criterion 4 once reported passed as numpy.bool, which json rejects
+    out = tmp_path / "ver4.json"
+    code, _, _ = run(["verify", "--criteria", "4", "--out", str(out)], capsys)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["results"][0]["number"] == 4
+    assert doc["results"][0]["passed"] is True
+
+
 def test_verify_rejects_bad_criterion(capsys):
     code, _, err = run(["verify", "--criteria", "3,99"], capsys)
     assert code == 2
@@ -228,8 +256,10 @@ def test_manifest_clock_covers_computation(tmp_path, capsys, monkeypatch,
     assert man["wall_time_s"] >= 0.2
 
 
-@pytest.mark.parametrize("extra, t_max", [(["--T", "80"], 80.0), ([], 400.0)])
+@pytest.mark.parametrize("extra, t_max", [
+    (["--T", "80", "--stability-delta", "1e-6"], 80.0), ([], 400.0)])
 def test_sim_census_passes_T(tmp_path, capsys, monkeypatch, extra, t_max):
+    # and --stability-delta, whose default is census's own 1e-4
     seen = {}
 
     def fake_census(flow, **kwargs):
@@ -245,6 +275,7 @@ def test_sim_census_passes_T(tmp_path, capsys, monkeypatch, extra, t_max):
                       "--out", str(out)] + extra, capsys)
     assert code == 0
     assert seen["T_max"] == t_max
+    assert seen["stability_delta"] == (1e-6 if extra else 1e-4)
     man = json.loads((tmp_path / "census.json.manifest.json").read_text())
     assert man["config"].get("T") == (80.0 if extra else None)
 

@@ -11,15 +11,22 @@ from saddleloop.model import (
     PerturbationSpec,
 )
 from saddleloop.ovals import OvalRangeError, section_segment
+from saddleloop.acceptance import scan_draws
+from saddleloop.lockstep import illinois
 from saddleloop.flowsim import (
+    BURN_IN,
+    EventSpec,
     FlowSpec,
     QuadraticOneForm,
+    _ESCAPE_EVENT,
+    _lockstep_field,
     alien_witness,
     appendix_flow,
     census,
     displacement,
     integrate,
     return_map,
+    return_maps,
     saddle_traces,
     separatrix_shifts,
     witness_flow,
@@ -89,6 +96,8 @@ def test_return_map_rejects_out_of_section(spec_a1):
     lo, hi = sect.s_bounds()
     with pytest.raises(ValueError):
         return_map(flow, sect, hi + 0.5)
+    with pytest.raises(ValueError):
+        return_map(flow, sect, 0.5 * (lo + hi), T_max=BURN_IN)
 
 
 # --- one-form bookkeeping -----------------------------------------------
@@ -210,6 +219,10 @@ def test_witness_census_replay():
     # repeller inside, attractor outside, per the return derivatives
     assert res.cycles[0].return_derivative > 1.0
     assert res.cycles[1].return_derivative < 1.0
+    # five grid lanes near the loop end slip through the broken upper
+    # connection and cross the section line outside the annulus
+    assert res.outcomes == {"ok": 155, "left_annulus": 5}
+    assert res.no_return_count == 5
 
 
 def test_witness_cycle_is_fixed_point():
@@ -220,3 +233,94 @@ def test_witness_cycle_is_fixed_point():
     d = displacement(flow, sect, s_rep, T_max=float(w["t_max"]))
     assert d is not None
     assert abs(d) < 5e-7
+
+
+# --- lockstep return maps ------------------------------------------------
+
+
+def _draw_grid(trial):
+    _, flow, s_range = scan_draws()[trial]
+    sect = section_segment(flow.hamiltonian, Annulus.SIGMA_PLUS)
+    return flow, sect, np.linspace(s_range[0], s_range[1], 100)
+
+
+def test_lockstep_field_matches_rhs(spec_a05, appendix_spec):
+    # the coefficient evaluator is a second copy of FlowSpec.rhs, kept
+    # for speed; this holds the two in step for both families
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-2.0, 2.0, (2, 50))
+    draw = scan_draws()[1][1]
+    flows = [draw, FlowSpec(hamiltonian=spec_a05, epsilon=0.1,
+                            one_form=draw.one_form), witness_flow(),
+             appendix_flow(appendix_spec, PerturbationSpec(epsilon=0.0))]
+    for flow in flows:
+        got = _lockstep_field(flow)(z)
+        want = np.array(flow.rhs(0.0, z))
+        assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_illinois_lockstep_roots():
+    # three brackets of x^3 - k, one abandoned by a nan evaluation
+    ks = np.array([2.0, 5.0, 7.0])
+
+    def fun(i, x):
+        v = x ** 3 - ks[i]
+        return np.where(ks[i] == 5.0, np.nan, v)
+
+    a, b = np.ones(3), np.full(3, 2.0)
+    roots = illinois(fun, a, b, a ** 3 - ks, b ** 3 - ks, 1e-13, 0.0)
+    assert abs(roots[0] - 2.0 ** (1 / 3)) < 1e-12
+    assert np.isnan(roots[1])
+    assert abs(roots[2] - 7.0 ** (1 / 3)) < 1e-12
+
+
+def test_return_maps_batch_invariant():
+    # the 100 grid lanes of one criterion-10 draw (two of them without a
+    # return), alone, as their own batch and inside a batch of 500
+    flow, sect, grid = _draw_grid(2)
+    batch = np.concatenate([grid, np.linspace(grid[0], grid[-1], 400)])
+    big = return_maps(flow, sect, batch, T_max=60.0)
+    own = return_maps(flow, sect, grid, T_max=60.0)
+    assert big.s_return[:100].tobytes() == own.s_return.tobytes()
+    assert list(big.reason[:100]) == list(own.reason)
+    assert set(own.reason) == {"ok", "left_annulus", "escape"}
+    for i in (0, 17, 34, 51, 68, 85, 98, 99):
+        alone = return_maps(flow, sect, grid[i:i + 1], T_max=60.0)
+        assert alone.s_return.tobytes() == own.s_return[i:i + 1].tobytes()
+        assert alone.reason[0] == own.reason[i]
+
+
+def _oracle_return(flow, sect, s, T_max):
+    """The return map from solve_ivp: integrate with a burn-in lead, then
+    the section and escape events."""
+    lead = integrate(flow, sect.point(s), BURN_IN,
+                     user_events=(_ESCAPE_EVENT,))
+    if lead.status != "completed":
+        return None, "escape" if lead.status == "event" else "failed"
+    off = 1 if sect.axis == "x" else 0
+    on = 1 - off
+    section = EventSpec(func=lambda z: float(z[off]),
+                        direction=sect.direction, name="section")
+    tr = integrate(flow, lead.states[-1], T_max - BURN_IN,
+                   user_events=(section, _ESCAPE_EVENT))
+    if tr.status == "event" and tr.event_name == "section":
+        s_ret = float(tr.event_state[on])
+        return (s_ret, "ok") if sect.contains(s_ret) else (None, "left_annulus")
+    if tr.status == "event":
+        return None, "escape"
+    return None, "failed" if tr.status == "failed" else "timeout"
+
+
+@pytest.mark.parametrize("trial", [2, 11])
+def test_return_maps_match_integrate_oracle(trial):
+    flow, sect, grid = _draw_grid(trial)
+    lanes = [0, 13, 26, 39, 52, 65, 78, 97, 98, 99]
+    got = return_maps(flow, sect, grid[lanes], T_max=60.0)
+    reasons = []
+    for k, i in enumerate(lanes):
+        s_ret, reason = _oracle_return(flow, sect, grid[i], 60.0)
+        reasons.append(reason)
+        assert got.reason[k] == reason
+        if s_ret is not None:
+            assert abs(got.s_return[k] - s_ret) < 1e-9
+    assert reasons.count("ok") < len(lanes)
