@@ -199,6 +199,7 @@ def cmd_melnikov(args) -> int:
             raise ConfigError("alpha/beta/gamma not applicable to "
                               "family=appendix; use --mu2")
         spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=float(args.c))
+        echo = ("c", "mu2", "h_grid")
         if not args.h_grid:
             raise ConfigError("h-grid required for family=appendix")
         hs = _parse_grid(args.h_grid, "h-grid")
@@ -215,6 +216,7 @@ def cmd_melnikov(args) -> int:
         if args.alpha is None or args.beta is None:
             raise ConfigError("alpha and beta are required for family=normal")
         spec = _spec_for(args)
+        echo = ("a", "annulus", "alpha", "beta", "gamma", "t_grid")
         order = 2 if args.gamma else 1
         coeffs = MelnikovCoeffs(alpha=args.alpha, beta=args.beta,
                                 gamma=args.gamma, order_k=order)
@@ -228,9 +230,7 @@ def cmd_melnikov(args) -> int:
         _write_csv(out, ["t", "value"], rows)
         flags = [f"row t={float(t):g} not converged"
                  for t, c in zip(ts, conv) if not c]
-    _write_manifest(out, _config_echo(args, ("family", "a", "c", "annulus",
-                                             "alpha", "beta", "gamma", "mu2",
-                                             "t_grid", "h_grid", "tol")),
+    _write_manifest(out, _config_echo(args, ("family", *echo, "tol")),
                     [str(out)], time.time() - t0, flags)
     print(out)
     return 3 if flags else 0
@@ -276,9 +276,9 @@ def cmd_sim(args) -> int:
         raise ConfigError("exactly one of --census or --traj is required")
     flow = _sim_flow(args)
     flags: list[str] = []
-    config_fields = ("family", "a", "c", "eps", "mu1", "mu2", "f", "g",
-                     "annulus", "window", "n", "stability_delta", "traj",
-                     "start", "T", "tol")
+    # echo only the settings of the family and the mode that ran
+    config_fields = ("family", "eps", "tol", "T") + (
+        ("c", "mu1", "mu2") if args.family == "appendix" else ("a", "f", "g"))
     if args.census:
         out = _out_path(args, "census.json")
         t0 = time.time()
@@ -309,7 +309,8 @@ def cmd_sim(args) -> int:
         _write_json(out, payload)
         flags = [f"cycle at s={c.section_coordinate:.6g} stability undetermined"
                  for c in res.cycles if c.stability == "undetermined"]
-        _write_manifest(out, _config_echo(args, config_fields),
+        _write_manifest(out, _config_echo(args, config_fields + (
+                            "annulus", "window", "n", "stability_delta")),
                         [str(out)], time.time() - t0, flags)
         print(out)
         return 3 if flags else 0
@@ -326,7 +327,7 @@ def cmd_sim(args) -> int:
     _write_csv(out, ["t", "x", "y", "H"], rows)
     if traj.status == "failed":
         flags.append("integration failed before reaching T")
-    _write_manifest(out, _config_echo(args, config_fields),
+    _write_manifest(out, _config_echo(args, config_fields + ("start",)),
                     [str(out)], time.time() - t0, flags)
     print(out)
     return 3 if flags else 0
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 # looks like an option, so merge such pairs into "--flag=value" form up front.
 _DASH_VALUE_FLAGS = frozenset(
     {"--t-grid", "--h-grid", "--window", "--start", "--f", "--g",
-     "--alpha", "--beta", "--gamma", "--mu1", "--mu2", "--a", "--t"}
+     "--alpha", "--beta", "--gamma", "--mu1", "--mu2", "--a", "--eps"}
 )
 
 

@@ -3,7 +3,10 @@
 The perturbed system is dH + eps*omega = 0 with omega = f dx + g dy,
 i.e. xdot = H_y + eps*g, ydot = -H_x - eps*f, for quadratic f and g.
 The appendix family uses f = (16 + c*x - pi*sqrt(3)*y)*y + mu1 + mu2*y,
-g = 0.
+g = 0.  The field is defined once, as two coefficient tuples
+(``FlowSpec.coeffs``); ``FlowSpec.rhs``, ``FlowSpec.jacobian`` and the
+lockstep lanes all evaluate those, so both integrators see the same
+field bit for bit.
 
 Both integrators here are adaptive DOP853 with a short maximum step
 inside balls of radius 0.05 around the saddles, where passage times
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,8 +57,10 @@ QUAD_BASIS = ("1", "x", "y", "x^2", "x*y", "y^2")
 
 
 def _poly_val(c, x, y):
-    return (c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y
-            + c[5] * y * y)
+    # the monomials are formed first, the order _lockstep_field uses, so
+    # both integrators see the same field bit for bit
+    return (c[0] + c[1] * x + c[2] * y + c[3] * (x * x) + c[4] * (x * y)
+            + c[5] * (y * y))
 
 
 def _poly_dx(c, x, y):
@@ -116,22 +122,25 @@ class FlowSpec:
     one_form: QuadraticOneForm
     tol: float = 1e-10
 
+    @cached_property
+    def coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(xdot, ydot) = (H_y + eps*g, -H_x - eps*f) as quadratic
+        coefficient tuples in QUAD_BASIS order: the flow's one field."""
+        hx, hy = self.hamiltonian.grad_H_coeffs()
+        e, w = self.epsilon, self.one_form
+        return (tuple(p + e * q for p, q in zip(hy, w.g)),
+                tuple(-p - e * q for p, q in zip(hx, w.f)))
+
     def rhs(self, t, z):
+        cx, cy = self.coeffs
         x, y = z
-        hx, hy = self.hamiltonian.grad_H(x, y)
-        if self.epsilon == 0.0:
-            return (hy, -hx)
-        w = self.one_form
-        return (hy + self.epsilon * _poly_val(w.g, x, y),
-                -hx - self.epsilon * _poly_val(w.f, x, y))
+        return _poly_val(cx, x, y), _poly_val(cy, x, y)
 
     def jacobian(self, z) -> np.ndarray:
+        cx, cy = self.coeffs
         x, y = z
-        hxx, hxy, hyy = self.hamiltonian.hess_H(x, y)
-        w, e = self.one_form, self.epsilon
-        return np.array([
-            [hxy + e * _poly_dx(w.g, x, y), hyy + e * _poly_dy(w.g, x, y)],
-            [-hxx - e * _poly_dx(w.f, x, y), -hxy - e * _poly_dy(w.f, x, y)]])
+        return np.array([[_poly_dx(cx, x, y), _poly_dy(cx, x, y)],
+                         [_poly_dx(cy, x, y), _poly_dy(cy, x, y)]])
 
     def energy(self, z) -> float:
         return self.hamiltonian.eval_H(z[0], z[1])
@@ -163,9 +172,6 @@ class Trajectory:
     event_state: np.ndarray | None = None
     event_time: float | None = None
     n_segments: int = 1
-
-    def energies(self, flow: FlowSpec) -> np.ndarray:
-        return np.array([flow.energy(z) for z in self.states])
 
 
 def _saddle_centers(spec: HamiltonianSpec) -> list[np.ndarray]:
@@ -284,12 +290,10 @@ _ESCAPE_EVENT = EventSpec(func=lambda z: float(_escape(z)), direction=1,
 
 
 def _lockstep_field(flow: FlowSpec):
-    """The flow's vector field on a (2, n) array of lanes.  Both
-    components are quadratics in QUAD_BASIS order."""
-    hx, hy = flow.hamiltonian.grad_H_coeffs()
-    e, w = flow.epsilon, flow.one_form
-    coef = np.array([[p + e * q for p, q in zip(hy, w.g)],
-                     [-p - e * q for p, q in zip(hx, w.f)]])
+    """FlowSpec.rhs on a (2, n) array of lanes, from the same coefficients
+    and in the same order, with the monomials whose coefficients vanish
+    in both components left out."""
+    coef = np.array(flow.coeffs)
     const = coef[:, :1]
     terms = [(k - 1, coef[:, k:k + 1]) for k in range(1, 6)
              if coef[:, k].any()]

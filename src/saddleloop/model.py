@@ -73,21 +73,12 @@ class HamiltonianSpec:
         return -1.0 < self.a < 2.0
 
     def eval_H(self, x: float, y: float) -> float:
+        # written out rather than evaluated from coefficients: its bits
+        # fix every section chart and census grid
         if self.family is Family.NORMAL_FORM:
             a = self.a
             return x * (y * y + a * x * x - 3.0 * (a - 1.0) * x + 3.0 * (a - 2.0))
         return y * (x * x + y * y / 12.0 - 1.0)
-
-    def grad_H(self, x: float, y: float) -> tuple[float, float]:
-        """(H_x, H_y)."""
-        if self.family is Family.NORMAL_FORM:
-            a = self.a
-            hx = y * y + 3.0 * a * x * x - 6.0 * (a - 1.0) * x + 3.0 * (a - 2.0)
-            hy = 2.0 * x * y
-            return hx, hy
-        hx = 2.0 * x * y
-        hy = x * x + 0.25 * y * y - 1.0
-        return hx, hy
 
     def grad_H_coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(H_x, H_y) as quadratic coefficient tuples ordered as
@@ -98,18 +89,6 @@ class HamiltonianSpec:
                     (0.0, 0.0, 0.0, 0.0, 2.0, 0.0))
         return ((0.0, 0.0, 0.0, 0.0, 2.0, 0.0),
                 (-1.0, 0.0, 0.0, 1.0, 0.0, 0.25))
-
-    def hess_H(self, x: float, y: float) -> tuple[float, float, float]:
-        """(H_xx, H_xy, H_yy)."""
-        if self.family is Family.NORMAL_FORM:
-            a = self.a
-            return 6.0 * a * x - 6.0 * (a - 1.0), 2.0 * y, 2.0 * x
-        return 2.0 * y, 2.0 * x, 0.5 * y
-
-    def hamiltonian_field(self, x: float, y: float) -> tuple[float, float]:
-        """Unperturbed flow (xdot, ydot) = (H_y, -H_x)."""
-        hx, hy = self.grad_H(x, y)
-        return hy, -hx
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,8 @@ def test_melnikov_both_families(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(out1.open()))
     assert rows[0] == ["h", "value"] and len(rows) == 5
+    man = json.loads((tmp_path / "mel_app.csv.manifest.json").read_text())
+    assert set(man["config"]) == {"family", "c", "mu2", "h_grid", "tol"}
 
     out2 = tmp_path / "mel_nf.csv"
     code, _, _ = run(["melnikov", "--family", "normal", "--a", "1",
@@ -84,6 +86,9 @@ def test_melnikov_both_families(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(out2.open()))
     assert rows[0][:2] == ["t", "value"] and len(rows) == 5
+    man = json.loads((tmp_path / "mel_nf.csv.manifest.json").read_text())
+    assert set(man["config"]) == {"family", "a", "annulus", "alpha", "beta",
+                                  "gamma", "t_grid", "tol"}
 
 
 def test_melnikov_validation(tmp_path, capsys):
@@ -111,6 +116,19 @@ def test_sim_traj_csv(tmp_path, capsys):
     assert len(rows) > 10
     h0 = float(rows[1][3])
     assert all(abs(float(r[3]) - h0) < 1e-7 for r in rows[1:])
+    man = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
+    assert set(man["config"]) == {"family", "a", "eps", "start", "T", "tol"}
+
+
+def test_sim_negative_eps_value(tmp_path, capsys):
+    # "-1e-3" does not look like a number to argparse; the wrapper merges it
+    out = tmp_path / "traj.csv"
+    code, _, err = run(["sim", "--family", "normal", "--a", "1",
+                        "--eps", "-1e-3", "--traj", "--start", "1.5,0.2",
+                        "--T", "5", "--out", str(out)], capsys)
+    assert code == 0, err
+    man = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
+    assert man["config"]["eps"] == -1e-3
 
 
 def test_sim_census_json(tmp_path, capsys):
@@ -132,6 +150,9 @@ def test_sim_census_json(tmp_path, capsys):
     for c in doc["cycles"]:
         assert set(c) == {"section_coordinate", "energy", "stability",
                           "return_derivative"}
+    man = json.loads((tmp_path / "census.json.manifest.json").read_text())
+    assert set(man["config"]) == {"family", "a", "eps", "f", "g", "annulus",
+                                  "n", "stability_delta", "T", "tol"}
 
 
 def test_sim_census_witness_replay(tmp_path, capsys):
@@ -148,6 +169,10 @@ def test_sim_census_witness_replay(tmp_path, capsys):
     assert doc["no_return_count"] == 5
     assert [c["stability"] for c in doc["cycles"]] == ["repelling",
                                                        "attracting"]
+    man = json.loads((tmp_path / "census.json.manifest.json").read_text())
+    assert set(man["config"]) == {"family", "c", "eps", "mu1", "mu2",
+                                  "annulus", "window", "n", "stability_delta",
+                                  "T", "tol"}
 
 
 def test_sim_requires_exactly_one_mode(tmp_path, capsys):

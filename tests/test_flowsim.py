@@ -133,6 +133,20 @@ def test_appendix_one_form_requires_family(spec_a1):
 # --- saddle quantities ---------------------------------------------------
 
 
+def test_jacobian_matches_finite_difference(spec_a05):
+    d = 1e-6
+    draw = scan_draws()[1][1]
+    for flow in (draw, witness_flow(),
+                 FlowSpec(hamiltonian=spec_a05, epsilon=0.1,
+                          one_form=draw.one_form)):
+        for z in ((0.8, 0.6), (-1.3, 0.2), (0.1, -1.7)):
+            fd = np.column_stack([
+                (np.array(flow.rhs(0.0, np.add(z, dz)))
+                 - np.array(flow.rhs(0.0, np.subtract(z, dz)))) / (2 * d)
+                for dz in ((d, 0.0), (0.0, d))])
+            assert np.max(np.abs(flow.jacobian(z) - fd)) < 1e-7
+
+
 def test_traces_vanish_unperturbed(appendix_spec):
     flow = appendix_flow(appendix_spec, PerturbationSpec(epsilon=0.0))
     tp = saddle_traces(flow)
@@ -165,6 +179,22 @@ def test_shifts_first_order_law(appendix_spec):
     assert sh.b1 / eps == pytest.approx(2 * mu1, rel=5e-2)
     assert sh.b2 / eps == pytest.approx(-2 * mu1 - math.pi * math.sqrt(3.0) * mu2,
                                         rel=5e-2)
+
+
+def test_shift_second_order_coefficients(appendix_spec):
+    # criterion 8's b2 clause fails because b2 carries a term near
+    # 207.5*eps^2 at c=17, whatever mu; b1 has almost none.  The
+    # coefficients converge linearly in eps, so one Richardson step
+    # from eps and eps/2 extrapolates them.
+    for mu1, mu2 in ((0.0, 0.0), (0.007, -0.01)):
+        b2_1 = -2.0 * mu1 - math.pi * math.sqrt(3.0) * mu2
+        q2 = []
+        for eps in (1e-3, 5e-4):
+            sh = separatrix_shifts(appendix_flow(
+                appendix_spec, PerturbationSpec(eps, mu1, mu2)))
+            q2.append((sh.b2 - eps * b2_1) / eps ** 2)
+            assert abs((sh.b1 - 2.0 * eps * mu1) / eps ** 2) < 0.5
+        assert 2.0 * q2[1] - q2[0] == pytest.approx(207.5, rel=1e-2)
 
 
 # --- census --------------------------------------------------------------
@@ -245,18 +275,15 @@ def _draw_grid(trial):
 
 
 def test_lockstep_field_matches_rhs(spec_a05, appendix_spec):
-    # the coefficient evaluator is a second copy of FlowSpec.rhs, kept
-    # for speed; this holds the two in step for both families
     rng = np.random.default_rng(5)
-    z = rng.uniform(-2.0, 2.0, (2, 50))
+    z = rng.uniform(-2.0, 2.0, (2, 2000))
     draw = scan_draws()[1][1]
     flows = [draw, FlowSpec(hamiltonian=spec_a05, epsilon=0.1,
                             one_form=draw.one_form), witness_flow(),
              appendix_flow(appendix_spec, PerturbationSpec(epsilon=0.0))]
     for flow in flows:
         got = _lockstep_field(flow)(z)
-        want = np.array(flow.rhs(0.0, z))
-        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.array_equal(got, np.array(flow.rhs(0.0, z)))
 
 
 def test_illinois_lockstep_roots():

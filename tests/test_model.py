@@ -14,6 +14,13 @@ from saddleloop.model import (
 )
 
 
+def grad_H(spec, x, y):
+    """(H_x, H_y) from the coefficient tuples of grad_H_coeffs."""
+    basis = (1.0, x, y, x * x, x * y, y * y)
+    return tuple(sum(c * m for c, m in zip(cs, basis))
+                 for cs in spec.grad_H_coeffs())
+
+
 @pytest.mark.parametrize("a", [-0.9, -0.5, 0.3, 0.7, 1.0, 1.5, 1.9])
 def test_normal_form_critical_points(a):
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
@@ -22,14 +29,15 @@ def test_normal_form_critical_points(a):
     assert data.center0.xy == (1.0, 0.0)
     assert data.center0.energy == pytest.approx(a - 3.0, abs=1e-14)
     # the center is a critical point of H
-    assert spec.grad_H(*data.center0.xy) == (pytest.approx(0.0), pytest.approx(0.0))
+    assert grad_H(spec, *data.center0.xy) == (pytest.approx(0.0),
+                                              pytest.approx(0.0))
 
     ys = math.sqrt(3.0 * (2.0 - a))
     assert len(data.saddles) == 2
     for s in data.saddles:
         assert s.energy == 0.0
         assert abs(abs(s.xy[1]) - ys) < 1e-14
-        gx, gy = spec.grad_H(*s.xy)
+        gx, gy = grad_H(spec, *s.xy)
         assert abs(gx) < 1e-13 and abs(gy) < 1e-13
     assert data.two_saddle_loop
 
@@ -44,6 +52,8 @@ def test_second_center_exists_inside_zero_two(a):
     assert data.center1.xy[0] == pytest.approx(xc, rel=1e-14)
     assert data.center1.energy == pytest.approx(t1, rel=1e-14)
     assert spec.eval_H(xc, 0.0) == pytest.approx(t1, rel=1e-13)
+    gx, gy = grad_H(spec, *data.center1.xy)
+    assert abs(gx) < 1e-13 and abs(gy) < 1e-13
 
 
 @pytest.mark.parametrize("a", [-0.5, -0.9, 2.5])
@@ -69,6 +79,8 @@ def test_appendix_critical_points():
     assert spec.eval_H(0.0, 2.0) == pytest.approx(-4.0 / 3.0, rel=1e-15)
     assert {s.xy for s in data.saddles} == {(-1.0, 0.0), (1.0, 0.0)}
     assert all(s.energy == 0.0 for s in data.saddles)
+    for p in (data.center0, *data.saddles):
+        assert grad_H(spec, *p.xy) == (0.0, 0.0)
     assert data.center1 is None
     assert data.two_saddle_loop
 
@@ -82,16 +94,16 @@ def test_appendix_requires_c_above_16():
 
 
 def test_gradient_matches_finite_difference():
-    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=0.7)
-    x, y = 0.8, 0.6
     d = 1e-6
-    hx = (spec.eval_H(x + d, y) - spec.eval_H(x - d, y)) / (2 * d)
-    hy = (spec.eval_H(x, y + d) - spec.eval_H(x, y - d)) / (2 * d)
-    gx, gy = spec.grad_H(x, y)
-    assert gx == pytest.approx(hx, abs=1e-8)
-    assert gy == pytest.approx(hy, abs=1e-8)
-    fx, fy = spec.hamiltonian_field(x, y)
-    assert (fx, fy) == (gy, -gx)
+    for spec in (HamiltonianSpec(family=Family.NORMAL_FORM, a=0.7),
+                 HamiltonianSpec(family=Family.NORMAL_FORM, a=-0.5),
+                 HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=17.0)):
+        for x, y in ((0.8, 0.6), (-1.3, 0.2), (0.1, -1.7)):
+            hx = (spec.eval_H(x + d, y) - spec.eval_H(x - d, y)) / (2 * d)
+            hy = (spec.eval_H(x, y + d) - spec.eval_H(x, y - d)) / (2 * d)
+            gx, gy = grad_H(spec, x, y)
+            assert gx == pytest.approx(hx, abs=1e-8)
+            assert gy == pytest.approx(hy, abs=1e-8)
 
 
 def test_melnikov_coeffs_validation():
