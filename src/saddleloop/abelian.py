@@ -232,24 +232,6 @@ def segment_integral_appendix(spec: HamiltonianSpec, which: str,
     return val
 
 
-def connection_perturbation_integral(spec: HamiltonianSpec, mu1: float,
-                                     mu2: float, which: str) -> float:
-    """int_Gamma_i P dx for the appendix perturbation P.
-
-    P(x, y) = (16 + c*x - pi*sqrt(3)*y)*y + mu1 + mu2*y.  The
-    mu-independent part integrates to zero along each connection, so
-    the values are 2*mu1 (Gamma1) and -2*mu1 - pi*sqrt(3)*mu2 (Gamma2).
-    Computed honestly from the full integrand.
-    """
-    c = spec.c
-    s3pi = math.pi * math.sqrt(3.0)
-
-    def p(x, y):
-        return (16.0 + c * x - s3pi * y) * y + mu1 + mu2 * y
-
-    return segment_integral_appendix(spec, which, p)
-
-
 # --- log-basis fitting ---------------------------------------------------
 
 

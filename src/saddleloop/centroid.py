@@ -22,6 +22,7 @@ import numpy as np
 
 from .model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs, critical_data
 from .abelian import jk_at_loop, triples_on_grid
+from .lockstep import sign_changes
 
 # relative distance of the default grid from the center and loop energies
 CENTER_MARGIN = 1e-5
@@ -37,7 +38,6 @@ class CentroidCurve:
     ts: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
-    endpoint: tuple[float, float]   # analytic center-limit value
     asymptote: float                # fitted abscissa of the loop-side limit
     t_center: float
     converged: bool
@@ -127,7 +127,6 @@ def sample_curve(spec: HamiltonianSpec, annulus: Annulus, t_grid=None,
                 else cd.center1.energy)
     return CentroidCurve(
         spec=spec, annulus=annulus, ts=t_grid, xi=xi, eta=eta,
-        endpoint=center_endpoint(spec, annulus),
         asymptote=_fit_asymptote(t_grid, xi, annulus),
         t_center=t_center,
         converged=all(tr.converged for tr in trs))
@@ -216,7 +215,9 @@ def line_intersections(curve: CentroidCurve,
                        coeffs: MelnikovCoeffs) -> LineIntersections:
     """Count crossings of alpha + beta*xi + gamma*eta = 0 with the curve.
 
-    Sign-change count along t with linear-in-t refinement; values inside
+    The exact zeros and sign changes of the functional along t
+    (``lockstep.sign_changes``), each sign change placed by linear
+    interpolation between its two samples; values inside
     TANGENCY_BAND that do not produce a sign change raise the tangency
     flag (multiplicity is not certified).
     """
@@ -229,19 +230,16 @@ def line_intersections(curve: CentroidCurve,
         warnings.warn("line functional vanishes along the whole curve",
                       RuntimeWarning)
         return LineIntersections(0, (), (), False, True)
-    ts, pts = [], []
-    for i in range(len(g) - 1):
-        if g[i] == 0.0:
-            ts.append(float(curve.ts[i]))
-            pts.append((float(curve.xi[i]), float(curve.eta[i])))
-        elif g[i] * g[i + 1] < 0.0:
-            w = g[i] / (g[i] - g[i + 1])
-            ts.append(float(curve.ts[i] + w * (curve.ts[i + 1] - curve.ts[i])))
-            pts.append((float(curve.xi[i] + w * (curve.xi[i + 1] - curve.xi[i])),
-                        float(curve.eta[i] + w * (curve.eta[i + 1] - curve.eta[i]))))
-    if g[-1] == 0.0:
-        ts.append(float(curve.ts[-1]))
-        pts.append((float(curve.xi[-1]), float(curve.eta[-1])))
+    zeros, cells = sign_changes(g)
+    w = g[cells] / (g[cells] - g[cells + 1])
+    order = np.argsort(np.concatenate([zeros, cells]), kind="stable")
+
+    def at_crossings(arr):
+        lerp = arr[cells] + w * (arr[cells + 1] - arr[cells])
+        return np.concatenate([arr[zeros], lerp])[order].tolist()
+
+    ts = at_crossings(curve.ts)
+    pts = list(zip(at_crossings(curve.xi), at_crossings(curve.eta)))
     near = np.abs(g) < TANGENCY_BAND * scale
     tangent = False
     for i in np.nonzero(near)[0]:

@@ -198,8 +198,10 @@ def cmd_melnikov(args) -> int:
         if args.alpha is not None or args.beta is not None or args.gamma:
             raise ConfigError("alpha/beta/gamma not applicable to "
                               "family=appendix; use --mu2")
-        spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=float(args.c))
-        echo = ("c", "mu2", "h_grid")
+        # the first-order function does not depend on c (its c*x*y term
+        # integrates to zero on the ovals), so the spec keeps its default
+        spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
+        echo = ("mu2", "h_grid")
         if not args.h_grid:
             raise ConfigError("h-grid required for family=appendix")
         hs = _parse_grid(args.h_grid, "h-grid")
@@ -394,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("normal", "appendix"),
                    default="normal")
     p.add_argument("--a", type=float, default=None)
-    p.add_argument("--c", type=float, default=17.0)
     p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
@@ -450,6 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--criteria", help="comma-separated criterion numbers")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
+    # an unknown flag is an error, never read as the prefix of another
+    # (melnikov --c would otherwise become --config)
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return ap
 
 

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .lockstep import advance, illinois
+from .lockstep import advance, grid_roots
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     PerturbationSpec, critical_data)
 from .ovals import SectionSegment, section_segment
@@ -419,19 +419,22 @@ class CycleCensus:
 
 def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
            s_range=None, n: int = 100, margin: float = 0.0,
-           refine_tol: float = 1e-10, stability_delta: float = 1e-4,
-           T_max: float = 400.0,
+           stability_delta: float = 1e-4, T_max: float = 400.0,
            with_saddle_data: bool = True) -> CycleCensus:
     """Limit-cycle census by return-map fixed points on one annulus.
 
     s_range defaults to the full section span (slightly shrunk); pass a
     narrow window near the loop end for near-loop censuses, with margin
     extending the section past the unperturbed loop.  The grid is one
-    lockstep batch of return maps; every displacement sign change is
-    refined in one lockstep Illinois search to refine_tol, and the
-    stability probes r +- d of every root are one more batch.
-    no_return_count counts grid lanes without a return plus brackets
-    abandoned because a refinement lane did not return.
+    lockstep batch of return maps; its exact displacement zeros and one
+    root per displacement sign change are the candidate cycles
+    (``lockstep.grid_roots``: all brackets refined in one lockstep
+    Illinois search), deduplicated, and the stability probes r +- d of
+    every root are one more batch.  no_return_count counts grid lanes
+    without a return plus brackets abandoned because a refinement lane
+    did not return.  A flow whose perturbation part is zero has a
+    continuum of closed orbits and is reported as degenerate_continuum
+    without a scan.
     """
     if n < 100:
         raise ValueError("census needs a grid of at least 100 points")
@@ -448,7 +451,7 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     grid = np.linspace(lo, hi, n)
     span = abs(hi - lo)
 
-    if flow.epsilon == 0.0:
+    if not any(flow.epsilon * q for q in flow.one_form.f + flow.one_form.g):
         return CycleCensus(cycles=(), saddle_traces=None, shifts=None,
                            degenerate_continuum=True, no_return_count=0,
                            grid_size=n, flow=flow)
@@ -457,25 +460,13 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     outcomes = {r: int(np.count_nonzero(lanes.reason == r))
                 for r in REASONS if r in lanes.reason}
     no_return = n - outcomes.get("ok", 0)
-    vals = lanes.s_return - grid
-    va, vb = vals[:-1], vals[1:]
-    pair = ~np.isnan(va) & ~np.isnan(vb)
-    roots = [float(s) for s in grid[:-1][pair & (va == 0.0)]]
-    i = np.flatnonzero(pair & (va * vb < 0.0))
-    if i.size:
-        def disp(_, s):
-            return return_maps(flow, sec, s, T_max=T_max).s_return - s
-
-        refined = illinois(disp, grid[i], grid[i + 1], va[i], vb[i],
-                           refine_tol, 8.9e-16, maxiter=120)
-        no_return += int(np.isnan(refined).sum())
-        roots += [float(r) for r in refined if not np.isnan(r)]
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    # deduplicate
-    roots.sort()
-    merged = []
-    for r in roots:
+    roots = grid_roots(
+        lambda s: return_maps(flow, sec, s, T_max=T_max).s_return - s,
+        grid, lanes.s_return - grid)
+    abandoned = np.isnan(roots)
+    no_return += int(abandoned.sum())
+    merged = []     # deduplicated
+    for r in roots[~abandoned].tolist():
         if not merged or r - merged[-1] > 1e-8 * span:
             merged.append(r)
 

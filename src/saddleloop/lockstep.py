@@ -13,6 +13,11 @@ never by a matrix product, whose summation order depends on the array
 shape.  All other arithmetic is elementwise and correctly rounded
 (+ - * /, square roots, abs, min, max), so a lane gives the same bits
 alone as in any batch.
+
+Also here: the one sign-change scan of sampled values (``sign_changes``)
+and its bracket refinement by a lockstep Illinois search
+(``grid_roots``), shared by the cycle census, both Melnikov zero counts
+and the centroid line intersections.
 """
 from __future__ import annotations
 
@@ -128,6 +133,34 @@ def illinois(fun, a, b, fa, fb, xtol, rtol, maxiter=100):
         b[ib], fb[ib], kept[ib] = c[to_b], fc[to_b], 1
         a[ia], fa[ia], kept[ia] = c[to_a], fc[to_a], -1
     return root
+
+
+# Illinois settings of every grid root: the census and both Melnikov
+# zero counts
+ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 1e-10, 8.9e-16, 120
+
+
+def sign_changes(vals):
+    """The exact zeros (vals[i] == 0) and the sign-change cells
+    (vals[i] * vals[i+1] < 0) of sampled values, as two index arrays.
+    A nan never opens a cell."""
+    vals = np.asarray(vals, dtype=float)
+    return (np.flatnonzero(vals == 0.0),
+            np.flatnonzero(vals[:-1] * vals[1:] < 0.0))
+
+
+def grid_roots(fun, grid, vals):
+    """Sorted roots of a function sampled as vals on grid: its exact
+    zeros plus one lockstep Illinois root in each sign-change cell.
+
+    fun maps an array of points to their values; a bracket abandoned on
+    a nan value gives a nan root, sorted last.
+    """
+    grid, vals = np.asarray(grid, dtype=float), np.asarray(vals, dtype=float)
+    zeros, i = sign_changes(vals)
+    refined = illinois(lambda _, x: fun(x), grid[i], grid[i + 1], vals[i],
+                       vals[i + 1], ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER)
+    return np.sort(np.concatenate([grid[zeros], refined]))
 
 
 def advance(field, z, t_end, events, max_step, rtol, atol):

@@ -13,6 +13,10 @@ the series asymptotics in picard_fuchs.
 
 The appendix family's perturbation enters through its own first-order
 function of the oval energy, provided at the bottom of the module.
+
+Both zero counts sample their function on GRID_POINTS energies and
+refine every sign change to one root with the lockstep Illinois search
+that the cycle census uses (``lockstep.grid_roots``).
 """
 from __future__ import annotations
 
@@ -21,11 +25,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs
 from .abelian import (appendix_oval_moments, default_log_window,
                       fit_log_basis, triple, triples_on_grid)
+from .lockstep import grid_roots
 
 
 class ZeroFunctionError(RuntimeError):
@@ -90,30 +94,14 @@ def expansion(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
         cond=fit.cond, well_conditioned=fit.well_conditioned)
 
 
-def expected_log_terms(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
-                       orders=(0, 1, 2)) -> dict[int, float]:
-    """Exact coefficient of t^m ln|t| in M from the series solution.
-
-    The log part of the triple is lam*Q(t)*ln|t| componentwise, so the
-    m-th log coefficient of M is lam*(alpha, beta, gamma) . q_m taken in
-    the matching component order.
-    """
-    from .picard_fuchs import fundamental
-
-    fs = fundamental(spec, order=max(orders) + 1 if max(orders) >= 3 else 3)
-    out = {}
-    for m in orders:
-        qm = fs.q[m]  # (J_-1, J_0, J_1) components
-        out[m] = fs.lam * (coeffs.gamma * qm[0] + coeffs.alpha * qm[1]
-                           + coeffs.beta * qm[2])
-    return out
-
-
 def d1_expected(spec: HamiltonianSpec, coeffs: MelnikovCoeffs) -> float:
     """Closed form of the t ln|t| coefficient when gamma = 0."""
     if coeffs.gamma != 0.0:
         raise ValueError("closed form applies to the gamma = 0 case")
     return -coeffs.alpha / math.sqrt(3.0 * (2.0 - spec.a))
+
+
+GRID_POINTS = 200   # samples of a zero-count grid
 
 
 @dataclass(frozen=True)
@@ -131,35 +119,27 @@ def _default_range(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, floa
     return 1e-6 * t1, t1 * (1.0 - 1e-3)
 
 
-def _count_sign_changes(f, grid, vals, refine_tol: float) -> ZeroCount:
+def _count_sign_changes(f, grid, vals) -> ZeroCount:
     scale = float(np.max(np.abs(vals)))
     if scale < 1e-13:
         raise ZeroFunctionError("function is identically zero on the grid; "
                                 "zero count is meaningless")
-    zeros = []
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            zeros.append(float(grid[i]))
-            continue
-        if va * vb < 0.0:
-            z = brentq(f, grid[i], grid[i + 1], xtol=refine_tol,
-                       rtol=8.9e-16, maxiter=200)
-            zeros.append(float(z))
-    if vals[-1] == 0.0:
-        zeros.append(float(grid[-1]))
+    zeros = grid_roots(lambda xs: np.array([f(float(x)) for x in xs]),
+                       grid, vals).tolist()
     step = grid[1] - grid[0] if len(grid) > 1 else 0.0
     coarse = any(z2 - z1 < 3.0 * step for z1, z2 in zip(zeros, zeros[1:]))
     if coarse:
-        warnings.warn("adjacent zeros within a few grid cells; increase "
-                      "resolution to trust the count", RuntimeWarning)
+        warnings.warn("adjacent zeros within a few grid cells; the grid "
+                      "may miss a pair of zeros between them", RuntimeWarning)
     return ZeroCount(count=len(zeros), zeros=tuple(zeros), grid_coarse=coarse)
 
 
 def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
-                annulus: Annulus, t_range=None, resolution: int = 200,
-                refine_tol: float = 1e-10, tol: float = 1e-11) -> ZeroCount:
-    """Count sign changes of M on the annulus, bisecting each bracket.
+                annulus: Annulus, t_range=None,
+                tol: float = 1e-11) -> ZeroCount:
+    """Zeros of M on the annulus: the exact zeros and sign changes of
+    GRID_POINTS samples, each sign change refined to one root by the
+    lockstep Illinois search of ``lockstep.grid_roots``.
 
     Counts isolated sign-crossing zeros only; no multiplicity claim.
     """
@@ -169,14 +149,13 @@ def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
     if t_range is None:
         t_range = _default_range(spec, annulus)
     lo, hi = float(t_range[0]), float(t_range[1])
-    grid = np.linspace(lo, hi, resolution)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     vals, ok = values_on_grid(spec, coeffs, annulus, grid, tol=tol)
     if not ok.all():
         warnings.warn("zero count grid contains unconverged quadrature "
                       "points", RuntimeWarning)
     return _count_sign_changes(
-        lambda t: value(spec, coeffs, annulus, t, tol=tol), grid, vals,
-        refine_tol)
+        lambda t: value(spec, coeffs, annulus, t, tol=tol), grid, vals)
 
 
 @dataclass(frozen=True)
@@ -246,15 +225,14 @@ def appendix_first_order(spec: HamiltonianSpec, mu2: float, h: float,
 
 
 def appendix_count_zeros(spec: HamiltonianSpec, mu2: float, h_range,
-                         resolution: int = 200, refine_tol: float = 1e-10,
                          tol: float = 1e-11) -> ZeroCount:
-    """Zero count of the appendix first-order function on an h-window."""
+    """Zero count of the appendix first-order function on an h-window,
+    found as count_zeros finds those of M."""
     lo, hi = float(h_range[0]), float(h_range[1])
     if not (-4.0 / 3.0 < lo < hi < 0.0):
         raise ValueError("h range must lie inside (-4/3, 0)")
-    grid = np.linspace(lo, hi, resolution)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     vals = np.array([appendix_first_order(spec, mu2, h, tol=tol)
                      for h in grid])
     return _count_sign_changes(
-        lambda h: appendix_first_order(spec, mu2, h, tol=tol), grid, vals,
-        refine_tol)
+        lambda h: appendix_first_order(spec, mu2, h, tol=tol), grid, vals)

@@ -91,30 +91,15 @@ class FundamentalSeries:
     p_lin: np.ndarray
     q: np.ndarray  # shape (order+1, 3), q[j] multiplies t**j
 
-    @property
-    def order(self) -> int:
-        return self.q.shape[0] - 1
-
     def P(self, t):
         t = np.asarray(t, dtype=float)
         return self.p_const + np.multiply.outer(t, self.p_lin)
-
-    def P_prime(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(self.p_lin, t.shape + (3,)).copy()
 
     def Q(self, t):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape + (3,))
         for coeff in self.q[::-1]:
             out = out * t[..., None] + coeff
-        return out
-
-    def Q_prime(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape + (3,))
-        for j in range(self.order, 0, -1):
-            out = out * t[..., None] + j * self.q[j]
         return out
 
     def log_term(self, k: int) -> tuple[int, float]:

@@ -15,7 +15,7 @@ three orders of magnitude smaller.
 
 import pytest
 
-from saddleloop import acceptance
+from saddleloop import acceptance, centroid
 
 
 def _check(number: int):
@@ -49,6 +49,16 @@ def test_criterion_5_segment_closed_forms():
 
 def test_criterion_6_centroid_shape():
     _check(6)
+
+
+def test_criterion_6_measures_endpoint(monkeypatch):
+    # an extrapolated endpoint 0.1 off the analytic one must fail the check
+    exact = centroid.CentroidCurve.endpoint_extrapolated
+    monkeypatch.setattr(centroid.CentroidCurve, "endpoint_extrapolated",
+                        lambda self: tuple(v + 0.1 for v in exact(self)))
+    result = acceptance.criterion_6()
+    assert not result.passed
+    assert "shape ok, max endpoint err 1.00e-01" in result.detail
 
 
 def test_criterion_7_intersection_bounds():

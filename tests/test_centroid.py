@@ -49,10 +49,11 @@ def test_shape_report_plus(spec_a1):
     assert rep.curvature_constant_sign
     assert rep.curvature_sign == rep.expected_curvature_sign
     assert rep.first_violation is None
-    # endpoint drift against the closed form
+    # samples extrapolated to the center energy against the closed form
     xi_c, eta_c = center_endpoint(spec_a1, Annulus.SIGMA_PLUS)
-    assert abs(curve.endpoint[0] - xi_c) < 1e-6
-    assert abs(curve.endpoint[1] - eta_c) < 1e-6
+    xi_e, eta_e = curve.endpoint_extrapolated()
+    assert abs(xi_e - xi_c) < 1e-6
+    assert abs(eta_e - eta_c) < 1e-6
     # the loop-end abscissa approaches the vertical asymptote; at 80
     # samples the tail fit carries ~1e-5 truncation
     assert curve.asymptote == pytest.approx(loop_abscissa_exact(spec_a1), rel=1e-4)

@@ -77,7 +77,7 @@ def test_melnikov_both_families(tmp_path, capsys):
     rows = list(csv.reader(out1.open()))
     assert rows[0] == ["h", "value"] and len(rows) == 5
     man = json.loads((tmp_path / "mel_app.csv.manifest.json").read_text())
-    assert set(man["config"]) == {"family", "c", "mu2", "h_grid", "tol"}
+    assert set(man["config"]) == {"family", "mu2", "h_grid", "tol"}
 
     out2 = tmp_path / "mel_nf.csv"
     code, _, _ = run(["melnikov", "--family", "normal", "--a", "1",
@@ -153,6 +153,18 @@ def test_sim_census_json(tmp_path, capsys):
     man = json.loads((tmp_path / "census.json.manifest.json").read_text())
     assert set(man["config"]) == {"family", "a", "eps", "f", "g", "annulus",
                                   "n", "stability_delta", "T", "tol"}
+
+
+def test_sim_census_zero_one_form_degenerate(tmp_path, capsys):
+    # no --f/--g: the one-form is zero, so eps leaves the flow Hamiltonian
+    out = tmp_path / "census.json"
+    code, _, _ = run(["sim", "--family", "normal", "--a", "1",
+                      "--eps", "1e-3", "--census", "--T", "60",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["degenerate_continuum"] is True
+    assert doc["cycles"] == [] and doc["outcomes"] == {}
 
 
 def test_sim_census_witness_replay(tmp_path, capsys):
@@ -318,7 +330,7 @@ _VALID_ARGV = {
 
 @pytest.mark.parametrize("command, flag", [
     *((c, f) for c in sorted(_VALID_ARGV) for f in ("--threads", "--seed")),
-    ("pf", "--tol"), ("verify", "--tol")])
+    ("pf", "--tol"), ("verify", "--tol"), ("melnikov", "--c")])
 def test_removed_flags_rejected(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command] + _VALID_ARGV[command] + [flag, "1"])

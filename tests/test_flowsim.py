@@ -12,7 +12,7 @@ from saddleloop.model import (
 )
 from saddleloop.ovals import OvalRangeError, section_segment
 from saddleloop.acceptance import scan_draws
-from saddleloop.lockstep import illinois
+from saddleloop.lockstep import grid_roots, illinois, sign_changes
 from saddleloop.flowsim import (
     BURN_IN,
     EventSpec,
@@ -206,6 +206,17 @@ def test_census_unperturbed_degenerate(spec_a1):
     assert res.cycles == ()
 
 
+def test_census_zero_one_form_degenerate(spec_a1):
+    # eps != 0 with a zero one-form leaves the Hamiltonian field, whose
+    # orbits are all closed; a nonzero form at eps = 0 does too
+    for eps, form in ((1e-3, QuadraticOneForm(f=(0.0,) * 6)),
+                      (0.0, QuadraticOneForm.gamma_type(0.5))):
+        res = census(FlowSpec(hamiltonian=spec_a1, epsilon=eps,
+                              one_form=form), n=100, with_saddle_data=False)
+        assert res.degenerate_continuum
+        assert res.cycles == () and res.outcomes == {}
+
+
 def test_census_validation(spec_a1):
     flow = FlowSpec(hamiltonian=spec_a1, epsilon=1e-3,
                     one_form=QuadraticOneForm.gamma_type(0.5))
@@ -300,6 +311,33 @@ def test_illinois_lockstep_roots():
     assert np.isnan(roots[1])
     assert abs(roots[2] - 7.0 ** (1 / 3)) < 1e-12
 
+
+
+def test_sign_changes_zeros_and_cells():
+    zeros, cells = sign_changes([1.0, -1.0, 2.0, -3.0])    # alternating
+    assert zeros.tolist() == [] and cells.tolist() == [0, 1, 2]
+    # exact zeros at the first and last index open no cell
+    zeros, cells = sign_changes([0.0, 1.0, -1.0, 0.0])
+    assert zeros.tolist() == [0, 3] and cells.tolist() == [1]
+    # a nan never opens a cell; a zero next to a nan is still a zero
+    zeros, cells = sign_changes([1.0, np.nan, -1.0, 0.0, np.nan, 2.0, -2.0])
+    assert zeros.tolist() == [3] and cells.tolist() == [5]
+
+
+def test_grid_roots_zeros_cells_and_abandoned():
+    grid = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+
+    def fun(x):
+        # roots at 0.5 and 2.5; the cell (3, 4) has no finite values inside
+        return np.where(x > 3.0, np.nan, np.cos(np.pi * x))
+
+    vals = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+    roots = grid_roots(fun, grid, vals)
+    assert np.allclose(roots[:3], [0.5, 1.5, 2.5], atol=1e-10)
+    assert np.isnan(roots[3])
+    roots = grid_roots(fun, grid, np.array([0.0, -1.0, 1.0, 0.0, 2.0]))
+    assert roots[0] == 0.0 and roots[2] == 3.0
+    assert abs(roots[1] - 1.5) < 1e-10
 
 def test_return_maps_batch_invariant():
     # the 100 grid lanes of one criterion-10 draw (two of them without a

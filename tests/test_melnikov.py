@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from saddleloop.model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs
 from saddleloop.melnikov import (
@@ -42,6 +43,9 @@ def test_count_zeros_finds_planted_zero(spec_a1):
     zc = count_zeros(spec_a1, coeffs, Annulus.SIGMA_PLUS)
     assert zc.count == 1
     assert zc.zeros[0] == pytest.approx(-1.0, abs=1e-6)
+    oracle = brentq(lambda t: value(spec_a1, coeffs, Annulus.SIGMA_PLUS, t),
+                    -1.1, -0.9, xtol=1e-14)
+    assert abs(zc.zeros[0] - oracle) < 1e-10
 
 
 def test_count_zeros_none_for_single_sign(spec_a1):
@@ -115,5 +119,8 @@ def test_appendix_zero_location(appendix_spec):
     zc = appendix_count_zeros(appendix_spec, 0.657, (-0.1, -0.01))
     assert zc.count == 1
     assert -0.08 < zc.zeros[0] < -0.05
+    oracle = brentq(lambda h: appendix_first_order(appendix_spec, 0.657, h),
+                    -0.08, -0.05, xtol=1e-14)
+    assert abs(zc.zeros[0] - oracle) < 1e-10
     zc2 = appendix_count_zeros(appendix_spec, 0.657, (-0.004, -0.00115))
     assert zc2.count == 0
