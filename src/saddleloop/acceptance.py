@@ -23,7 +23,7 @@ import numpy as np
 
 from . import abelian, centroid, flowsim, melnikov, picard_fuchs
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
-                    PerturbationSpec, critical_data)
+                    PerturbationSpec)
 from .ovals import section_segment
 
 RANDOM_LINE_SEED = 49053

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -26,7 +25,6 @@ from .flowsim import (FlowSpec, QuadraticOneForm, appendix_flow, census,
                       integrate)
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     PerturbationSpec)
-from .ovals import section_segment
 
 OUT_DIR_ENV = "SADDLELOOP_OUT_DIR"
 TRAJ_T = 100.0          # sim --traj duration when --T is not given

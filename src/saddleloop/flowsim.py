@@ -8,18 +8,17 @@ g = 0.  The field is defined once, as two coefficient tuples
 lockstep lanes all evaluate those, so both integrators see the same
 field bit for bit.
 
-Both integrators here are adaptive DOP853 with a short maximum step
-inside balls of radius 0.05 around the saddles, where passage times
-diverge.  Single long trajectories (``integrate``: ``sim --traj`` and
-the separatrix shifts) run through scipy's solve_ivp, segmented at the
-ball boundaries to change the maximum step.  Poincare return maps run
-in lockstep (``return_maps``, on ``saddleloop.lockstep``): all lanes of
-a census advance together as numpy arrays, each with its own step
-control and a per-lane step cap near the saddles, and each return is
-located on the lane's dense output.  Also here: a cycle census by
-displacement sign changes, refined together by a lockstep Illinois
-search, saddle traces by Newton continuation, and separatrix shift
-functions measured in the Hamiltonian chart on mid-connection
+Both integrators here are adaptive DOP853 under one maximum step,
+OUTER_MAX_STEP; near the saddles, where passage times diverge, the
+error control alone sets the step.  Single long trajectories
+(``integrate``: ``sim --traj`` and the separatrix shifts) are one
+scipy solve_ivp run each.  Poincare return maps run in lockstep
+(``return_maps``, on ``saddleloop.lockstep``): all lanes of a census
+advance together as numpy arrays, each with its own step control, and
+each return is located on the lane's dense output.  Also here: a cycle
+census by displacement sign changes, refined together by a lockstep
+Illinois search, saddle traces by Newton continuation, and separatrix
+shift functions measured in the Hamiltonian chart on mid-connection
 transversals.
 
 Cycle detection is fixed-point based rather than attractor settling:
@@ -39,14 +38,10 @@ from scipy.integrate import solve_ivp
 
 from .lockstep import advance, grid_roots
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
-                    PerturbationSpec, critical_data)
+                    PerturbationSpec)
 from .ovals import SectionSegment, section_segment
 
-SADDLE_BALL_RADIUS = 0.05
-BALL_MAX_STEP = 0.01
-OUTER_MAX_STEP = 0.2
-BALL_HYSTERESIS = 1e-6
-MAX_SEGMENTS = 10000        # ball crossings before a run counts as stuck
+OUTER_MAX_STEP = 0.2        # maximum step of both integrators
 ESCAPE_RADIUS = 12.0        # |z| at which a trajectory has left the loop region
 BURN_IN = 1e-3              # return-map lead time before the section event arms
 SEPARATRIX_OFFSET = 1e-8    # launch distance along the saddle eigenvectors
@@ -171,19 +166,14 @@ class Trajectory:
     event_name: str | None = None
     event_state: np.ndarray | None = None
     event_time: float | None = None
-    n_segments: int = 1
-
-
-def _saddle_centers(spec: HamiltonianSpec) -> list[np.ndarray]:
-    return [np.asarray(s.xy, dtype=float)
-            for s in critical_data(spec).saddles]
+    n_segments: int = 1         # always 1: one solve_ivp run per trajectory
 
 
 def integrate(flow: FlowSpec, start, T: float,
               user_events: Sequence[EventSpec] = (),
               time_direction: int = 1) -> Trajectory:
-    """Integrate for duration T (one time direction), segmenting at
-    saddle-ball boundaries to cap the step size near slow passages.
+    """Integrate for duration T (one time direction) with solve_ivp's
+    DOP853 at the flow's tolerance and a maximum step of OUTER_MAX_STEP.
 
     Terminal user events stop the run; the result records which one.
     """
@@ -195,79 +185,29 @@ def integrate(flow: FlowSpec, start, T: float,
         dx, dy = flow.rhs(t, z)
         return (sgn * dx, sgn * dy)
 
-    saddles = _saddle_centers(flow.hamiltonian)
-    z = np.asarray(start, dtype=float)
-    inside = None
-    for i, s in enumerate(saddles):
-        if np.linalg.norm(z - s) < SADDLE_BALL_RADIUS:
-            inside = i
-    ts_parts, zs_parts = [], []
-    t_now = 0.0
-    n_seg = 0
-    while n_seg < MAX_SEGMENTS:
-        n_seg += 1
-        events = []
-        labels = []
-        if inside is None:
-            for i, s in enumerate(saddles):
-                def enter(t, zz, s=s):
-                    return float(np.hypot(zz[0] - s[0], zz[1] - s[1])
-                                 - SADDLE_BALL_RADIUS)
-                enter.terminal = True
-                enter.direction = -1
-                events.append(enter)
-                labels.append(("ball_enter", i))
-        else:
-            s = saddles[inside]
-
-            def leave(t, zz, s=s):
-                return float(np.hypot(zz[0] - s[0], zz[1] - s[1])
-                             - SADDLE_BALL_RADIUS - BALL_HYSTERESIS)
-            leave.terminal = True
-            leave.direction = 1
-            events.append(leave)
-            labels.append(("ball_exit", inside))
-        for ev in user_events:
-            def uf(t, zz, ev=ev):
-                return ev.func(zz)
-            uf.terminal = True
-            uf.direction = ev.direction
-            events.append(uf)
-            labels.append(("user", ev.name))
-
-        sol = solve_ivp(rhs, (t_now, T), z, method="DOP853",
-                        rtol=flow.tol, atol=0.01 * flow.tol,
-                        max_step=BALL_MAX_STEP if inside is not None
-                        else OUTER_MAX_STEP,
-                        events=events)
-        ts_parts.append(sgn * sol.t)
-        zs_parts.append(sol.y.T)
-        if sol.status == 0:
-            return Trajectory(np.concatenate(ts_parts),
-                              np.vstack(zs_parts), "completed",
-                              n_segments=n_seg)
-        if sol.status < 0:
-            warnings.warn(f"integrator failed at t={sol.t[-1]:.6g}: "
-                          f"{sol.message}", RuntimeWarning)
-            return Trajectory(np.concatenate(ts_parts),
-                              np.vstack(zs_parts), "failed",
-                              n_segments=n_seg)
-        # an event fired; the earliest one decided termination
-        fired = [(k, te[0]) for k, te in enumerate(sol.t_events) if len(te)]
-        k, t_ev = min(fired, key=lambda p: p[1])
-        z_ev = sol.y_events[k][0]
-        kind, which = labels[k]
-        if kind == "user":
-            # scipy already ends sol.t/sol.y at the event point
-            return Trajectory(np.concatenate(ts_parts),
-                              np.vstack(zs_parts), "event",
-                              event_name=which, event_state=z_ev,
-                              event_time=sgn * t_ev, n_segments=n_seg)
-        inside = which if kind == "ball_enter" else None
-        z = z_ev
-        t_now = t_ev
-    raise RuntimeError("segment budget exhausted; trajectory is likely "
-                       "stuck at a saddle ball boundary")
+    events = []
+    for ev in user_events:
+        def uf(t, z, ev=ev):
+            return ev.func(z)
+        uf.terminal = True
+        uf.direction = ev.direction
+        events.append(uf)
+    sol = solve_ivp(rhs, (0.0, T), np.asarray(start, dtype=float),
+                    method="DOP853", rtol=flow.tol, atol=0.01 * flow.tol,
+                    max_step=OUTER_MAX_STEP, events=events)
+    ts, states = sgn * sol.t, sol.y.T
+    if sol.status == 0:
+        return Trajectory(ts, states, "completed")
+    if sol.status < 0:
+        warnings.warn(f"integrator failed at t={sol.t[-1]:.6g}: "
+                      f"{sol.message}", RuntimeWarning)
+        return Trajectory(ts, states, "failed")
+    # an event fired; the earliest one decided termination, and scipy
+    # already ends sol.t/sol.y at the event point
+    fired = [(k, te[0]) for k, te in enumerate(sol.t_events) if len(te)]
+    k, t_ev = min(fired, key=lambda p: p[1])
+    return Trajectory(ts, states, "event", event_name=user_events[k].name,
+                      event_state=sol.y_events[k][0], event_time=sgn * t_ev)
 
 
 @dataclass(frozen=True)
@@ -309,20 +249,6 @@ def _lockstep_field(flow: FlowSpec):
     return field
 
 
-def _ball_step_cap(flow: FlowSpec):
-    """Step cap per lane: BALL_MAX_STEP within SADDLE_BALL_RADIUS of a
-    saddle, OUTER_MAX_STEP elsewhere."""
-    saddles = np.array(_saddle_centers(flow.hamiltonian))[:, :, None]
-
-    def cap(z):
-        d = z - saddles
-        d *= d
-        near = (d[:, 0] + d[:, 1] < SADDLE_BALL_RADIUS ** 2).any(axis=0)
-        return np.where(near, BALL_MAX_STEP, OUTER_MAX_STEP)
-
-    return cap
-
-
 @dataclass(frozen=True)
 class ReturnLanes:
     """First returns of many starting points, one entry per lane."""
@@ -335,7 +261,8 @@ class ReturnLanes:
 def return_maps(flow: FlowSpec, section: SectionSegment, s,
                 T_max: float = 400.0) -> ReturnLanes:
     """First returns to the section from every coordinate in s, with all
-    lanes advanced in lockstep.
+    lanes advanced in lockstep under the flow's tolerance and
+    OUTER_MAX_STEP.
 
     Each lane first runs a BURN_IN lead with only the escape event
     armed, so that the departure itself cannot register as the return.
@@ -361,14 +288,14 @@ def return_maps(flow: FlowSpec, section: SectionSegment, s,
     reason = np.full(s.size, _FAILED)
     s_ret = np.full(s.size, np.nan)
     t_ret = np.full(s.size, np.nan)
-    rhs, cap = _lockstep_field(flow), _ball_step_cap(flow)
-    tols = (flow.tol, 0.01 * flow.tol)
-    st, _, _, z = advance(rhs, z, BURN_IN, ((_escape, 1),), cap, *tols)
+    rhs = _lockstep_field(flow)
+    steps = (OUTER_MAX_STEP, flow.tol, 0.01 * flow.tol)
+    st, _, _, z = advance(rhs, z, BURN_IN, ((_escape, 1),), *steps)
     reason[st == 1] = _ESCAPE
     go = np.flatnonzero(st == 0)
     events = ((lambda z: z[1 - coord], section.direction), (_escape, 1))
-    st, which, t, z = advance(rhs, z[:, go], T_max - BURN_IN, events, cap,
-                              *tols)
+    st, which, t, z = advance(rhs, z[:, go], T_max - BURN_IN, events,
+                              *steps)
     crossed = (st == 1) & (which == 0)
     inside = (lo <= z[coord]) & (z[coord] <= hi)
     r = np.select([crossed & inside, crossed, st == 1, st == 0],

@@ -66,7 +66,7 @@ def _rms(z):
     return np.sqrt(z[0] * z[0] + z[1] * z[1]) / math.sqrt(2.0)
 
 
-def _initial_step(field, z, f, t_end, cap, rtol, atol):
+def _initial_step(field, z, f, t_end, max_step, rtol, atol):
     """scipy's select_initial_step, per lane (error estimator order 7)."""
     scale = atol + np.abs(z) * rtol
     d0, d1 = _rms(z / scale), _rms(f / scale)
@@ -76,7 +76,8 @@ def _initial_step(field, z, f, t_end, cap, rtol, atol):
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                   np.maximum(1e-6, h0 * 1e-3),
                   _root8(0.01 / np.maximum(d1, d2)))
-    return np.minimum(np.minimum(100.0 * h0, h1), np.minimum(t_end, cap))
+    return np.minimum(np.minimum(100.0 * h0, h1),
+                      np.minimum(t_end, max_step))
 
 
 def _dense_output(field, K, p, h, z, y):
@@ -169,10 +170,10 @@ def advance(field, z, t_end, events, max_step, rtol, atol):
 
     field maps a (2, m) array of states to their derivatives.  events
     holds (func, direction) pairs: func maps a (2, m) array to m values,
-    direction is as in solve_ivp.  max_step maps a (2, m) array to each
-    lane's step cap at those states.  Returns per lane the status (0
-    reached t_end, 1 event, -1 step size underflow), the index of the
-    event that stopped it, and the time and state where it stopped.
+    direction is as in solve_ivp.  max_step bounds every step of every
+    lane.  Returns per lane the status (0 reached t_end, 1 event, -1
+    step size underflow), the index of the event that stopped it, and
+    the time and state where it stopped.
     Event times are roots of the event function on the step's dense
     output, located to 4 eps as solve_ivp does.
     """
@@ -190,14 +191,14 @@ def _advance(field, z, t_end, events, max_step, rtol, atol):
     lane = np.arange(n)
     t = np.zeros(n)
     f = field(z)
-    h_abs = _initial_step(field, z, f, t_end, max_step(z), rtol, atol)
+    h_abs = _initial_step(field, z, f, t_end, max_step, rtol, atol)
     retry = np.zeros(n, dtype=bool)
     g = np.array([fn(z) for fn, _ in events])
     hits = []       # lanes, bracket, dense output and event values per hit
     while lane.size:
         min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(retry, h_abs, np.minimum(np.maximum(h_abs, min_step),
-                                                  max_step(z)))
+                                                  max_step))
         failed = h_abs < min_step
         t_new = np.minimum(t + h_abs, t_end)
         h = t_new - t

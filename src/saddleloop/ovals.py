@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import Annulus, CriticalData, Family, HamiltonianSpec, critical_data
+from .model import Annulus, Family, HamiltonianSpec, critical_data
 
 
 # samples on which section_segment checks that the energy chart is monotone

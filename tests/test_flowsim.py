@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from saddleloop.model import (
 )
 from saddleloop.ovals import OvalRangeError, section_segment
 from saddleloop.acceptance import scan_draws
+from saddleloop import flowsim
 from saddleloop.lockstep import grid_roots, illinois, sign_changes
 from saddleloop.flowsim import (
     BURN_IN,
@@ -195,6 +197,34 @@ def test_shift_second_order_coefficients(appendix_spec):
             q2.append((sh.b2 - eps * b2_1) / eps ** 2)
             assert abs((sh.b1 - 2.0 * eps * mu1) / eps ** 2) < 0.5
         assert 2.0 * q2[1] - q2[0] == pytest.approx(207.5, rel=1e-2)
+
+
+def test_separatrix_shifts_match_tight_tolerance(appendix_spec):
+    # near the saddles the error control alone sets the step; the shifts
+    # at the default tol 1e-10 agree with the same runs at tol 1e-13
+    corner = appendix_flow(appendix_spec,
+                           PerturbationSpec(1e-3, 0.007, -0.01))
+    for flow in (witness_flow(), corner):
+        sh = separatrix_shifts(flow)
+        ref = separatrix_shifts(dataclasses.replace(flow, tol=1e-13))
+        assert abs(sh.b1 - ref.b1) < 5e-10
+        assert abs(sh.b2 - ref.b2) < 5e-10
+
+
+def test_witness_separatrix_runs_take_few_steps(monkeypatch):
+    # the four separatrix runs of the witness start 1e-8 from a saddle;
+    # their slow departures must not cost thousands of steps
+    steps = []
+
+    def counted(*args, **kwargs):
+        tr = integrate(*args, **kwargs)
+        steps.append(len(tr.ts) - 1)
+        return tr
+
+    monkeypatch.setattr(flowsim, "integrate", counted)
+    separatrix_shifts(witness_flow())
+    assert len(steps) == 4
+    assert sum(steps) < 400
 
 
 # --- census --------------------------------------------------------------
@@ -389,3 +419,29 @@ def test_return_maps_match_integrate_oracle(trial):
         if s_ret is not None:
             assert abs(got.s_return[k] - s_ret) < 1e-9
     assert reasons.count("ok") < len(lanes)
+
+
+def test_near_saddle_returns_match_tight_oracle():
+    # witness lanes next to the loop, where the error control alone sets
+    # the step: each ok orbit passes within 0.07 of both saddles (its
+    # step ends already do).  Lanes 3 and 4 slip through the broken upper
+    # connection; lane 5 starts next to the repelling cycle.
+    w = alien_witness()
+    flow = witness_flow(w)
+    tight = dataclasses.replace(flow, tol=1e-13)
+    sect = section_segment(flow.hamiltonian, Annulus.SIGMA_PLUS)
+    grid = np.linspace(*w["section_window"], int(w["grid_points"]))
+    T_max = float(w["t_max"])
+    lanes = [3, 4, 5, 6, 8, 10, 14, 20, 30, 40]
+    got = return_maps(flow, sect, grid[lanes], T_max=T_max)
+    tp = saddle_traces(flow)
+    for k, i in enumerate(lanes):
+        s_ret, reason = _oracle_return(tight, sect, grid[i], T_max)
+        assert got.reason[k] == reason
+        if s_ret is None:
+            continue
+        assert abs(got.s_return[k] - s_ret) < 2e-10
+        orbit = integrate(flow, sect.point(grid[i]), got.t_return[k]).states
+        for saddle in (tp.saddle1, tp.saddle2):
+            assert np.min(np.hypot(*(orbit - saddle).T)) < 0.07
+    assert list(got.reason[:2]) == ["left_annulus"] * 2
