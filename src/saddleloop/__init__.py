@@ -11,7 +11,6 @@ from .model import (
     MelnikovCoeffs,
     PerturbationSpec,
     critical_data,
-    spec_from_config,
 )
 from .ovals import OvalSlice, SectionSegment, section_segment, slice_oval
 
@@ -25,7 +24,6 @@ __all__ = [
     "MelnikovCoeffs",
     "PerturbationSpec",
     "critical_data",
-    "spec_from_config",
     "OvalSlice",
     "SectionSegment",
     "section_segment",

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .model import Annulus, Family, HamiltonianSpec
-from .ovals import OvalSlice, slice_oval, x1_loop_root
+from .model import Annulus, Family, HamiltonianSpec, x1_loop_root
+from .ovals import OvalSlice, slice_oval
 
 HALF_PI = math.pi / 2.0
 MIN_TOL = 1e-12
@@ -124,18 +124,18 @@ def jk_at_loop(spec: HamiltonianSpec, k: int, tol: float = 1e-12) -> float:
         raise ValueError("loop-limit J_k applies to the normal-form family")
     if k not in (0, 1):
         raise ValueError(f"J_k(0) finite only for k in {{0, 1}}, got k={k}")
-    a = spec.a
-    x1 = x1_loop_root(a)
-    if a != 0.0:
-        x2 = 3.0 * (a - 1.0) / a - x1  # other root of r
+    _, r1, r2 = spec.slice_r()
+    x1 = x1_loop_root(spec.a)
+    if r2 != 0.0:
+        x2 = -r1 / r2 - x1  # other root of r
 
         def q(x):  # r(x) = (x1 - x) * q(x)
-            return a * (x - x2)
+            return -r2 * (x - x2)
 
     else:
 
         def q(x):
-            return 3.0
+            return -r1
 
     def f(psi):
         s = math.sin(psi)

@@ -109,8 +109,9 @@ def criterion_3() -> CriterionResult:
     worst = 0.0
     worst_p = 0.0
     for a in (-0.5, 0.5, 1.0, 1.5):
-        sys = picard_fuchs.pf_system(a)
-        fund = picard_fuchs.fundamental(a, order=4)
+        spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
+        sys = picard_fuchs.pf_system(spec)
+        fund = picard_fuchs.fundamental(spec, order=4)
         for k in (1, 2, 3):
             err = float(np.max(np.abs(fund.q[k] - _reference_q(a, k))))
             worst = max(worst, err)
@@ -208,18 +209,18 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     """First-order trace and shift laws on a 3x3 mu-grid at eps=1e-3."""
     t0 = time.time()
-    spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=17.0)
+    spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
     eps = 1e-3
     grid = (-0.01, 0.007, 0.01)
     worst = {"sigma1": 0.0, "sigma2": 0.0, "b1": 0.0, "b2": 0.0}
     for mu1 in grid:
         for mu2 in grid:
-            flow = flowsim.appendix_flow(spec, PerturbationSpec(
-                epsilon=eps, mu1=mu1, mu2=mu2))
+            pert = PerturbationSpec(epsilon=eps, mu1=mu1, mu2=mu2, c=17.0)
+            flow = flowsim.appendix_flow(spec, pert)
             tr = flowsim.saddle_traces(flow)
             sh = flowsim.separatrix_shifts(flow)
-            exp_s1 = -16.0 + spec.c - mu2
-            exp_s2 = -16.0 - spec.c - mu2
+            exp_s1 = -16.0 + pert.c - mu2
+            exp_s2 = -16.0 - pert.c - mu2
             exp_b1 = 2.0 * mu1
             exp_b2 = -2.0 * mu1 - math.pi * math.sqrt(3.0) * mu2
             worst["sigma1"] = max(worst["sigma1"],
@@ -249,8 +250,7 @@ def criterion_9() -> CriterionResult:
     coords_ok = all(
         abs(c.section_coordinate - e) <= float(w["coord_tolerance"])
         for c, e in zip(res.cycles, w["expected_section_coords"]))
-    spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=float(w["c"]))
-    zc = melnikov.appendix_count_zeros(spec, float(w["mu2"]),
+    zc = melnikov.appendix_count_zeros(flow.hamiltonian, float(w["mu2"]),
                                        tuple(w["energy_window"]))
     ok = (n_cycles == int(w["expected_cycles"])
           and list(stabs) == list(w["expected_stabilities"])

@@ -90,14 +90,10 @@ def default_grid(spec: HamiltonianSpec, annulus: Annulus,
     relative margins off both singular ends."""
     if n < 4:
         raise ValueError("need at least 4 samples")
-    cd = critical_data(spec)
+    t_center = critical_data(spec).center_of(annulus).energy
     if annulus is Annulus.SIGMA_PLUS:
-        t_center = cd.center0.energy
         t_loop = -LOOP_MARGIN * abs(t_center)
     else:
-        if cd.center1 is None:
-            raise ValueError("no second annulus for this parameter")
-        t_center = cd.center1.energy
         t_loop = LOOP_MARGIN * t_center
     v0 = 2.0 / math.pi * math.sqrt(CENTER_MARGIN)
     v = np.linspace(v0, 1.0, n)
@@ -122,13 +118,10 @@ def sample_curve(spec: HamiltonianSpec, annulus: Annulus, t_grid=None,
                               "normalization violated upstream")
     xi = j[:, 2] / j[:, 1]
     eta = j[:, 0] / j[:, 1]
-    cd = critical_data(spec)
-    t_center = (cd.center0.energy if annulus is Annulus.SIGMA_PLUS
-                else cd.center1.energy)
     return CentroidCurve(
         spec=spec, annulus=annulus, ts=t_grid, xi=xi, eta=eta,
         asymptote=_fit_asymptote(t_grid, xi, annulus),
-        t_center=t_center,
+        t_center=critical_data(spec).center_of(annulus).energy,
         converged=all(tr.converged for tr in trs))
 
 

@@ -119,7 +119,9 @@ def _config_echo(args, fields) -> dict:
 
 
 def _apply_config_file(args) -> None:
-    """--config file.json overrides flags; keys use flag spelling."""
+    """--config file.json overrides flags.  Keys use flag spelling and
+    must name a flag of the subcommand that runs; each value is
+    converted and checked as that flag's own value would be."""
     if not getattr(args, "config", None):
         return
     try:
@@ -128,19 +130,42 @@ def _apply_config_file(args) -> None:
         raise ConfigError(f"config: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError("config: top level must be an object")
+    flags = {act.dest: act for act in args.parser._actions
+             if act.option_strings and act.dest not in ("help", "config")}
     for key, val in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in flags:
             raise ConfigError(f"config: unknown field {key!r}")
-        setattr(args, attr, val)
+        setattr(args, attr, _config_value(key, flags[attr], val))
+
+
+def _config_value(key: str, action: argparse.Action, val):
+    """One config value, converted as argparse converts the flag's text."""
+    if action.nargs == 0:  # a switch such as --census
+        if not isinstance(val, bool):
+            raise ConfigError(f"config: {key}: expected true or false, "
+                              f"got {val!r}")
+        return val
+    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+        raise ConfigError(f"config: {key}: expected a string or a number, "
+                          f"got {val!r}")
+    text = str(val)
+    try:
+        val = text if action.type is None else action.type(text)
+    except ValueError as exc:
+        raise ConfigError(f"config: {key}: invalid {action.type.__name__} "
+                          f"value {text!r}") from exc
+    if action.choices is not None and val not in action.choices:
+        raise ConfigError(f"config: {key}: invalid choice {val!r} (choose "
+                          f"from {', '.join(action.choices)})")
+    return val
 
 
 def _spec_for(args) -> HamiltonianSpec:
     if args.family == "appendix":
         if getattr(args, "a", None) is not None:
             raise ConfigError("a not applicable to family=appendix")
-        return HamiltonianSpec(family=Family.APPENDIX_ELLIPSE,
-                               c=float(args.c))
+        return HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
     a = args.a if getattr(args, "a", None) is not None else 1.0
     return HamiltonianSpec(family=Family.NORMAL_FORM, a=float(a))
 
@@ -166,8 +191,9 @@ def cmd_abelian(args) -> int:
 
 def cmd_pf(args) -> int:
     t0 = time.time()
-    sys_ = picard_fuchs.pf_system(float(args.a))
-    fund = picard_fuchs.fundamental(float(args.a), order=args.order)
+    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=float(args.a))
+    sys_ = picard_fuchs.pf_system(spec)
+    fund = picard_fuchs.fundamental(spec, order=args.order)
     out = _out_path(args, "pf.json")
     payload = {
         "a": float(args.a),
@@ -196,8 +222,6 @@ def cmd_melnikov(args) -> int:
         if args.alpha is not None or args.beta is not None or args.gamma:
             raise ConfigError("alpha/beta/gamma not applicable to "
                               "family=appendix; use --mu2")
-        # the first-order function does not depend on c (its c*x*y term
-        # integrates to zero on the ovals), so the spec keeps its default
         spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
         echo = ("mu2", "h_grid")
         if not args.h_grid:
@@ -259,7 +283,8 @@ def _sim_flow(args) -> FlowSpec:
         if args.f or args.g:
             raise ConfigError("f/g apply to family=normal only; appendix "
                               "perturbation is set by mu1, mu2, c")
-        pert = PerturbationSpec(epsilon=args.eps, mu1=args.mu1, mu2=args.mu2)
+        pert = PerturbationSpec(epsilon=args.eps, mu1=args.mu1, mu2=args.mu2,
+                                c=args.c)
         return appendix_flow(spec, pert, tol=args.tol)
     if args.mu1 != 0.0 or args.mu2 != 0.0:
         raise ConfigError("mu1/mu2 apply to family=appendix only; "
@@ -334,6 +359,9 @@ def cmd_sim(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the parser keeps the three exclusive; a --config file must too
+    if sum(map(bool, (args.criteria, args.quick, args.slow))) > 1:
+        raise ConfigError("at most one of quick, slow, criteria")
     if args.criteria:
         try:
             numbers = tuple(int(p) for p in args.criteria.split(","))
@@ -450,9 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
     # an unknown flag is an error, never read as the prefix of another
-    # (melnikov --c would otherwise become --config)
+    # (melnikov --c would otherwise become --config); --config reads the
+    # flags of its own subcommand from ``parser``
     for p in sub.choices.values():
         p.allow_abbrev = False
+        p.set_defaults(parser=p)
     return ap
 
 

@@ -106,7 +106,7 @@ class QuadraticOneForm:
                  pert: PerturbationSpec) -> "QuadraticOneForm":
         if spec.family is not Family.APPENDIX_ELLIPSE:
             raise ValueError("appendix one-form requires the appendix family")
-        return cls(f=(pert.mu1, 0.0, 16.0 + pert.mu2, 0.0, spec.c,
+        return cls(f=(pert.mu1, 0.0, 16.0 + pert.mu2, 0.0, pert.c,
                       -math.pi * math.sqrt(3.0)))
 
 
@@ -567,7 +567,7 @@ def alien_witness() -> dict:
 def witness_flow(witness: dict | None = None) -> FlowSpec:
     """Build the perturbed flow at the committed witness point."""
     w = alien_witness() if witness is None else witness
-    spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=float(w["c"]))
-    pert = PerturbationSpec(epsilon=float(w["epsilon"]),
-                            mu1=float(w["mu1"]), mu2=float(w["mu2"]))
+    spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
+    pert = PerturbationSpec(epsilon=float(w["epsilon"]), mu1=float(w["mu1"]),
+                            mu2=float(w["mu2"]), c=float(w["c"]))
     return appendix_flow(spec, pert)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs
+from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
+                    critical_data)
 from .abelian import (appendix_oval_moments, default_log_window,
                       fit_log_basis, triple, triples_on_grid)
 from .lockstep import grid_roots
@@ -112,11 +113,10 @@ class ZeroCount:
 
 
 def _default_range(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, float]:
+    t_center = critical_data(spec).center_of(annulus).energy
     if annulus is Annulus.SIGMA_PLUS:
-        t0 = spec.a - 3.0
-        return t0 + 1e-3 * abs(t0), -1e-6 * abs(t0)
-    t1 = (spec.a + 1.0) * (spec.a - 2.0) ** 2 / spec.a ** 2
-    return 1e-6 * t1, t1 * (1.0 - 1e-3)
+        return t_center + 1e-3 * abs(t_center), -1e-6 * abs(t_center)
+    return 1e-6 * t_center, t_center * (1.0 - 1e-3)
 
 
 def _count_sign_changes(f, grid, vals) -> ZeroCount:

@@ -1,4 +1,4 @@
-"""Hamiltonian families and perturbation data.
+"""Hamiltonian families, their slice geometry and perturbation data.
 
 Two quadratic Hamiltonian vector fields are supported, both carrying a
 two-saddle loop on the zero level set:
@@ -13,15 +13,20 @@ two-saddle loop on the zero level set:
 
 * ``APPENDIX_ELLIPSE``: H(x, y) = y*(x^2 + y^2/12 - 1), perturbed by
   epsilon * ((16 + c*x - pi*sqrt(3)*y)*y + mu1 + mu2*y) in the ydot
-  component, with c > 16 so the two saddle traces have opposite signs.
+  component, with c > 16 so the two saddle traces have opposite signs;
+  ``c`` belongs to the perturbation (``PerturbationSpec.c``).
+
+Everything that tells the families apart lives here.  Each level set
+H = t solves to branch^2(u) = t/u + r(u) over the slice axis u (x for
+the normal form, y for the appendix family), with the quadratic r of
+``HamiltonianSpec.slice_r``; ``slice_span`` and ``section_ends`` place
+each annulus's ovals and transversal section on that axis.
 """
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 SQRT3 = math.sqrt(3.0)
 
@@ -48,21 +53,23 @@ class HamiltonianError(ValueError):
     pass
 
 
+class OvalRangeError(ValueError):
+    """Energy or annulus outside what the spec carries."""
+
+
+def _normal_form_r(a: float) -> tuple[float, float, float]:
+    return -3.0 * (a - 2.0), 3.0 * (a - 1.0), -a
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Which family, plus its parameter."""
 
     family: Family
     a: float = 1.0
-    c: float = 17.0
 
     def __post_init__(self):
-        if self.family is Family.APPENDIX_ELLIPSE:
-            if not self.c > 16.0:
-                raise HamiltonianError(
-                    f"appendix family requires c > 16, got c={self.c}"
-                )
-        if not math.isfinite(self.a) or not math.isfinite(self.c):
+        if not math.isfinite(self.a):
             raise HamiltonianError("parameters must be finite")
 
     @property
@@ -71,6 +78,19 @@ class HamiltonianSpec:
         if self.family is Family.APPENDIX_ELLIPSE:
             return True
         return -1.0 < self.a < 2.0
+
+    @property
+    def slice_axis(self) -> str:
+        """Coordinate the ovals are graphs over: 'x' (normal form) or
+        'y' (appendix); the sections lie on the same axis."""
+        return "x" if self.family is Family.NORMAL_FORM else "y"
+
+    def slice_r(self) -> tuple[float, float, float]:
+        """(r0, r1, r2) of r(u) = r2*u^2 + r1*u + r0, where every oval
+        H = t solves branch^2(u) = t/u + r(u) on the slice axis."""
+        if self.family is Family.NORMAL_FORM:
+            return _normal_form_r(self.a)
+        return 1.0, 0.0, -1.0 / 12.0
 
     def eval_H(self, x: float, y: float) -> float:
         # written out rather than evaluated from coefficients: its bits
@@ -113,6 +133,14 @@ class CriticalData:
     two_saddle_loop: bool
     t_saddle: float = 0.0
 
+    def center_of(self, annulus: Annulus) -> CriticalPoint:
+        """The center that the annulus surrounds."""
+        center = self.center0 if annulus is Annulus.SIGMA_PLUS else self.center1
+        if center is None:
+            raise OvalRangeError("SigmaMinus exists only for the normal form "
+                                 "with a in (0, 2)")
+        return center
+
 
 def critical_data(spec: HamiltonianSpec) -> CriticalData:
     if spec.family is Family.APPENDIX_ELLIPSE:
@@ -139,6 +167,67 @@ def critical_data(spec: HamiltonianSpec) -> CriticalData:
         t1 = (a + 1.0) * (a - 2.0) ** 2 / a**2
         center1 = CriticalPoint((xc, 0.0), t1, "center")
     return CriticalData(center0, saddles, center1, spec.two_saddle_loop)
+
+
+def _r_roots(a: float) -> list[float]:
+    """Both real roots of the normal-form r(x) for a != 0, polished to
+    machine precision."""
+    r0, r1, r2 = _normal_form_r(a)
+    disc = 9.0 * (a - 1.0) ** 2 - 12.0 * a * (a - 2.0)
+    if disc < 0.0:
+        raise OvalRangeError(f"r(x) has no real roots for a={a}")
+    sq = math.sqrt(disc)
+    roots = []
+    for x in ((r1 + sq) / (-2.0 * r2), (r1 - sq) / (-2.0 * r2)):
+        for _ in range(2):
+            x -= (r2 * x * x + r1 * x + r0) / (2.0 * r2 * x + r1)
+        roots.append(x)
+    return roots
+
+
+def x1_loop_root(a: float) -> float:
+    """Smaller positive root of the normal-form r(x); right corner of the
+    loop on y=0."""
+    if a == 0.0:
+        return 2.0
+    pos = sorted(x for x in _r_roots(a) if x > 0.0)
+    if not pos:
+        raise OvalRangeError(f"r(x) has no positive root for a={a}")
+    return pos[0]
+
+
+def x_ell_left(a: float) -> float:
+    """Negative root of the normal-form r(x) (left corner of the
+    ellipse), a in (0, 2)."""
+    neg = [x for x in _r_roots(a) if x < 0.0]
+    if not neg:
+        raise OvalRangeError(f"r(x) has no negative root for a={a}")
+    return neg[0]
+
+
+def slice_span(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, float]:
+    """(u_c, u_r) on the slice axis: the center the annulus surrounds and
+    the root of r beyond it.  Every oval of the annulus crosses the axis
+    once between 0 and u_c and once between u_c and u_r."""
+    center = critical_data(spec).center_of(annulus)
+    if spec.family is Family.APPENDIX_ELLIPSE:
+        return center.xy[1], math.sqrt(12.0)
+    if annulus is Annulus.SIGMA_MINUS:
+        return center.xy[0], x_ell_left(spec.a)
+    if not spec.two_saddle_loop:
+        raise OvalRangeError(f"no two-saddle loop for a={spec.a}; "
+                             "SigmaPlus undefined")
+    return center.xy[0], x1_loop_root(spec.a)
+
+
+def section_ends(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, float]:
+    """(center end, loop end) of the annulus's transversal section on the
+    slice axis.  Normal form: from the center out to the root of r on
+    y = 0, so SigmaPlus is {(x, 0): 1 <= x < x1} and SigmaMinus
+    {(x, 0): x_left < x <= (a-2)/a}.  Appendix: {(0, y): 0 < y <= 2},
+    from the center down to the lower connection."""
+    center, root = slice_span(spec, annulus)
+    return center, 0.0 if spec.family is Family.APPENDIX_ELLIPSE else root
 
 
 @dataclass(frozen=True)
@@ -168,45 +257,16 @@ class MelnikovCoeffs:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """(epsilon, mu1, mu2) for the appendix family perturbation."""
+    """(epsilon, mu1, mu2, c) of the appendix family perturbation
+    epsilon*((16 + c*x - pi*sqrt(3)*y)*y + mu1 + mu2*y); c > 16 makes
+    the two saddle traces differ in sign."""
 
     epsilon: float
     mu1: float = 0.0
     mu2: float = 0.0
+    c: float = 17.0
 
-
-# --- config plumbing ----------------------------------------------------
-
-_FAMILY_NAMES = {
-    "normal_form": Family.NORMAL_FORM,
-    "appendix_ellipse": Family.APPENDIX_ELLIPSE,
-    "appendix": Family.APPENDIX_ELLIPSE,
-}
-
-
-def spec_from_config(cfg: dict) -> HamiltonianSpec:
-    """Build a HamiltonianSpec from a JSON-style dict.
-
-    Expected fields: ``family`` plus ``a`` (normal form) or ``c``
-    (appendix).  Unknown fields raise, naming the field.
-    """
-    if "family" not in cfg:
-        raise HamiltonianError("config missing required field 'family'")
-    name = str(cfg["family"]).lower()
-    if name not in _FAMILY_NAMES:
-        raise HamiltonianError(f"unknown family {cfg['family']!r}")
-    family = _FAMILY_NAMES[name]
-    allowed = {"family", "a"} if family is Family.NORMAL_FORM else {"family", "c"}
-    extra = set(cfg) - allowed
-    if extra:
-        raise HamiltonianError(
-            f"unexpected config field(s) for {name}: {sorted(extra)}"
-        )
-    if family is Family.NORMAL_FORM:
-        return HamiltonianSpec(family, a=float(cfg.get("a", 1.0)))
-    return HamiltonianSpec(family, c=float(cfg.get("c", 17.0)))
-
-
-def spec_from_json(path: str | Path) -> HamiltonianSpec:
-    with open(path) as fh:
-        return spec_from_config(json.load(fh))
+    def __post_init__(self):
+        if not (math.isfinite(self.c) and self.c > 16.0):
+            raise ValueError(f"appendix perturbation requires c > 16, "
+                             f"got c={self.c}")

@@ -1,20 +1,27 @@
 """Oval slices of the period annuli and transversal sections.
 
-Normal-form level sets solve to y^2(x, t) = t/x + r(x) with
-r(x) = -a*x^2 + 3*(a-1)*x - 3*(a-2); each oval is a graph over an
-x-interval [x_lo, x_hi].  The appendix-family ovals are graphs over y
-instead: x^2(y, h) = h/y + 1 - y^2/12.  Either way the defining cubic
-c(u) = u * branch^2(u) factors as
+Every oval H = t is a graph over an interval [u_lo, u_hi] of the slice
+axis u (x for the normal form, y for the appendix family):
 
-    c(u) = lead * (u - u_lo) * (u - u_hi) * (u - u3),
+    branch^2(u) = t/u + r(u),   r(u) = r2*u^2 + r1*u + r0,
+
+with the family's quadratic r from ``HamiltonianSpec.slice_r``
+(normal form: y^2 = t/x - a*x^2 + 3*(a-1)*x - 3*(a-2); appendix:
+x^2 = t/y + 1 - y^2/12).  The defining cubic c(u) = u * branch^2(u)
+factors as
+
+    c(u) = r2 * (u - u_lo) * (u - u_hi) * (u - u3),
 
 so branch^2(u) = (u - u_lo)*(u_hi - u)*phi(u) with phi analytic and
-positive on the span; quadrature downstream removes the endpoint sqrt
-singularity with u = mid + halfwidth*sin(theta).
+positive on the span (when r2 == 0, c is a quadratic and u3 = inf);
+quadrature downstream removes the endpoint sqrt singularity with
+u = mid + halfwidth*sin(theta).
 
-Endpoints are bracketed by construction (the cubic has exactly one root
-in each bracket), refined with brentq and polished with two Newton steps
-to ~1e-14 relative.
+Endpoints are bracketed on either side of the annulus's center u_c:
+one toward the singular line u = 0, one toward the root of r beyond
+u_c (``model.slice_span``; the cubic has exactly one root in each
+bracket).  They are refined with brentq and polished with two Newton
+steps to ~1e-14 relative.  Sections come from ``model.section_ends``.
 """
 from __future__ import annotations
 
@@ -24,71 +31,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import Annulus, Family, HamiltonianSpec, critical_data
+from .model import (Annulus, HamiltonianSpec, OvalRangeError, critical_data,
+                    section_ends, slice_span)
 
 
 # samples on which section_segment checks that the energy chart is monotone
 CHART_CHECK_POINTS = 100
 
 
-class OvalRangeError(ValueError):
-    """Energy outside the requested annulus."""
-
-
 class BracketingError(RuntimeError):
     """Sign-change bracket not found where the structure guarantees one."""
 
 
-def r_eval(a: float, x):
-    """r(x) = -a*x^2 + 3*(a-1)*x - 3*(a-2)."""
-    return -a * x * x + 3.0 * (a - 1.0) * x - 3.0 * (a - 2.0)
-
-
-def r_prime(a: float, x):
-    return -2.0 * a * x + 3.0 * (a - 1.0)
-
-
-def _r_roots(a: float) -> list[float]:
-    """Both real roots of r(x) for a != 0, polished to machine precision."""
-    disc = 9.0 * (a - 1.0) ** 2 - 12.0 * a * (a - 2.0)
-    if disc < 0.0:
-        raise OvalRangeError(f"r(x) has no real roots for a={a}")
-    sq = math.sqrt(disc)
-    roots = []
-    for x in ((3.0 * (a - 1.0) + sq) / (2.0 * a),
-              (3.0 * (a - 1.0) - sq) / (2.0 * a)):
-        for _ in range(2):
-            x -= r_eval(a, x) / r_prime(a, x)
-        roots.append(x)
-    return roots
-
-
-def x1_loop_root(a: float) -> float:
-    """Smaller positive root of r(x); right corner of the loop on y=0."""
-    if a == 0.0:
-        return 2.0
-    pos = sorted(x for x in _r_roots(a) if x > 0.0)
-    if not pos:
-        raise OvalRangeError(f"r(x) has no positive root for a={a}")
-    return pos[0]
-
-
-def x_ell_left(a: float) -> float:
-    """Negative root of r(x) (left corner of the ellipse), a in (0, 2)."""
-    neg = [x for x in _r_roots(a) if x < 0.0]
-    if not neg:
-        raise OvalRangeError(f"r(x) has no negative root for a={a}")
-    return neg[0]
-
-
 @dataclass(frozen=True)
 class OvalSlice:
-    """One closed oval, as a graph over its projection interval.
-
-    axis 'x' (normal form): branch_sq(x) = y^2 = t/x + r(x).
-    axis 'y' (appendix):    branch_sq(y) = x^2 = t/y + 1 - y^2/12.
-    ``third_root`` is the remaining root of the defining cubic; the
-    factored weight is branch_sq(u) = (u-lo)*(hi-u)*phi(u).
+    """One closed oval, as a graph over its projection interval on the
+    slice axis: branch_sq(u) = t/u + r(u), with ``r`` = (r0, r1, r2)
+    from ``HamiltonianSpec.slice_r``.  ``third_root`` is the remaining
+    root of the defining cubic; the factored weight is
+    branch_sq(u) = (u-lo)*(hi-u)*phi(u).
     """
 
     spec: HamiltonianSpec
@@ -96,51 +57,41 @@ class OvalSlice:
     t: float
     lo: float
     hi: float
-    axis: str
+    r: tuple[float, float, float]
     third_root: float
     degenerate: bool = False
 
+    @property
+    def axis(self) -> str:
+        return self.spec.slice_axis
+
     def branch_sq(self, u):
-        if self.spec.family is Family.NORMAL_FORM:
-            return self.t / u + r_eval(self.spec.a, u)
-        return self.t / u + 1.0 - u * u / 12.0
+        r0, r1, r2 = self.r
+        return self.t / u + (r2 * u * u + r1 * u + r0)
 
     def phi(self, u):
         """branch_sq(u) / ((u - lo)*(hi - u)); analytic, > 0 on the span."""
-        if self.spec.family is Family.NORMAL_FORM:
-            a = self.spec.a
-            if a == 0.0:
-                return 3.0 / u
-            return a * (u - self.third_root) / u
-        return (u - self.third_root) / (12.0 * u)
+        r2 = self.r[2]
+        if r2 == 0.0:
+            return -self.r[1] / u
+        return -r2 * (u - self.third_root) / u
 
     def phi_prime(self, u):
-        if self.spec.family is Family.NORMAL_FORM:
-            a = self.spec.a
-            if a == 0.0:
-                return -3.0 / (u * u)
-            return a * self.third_root / (u * u)
-        return self.third_root / (12.0 * u * u)
+        r2 = self.r[2]
+        if r2 == 0.0:
+            return self.r[1] / (u * u)
+        return -r2 * self.third_root / (u * u)
 
 
-def _cubic(spec: HamiltonianSpec, t: float):
+def _cubic(r, t: float):
     """Defining cubic c(u) = u*branch_sq(u) and its derivative."""
-    if spec.family is Family.NORMAL_FORM:
-        a = spec.a
+    r0, r1, r2 = r
 
-        def c(u):
-            return t + u * r_eval(a, u)
+    def c(u):
+        return t + u * (r2 * u * u + r1 * u + r0)
 
-        def cp(u):
-            return -3.0 * a * u * u + 6.0 * (a - 1.0) * u - 3.0 * (a - 2.0)
-
-    else:
-
-        def c(u):
-            return -(u**3) / 12.0 + u + t
-
-        def cp(u):
-            return -u * u / 4.0 + 1.0
+    def cp(u):
+        return 3.0 * r2 * u * u + 2.0 * r1 * u + r0
 
     return c, cp
 
@@ -168,54 +119,41 @@ def _refine_root(c, cp, lo: float, hi: float) -> float:
 
 
 def _slice_bounds(spec: HamiltonianSpec, annulus: Annulus, t: float):
-    """Brackets for the two endpoints plus the degenerate-point handling."""
+    """Brackets for the two endpoints plus the degenerate-point handling.
+
+    One endpoint lies between the singular line u = 0 and the center
+    u_c, the other between u_c and the root u_r of r beyond it.
+    """
     crit = critical_data(spec)
-    if spec.family is Family.APPENDIX_ELLIPSE:
-        if annulus is not Annulus.SIGMA_PLUS:
-            raise OvalRangeError("appendix family has only the SIGMA_PLUS annulus")
-        h0 = -4.0 / 3.0
-        if not (h0 < t < 0.0):
-            raise OvalRangeError(
-                f"appendix annulus requires t in ({h0}, 0), got t={t!r}"
-            )
-        ytop = math.sqrt(12.0)
-        yleft = min(1.0, abs(t) / 2.0)
-        return (yleft, 2.0), (2.0, ytop), None
-
-    a = spec.a
+    t_center = crit.center_of(annulus).energy
+    uc, ur = slice_span(spec, annulus)
     if annulus is Annulus.SIGMA_PLUS:
-        t0 = a - 3.0
-        if not (t0 < t < 0.0):
+        if not (t_center < t < crit.t_saddle):
             raise OvalRangeError(
-                f"SigmaPlus requires t in ({t0}, 0) for a={a}, got t={t!r}"
+                f"SigmaPlus requires t in ({t_center}, {crit.t_saddle}), "
+                f"got t={t!r}"
             )
-        x1 = x1_loop_root(a)
-        rmax = max(abs(r_eval(a, 0.0)), abs(r_eval(a, 1.0)))
-        if a != 0.0:
-            xv = 1.5 * (a - 1.0) / a  # vertex of r
-            if 0.0 < xv < 1.0:
-                rmax = max(rmax, abs(r_eval(a, xv)))
-        xleft = min(0.5, abs(t) / (rmax + 1.0))
-        return (xleft, 1.0), (1.0, x1 * (1.0 + 1e-9) + 1e-12), None
-
-    # SIGMA_MINUS
-    if not (0.0 < a < 2.0):
-        raise OvalRangeError(f"SigmaMinus exists only for a in (0, 2), got a={a}")
-    t1 = crit.center1.energy
-    if not (0.0 < t <= t1):
-        raise OvalRangeError(
-            f"SigmaMinus requires t in (0, {t1}] for a={a}, got t={t!r}"
-        )
-    xc = crit.center1.xy[0]
-    if t == t1:
-        return None, None, xc  # degenerate point
-    xl = x_ell_left(a)
-    rmax = max(abs(r_eval(a, xc)), abs(r_eval(a, 0.0)))
-    xv = 1.5 * (a - 1.0) / a  # vertex of r; concave, so interior max
-    if xc < xv < 0.0:
-        rmax = max(rmax, abs(r_eval(a, xv)))
-    xright = -min(abs(xc) / 2.0, t / (rmax + 1.0))
-    return (xl * (1.0 + 1e-9) - 1e-12, xc), (xc, xright), None
+    else:
+        if not (crit.t_saddle < t <= t_center):
+            raise OvalRangeError(
+                f"SigmaMinus requires t in ({crit.t_saddle}, {t_center}], "
+                f"got t={t!r}"
+            )
+        if t == t_center:
+            return None, None, uc  # degenerate point
+    r0, r1, r2 = spec.slice_r()
+    # |r| bound on the inner side keeps the inner bracket end's cubic
+    # t + u*r(u) on the sign of t
+    rmax = max(abs(r0), abs(r2 * uc * uc + r1 * uc + r0))
+    if r2 != 0.0:
+        uv = -r1 / (2.0 * r2)  # vertex of r
+        if min(uc, 0.0) < uv < max(uc, 0.0):
+            rmax = max(rmax, abs(r2 * uv * uv + r1 * uv + r0))
+    inner = math.copysign(min(abs(uc) / 2.0, abs(t) / (rmax + 1.0)), uc)
+    outer = ur * (1.0 + 1e-9) + math.copysign(1e-12, ur)
+    if uc > 0.0:
+        return (inner, uc), (uc, outer), None
+    return (outer, uc), (uc, inner), None
 
 
 def slice_oval(spec: HamiltonianSpec, annulus: Annulus, t: float) -> OvalSlice:
@@ -225,24 +163,16 @@ def slice_oval(spec: HamiltonianSpec, annulus: Annulus, t: float) -> OvalSlice:
     SigmaMinus accepts t = t1 and returns the degenerate point slice.
     """
     br_lo, br_hi, degen = _slice_bounds(spec, annulus, t)
-    axis = "y" if spec.family is Family.APPENDIX_ELLIPSE else "x"
+    r = spec.slice_r()
     if degen is not None:
-        return OvalSlice(spec, annulus, t, degen, degen, axis, 0.0, degenerate=True)
-    c, cp = _cubic(spec, t)
+        return OvalSlice(spec, annulus, t, degen, degen, r, 0.0, degenerate=True)
+    c, cp = _cubic(r, t)
     lo = _refine_root(c, cp, *br_lo)
     hi = _refine_root(c, cp, *br_hi)
-    if spec.family is Family.NORMAL_FORM:
-        a = spec.a
-        # Vieta: root sum of -a x^3 + 3(a-1) x^2 - 3(a-2) x + t
-        third = 3.0 * (a - 1.0) / a - lo - hi if a != 0.0 else math.inf
-    else:
-        third = -(lo + hi)  # root sum of -y^3/12 + y + t is zero
-    sl = OvalSlice(spec, annulus, t, lo, hi, axis, third)
-    if annulus is Annulus.SIGMA_MINUS and not (hi < 0.0):
-        raise OvalRangeError(
-            f"SigmaMinus slice not in x<0 (x_hi={hi!r}); oval selection bug"
-        )
-    return sl
+    _, r1, r2 = r
+    # Vieta: the cubic's roots sum to -r1/r2
+    third = -r1 / r2 - lo - hi if r2 != 0.0 else math.inf
+    return OvalSlice(spec, annulus, t, lo, hi, r, third)
 
 
 @dataclass(frozen=True)
@@ -300,30 +230,15 @@ def section_segment(
     annulus: Annulus = Annulus.SIGMA_PLUS,
     margin: float = 0.0,
 ) -> SectionSegment:
-    """Build the annulus section and check the energy chart is monotone.
+    """Build the annulus section (``model.section_ends``) and check the
+    energy chart is monotone.
 
-    Normal form, SigmaPlus: {(x, 0): 1 <= x < x1}; SigmaMinus:
-    {(x, 0): x_left < x <= (a-2)/a}.  Appendix: {(0, y): 0 < y <= 2}.
     ``margin`` extends the segment past the loop end (used by censuses
     that must catch cycles straddling the unperturbed loop).
     """
-    crit = critical_data(spec)
-    if spec.family is Family.APPENDIX_ELLIPSE:
-        if annulus is not Annulus.SIGMA_PLUS:
-            raise OvalRangeError("appendix family has only the SIGMA_PLUS annulus")
-        seg = SectionSegment(spec, annulus, 2.0, 0.0, margin, "y", -1)
-    elif annulus is Annulus.SIGMA_PLUS:
-        if not spec.two_saddle_loop:
-            raise OvalRangeError(
-                f"no two-saddle loop for a={spec.a}; SigmaPlus section undefined"
-            )
-        seg = SectionSegment(spec, annulus, 1.0, x1_loop_root(spec.a), margin, "x", -1)
-    else:
-        if crit.center1 is None:
-            raise OvalRangeError(f"SigmaMinus exists only for a in (0, 2), a={spec.a}")
-        seg = SectionSegment(
-            spec, annulus, crit.center1.xy[0], x_ell_left(spec.a), margin, "x", -1
-        )
+    s_center, s_loop = section_ends(spec, annulus)
+    seg = SectionSegment(spec, annulus, s_center, s_loop, margin,
+                         spec.slice_axis, -1)
     ss = np.linspace(seg.s_center, seg.s_loop, CHART_CHECK_POINTS)
     hs = np.array([seg.energy(s) for s in ss])
     dh = np.diff(hs)

@@ -29,15 +29,6 @@ import numpy as np
 from .model import Family, HamiltonianSpec
 
 
-def _param(spec_or_a) -> float:
-    if isinstance(spec_or_a, HamiltonianSpec):
-        if spec_or_a.family is not Family.NORMAL_FORM:
-            raise ValueError("Picard-Fuchs system is defined for the "
-                             "normal-form family only")
-        return spec_or_a.a
-    return float(spec_or_a)
-
-
 @dataclass(frozen=True)
 class PFSystem:
     """Coefficient matrices of (A1*t + A0) J' = B J."""
@@ -67,8 +58,11 @@ class PFSystem:
         return np.linalg.solve(M, self.B @ np.asarray(J, dtype=float))
 
 
-def pf_system(spec_or_a) -> PFSystem:
-    a = _param(spec_or_a)
+def pf_system(spec: HamiltonianSpec) -> PFSystem:
+    if spec.family is not Family.NORMAL_FORM:
+        raise ValueError("Picard-Fuchs system is defined for the "
+                         "normal-form family only")
+    a = spec.a
     A1 = np.array([[1.0, 0.0, 0.0],
                    [1.0 - a, 2.0 * a, 0.0],
                    [a - 2.0, 2.0 - 2.0 * a, a]])
@@ -110,13 +104,14 @@ class FundamentalSeries:
         return power, self.lam * float(self.q[power, col])
 
 
-def fundamental(spec_or_a, order: int = 8) -> FundamentalSeries:
+def fundamental(spec: HamiltonianSpec, order: int = 8) -> FundamentalSeries:
     """Compute P and the Q series to the given order.
 
     Rejects a in {0, 2}: at a=0 the polynomial solution degenerates and
     at a=2 the loop collapses (the series denominators vanish).
     """
-    a = _param(spec_or_a)
+    sys = pf_system(spec)
+    a = spec.a
     if order < 3:
         raise ValueError("order must be at least 3")
     for bad in (0.0, 2.0):
@@ -125,7 +120,6 @@ def fundamental(spec_or_a, order: int = 8) -> FundamentalSeries:
     disc = 3.0 + 2.0 * a - a * a  # vanishes at a=-1, 3, off the loop range
     if abs(disc) < 1e-12:
         raise ValueError(f"series recursion breaks down at a={a}")
-    sys = pf_system(a)
 
     p_const = np.array([3.0 * (a - 1.0),
                         3.0 * disc / (4.0 * a),

@@ -15,4 +15,4 @@ def spec_a05():
 
 @pytest.fixture(scope="session")
 def appendix_spec():
-    return HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=17.0)
+    return HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)

@@ -229,6 +229,75 @@ def test_config_unknown_field(tmp_path, capsys):
     assert "unknown field 'bogus'" in err
 
 
+def test_config_checks_choices(tmp_path, capsys):
+    # a misspelt choice is rejected as --annulus plsu would be
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"annulus": "plsu"}))
+    out = tmp_path / "ab.csv"
+    code, _, err = run(["abelian", "--a", "0.5", "--t-grid=-1.0:-0.5:3",
+                        "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert "annulus" in err and "'plsu'" in err
+    assert not out.exists()
+
+
+def test_config_converts_types(tmp_path, capsys, monkeypatch):
+    # "100" converts as --n 100 would; "1e2" fails as --n 1e2 would
+    seen = {}
+
+    def fake_census(flow, **kwargs):
+        seen.update(kwargs, epsilon=flow.epsilon)
+        return CycleCensus(cycles=(), saddle_traces=None, shifts=None,
+                           degenerate_continuum=False, no_return_count=0,
+                           grid_size=kwargs["n"], flow=flow)
+
+    monkeypatch.setattr(cli, "census", fake_census)
+    cfg = tmp_path / "cfg.json"
+    argv = ["sim", "--family", "normal", "--a", "1", "--eps", "0.001",
+            "--f", "0.3,0,0,0,0,0", "--census", "--config", str(cfg),
+            "--out", str(tmp_path / "census.json")]
+    cfg.write_text(json.dumps({"n": "100", "eps": 2e-3}))
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert type(seen["n"]) is int and seen["n"] == 100
+    assert seen["epsilon"] == 2e-3
+    cfg.write_text(json.dumps({"n": "1e2"}))
+    code, _, err = run(argv, capsys)
+    assert code == 2 and "n: invalid int value '1e2'" in err
+    cfg.write_text(json.dumps({"census": "yes"}))
+    code, _, err = run(argv, capsys)
+    assert code == 2 and "census: expected true or false" in err
+
+
+def test_config_keeps_verify_modes_exclusive(tmp_path, capsys):
+    # as --criteria 3 --quick is rejected by the parser
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quick": True}))
+    code, _, err = run(["verify", "--criteria", "3", "--config", str(cfg)],
+                       capsys)
+    assert code == 2 and "at most one of quick, slow, criteria" in err
+
+
+@pytest.mark.parametrize("field", ["fn", "command", "parser", "eps"])
+def test_config_accepts_only_own_flags(tmp_path, capsys, field):
+    # fn, command and parser are dispatch attributes, eps a flag of sim
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: 1}))
+    code, _, err = run(["centroid", "--a", "1", "--n", "8",
+                        "--config", str(cfg),
+                        "--out", str(tmp_path / "c.csv")], capsys)
+    assert code == 2
+    assert f"unknown field {field!r}" in err
+
+
+def test_sim_appendix_c_must_exceed_16(tmp_path, capsys):
+    code, _, err = run(["sim", "--family", "appendix", "--c", "16",
+                        "--eps", "1e-3", "--census",
+                        "--out", str(tmp_path / "x.json")], capsys)
+    assert code == 2
+    assert "requires c > 16, got c=16.0" in err
+
+
 def test_grid_syntax_error(tmp_path, capsys):
     code, _, err = run(["abelian", "--a", "1", "--t-grid=-1:-0.5",
                         "--out", str(tmp_path / "x.csv")], capsys)

@@ -158,8 +158,9 @@ def test_traces_vanish_unperturbed(appendix_spec):
 
 def test_traces_first_order_law(appendix_spec):
     eps, mu1, mu2 = 1e-6, 0.005, 0.003
-    c = appendix_spec.c
-    flow = appendix_flow(appendix_spec, PerturbationSpec(eps, mu1, mu2))
+    pert = PerturbationSpec(eps, mu1, mu2)
+    c = pert.c
+    flow = appendix_flow(appendix_spec, pert)
     tp = saddle_traces(flow)
     assert tp.sigma1 / eps == pytest.approx(-16.0 + c - mu2, rel=1e-2)
     assert tp.sigma2 / eps == pytest.approx(-16.0 - c - mu2, rel=1e-2)
@@ -255,7 +256,7 @@ def test_census_validation(spec_a1):
     with pytest.raises(ValueError):
         census(flow, n=100, s_range=(0.0, 99.0))
     with pytest.raises(OvalRangeError):
-        census(appendix_flow(HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=17.0),
+        census(appendix_flow(HamiltonianSpec(family=Family.APPENDIX_ELLIPSE),
                              PerturbationSpec(epsilon=1e-3)),
                annulus=Annulus.SIGMA_MINUS, n=100)
 

@@ -1,16 +1,13 @@
-import json
 import math
 
 import pytest
 
 from saddleloop.model import (
     Family,
-    HamiltonianError,
     HamiltonianSpec,
     MelnikovCoeffs,
+    PerturbationSpec,
     critical_data,
-    spec_from_config,
-    spec_from_json,
 )
 
 
@@ -72,7 +69,7 @@ def test_loop_flag_boundary():
 
 
 def test_appendix_critical_points():
-    spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=17.0)
+    spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
     data = critical_data(spec)
     assert data.center0.xy == (0.0, 2.0)
     assert data.center0.energy == pytest.approx(-4.0 / 3.0, rel=1e-15)
@@ -86,18 +83,20 @@ def test_appendix_critical_points():
 
 
 def test_appendix_requires_c_above_16():
-    with pytest.raises(HamiltonianError):
-        HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=16.0)
-    with pytest.raises(HamiltonianError):
-        HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=15.0)
-    HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=16.01)
+    with pytest.raises(ValueError, match="c > 16"):
+        PerturbationSpec(1e-3, c=16.0)
+    with pytest.raises(ValueError, match="c > 16"):
+        PerturbationSpec(1e-3, c=15.0)
+    assert PerturbationSpec(1e-3, c=16.01).c == 16.01
+    # positional (epsilon, mu1, mu2) keeps working, at the default c
+    assert PerturbationSpec(1e-3, 0.1, 0.2).c == 17.0
 
 
 def test_gradient_matches_finite_difference():
     d = 1e-6
     for spec in (HamiltonianSpec(family=Family.NORMAL_FORM, a=0.7),
                  HamiltonianSpec(family=Family.NORMAL_FORM, a=-0.5),
-                 HamiltonianSpec(family=Family.APPENDIX_ELLIPSE, c=17.0)):
+                 HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)):
         for x, y in ((0.8, 0.6), (-1.3, 0.2), (0.1, -1.7)):
             hx = (spec.eval_H(x + d, y) - spec.eval_H(x - d, y)) / (2 * d)
             hy = (spec.eval_H(x, y + d) - spec.eval_H(x, y - d)) / (2 * d)
@@ -115,21 +114,3 @@ def test_melnikov_coeffs_validation():
     assert not c.all_zero
     assert MelnikovCoeffs(0.0, 0.0).all_zero
 
-
-def test_spec_from_config_roundtrip(tmp_path):
-    spec = spec_from_config({"family": "normal_form", "a": 0.5})
-    assert spec.family is Family.NORMAL_FORM and spec.a == 0.5
-
-    spec = spec_from_config({"family": "appendix", "c": 20.0})
-    assert spec.family is Family.APPENDIX_ELLIPSE and spec.c == 20.0
-
-    with pytest.raises(HamiltonianError):
-        spec_from_config({"a": 1.0})
-    with pytest.raises(HamiltonianError):
-        spec_from_config({"family": "nope"})
-    with pytest.raises(HamiltonianError):
-        spec_from_config({"family": "appendix", "a": 1.0})
-
-    p = tmp_path / "spec.json"
-    p.write_text(json.dumps({"family": "normal_form", "a": 1.5}))
-    assert spec_from_json(p).a == 1.5

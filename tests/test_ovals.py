@@ -3,27 +3,37 @@ import math
 import numpy as np
 import pytest
 
-from saddleloop.model import Annulus, Family, HamiltonianSpec, critical_data
-from saddleloop.ovals import (
-    OvalRangeError,
-    section_segment,
-    slice_oval,
-    x1_loop_root,
-)
+from saddleloop.model import (Annulus, Family, HamiltonianSpec, critical_data,
+                              x1_loop_root)
+from saddleloop.ovals import OvalRangeError, section_segment, slice_oval
+
+NF, APP = Family.NORMAL_FORM, Family.APPENDIX_ELLIPSE
+
+# every case the shared slice path serves: a = 0 is the r2 == 0 case
+SLICE_CASES = pytest.mark.parametrize("family,a,annulus,t", [
+    (NF, 1.0, Annulus.SIGMA_PLUS, -1.0),
+    (NF, -0.5, Annulus.SIGMA_PLUS, -1.0),
+    (NF, 0.0, Annulus.SIGMA_PLUS, -1.0),
+    (NF, 0.5, Annulus.SIGMA_MINUS, 1.0),
+    (APP, 1.0, Annulus.SIGMA_PLUS, -0.5),
+], ids=["a1-plus", "a-0.5-plus", "a0-plus", "a0.5-minus", "appendix"])
 
 
-def test_slice_endpoints_lie_on_level_set(spec_a1):
-    sl = slice_oval(spec_a1, Annulus.SIGMA_PLUS, -1.0)
+@SLICE_CASES
+def test_slice_endpoints_lie_on_level_set(family, a, annulus, t):
+    spec = HamiltonianSpec(family=family, a=a)
+    sl = slice_oval(spec, annulus, t)
     for u in (sl.lo, sl.hi):
         x, y = (u, 0.0) if sl.axis == "x" else (0.0, u)
-        assert spec_a1.eval_H(x, y) == pytest.approx(-1.0, abs=1e-10)
+        assert spec.eval_H(x, y) == pytest.approx(t, abs=1e-10)
     # interior of the span carries a real branch
     um = 0.5 * (sl.lo + sl.hi)
     assert sl.branch_sq(um) > 0.0
 
 
-def test_slice_factored_weight_consistent(spec_a1):
-    sl = slice_oval(spec_a1, Annulus.SIGMA_PLUS, -1.0)
+@SLICE_CASES
+def test_slice_factored_weight_consistent(family, a, annulus, t):
+    sl = slice_oval(HamiltonianSpec(family=family, a=a), annulus, t)
     for u in np.linspace(sl.lo + 1e-3, sl.hi - 1e-3, 7):
         direct = sl.branch_sq(u)
         factored = (u - sl.lo) * (sl.hi - u) * sl.phi(u)
@@ -54,6 +64,11 @@ def test_slice_range_errors(spec_a1, spec_a05):
     t1 = critical_data(spec_a05).center1.energy
     with pytest.raises(OvalRangeError):
         slice_oval(spec_a05, Annulus.SIGMA_MINUS, t1 + 0.1)
+    # no two-saddle loop, so no SigmaPlus annulus to slice
+    for a in (2.5, -1.0):
+        with pytest.raises(OvalRangeError, match="no two-saddle loop"):
+            slice_oval(HamiltonianSpec(family=Family.NORMAL_FORM, a=a),
+                       Annulus.SIGMA_PLUS, 0.5 * (a - 3.0))
 
 
 def test_sigma_minus_slice_negative_x(spec_a05):

@@ -15,6 +15,10 @@ from saddleloop.picard_fuchs import (
 from oracle_values import SIGMA_PLUS_TRIPLES
 
 
+def nf(a):
+    return HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
+
+
 def reference_q1(a):
     return (-(a - 1) / (12 * (a - 2) ** 2),
             -1 / (6 * (a - 2)),
@@ -41,7 +45,7 @@ def reference_p_const(a):
 
 @pytest.mark.parametrize("a", [-0.5, 0.5, 1.0, 1.5])
 def test_recursion_reproduces_reference_series(a):
-    fs = fundamental(a, order=4)
+    fs = fundamental(nf(a), order=4)
     assert fs.lam == pytest.approx(-2 * math.sqrt(3 * (2 - a)), rel=1e-14)
     assert tuple(fs.q[0]) == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
     for k, known in ((1, reference_q1), (2, reference_q2), (3, reference_q3)):
@@ -52,11 +56,11 @@ def test_recursion_reproduces_reference_series(a):
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
 def test_polynomial_solution_reference_and_exact(a):
-    fs = fundamental(a, order=3)
+    fs = fundamental(nf(a), order=3)
     assert np.asarray(fs.p_const) == pytest.approx(np.asarray(reference_p_const(a)), rel=1e-13)
     assert tuple(fs.p_lin) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
     # P(t) solves the system exactly: (A1 t + A0) P' - B P = 0
-    sysm = pf_system(a)
+    sysm = pf_system(nf(a))
     A1, A0, B = (np.asarray(m, float) for m in (sysm.A1, sysm.A0, sysm.B))
     p0 = np.asarray(fs.p_const, float)
     p1 = np.asarray(fs.p_lin, float)
@@ -65,23 +69,16 @@ def test_polynomial_solution_reference_and_exact(a):
         assert np.max(np.abs(res)) < 1e-12
 
 
-def test_fundamental_accepts_spec(spec_a1):
-    fs_spec = fundamental(spec_a1, order=3)
-    fs_a = fundamental(1.0, order=3)
-    assert np.array_equal(fs_spec.q, fs_a.q)
-    assert fs_spec.q.shape == (4, 3)
-
-
 @pytest.mark.parametrize("a", [0.0, 2.0])
 def test_series_rejects_degenerate_parameters(a):
     with pytest.raises(Exception):
-        fundamental(a, order=3)
+        fundamental(nf(a), order=3)
 
 
 def test_ode_continuation_connects_quadrature_points():
     # third route: the frozen quadrature triple at t=-1 transported by
     # the linear system must land on the frozen triple at t=-0.5
-    sysm = pf_system(1.0)
+    sysm = pf_system(nf(1.0))
     A1, A0, B = (np.asarray(m, float) for m in (sysm.A1, sysm.A0, sysm.B))
 
     def rhs(t, J):
@@ -125,3 +122,10 @@ def test_system_matrices_regular_inside_annulus(spec_a1):
     A1, A0 = np.asarray(sysm.A1, float), np.asarray(sysm.A0, float)
     for t in np.linspace(-1.9, -0.1, 10):
         assert abs(np.linalg.det(A1 * t + A0)) > 1e-12
+
+
+def test_pf_rejects_appendix_family(appendix_spec):
+    with pytest.raises(ValueError, match="normal-form family only"):
+        pf_system(appendix_spec)
+    with pytest.raises(ValueError, match="normal-form family only"):
+        fundamental(appendix_spec)
