@@ -4,13 +4,22 @@ Orientation is normalized so J_0 > 0 on both annuli, which matches the
 clockwise (with-flow) traversal: on an x-graph oval the closed integral
 collapses to J_k(t) = 2 * int_{x_lo}^{x_hi} x^k sqrt(t/x + r(x)) dx.
 The endpoint square-root vanishing is removed exactly by
-x = mid + halfwidth*sin(theta); adaptive Gauss-Kronrod does the rest.
+x = mid + halfwidth*sin(theta).
 
 Appendix-family ovals are y-graphs; this module provides their closed
 oval moments oint y^m dx (counterclockwise, the orientation pinned by
 the connection integrals below) and the open line integrals along the
 two loop connections Gamma1 (segment y=0, x: -1 -> 1) and Gamma2 (upper
 half-ellipse, (1,0) -> (-1,0)).
+
+Every integral here comes from one lockstep adaptive Gauss-Kronrod
+kernel (``_gk21``): QUADPACK's 21-point rule and error estimate
+(Piessens et al., *QUADPACK*, Springer 1983), with the lanes of a whole
+energy grid, one per (energy, integrand) pair, refined together as
+numpy arrays; scipy's quad is not used.  Sums over nodes and panels run in a fixed order, so a
+lane gives the same bits alone as in any batch; ``triple``,
+``jk_on_slice`` and ``appendix_oval_integral`` are one-lane views of
+the grid functions.
 """
 from __future__ import annotations
 
@@ -19,30 +28,142 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import Annulus, Family, HamiltonianSpec, x1_loop_root
-from .ovals import OvalSlice, slice_oval
+from .ovals import OvalSlice, phi, phi_prime, slice_grid
 
 HALF_PI = math.pi / 2.0
 MIN_TOL = 1e-12
-QUAD_LIMIT = 200    # QUADPACK subinterval budget
+QUAD_LIMIT = 200    # panel budget of one lane
+
+# QUADPACK's qk21: Kronrod abscissae on (0, 1) with their weights (the
+# center node's weight last), and the weights of the embedded 10-point
+# Gauss rule, whose abscissae are _XGK[1], _XGK[3], ..., _XGK[9].
+_XGK = (0.995657163025808080735527280689003,
+        0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508,
+        0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042,
+        0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694,
+        0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866,
+        0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192,
+        0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580,
+        0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366,
+        0.109387158802297641899210590325805,
+        0.123491976262065851077208745754825,
+        0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717,
+        0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332,
+       0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163,
+       0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+# node rows of a panel: the center, then centr - h*x and centr + h*x
+_NODES = np.array((0.0,) + tuple(-x for x in _XGK) + _XGK)[:, None]
+# qk21 adds the Gauss abscissae's terms first, then the others
+_ORDER = np.array((1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
+_WK = np.array(_WGK[:10])[:, None]
+_WK_ORDERED = _WK[_ORDER]
+_WG_COL = np.array(_WG)[:, None]
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+# a panel is bisected when its error is at least this share of its
+# lane's largest panel error
+BISECT_SHARE = 0.5
 
 
 class QuadratureError(RuntimeError):
     pass
 
 
-def _quad(f, lo, hi, tol):
-    val, err, info, *msg = quad(f, lo, hi, epsabs=tol, epsrel=tol,
-                                limit=QUAD_LIMIT, full_output=1)
-    # A roundoff warning with a still-tiny error estimate means QUADPACK
-    # could not hit an epsabs below machine noise; the achieved bound is
-    # what matters for the caller's contract.
-    ok = err <= 50.0 * tol * max(1.0, abs(val))
-    if msg and "divergent" in str(msg[0]).lower():
-        ok = False
-    return val, err, ok
+def _sum_rows(first, rows):
+    """first + rows[0] + rows[1] + ..., added row by row in that order
+    (np.add.accumulate is sequential for every array shape)."""
+    return np.add.accumulate(np.vstack([first[None], rows]), axis=0)[-1]
+
+
+def _qk21(f, lane, a, b):
+    """QUADPACK's qk21 on panels [a, b] of lanes ``lane``: (result,
+    abserr) per panel, with the resasc/resabs error estimate and its
+    50*eps roundoff floor.  Sums run in qk21's own order."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fv = f(centr + hlgth * _NODES, lane)
+    fc, f1, f2 = fv[0], fv[1:11], fv[11:]
+    fsum = (f1 + f2)[_ORDER]
+    fabs = (np.abs(f1) + np.abs(f2))[_ORDER]
+    resk = _sum_rows(_WGK[10] * fc, _WK_ORDERED * fsum)
+    resg = _sum_rows(_WG_COL[0] * fsum[0], _WG_COL[1:] * fsum[1:5])
+    resabs = _sum_rows(np.abs(_WGK[10] * fc), _WK_ORDERED * fabs)
+    reskh = resk * 0.5
+    resasc = _sum_rows(_WGK[10] * np.abs(fc - reskh),
+                       _WK * (np.abs(f1 - reskh) + np.abs(f2 - reskh)))
+    dhlgth = np.abs(hlgth)
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.minimum(1.0, 200.0 * abserr / resasc)
+        abserr = np.where((resasc != 0.0) & (abserr != 0.0),
+                          resasc * (q * np.sqrt(q)), abserr)
+    abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                      np.maximum(50.0 * _EPMACH * resabs, abserr), abserr)
+    return resk * hlgth, abserr
+
+
+def _gk21(f, n, lo, hi, tol):
+    """Lockstep adaptive GK21 integrals of n lanes over [lo, hi].
+
+    ``f(x, lane)`` evaluates the integrands of lanes ``lane`` (shape
+    (m,)) at nodes x (shape (21, m)).  Every round bisects, per lane,
+    the panels whose error is at least BISECT_SHARE of the lane's
+    largest, until err <= tol * max(1, |val|) (epsabs = epsrel = tol,
+    a scalar or one per lane) or the next round would take the lane past
+    QUAD_LIMIT panels.  A lane's value and error are the sums of its
+    panels', accumulated in the lane's own panel order (np.bincount adds
+    in array order).  Returns per lane (value, error, converged).
+    """
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
+    val, err = np.zeros(n), np.zeros(n)
+    converged = np.zeros(n, dtype=bool)
+    open_ = np.ones(n, dtype=bool)
+    count = np.ones(n, dtype=int)
+    lane = np.arange(n)
+    a, b = np.full(n, float(lo)), np.full(n, float(hi))
+    pv, pe = _qk21(f, lane, a, b)
+    while True:
+        sv = np.bincount(lane, pv, minlength=n)
+        se = np.bincount(lane, pe, minlength=n)
+        emax = np.zeros(n)
+        np.maximum.at(emax, lane, pe)
+        split = pe >= BISECT_SHARE * emax[lane]
+        nsplit = np.bincount(lane[split], minlength=n)
+        ok = se <= tol * np.maximum(1.0, np.abs(sv))
+        done = open_ & (ok | (nsplit == 0) | (count + nsplit > QUAD_LIMIT))
+        val[done], err[done], converged[done] = sv[done], se[done], ok[done]
+        open_ &= ~done
+        if not open_.any():
+            return val, err, converged
+        count += nsplit
+        split &= open_[lane]
+        stay = open_[lane] & ~split
+        mid = 0.5 * (a[split] + b[split])
+        new_lane = np.repeat(lane[split], 2)
+        new_a = np.column_stack([a[split], mid]).ravel()
+        new_b = np.column_stack([mid, b[split]]).ravel()
+        nv, ne = _qk21(f, new_lane, new_a, new_b)
+        lane = np.concatenate([lane[stay], new_lane])
+        a = np.concatenate([a[stay], new_a])
+        b = np.concatenate([b[stay], new_b])
+        pv = np.concatenate([pv[stay], nv])
+        pe = np.concatenate([pe[stay], ne])
 
 
 def _check_tol(tol: float) -> float:
@@ -67,6 +188,43 @@ class AbelianTriple:
         return {-1: self.jm1, 0: self.j0, 1: self.j1}[k]
 
 
+def _jk_lanes(r, lo, hi, third_root, k, tol):
+    """J_k on normal-form slices, one lane per (slice, k): arrays of the
+    slice endpoints, third roots and k.  Returns (values, errors,
+    converged) arrays."""
+    w = 0.5 * (hi - lo)
+    m = 0.5 * (hi + lo)
+
+    def f(theta, i):
+        x = m[i] + w[i] * np.sin(theta)
+        c = np.cos(theta)
+        xk = np.where(k[i] == 0, 1.0, np.where(k[i] < 0, 1.0 / x, x))
+        return xk * np.sqrt(phi(r, third_root[i], x)) * c * c
+
+    val, err, ok = _gk21(f, len(k), -HALF_PI, HALF_PI,
+                         0.25 * tol / np.maximum(w * w, 1e-30))
+    return 2.0 * w * w * val, 2.0 * w * w * err, ok
+
+
+def _jk_grid(spec: HamiltonianSpec, annulus: Annulus, ts, ks, tol):
+    """J_k for every (t, k) of ts x ks in one kernel batch: (values,
+    errors, converged) of shape (len(ts), len(ks)), zero on degenerate
+    point slices, and the degenerate mask."""
+    if spec.family is not Family.NORMAL_FORM:
+        raise ValueError("x^k y dx basis applies to the normal-form family")
+    _check_tol(tol)
+    g = slice_grid(spec, annulus, ts)
+    shape = (len(g.t), len(ks))
+    vals, errs = np.zeros(shape), np.zeros(shape)
+    ok = np.ones(shape, dtype=bool)
+    i = np.flatnonzero(~g.degenerate)
+    e = np.repeat(i, len(ks))
+    v, er, conv = _jk_lanes(g.r, g.lo[e], g.hi[e], g.third_root[e],
+                            np.tile(np.asarray(ks), i.size), tol)
+    vals[i], errs[i], ok[i] = (x.reshape(i.size, len(ks)) for x in (v, er, conv))
+    return vals, errs, ok, g.degenerate
+
+
 def jk_on_slice(sl: OvalSlice, k: int,
                 tol: float = 1e-11) -> tuple[float, float, bool]:
     """One Abelian integral J_k on a normal-form slice.
@@ -78,41 +236,29 @@ def jk_on_slice(sl: OvalSlice, k: int,
     if sl.degenerate:
         return 0.0, 0.0, True
     _check_tol(tol)
-    w = 0.5 * (sl.hi - sl.lo)
-    m = 0.5 * (sl.hi + sl.lo)
-    phi = sl.phi
-
-    def f(theta):
-        s = math.sin(theta)
-        c = math.cos(theta)
-        x = m + w * s
-        return (x**k) * math.sqrt(phi(x)) * c * c
-
-    val, err, ok = _quad(f, -HALF_PI, HALF_PI, 0.25 * tol / max(w * w, 1e-30))
-    return 2.0 * w * w * val, 2.0 * w * w * err, ok
-
-
-def triple(spec: HamiltonianSpec, annulus: Annulus, t: float,
-           tol: float = 1e-11) -> AbelianTriple:
-    """(J_{-1}, J_0, J_1) at energy t, with error flags."""
-    sl = slice_oval(spec, annulus, t)
-    out, errs, ok = [], [], True
-    for k in (-1, 0, 1):
-        v, e, conv = jk_on_slice(sl, k, tol=tol)
-        out.append(v)
-        errs.append(e)
-        ok = ok and conv
-    tr = AbelianTriple(t, out[0], out[1], out[2], tuple(errs), ok)
-    if not sl.degenerate and not tr.j0 > 0.0:
-        raise QuadratureError(f"orientation normalization violated: J0={tr.j0!r}")
-    return tr
+    v, e, ok = _jk_lanes(sl.r, np.array([sl.lo]), np.array([sl.hi]),
+                         np.array([sl.third_root]), np.array([k]), tol)
+    return float(v[0]), float(e[0]), bool(ok[0])
 
 
 def triples_on_grid(spec: HamiltonianSpec, annulus: Annulus,
                     ts: Sequence[float],
                     tol: float = 1e-11) -> list[AbelianTriple]:
-    """Triples over a t-grid, in grid order."""
-    return [triple(spec, annulus, t, tol=tol) for t in ts]
+    """(J_{-1}, J_0, J_1) with error flags at every energy of a t-grid,
+    in grid order, from one kernel batch."""
+    vals, errs, ok, degenerate = _jk_grid(spec, annulus, ts, (-1, 0, 1), tol)
+    bad = ~(vals[:, 1] > 0.0) & ~degenerate
+    if bad.any():
+        raise QuadratureError("orientation normalization violated: "
+                              f"J0={float(vals[np.argmax(bad), 1])!r}")
+    return [AbelianTriple(t, *v, tuple(e), bool(c)) for t, v, e, c
+            in zip(ts, vals.tolist(), errs.tolist(), ok.all(axis=1))]
+
+
+def triple(spec: HamiltonianSpec, annulus: Annulus, t: float,
+           tol: float = 1e-11) -> AbelianTriple:
+    """(J_{-1}, J_0, J_1) at energy t, with error flags."""
+    return triples_on_grid(spec, annulus, [t], tol=tol)[0]
 
 
 def jk_at_loop(spec: HamiltonianSpec, k: int, tol: float = 1e-12) -> float:
@@ -126,30 +272,53 @@ def jk_at_loop(spec: HamiltonianSpec, k: int, tol: float = 1e-12) -> float:
         raise ValueError(f"J_k(0) finite only for k in {{0, 1}}, got k={k}")
     _, r1, r2 = spec.slice_r()
     x1 = x1_loop_root(spec.a)
-    if r2 != 0.0:
-        x2 = -r1 / r2 - x1  # other root of r
+    x2 = -r1 / r2 - x1 if r2 != 0.0 else 0.0  # other root of r
 
-        def q(x):  # r(x) = (x1 - x) * q(x)
-            return -r2 * (x - x2)
-
-    else:
-
-        def q(x):
-            return -r1
-
-    def f(psi):
-        s = math.sin(psi)
-        c = math.cos(psi)
+    def f(psi, _):
+        s = np.sin(psi)
+        c = np.cos(psi)
         x = x1 * s * s
-        return (x**k) * math.sqrt(q(x)) * s * c * c
+        # r(x) = (x1 - x) * q(x)
+        q = -r2 * (x - x2) if r2 != 0.0 else np.full(x.shape, -r1)
+        return (x if k else 1.0) * np.sqrt(q) * s * c * c
 
-    val, err, ok = _quad(f, 0.0, HALF_PI, tol)
-    if not ok:
-        raise QuadratureError(f"loop-limit quadrature not converged (err={err})")
-    return 4.0 * x1**1.5 * val
+    val, err, ok = _gk21(f, 1, 0.0, HALF_PI, tol)
+    if not ok[0]:
+        raise QuadratureError(f"loop-limit quadrature not converged (err={err[0]})")
+    return 4.0 * x1**1.5 * float(val[0])
 
 
 # --- appendix-family integrals ------------------------------------------
+
+
+def _appendix_integrals(spec: HamiltonianSpec, hs, fe, n_forms: int, tol):
+    """oint f_j dx over the ovals H = h for every h of hs and each of
+    n_forms integrands, one lane per (h, j); ``fe(x2, y, j)`` evaluates
+    integrand j per node.  Returns (values, errors, converged) of shape
+    (len(hs), n_forms)."""
+    if spec.family is not Family.APPENDIX_ELLIPSE:
+        raise ValueError("oval moments in this form apply to the appendix family")
+    _check_tol(tol)
+    g = slice_grid(spec, Annulus.SIGMA_PLUS, hs)
+    e = np.repeat(np.arange(len(g.t)), n_forms)
+    form = np.tile(np.arange(n_forms), len(g.t))
+    w = 0.5 * (g.hi - g.lo)[e]
+    m = 0.5 * (g.hi + g.lo)[e]
+    third = g.third_root[e]
+
+    def f(theta, i):
+        s = np.sin(theta)
+        c = np.cos(theta)
+        wi = w[i]
+        y = m[i] + wi * s
+        ph = phi(g.r, third[i], y)
+        php = phi_prime(g.r, third[i], y)
+        x2 = wi * wi * c * c * ph
+        num = wi * wi * c * c * php - 2.0 * wi * ph * s
+        return fe(x2, y, form[i]) * num / np.sqrt(ph)
+
+    out = _gk21(f, e.size, -HALF_PI, HALF_PI, tol)
+    return tuple(x.reshape(len(g.t), n_forms) for x in out)
 
 
 def appendix_oval_integral(spec: HamiltonianSpec, h: float,
@@ -158,39 +327,34 @@ def appendix_oval_integral(spec: HamiltonianSpec, h: float,
     """oint f dx over the oval H = h, counterclockwise, for f even in x.
 
     ``fe(x2, y)`` is f expressed through x^2 (odd-in-x parts integrate
-    to zero by symmetry and are rejected by construction).  On the
-    y-graph x = +-sqrt(G(y)) the closed integral reduces to
-    int f_e * G'/sqrt(G) dy, which the sin substitution makes smooth.
+    to zero by symmetry and are rejected by construction), evaluated
+    elementwise on numpy arrays.  On the y-graph x = +-sqrt(G(y)) the
+    closed integral reduces to int f_e * G'/sqrt(G) dy, which the sin
+    substitution makes smooth.
     """
-    if spec.family is not Family.APPENDIX_ELLIPSE:
-        raise ValueError("oval moments in this form apply to the appendix family")
-    _check_tol(tol)
-    sl = slice_oval(spec, Annulus.SIGMA_PLUS, h)
-    w = 0.5 * (sl.hi - sl.lo)
-    m = 0.5 * (sl.hi + sl.lo)
+    val, err, ok = _appendix_integrals(
+        spec, [h], lambda x2, y, _: fe(x2, y), 1, tol)
+    return float(val[0, 0]), float(err[0, 0]), bool(ok[0, 0])
 
-    def f(theta):
-        s = math.sin(theta)
-        c = math.cos(theta)
-        y = m + w * s
-        ph = sl.phi(y)
-        php = sl.phi_prime(y)
-        g = w * w * c * c * ph  # x^2
-        num = w * w * c * c * php - 2.0 * w * ph * s
-        return fe(g, y) * num / math.sqrt(ph)
 
-    val, err, ok = _quad(f, -HALF_PI, HALF_PI, tol)
-    return val, err, ok
+def appendix_moments_on_grid(spec: HamiltonianSpec, hs,
+                             tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
+    """(oint y dx, oint y^2 dx) over the ovals H = h of an h-grid,
+    counterclockwise, from one kernel batch; both moments of an oval
+    share its slice."""
+    val, _, ok = _appendix_integrals(
+        spec, hs, lambda x2, y, j: np.where(j == 0, y, y * y), 2, tol)
+    if not ok.all():
+        h = np.asarray(hs, dtype=float).reshape(-1)[np.argmin(ok.all(axis=1))]
+        raise QuadratureError(f"oval moments not converged at h={float(h)}")
+    return val[:, 0], val[:, 1]
 
 
 def appendix_oval_moments(spec: HamiltonianSpec, h: float,
                           tol: float = 1e-11) -> tuple[float, float]:
     """(oint y dx, oint y^2 dx) over the oval H = h, counterclockwise."""
-    iy, _, ok1 = appendix_oval_integral(spec, h, lambda x2, y: y, tol=tol)
-    iy2, _, ok2 = appendix_oval_integral(spec, h, lambda x2, y: y * y, tol=tol)
-    if not (ok1 and ok2):
-        raise QuadratureError(f"oval moments not converged at h={h}")
-    return iy, iy2
+    iy, iy2 = appendix_moments_on_grid(spec, [h], tol=tol)
+    return float(iy[0]), float(iy2[0])
 
 
 _SEGMENT_FORMS = {
@@ -208,7 +372,8 @@ def segment_integral_appendix(spec: HamiltonianSpec, which: str,
     Gamma1 is the saddle connection {y = 0, -1 <= x <= 1} traversed
     x: -1 -> 1; Gamma2 the upper half-ellipse x^2 + y^2/12 = 1 traversed
     (1, 0) -> (-1, 0).  ``integrand`` is one of 'one_dx', 'y_dx',
-    'y2_dx', 'xy_dx' or a callable f(x, y).
+    'y2_dx', 'xy_dx' or a callable f(x, y), evaluated elementwise on
+    numpy arrays.
     """
     if spec.family is not Family.APPENDIX_ELLIPSE:
         raise ValueError("connection integrals apply to the appendix family")
@@ -216,20 +381,22 @@ def segment_integral_appendix(spec: HamiltonianSpec, which: str,
     if not callable(f):
         raise ValueError(f"unknown integrand {integrand!r}")
     if which == "gamma1":
-        val, err, ok = _quad(lambda x: f(x, 0.0), -1.0, 1.0, tol)
+        val, err, ok = _gk21(lambda x, _: np.broadcast_to(f(x, 0.0), x.shape),
+                             1, -1.0, 1.0, tol)
+        sign = 1.0
     elif which == "gamma2":
         # x = sin(theta), y = 2*sqrt(3)*cos(theta); endpoint at theta=pi/2
-        def g(theta):
-            return f(math.sin(theta), 2.0 * math.sqrt(3.0) * math.cos(theta)) \
-                * math.cos(theta)
+        def g(theta, _):
+            return f(np.sin(theta), 2.0 * math.sqrt(3.0) * np.cos(theta)) \
+                * np.cos(theta)
 
-        val, err, ok = _quad(g, -HALF_PI, HALF_PI, tol)
-        val, err = -val, err
+        val, err, ok = _gk21(g, 1, -HALF_PI, HALF_PI, tol)
+        sign = -1.0
     else:
         raise ValueError(f"unknown connection {which!r}; use 'gamma1' or 'gamma2'")
-    if not ok:
-        raise QuadratureError(f"connection integral not converged (err={err})")
-    return val
+    if not ok[0]:
+        raise QuadratureError(f"connection integral not converged (err={err[0]})")
+    return sign * float(val[0])
 
 
 # --- log-basis fitting ---------------------------------------------------
@@ -297,8 +464,7 @@ def log_coefficient(spec: HamiltonianSpec, k: int,
     if k not in (-1, 0, 1):
         raise ValueError(f"k must be in {{-1, 0, 1}}, got {k}")
     ts = default_log_window() if window is None else np.asarray(window)
-    vals = np.array([jk_on_slice(slice_oval(spec, Annulus.SIGMA_PLUS, t), k,
-                                 tol=tol)[0] for t in ts])
+    vals = _jk_grid(spec, Annulus.SIGMA_PLUS, ts, (k,), tol)[0][:, 0]
     fit = fit_log_basis(ts, vals)
     out = dict(fit.coeffs)
     out["lowest"] = out[_LOWEST_LOG[k]]

@@ -229,10 +229,9 @@ def cmd_melnikov(args) -> int:
         hs = _parse_grid(args.h_grid, "h-grid")
         if np.any(hs >= 0.0) or np.any(hs <= -4.0 / 3.0):
             raise ConfigError("h-grid: appendix ovals live in (-4/3, 0)")
-        rows = [(float(h),
-                 melnikov.appendix_first_order(spec, args.mu2, float(h),
-                                               tol=args.tol))
-                for h in hs]
+        vals = melnikov.appendix_first_order_on_grid(spec, args.mu2, hs,
+                                                     tol=args.tol)
+        rows = list(zip((float(h) for h in hs), (float(v) for v in vals)))
         _write_csv(out, ["h", "value"], rows)
     else:
         if args.mu2 != 0.0:
@@ -283,11 +282,16 @@ def _sim_flow(args) -> FlowSpec:
         if args.f or args.g:
             raise ConfigError("f/g apply to family=normal only; appendix "
                               "perturbation is set by mu1, mu2, c")
+        if args.c is None:
+            args.c = PerturbationSpec.c     # echoed as the value that ran
         pert = PerturbationSpec(epsilon=args.eps, mu1=args.mu1, mu2=args.mu2,
                                 c=args.c)
         return appendix_flow(spec, pert, tol=args.tol)
     if args.mu1 != 0.0 or args.mu2 != 0.0:
         raise ConfigError("mu1/mu2 apply to family=appendix only; "
+                          "use --f/--g for family=normal")
+    if args.c is not None:
+        raise ConfigError("c applies to family=appendix only; "
                           "use --f/--g for family=normal")
     f = _parse_coeffs(args.f, "f") if args.f else (0.0,) * 6
     g = _parse_coeffs(args.g, "g") if args.g else (0.0,) * 6
@@ -445,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("normal", "appendix"),
                    default="appendix")
     p.add_argument("--a", type=float, default=None)
-    p.add_argument("--c", type=float, default=17.0)
+    p.add_argument("--c", type=float, default=None,
+                   help="appendix perturbation's x*y coefficient (default 17)")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--mu1", type=float, default=0.0)
     p.add_argument("--mu2", type=float, default=0.0)

@@ -16,7 +16,10 @@ function of the oval energy, provided at the bottom of the module.
 
 Both zero counts sample their function on GRID_POINTS energies and
 refine every sign change to one root with the lockstep Illinois search
-that the cycle census uses (``lockstep.grid_roots``).
+that the cycle census uses (``lockstep.grid_roots``).  The grid and each
+Illinois round are one quadrature batch (``triples_on_grid``,
+``appendix_moments_on_grid``); ``value`` and ``appendix_first_order``
+are one-energy views.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     critical_data)
-from .abelian import (appendix_oval_moments, default_log_window,
+from .abelian import (appendix_moments_on_grid, default_log_window,
                       fit_log_basis, triple, triples_on_grid)
 from .lockstep import grid_roots
 
@@ -49,7 +52,8 @@ def value(spec: HamiltonianSpec, coeffs: MelnikovCoeffs, annulus: Annulus,
 def values_on_grid(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
                    annulus: Annulus, ts,
                    tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (values, converged mask) over the grid."""
+    """Returns (values, converged mask) over the grid, from one
+    ``triples_on_grid`` batch."""
     trs = triples_on_grid(spec, annulus, ts, tol=tol)
     vals = np.array([coeffs.alpha * tr.j0 + coeffs.beta * tr.j1
                      + coeffs.gamma * tr.jm1 for tr in trs])
@@ -120,12 +124,13 @@ def _default_range(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, floa
 
 
 def _count_sign_changes(f, grid, vals) -> ZeroCount:
+    """Zeros of f sampled as vals on grid; f maps an array of points
+    to their values, one batch per Illinois round."""
     scale = float(np.max(np.abs(vals)))
     if scale < 1e-13:
         raise ZeroFunctionError("function is identically zero on the grid; "
                                 "zero count is meaningless")
-    zeros = grid_roots(lambda xs: np.array([f(float(x)) for x in xs]),
-                       grid, vals).tolist()
+    zeros = grid_roots(f, grid, vals).tolist()
     step = grid[1] - grid[0] if len(grid) > 1 else 0.0
     coarse = any(z2 - z1 < 3.0 * step for z1, z2 in zip(zeros, zeros[1:]))
     if coarse:
@@ -154,8 +159,15 @@ def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
     if not ok.all():
         warnings.warn("zero count grid contains unconverged quadrature "
                       "points", RuntimeWarning)
-    return _count_sign_changes(
-        lambda t: value(spec, coeffs, annulus, t, tol=tol), grid, vals)
+
+    def f(ts):
+        # one batch per Illinois round, warning as ``value`` does
+        vals, ok = values_on_grid(spec, coeffs, annulus, ts, tol=tol)
+        for t in ts[~ok]:
+            warnings.warn(f"quadrature not converged at t={t}", RuntimeWarning)
+        return vals
+
+    return _count_sign_changes(f, grid, vals)
 
 
 @dataclass(frozen=True)
@@ -218,9 +230,16 @@ def appendix_first_order(spec: HamiltonianSpec, mu2: float, h: float,
     terms integrate to zero by closedness and x -> -x symmetry.  In the
     loop limit the value tends to -pi*sqrt(3)*mu2.
     """
+    return float(appendix_first_order_on_grid(spec, mu2, [h], tol=tol)[0])
+
+
+def appendix_first_order_on_grid(spec: HamiltonianSpec, mu2: float, hs,
+                                 tol: float = 1e-11) -> np.ndarray:
+    """``appendix_first_order`` at every energy of an h-grid, from one
+    ``appendix_moments_on_grid`` batch."""
     if spec.family is not Family.APPENDIX_ELLIPSE:
         raise ValueError("defined for the appendix family")
-    iy, iy2 = appendix_oval_moments(spec, h, tol=tol)
+    iy, iy2 = appendix_moments_on_grid(spec, hs, tol=tol)
     return (16.0 + mu2) * iy - math.pi * math.sqrt(3.0) * iy2
 
 
@@ -232,7 +251,8 @@ def appendix_count_zeros(spec: HamiltonianSpec, mu2: float, h_range,
     if not (-4.0 / 3.0 < lo < hi < 0.0):
         raise ValueError("h range must lie inside (-4/3, 0)")
     grid = np.linspace(lo, hi, GRID_POINTS)
-    vals = np.array([appendix_first_order(spec, mu2, h, tol=tol)
-                     for h in grid])
-    return _count_sign_changes(
-        lambda h: appendix_first_order(spec, mu2, h, tol=tol), grid, vals)
+
+    def f(hs):
+        return appendix_first_order_on_grid(spec, mu2, hs, tol=tol)
+
+    return _count_sign_changes(f, grid, f(grid))

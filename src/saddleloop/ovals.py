@@ -20,8 +20,12 @@ u = mid + halfwidth*sin(theta).
 Endpoints are bracketed on either side of the annulus's center u_c:
 one toward the singular line u = 0, one toward the root of r beyond
 u_c (``model.slice_span``; the cubic has exactly one root in each
-bracket).  They are refined with brentq and polished with two Newton
-steps to ~1e-14 relative.  Sections come from ``model.section_ends``.
+bracket).  ``slice_grid`` refines the endpoints of a whole energy grid
+together, with one lockstep Illinois search (``lockstep.illinois``),
+and polishes them with two Newton steps to ~1e-14 relative;
+``slice_oval`` is its one-energy view.  Sections come from
+``model.section_ends``; only their energy chart inversion
+(``SectionSegment.coord_for_energy``) uses brentq.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .lockstep import illinois
 from .model import (Annulus, HamiltonianSpec, OvalRangeError, critical_data,
                     section_ends, slice_span)
 
@@ -43,6 +48,23 @@ class BracketingError(RuntimeError):
     """Sign-change bracket not found where the structure guarantees one."""
 
 
+def phi(r, third_root, u):
+    """branch_sq(u) / ((u - lo)*(hi - u)) of the slice whose cubic has
+    the remaining root ``third_root``; analytic, > 0 on the span.
+    Elementwise in u and third_root."""
+    r2 = r[2]
+    if r2 == 0.0:
+        return -r[1] / u
+    return -r2 * (u - third_root) / u
+
+
+def phi_prime(r, third_root, u):
+    r2 = r[2]
+    if r2 == 0.0:
+        return r[1] / (u * u)
+    return -r2 * third_root / (u * u)
+
+
 @dataclass(frozen=True)
 class OvalSlice:
     """One closed oval, as a graph over its projection interval on the
@@ -50,6 +72,9 @@ class OvalSlice:
     from ``HamiltonianSpec.slice_r``.  ``third_root`` is the remaining
     root of the defining cubic; the factored weight is
     branch_sq(u) = (u-lo)*(hi-u)*phi(u).
+
+    ``slice_grid`` returns the slices of a whole energy grid as one
+    OvalSlice whose t, lo, hi, third_root and degenerate are arrays.
     """
 
     spec: HamiltonianSpec
@@ -70,20 +95,13 @@ class OvalSlice:
         return self.t / u + (r2 * u * u + r1 * u + r0)
 
     def phi(self, u):
-        """branch_sq(u) / ((u - lo)*(hi - u)); analytic, > 0 on the span."""
-        r2 = self.r[2]
-        if r2 == 0.0:
-            return -self.r[1] / u
-        return -r2 * (u - self.third_root) / u
+        return phi(self.r, self.third_root, u)
 
     def phi_prime(self, u):
-        r2 = self.r[2]
-        if r2 == 0.0:
-            return self.r[1] / (u * u)
-        return -r2 * self.third_root / (u * u)
+        return phi_prime(self.r, self.third_root, u)
 
 
-def _cubic(r, t: float):
+def _cubic(r, t):
     """Defining cubic c(u) = u*branch_sq(u) and its derivative."""
     r0, r1, r2 = r
 
@@ -96,30 +114,36 @@ def _cubic(r, t: float):
     return c, cp
 
 
-def _refine_root(c, cp, lo: float, hi: float) -> float:
+def _refine_roots(r, t, lo, hi):
+    """The cubic's root in every bracket [lo[i], hi[i]] at energy t[i]:
+    one lockstep Illinois pass, then two Newton steps confined to the
+    bracket.  An end where the cubic vanishes exactly is the root."""
+    c, cp = _cubic(r, t)
     flo, fhi = c(lo), c(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    bad = flo * fhi > 0.0
+    if bad.any():
+        i = int(np.argmax(bad))
         raise BracketingError(
-            f"no sign change on [{lo!r}, {hi!r}]: c(lo)={flo!r}, c(hi)={fhi!r}"
-        )
-    u = brentq(c, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    for _ in range(2):
-        d = cp(u)
-        if d == 0.0:
-            break
-        step = c(u) / d
-        # Newton polish confined to the bracket
-        if lo <= u - step <= hi or abs(step) < 1e-8 * (abs(u) + 1e-300):
-            u = u - step
+            f"no sign change on [{float(lo[i])!r}, {float(hi[i])!r}]: "
+            f"c(lo)={float(flo[i])!r}, c(hi)={float(fhi[i])!r}")
+    u = illinois(lambda i, x: _cubic(r, t[i])[0](x), lo, hi, flo, fhi,
+                 1e-300, 8.9e-16, maxiter=200)
+    polish = (flo != 0.0) & (fhi != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            d = cp(u)
+            step = c(u) / d
+            # Newton polish confined to the bracket
+            take = polish & (d != 0.0) & (
+                ((lo <= u - step) & (u - step <= hi))
+                | (np.abs(step) < 1e-8 * (np.abs(u) + 1e-300)))
+            u = np.where(take, u - step, u)
     return u
 
 
-def _slice_bounds(spec: HamiltonianSpec, annulus: Annulus, t: float):
-    """Brackets for the two endpoints plus the degenerate-point handling.
+def _slice_brackets(spec: HamiltonianSpec, annulus: Annulus, ts):
+    """Brackets [lo_end, u_c] and [u_c, hi_end] of the two endpoints of
+    every slice of the grid, as (lo_end, hi_end, u_c, degenerate mask).
 
     One endpoint lies between the singular line u = 0 and the center
     u_c, the other between u_c and the root u_r of r beyond it.
@@ -128,19 +152,19 @@ def _slice_bounds(spec: HamiltonianSpec, annulus: Annulus, t: float):
     t_center = crit.center_of(annulus).energy
     uc, ur = slice_span(spec, annulus)
     if annulus is Annulus.SIGMA_PLUS:
-        if not (t_center < t < crit.t_saddle):
+        bad = ~((t_center < ts) & (ts < crit.t_saddle))
+        if bad.any():
             raise OvalRangeError(
                 f"SigmaPlus requires t in ({t_center}, {crit.t_saddle}), "
-                f"got t={t!r}"
-            )
+                f"got t={float(ts[np.argmax(bad)])!r}")
     else:
-        if not (crit.t_saddle < t <= t_center):
+        bad = ~((crit.t_saddle < ts) & (ts <= t_center))
+        if bad.any():
             raise OvalRangeError(
                 f"SigmaMinus requires t in ({crit.t_saddle}, {t_center}], "
-                f"got t={t!r}"
-            )
-        if t == t_center:
-            return None, None, uc  # degenerate point
+                f"got t={float(ts[np.argmax(bad)])!r}")
+    degenerate = ts == t_center if annulus is Annulus.SIGMA_MINUS \
+        else np.zeros(ts.shape, dtype=bool)
     r0, r1, r2 = spec.slice_r()
     # |r| bound on the inner side keeps the inner bracket end's cubic
     # t + u*r(u) on the sign of t
@@ -149,30 +173,45 @@ def _slice_bounds(spec: HamiltonianSpec, annulus: Annulus, t: float):
         uv = -r1 / (2.0 * r2)  # vertex of r
         if min(uc, 0.0) < uv < max(uc, 0.0):
             rmax = max(rmax, abs(r2 * uv * uv + r1 * uv + r0))
-    inner = math.copysign(min(abs(uc) / 2.0, abs(t) / (rmax + 1.0)), uc)
-    outer = ur * (1.0 + 1e-9) + math.copysign(1e-12, ur)
+    inner = np.copysign(np.minimum(abs(uc) / 2.0, np.abs(ts) / (rmax + 1.0)),
+                        uc)
+    outer = np.full(ts.shape, ur * (1.0 + 1e-9) + math.copysign(1e-12, ur))
     if uc > 0.0:
-        return (inner, uc), (uc, outer), None
-    return (outer, uc), (uc, inner), None
+        return inner, outer, uc, degenerate
+    return outer, inner, uc, degenerate
+
+
+def slice_grid(spec: HamiltonianSpec, annulus: Annulus, ts) -> OvalSlice:
+    """Slice the period annulus at every energy of ts at once.
+
+    Returns one OvalSlice whose t, lo, hi, third_root and degenerate are
+    arrays over the grid.  SigmaPlus rejects the center energy exactly
+    (open endpoint); SigmaMinus accepts t = t1 as the degenerate point
+    slice, lo = hi = u_c.
+    """
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    lo_end, hi_end, uc, degenerate = _slice_brackets(spec, annulus, ts)
+    r = spec.slice_r()
+    lo, hi = np.full(ts.shape, uc), np.full(ts.shape, uc)
+    third = np.zeros(ts.shape)
+    i = np.flatnonzero(~degenerate)
+    center = np.full(i.size, uc)
+    ends = _refine_roots(r, np.tile(ts[i], 2),
+                         np.concatenate([lo_end[i], center]),
+                         np.concatenate([center, hi_end[i]]))
+    lo[i], hi[i] = ends[:i.size], ends[i.size:]
+    _, r1, r2 = r
+    # Vieta: the cubic's roots sum to -r1/r2
+    third[i] = -r1 / r2 - lo[i] - hi[i] if r2 != 0.0 else math.inf
+    return OvalSlice(spec, annulus, ts, lo, hi, r, third, degenerate)
 
 
 def slice_oval(spec: HamiltonianSpec, annulus: Annulus, t: float) -> OvalSlice:
-    """Slice the period annulus at energy t.
-
-    SigmaPlus rejects the center energy exactly (open endpoint);
-    SigmaMinus accepts t = t1 and returns the degenerate point slice.
-    """
-    br_lo, br_hi, degen = _slice_bounds(spec, annulus, t)
-    r = spec.slice_r()
-    if degen is not None:
-        return OvalSlice(spec, annulus, t, degen, degen, r, 0.0, degenerate=True)
-    c, cp = _cubic(r, t)
-    lo = _refine_root(c, cp, *br_lo)
-    hi = _refine_root(c, cp, *br_hi)
-    _, r1, r2 = r
-    # Vieta: the cubic's roots sum to -r1/r2
-    third = -r1 / r2 - lo - hi if r2 != 0.0 else math.inf
-    return OvalSlice(spec, annulus, t, lo, hi, r, third)
+    """Slice the period annulus at energy t: the one-energy view of
+    ``slice_grid``."""
+    g = slice_grid(spec, annulus, [t])
+    return OvalSlice(spec, annulus, t, float(g.lo[0]), float(g.hi[0]), g.r,
+                     float(g.third_root[0]), bool(g.degenerate[0]))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from saddleloop import abelian
+from saddleloop.centroid import default_grid
 from saddleloop.model import Annulus, Family, HamiltonianSpec
 from saddleloop.abelian import (
+    QUAD_LIMIT,
+    appendix_moments_on_grid,
     appendix_oval_moments,
     default_log_window,
     fit_log_basis,
@@ -14,6 +19,7 @@ from saddleloop.abelian import (
     triple,
     triples_on_grid,
 )
+from saddleloop.ovals import slice_oval
 
 from oracle_values import (
     APPENDIX_MOMENTS,
@@ -72,7 +78,85 @@ def test_triples_on_grid_matches_pointwise(spec_a1):
     assert [g.t for g in grid] == ts
     for g in grid:
         single = triple(spec_a1, Annulus.SIGMA_PLUS, g.t)
-        assert g.j0 == pytest.approx(single.j0, rel=1e-13)
+        assert g.j0 == single.j0
+
+
+def test_kernel_lanes_batch_invariant(appendix_spec):
+    # a lane gives the same bits alone as in any batch
+    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=0.7)
+    for annulus in (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS):
+        ts = default_grid(spec, annulus, n=40)
+        grid = triples_on_grid(spec, annulus, ts)
+        for t, g in zip(ts[::5], grid[::5]):
+            single = triple(spec, annulus, t)
+            assert single.as_vector().tobytes() == g.as_vector().tobytes()
+            assert single.err == g.err and single.converged == g.converged
+    hs = np.linspace(-1.3, -1e-4, 25)
+    iy, iy2 = appendix_moments_on_grid(appendix_spec, hs)
+    for h, m1, m2 in zip(hs[::4], iy[::4], iy2[::4]):
+        single = np.array(appendix_oval_moments(appendix_spec, h))
+        assert single.tobytes() == np.array([m1, m2]).tobytes()
+
+
+def _quadpack_jk(sl, k, tol=1e-11):
+    # jk_on_slice's integrand and tolerance through scipy's QUADPACK qags
+    w = 0.5 * (sl.hi - sl.lo)
+    m = 0.5 * (sl.hi + sl.lo)
+
+    def f(theta):
+        x = m + w * math.sin(theta)
+        c = math.cos(theta)
+        return x**k * math.sqrt(sl.phi(x)) * c * c
+
+    q = 0.25 * tol / max(w * w, 1e-30)
+    val, _ = quad(f, -0.5 * math.pi, 0.5 * math.pi, epsabs=q, epsrel=q,
+                  limit=QUAD_LIMIT)
+    return 2.0 * w * w * val
+
+
+@pytest.mark.parametrize("a,annulus", [
+    (a, ann) for a in (-0.5, 0.0, 0.5, 1.0, 1.9)
+    for ann in (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS)
+    if ann is Annulus.SIGMA_PLUS or 0.0 < a < 2.0])
+def test_kernel_matches_quadpack(a, annulus):
+    # a = 0 is the r2 == 0 slice; the plus grids add the log window,
+    # down to t = -1e-6
+    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
+    ts = default_grid(spec, annulus)
+    if annulus is Annulus.SIGMA_PLUS:
+        ts = np.concatenate([ts, default_log_window()])
+    for t, tr in zip(ts, triples_on_grid(spec, annulus, ts)):
+        sl = slice_oval(spec, annulus, t)
+        for k, v in zip((-1, 0, 1), tr.as_vector()):
+            assert v == pytest.approx(_quadpack_jk(sl, k), rel=1e-13, abs=0.0)
+
+
+def test_budget_exhausted_lane_flagged_and_isolated():
+    # lane 1 oscillates faster than QUAD_LIMIT panels resolve: its error
+    # never falls, so it runs out of panels and says so, while its
+    # neighbours keep the bits they have alone
+    def integrand(theta, j):
+        return np.where(j == 0, np.cos(theta) ** 2,
+                        np.where(j == 1, np.cos(1e4 * theta + 0.3),
+                                 np.exp(np.sin(theta))))
+
+    evals = []
+
+    def f(theta, lane):
+        evals.append(np.count_nonzero(lane == 1))
+        return integrand(theta, lane)
+
+    val, err, ok = abelian._gk21(f, 3, -0.5 * math.pi, 0.5 * math.pi, 1e-11)
+    assert ok.tolist() == [True, False, True]
+    assert err[1] > 0.0
+    panels = (sum(evals) + 1) // 2      # each bisection adds two panels
+    assert QUAD_LIMIT // 2 < panels <= QUAD_LIMIT
+    for j in (0, 2):
+        alone = abelian._gk21(lambda x, lane: integrand(x, np.full_like(lane, j)),
+                              1, -0.5 * math.pi, 0.5 * math.pi, 1e-11)
+        assert alone[0].tobytes() == val[j:j + 1].tobytes()
+        assert alone[1].tobytes() == err[j:j + 1].tobytes()
+        assert alone[2][0]
 
 
 def test_tolerance_floor(spec_a1):

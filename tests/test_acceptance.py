@@ -13,9 +13,16 @@ verified at eps=1e-6 in test_flowsim.py, where the contamination is
 three orders of magnitude smaller.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from saddleloop import acceptance, centroid
+from saddleloop import acceptance, centroid, flowsim, melnikov
+from saddleloop.model import Annulus
+
+CENSUS_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+                    / "census_reference.json")
 
 
 def _check(number: int):
@@ -76,3 +83,38 @@ def test_criterion_9_alien_cycles():
 @pytest.mark.slow
 def test_criterion_10_census_bound():
     _check(10)
+
+
+def test_first_order_agrees_with_census_on_scan_draws():
+    # first order and simulation check each other on criterion 10's 171
+    # general draws: the zero count of M1 over the census window's
+    # energies equals the recorded census count at every draw (one zero
+    # at draws 85, 97 and 138, none elsewhere), and the census cycle
+    # energies converge linearly in eps to those zeros
+    draws = acceptance.scan_draws()
+    counts = json.loads(CENSUS_REFERENCE.read_text())["cycles"]
+    zeros = {}
+    for trial, (pure_gamma, flow, _) in enumerate(draws):
+        if pure_gamma:
+            continue
+        zc = melnikov.count_zeros(flow.hamiltonian,
+                                  flow.one_form.first_order_coeffs(),
+                                  Annulus.SIGMA_PLUS, t_range=(-0.4, -1e-3))
+        assert zc.count == counts[trial], f"draw {trial}"
+        zeros.update({trial: zc.zeros[0]} if zc.count else {})
+    assert sorted(zeros) == [85, 97, 138]
+    # one Richardson step removes the O(eps) offset of the cycle energy;
+    # the O(eps^2) rest is why the pair is this small: from eps = 1e-3
+    # and 5e-4, draw 97 lands 1.6e-4 from its zero
+    for trial, zero in zeros.items():
+        _, flow, s_range = draws[trial]
+        energies = []
+        for eps in (5e-4, 2.5e-4):
+            res = flowsim.census(
+                flowsim.FlowSpec(hamiltonian=flow.hamiltonian, epsilon=eps,
+                                 one_form=flow.one_form),
+                annulus=Annulus.SIGMA_PLUS, s_range=s_range, n=100,
+                T_max=60.0, with_saddle_data=False)
+            assert len(res.cycles) == 1
+            energies.append(res.cycles[0].energy_estimate)
+        assert abs(2.0 * energies[1] - energies[0] - zero) <= 5e-5, f"draw {trial}"

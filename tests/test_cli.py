@@ -298,6 +298,25 @@ def test_sim_appendix_c_must_exceed_16(tmp_path, capsys):
     assert "requires c > 16, got c=16.0" in err
 
 
+def test_sim_c_only_on_appendix(tmp_path, capsys):
+    # --c is an appendix perturbation coefficient: the normal family
+    # rejects it, as it rejects --mu1/--mu2, instead of dropping it
+    out = tmp_path / "t.csv"
+    code, _, err = run(["sim", "--family", "normal", "--a", "1", "--c", "5",
+                        "--eps", "0", "--traj", "--start", "1.0,0.5",
+                        "--T", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert "c applies to family=appendix only" in err
+    assert not out.exists()
+    # without --c the appendix family runs and echoes c = 17
+    code, _, _ = run(["sim", "--family", "appendix", "--eps", "1e-3",
+                      "--traj", "--start", "0.0,1.5", "--T", "1",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    man = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+    assert man["config"]["c"] == 17.0
+
+
 def test_grid_syntax_error(tmp_path, capsys):
     code, _, err = run(["abelian", "--a", "1", "--t-grid=-1:-0.5",
                         "--out", str(tmp_path / "x.csv")], capsys)

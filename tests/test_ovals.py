@@ -1,11 +1,14 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from saddleloop.centroid import default_grid
 from saddleloop.model import (Annulus, Family, HamiltonianSpec, critical_data,
                               x1_loop_root)
-from saddleloop.ovals import OvalRangeError, section_segment, slice_oval
+from saddleloop.ovals import (OvalRangeError, section_segment, slice_grid,
+                              slice_oval)
 
 NF, APP = Family.NORMAL_FORM, Family.APPENDIX_ELLIPSE
 
@@ -44,6 +47,53 @@ def test_slice_factored_weight_consistent(family, a, annulus, t):
     d = 1e-6
     fd = (sl.phi(u0 + d) - sl.phi(u0 - d)) / (2 * d)
     assert sl.phi_prime(u0) == pytest.approx(fd, abs=1e-8)
+
+
+def _exact_root(r, t, u):
+    # Newton on the cubic t + u*r(u) in 60-digit decimal arithmetic,
+    # started at the float root
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r0, r1, r2 = (Decimal(v) for v in r)
+        t, x = Decimal(t), Decimal(u)
+        for _ in range(8):
+            x -= (t + x * (r0 + x * (r1 + x * r2))) / (r0 + x * (2 * r1 + 3 * r2 * x))
+        return float(x - Decimal(u))
+
+
+@pytest.mark.parametrize("family,a,annulus", [
+    (NF, -0.5, Annulus.SIGMA_PLUS), (NF, 0.0, Annulus.SIGMA_PLUS),
+    (NF, 1.7, Annulus.SIGMA_PLUS), (NF, 1.7, Annulus.SIGMA_MINUS),
+    (NF, 0.3, Annulus.SIGMA_MINUS), (APP, 1.0, Annulus.SIGMA_PLUS)])
+def test_slice_endpoints_as_accurate_as_their_cubic(family, a, annulus):
+    # each endpoint is within the rounding of its cubic, eps times the
+    # summed magnitudes of its terms over |c'(u)|, plus eps*|u|.  Near
+    # the center energy c'(u) is small (the two endpoints merge in a
+    # double root), so ~1e-14 relative is the best any solver gets there
+    spec = HamiltonianSpec(family=family, a=a)
+    if family is NF:
+        ts = default_grid(spec, annulus)
+    else:
+        ts = np.linspace(-4.0 / 3.0 + 1e-5, -1e-6, 200)
+    g = slice_grid(spec, annulus, ts)
+    r0, r1, r2 = g.r
+    eps = np.finfo(float).eps
+    for t, lo, hi in zip(ts, g.lo, g.hi):
+        for u in (float(lo), float(hi)):
+            terms = abs(t) + abs(u) * (abs(r2) * u * u + abs(r1 * u) + abs(r0))
+            slope = abs(3.0 * r2 * u * u + 2.0 * r1 * u + r0)
+            assert abs(_exact_root(g.r, t, u)) <= eps * (terms / slope + abs(u))
+
+
+def test_slice_grid_matches_slice_oval(spec_a05):
+    ts = np.concatenate([default_grid(spec_a05, Annulus.SIGMA_MINUS, n=30),
+                         [critical_data(spec_a05).center1.energy]])
+    g = slice_grid(spec_a05, Annulus.SIGMA_MINUS, ts)
+    assert g.degenerate.tolist() == [False] * 30 + [True]
+    for j, t in enumerate(ts):
+        sl = slice_oval(spec_a05, Annulus.SIGMA_MINUS, t)
+        assert (sl.lo, sl.hi, sl.third_root, sl.degenerate) == (
+            g.lo[j], g.hi[j], g.third_root[j], g.degenerate[j])
 
 
 def test_slice_shrinks_to_center(spec_a1):
