@@ -184,9 +184,6 @@ class AbelianTriple:
     def as_vector(self) -> np.ndarray:
         return np.array([self.jm1, self.j0, self.j1])
 
-    def component(self, k: int) -> float:
-        return {-1: self.jm1, 0: self.j0, 1: self.j1}[k]
-
 
 def _jk_lanes(r, lo, hi, third_root, k, tol):
     """J_k on normal-form slices, one lane per (slice, k): arrays of the
@@ -357,37 +354,27 @@ def appendix_oval_moments(spec: HamiltonianSpec, h: float,
     return float(iy[0]), float(iy2[0])
 
 
-_SEGMENT_FORMS = {
-    "one_dx": lambda x, y: 1.0,
-    "y_dx": lambda x, y: y,
-    "y2_dx": lambda x, y: y * y,
-    "xy_dx": lambda x, y: x * y,
-}
-
-
 def segment_integral_appendix(spec: HamiltonianSpec, which: str,
                               integrand, tol: float = 1e-12) -> float:
-    """Line integral along Gamma1 or Gamma2 of f(x, y) dx.
+    """Line integral along Gamma1 or Gamma2 of integrand(x, y) dx.
 
     Gamma1 is the saddle connection {y = 0, -1 <= x <= 1} traversed
     x: -1 -> 1; Gamma2 the upper half-ellipse x^2 + y^2/12 = 1 traversed
-    (1, 0) -> (-1, 0).  ``integrand`` is one of 'one_dx', 'y_dx',
-    'y2_dx', 'xy_dx' or a callable f(x, y), evaluated elementwise on
-    numpy arrays.
+    (1, 0) -> (-1, 0).  ``integrand`` is a callable f(x, y), evaluated
+    elementwise on numpy arrays.
     """
     if spec.family is not Family.APPENDIX_ELLIPSE:
         raise ValueError("connection integrals apply to the appendix family")
-    f = _SEGMENT_FORMS.get(integrand, integrand)
-    if not callable(f):
-        raise ValueError(f"unknown integrand {integrand!r}")
     if which == "gamma1":
-        val, err, ok = _gk21(lambda x, _: np.broadcast_to(f(x, 0.0), x.shape),
-                             1, -1.0, 1.0, tol)
+        val, err, ok = _gk21(
+            lambda x, _: np.broadcast_to(integrand(x, 0.0), x.shape),
+            1, -1.0, 1.0, tol)
         sign = 1.0
     elif which == "gamma2":
         # x = sin(theta), y = 2*sqrt(3)*cos(theta); endpoint at theta=pi/2
         def g(theta, _):
-            return f(np.sin(theta), 2.0 * math.sqrt(3.0) * np.cos(theta)) \
+            return integrand(np.sin(theta),
+                             2.0 * math.sqrt(3.0) * np.cos(theta)) \
                 * np.cos(theta)
 
         val, err, ok = _gk21(g, 1, -HALF_PI, HALF_PI, tol)

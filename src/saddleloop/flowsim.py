@@ -10,16 +10,18 @@ field bit for bit.
 
 Both integrators here are adaptive DOP853 under one maximum step,
 OUTER_MAX_STEP; near the saddles, where passage times diverge, the
-error control alone sets the step.  Single long trajectories
-(``integrate``: ``sim --traj`` and the separatrix shifts) are one
-scipy solve_ivp run each.  Poincare return maps run in lockstep
-(``return_maps``, on ``saddleloop.lockstep``): all lanes of a census
-advance together as numpy arrays, each with its own step control, and
-each return is located on the lane's dense output.  Also here: a cycle
-census by displacement sign changes, refined together by a lockstep
-Illinois search, saddle traces by Newton continuation, and separatrix
-shift functions measured in the Hamiltonian chart on mid-connection
-transversals.
+error control alone sets the step.  Every run that stops on an event
+is a lockstep batch (``saddleloop.lockstep``): all lanes advance
+together as numpy arrays, each with its own step control, and each
+event is located on the lane's dense output: the Poincare return maps
+(``return_maps``) and the four separatrix runs of ``separatrix_shifts``,
+whose stable lanes run backward through a constant time-sign row.
+The one solve_ivp run is
+``integrate``, the recorded trajectory of ``sim --traj``.  Also here:
+a cycle census by displacement sign changes, refined together by a
+lockstep Illinois search, saddle traces by Newton continuation, and
+separatrix shift functions measured in the Hamiltonian chart on
+mid-connection transversals.
 
 Cycle detection is fixed-point based rather than attractor settling:
 the cycles of interest can be repelling or nearly neutral (traces are
@@ -31,7 +33,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -147,67 +148,28 @@ def appendix_flow(spec: HamiltonianSpec, pert: PerturbationSpec,
                     one_form=QuadraticOneForm.appendix(spec, pert), tol=tol)
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    """Terminal event.  ``direction`` is the sign of d(func)/dtau along
-    the trajectory as computed, so for backward runs it refers to the
-    time-reversed motion."""
-
-    func: Callable[[np.ndarray], float]
-    direction: int = 0
-    name: str = "event"
-
-
 @dataclass
 class Trajectory:
     ts: np.ndarray
     states: np.ndarray          # shape (n, 2)
-    status: str                 # completed | event | failed
-    event_name: str | None = None
-    event_state: np.ndarray | None = None
-    event_time: float | None = None
+    status: str                 # completed | failed
     n_segments: int = 1         # always 1: one solve_ivp run per trajectory
 
 
-def integrate(flow: FlowSpec, start, T: float,
-              user_events: Sequence[EventSpec] = (),
-              time_direction: int = 1) -> Trajectory:
-    """Integrate for duration T (one time direction) with solve_ivp's
-    DOP853 at the flow's tolerance and a maximum step of OUTER_MAX_STEP.
-
-    Terminal user events stop the run; the result records which one.
-    """
+def integrate(flow: FlowSpec, start, T: float) -> Trajectory:
+    """The trajectory of ``sim --traj``: one solve_ivp DOP853 run over
+    [0, T] at the flow's tolerance and a maximum step of OUTER_MAX_STEP,
+    with every accepted step recorded."""
     if T <= 0.0:
         raise ValueError("duration must be positive")
-    sgn = 1.0 if time_direction >= 0 else -1.0
-
-    def rhs(t, z):
-        dx, dy = flow.rhs(t, z)
-        return (sgn * dx, sgn * dy)
-
-    events = []
-    for ev in user_events:
-        def uf(t, z, ev=ev):
-            return ev.func(z)
-        uf.terminal = True
-        uf.direction = ev.direction
-        events.append(uf)
-    sol = solve_ivp(rhs, (0.0, T), np.asarray(start, dtype=float),
+    sol = solve_ivp(flow.rhs, (0.0, T), np.asarray(start, dtype=float),
                     method="DOP853", rtol=flow.tol, atol=0.01 * flow.tol,
-                    max_step=OUTER_MAX_STEP, events=events)
-    ts, states = sgn * sol.t, sol.y.T
-    if sol.status == 0:
-        return Trajectory(ts, states, "completed")
+                    max_step=OUTER_MAX_STEP)
     if sol.status < 0:
         warnings.warn(f"integrator failed at t={sol.t[-1]:.6g}: "
                       f"{sol.message}", RuntimeWarning)
-        return Trajectory(ts, states, "failed")
-    # an event fired; the earliest one decided termination, and scipy
-    # already ends sol.t/sol.y at the event point
-    fired = [(k, te[0]) for k, te in enumerate(sol.t_events) if len(te)]
-    k, t_ev = min(fired, key=lambda p: p[1])
-    return Trajectory(ts, states, "event", event_name=user_events[k].name,
-                      event_state=sol.y_events[k][0], event_time=sgn * t_ev)
+        return Trajectory(sol.t, sol.y.T, "failed")
+    return Trajectory(sol.t, sol.y.T, "completed")
 
 
 @dataclass(frozen=True)
@@ -223,10 +185,6 @@ _OK, _ESCAPE, _LEFT, _TIMEOUT, _FAILED = range(len(REASONS))
 
 def _escape(z):
     return z[0] * z[0] + z[1] * z[1] - ESCAPE_RADIUS * ESCAPE_RADIUS
-
-
-_ESCAPE_EVENT = EventSpec(func=lambda z: float(_escape(z)), direction=1,
-                          name="escape")
 
 
 def _lockstep_field(flow: FlowSpec):
@@ -497,17 +455,16 @@ class ShiftPair:
     saddle2: tuple[float, float]
 
 
-def _transversal_energy(flow: FlowSpec, start, direction: int,
-                        time_direction: int) -> float:
-    ev = EventSpec(func=lambda z: float(z[0]), direction=direction,
-                   name="transversal")
-    tr = integrate(flow, start, SEPARATRIX_T_MAX,
-                   user_events=(ev, _ESCAPE_EVENT),
-                   time_direction=time_direction)
-    if tr.status != "event" or tr.event_name != "transversal":
-        raise RuntimeError(f"separatrix did not reach the transversal "
-                           f"({tr.status})")
-    return flow.energy(tr.event_state)
+def _signed_field(flow: FlowSpec):
+    """The lockstep field on (3, n) lanes whose row 2 is a constant time
+    sign: rows 0-1 get z[2] * field, so a lane with sign -1 runs the
+    negated field, bit for bit."""
+    rhs = _lockstep_field(flow)
+
+    def signed(z):
+        return np.vstack([z[2] * rhs(z[:2]), np.zeros((1, z.shape[1]))])
+
+    return signed
 
 
 def separatrix_shifts(flow: FlowSpec) -> ShiftPair:
@@ -520,6 +477,12 @@ def separatrix_shifts(flow: FlowSpec) -> ShiftPair:
 
     Launch points sit SEPARATRIX_OFFSET along the saddle eigenvectors; the
     O(offset^2) manifold curvature error is far below the O(eps*mu) shifts.
+    The four separatrices are one lockstep batch under the flow's
+    tolerance and OUTER_MAX_STEP: the unstable ones run forward, the
+    stable ones backward (time sign -1, ``_signed_field``), each until it
+    first crosses x = 0 or escapes, within SEPARATRIX_T_MAX.  Every lane
+    starts near x = +-1, so its first crossing is the one sought.  A lane
+    that escapes, times out or fails raises RuntimeError.
     """
     if flow.hamiltonian.family is not Family.APPENDIX_ELLIPSE:
         raise ValueError("shift functions are defined for the appendix family")
@@ -531,21 +494,26 @@ def separatrix_shifts(flow: FlowSpec) -> ShiftPair:
     # lower connection: flow runs from s2 to s1 along y = 0.
     u2 = u2 if u2[0] < 0.0 else -u2        # unstable of s2 into the segment
     v1 = v1 if v1[0] > 0.0 else -v1        # stable of s1 from inside
-    hu = _transversal_energy(flow, s2 + SEPARATRIX_OFFSET * u2,
-                             direction=-1, time_direction=1)
-    hs = _transversal_energy(flow, s1 + SEPARATRIX_OFFSET * v1,
-                             direction=1, time_direction=-1)
-    b1 = hu - hs
-
     # upper connection: flow runs from s1 over the arc to s2.
     u1 = u1 if u1[1] > 0.0 else -u1        # unstable of s1, ascending branch
     v2 = v2 if v2[1] > 0.0 else -v2        # stable of s2 from above
-    hu = _transversal_energy(flow, s1 + SEPARATRIX_OFFSET * u1,
-                             direction=1, time_direction=1)
-    hs = _transversal_energy(flow, s2 + SEPARATRIX_OFFSET * v2,
-                             direction=-1, time_direction=-1)
-    b2 = hu - hs
-    return ShiftPair(b1=b1, b2=b2,
+    z = np.vstack([np.column_stack([s2 + SEPARATRIX_OFFSET * u2,
+                                    s1 + SEPARATRIX_OFFSET * v1,
+                                    s1 + SEPARATRIX_OFFSET * u1,
+                                    s2 + SEPARATRIX_OFFSET * v2]),
+                   [1.0, -1.0, 1.0, -1.0]])
+    st, which, _, z = advance(_signed_field(flow), z, SEPARATRIX_T_MAX,
+                              ((lambda z: z[0], 0), (_escape, 1)),
+                              OUTER_MAX_STEP, flow.tol, 0.01 * flow.tol)
+    missed = np.flatnonzero((st != 1) | (which != 0))
+    if missed.size:
+        k = missed[0]
+        outcome = ("escape" if st[k] == 1 else
+                   "timeout" if st[k] == 0 else "failed")
+        raise RuntimeError(f"separatrix did not reach the transversal "
+                           f"({outcome})")
+    hu1, hs1, hu2, hs2 = flow.energy(z)
+    return ShiftPair(b1=hu1 - hs1, b2=hu2 - hs2,
                      saddle1=(float(s1[0]), float(s1[1])),
                      saddle2=(float(s2[0]), float(s2[1])))
 

@@ -1,12 +1,14 @@
-"""Lockstep DOP853: many lanes of one autonomous planar ODE, advanced
-together as numpy arrays.
+"""Lockstep DOP853: many lanes of one autonomous ODE, advanced together
+as numpy arrays.
 
-A lane is one initial state.  Every lane takes its own steps under
+A lane is one initial state of d >= 2 rows.  Rows 0-1 are the planar
+state; further rows ride along (a constant time sign, say) and are
+left out of the error control.  Every lane takes its own steps under
 scipy's DOP853 tableau and step control (Hairer, Norsett & Wanner,
-*Solving ODEs I*, II.4-II.6): the err5/err3 norm, safety 0.9, step
-factors in [0.2, 10], exponent -1/8 and select_initial_step's first
-step.  Terminal events are detected by sign changes at step ends, as
-solve_ivp does, and located on the step's dense output.
+*Solving ODEs I*, II.4-II.6): the err5/err3 norm of rows 0-1, safety
+0.9, step factors in [0.2, 10], exponent -1/8 and select_initial_step's
+first step.  Terminal events are detected by sign changes at step
+ends, as solve_ivp does, and located on the step's dense output.
 
 Every sum over stages is accumulated term by term in a fixed order,
 never by a matrix product, whose summation order depends on the array
@@ -81,7 +83,7 @@ def _initial_step(field, z, f, t_end, max_step, rtol, atol):
 
 
 def _dense_output(field, K, p, h, z, y):
-    """DOP853 interpolant coefficients, shape (7, 2, len(p)), of lanes p
+    """DOP853 interpolant coefficients, shape (7, d, len(p)), of lanes p
     over the step z -> y."""
     K = [k[:, p] for k in K]
     h, z = h[p], z[:, p]
@@ -165,15 +167,16 @@ def grid_roots(fun, grid, vals):
 
 
 def advance(field, z, t_end, events, max_step, rtol, atol):
-    """Advance lanes z (shape (2, n)) from t = 0 to t_end, stopping each
-    lane at the first of its terminal events.
+    """Advance lanes z (shape (d, n), d >= 2) from t = 0 to t_end,
+    stopping each lane at the first of its terminal events.
 
-    field maps a (2, m) array of states to their derivatives.  events
-    holds (func, direction) pairs: func maps a (2, m) array to m values,
-    direction is as in solve_ivp.  max_step bounds every step of every
-    lane.  Returns per lane the status (0 reached t_end, 1 event, -1
-    step size underflow), the index of the event that stopped it, and
-    the time and state where it stopped.
+    field maps a (d, m) array of states to their derivatives.  Error
+    control and the first step read rows 0-1 only.  events holds (func,
+    direction) pairs: func maps a (d, m) array to m values, direction is
+    as in solve_ivp.  max_step bounds every step of every lane.  Returns
+    per lane the status (0 reached t_end, 1 event, -1 step size
+    underflow), the index of the event that stopped it, and the time and
+    state where it stopped.
     Event times are roots of the event function on the step's dense
     output, located to 4 eps as solve_ivp does.
     """
@@ -203,7 +206,7 @@ def _advance(field, z, t_end, events, max_step, rtol, atol):
         t_new = np.minimum(t + h_abs, t_end)
         h = t_new - t
         K = [f]
-        S = np.zeros((len(_W), 2, lane.size))
+        S = np.zeros((len(_W), z.shape[0], lane.size))
         for j in range(_N_STAGES):
             S[j:] += _W[j:, j] * K[j]
             if j < _Y_ROW:

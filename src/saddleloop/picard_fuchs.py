@@ -49,14 +49,6 @@ class PFSystem:
         rhs = self.B @ J
         return float(np.linalg.norm(lhs - rhs) / (np.linalg.norm(rhs) + 1e-30))
 
-    def derivative(self, t: float, J: np.ndarray) -> np.ndarray:
-        """Solve for J'(t); fails on the critical energies where the
-        coefficient matrix is singular."""
-        M = self.coefficient(t)
-        if abs(np.linalg.det(M)) < 1e-14 * max(1.0, abs(t)) ** 3:
-            raise ValueError(f"coefficient matrix singular at t={t}")
-        return np.linalg.solve(M, self.B @ np.asarray(J, dtype=float))
-
 
 def pf_system(spec: HamiltonianSpec) -> PFSystem:
     if spec.family is not Family.NORMAL_FORM:
@@ -84,10 +76,6 @@ class FundamentalSeries:
     p_const: np.ndarray
     p_lin: np.ndarray
     q: np.ndarray  # shape (order+1, 3), q[j] multiplies t**j
-
-    def P(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.p_const + np.multiply.outer(t, self.p_lin)
 
     def Q(self, t):
         t = np.asarray(t, dtype=float)

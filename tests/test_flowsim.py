@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import interp1d
+from scipy.integrate import solve_ivp
 
 from saddleloop.model import (
     Annulus,
@@ -14,14 +14,15 @@ from saddleloop.model import (
 from saddleloop.ovals import OvalRangeError, section_segment
 from saddleloop.acceptance import scan_draws
 from saddleloop import flowsim
-from saddleloop.lockstep import grid_roots, illinois, sign_changes
+from saddleloop.lockstep import advance, grid_roots, illinois, sign_changes
 from saddleloop.flowsim import (
     BURN_IN,
-    EventSpec,
+    OUTER_MAX_STEP,
     FlowSpec,
     QuadraticOneForm,
-    _ESCAPE_EVENT,
+    _escape,
     _lockstep_field,
+    _signed_field,
     alien_witness,
     appendix_flow,
     census,
@@ -38,6 +39,11 @@ from saddleloop.flowsim import (
 def unperturbed(spec):
     return FlowSpec(hamiltonian=spec, epsilon=0.0,
                     one_form=QuadraticOneForm.gamma_type(0.0))
+
+
+def _steps(flow):
+    """advance's step settings for the flow, as flowsim passes them."""
+    return OUTER_MAX_STEP, flow.tol, 0.01 * flow.tol
 
 
 # --- conservative checks ------------------------------------------------
@@ -61,18 +67,19 @@ def test_energy_conserved_appendix(appendix_spec):
 
 
 def test_reversibility_normal_form(spec_a1):
-    # the unperturbed field is odd under (x, y, t) -> (x, -y, -t)
+    # the unperturbed field is odd under (x, y, t) -> (x, -y, -t): a lane
+    # with time sign -1 from the mirrored start runs along the mirrored
+    # forward trajectory
     flow = unperturbed(spec_a1)
     start = np.array([1.5, 0.3])
-    fwd = integrate(flow, start, 5.0)
-    back = integrate(flow, start * np.array([1.0, -1.0]), 5.0,
-                     time_direction=-1)
-    interp = interp1d(fwd.ts, fwd.states.T, kind="cubic")
+    lanes = np.array([[start[0]] * 3, [-start[1]] * 3, [-1.0] * 3])
     worst = 0.0
-    for t, z in zip(back.ts, back.states):
-        if abs(t) <= fwd.ts[-1]:
-            zf = interp(abs(t))
-            worst = max(worst, abs(zf[0] - z[0]), abs(zf[1] + z[1]))
+    for k, T in enumerate((1.0, 2.5, 5.0)):
+        fwd = integrate(flow, start, T).states[-1]
+        st, _, _, back = advance(_signed_field(flow), lanes[:, k:k + 1], T,
+                                 ((_escape, 1),), *_steps(flow))
+        assert st[0] == 0
+        worst = max(worst, abs(fwd[0] - back[0, 0]), abs(fwd[1] + back[1, 0]))
     assert worst < 1e-8
 
 
@@ -214,18 +221,29 @@ def test_separatrix_shifts_match_tight_tolerance(appendix_spec):
 
 def test_witness_separatrix_runs_take_few_steps(monkeypatch):
     # the four separatrix runs of the witness start 1e-8 from a saddle;
-    # their slow departures must not cost thousands of steps
-    steps = []
+    # their slow departures must not cost thousands of steps.  They are
+    # one lockstep batch; a DOP853 step evaluates the field 12 times.
+    batches, lane_evals = [], []
 
-    def counted(*args, **kwargs):
-        tr = integrate(*args, **kwargs)
-        steps.append(len(tr.ts) - 1)
-        return tr
+    def counted(field, z, *args):
+        def counting(z):
+            lane_evals.append(z.shape[1])
+            return field(z)
 
-    monkeypatch.setattr(flowsim, "integrate", counted)
+        batches.append(z.shape)
+        return advance(counting, z, *args)
+
+    monkeypatch.setattr(flowsim, "advance", counted)
     separatrix_shifts(witness_flow())
-    assert len(steps) == 4
-    assert sum(steps) < 400
+    assert batches == [(3, 4)]
+    assert sum(lane_evals) / 12 < 400
+
+
+def test_separatrix_lane_without_crossing_raises(monkeypatch):
+    # no separatrix reaches x = 0 within a time budget of 1e-3
+    monkeypatch.setattr(flowsim, "SEPARATRIX_T_MAX", 1e-3)
+    with pytest.raises(RuntimeError, match=r"transversal \(timeout\)"):
+        separatrix_shifts(witness_flow())
 
 
 # --- census --------------------------------------------------------------
@@ -386,25 +404,90 @@ def test_return_maps_batch_invariant():
         assert alone.reason[0] == own.reason[i]
 
 
+def _witness_grid():
+    w = alien_witness()
+    flow = witness_flow(w)
+    sect = section_segment(flow.hamiltonian, Annulus.SIGMA_PLUS)
+    grid = np.linspace(*w["section_window"], int(w["grid_points"]))
+    return flow, sect, grid, float(w["t_max"])
+
+
+def test_advance_extra_row_keeps_planar_bits():
+    # the witness grid lanes, after return_maps' burn-in, run to their
+    # section or escape events once as (2, n) lanes and once with a third
+    # row of zero derivative: rows 0-1, events and times keep their bits
+    flow, sect, grid, T_max = _witness_grid()
+    coord = 0 if sect.axis == "x" else 1
+    rhs = _lockstep_field(flow)
+    z = np.zeros((2, grid.size))
+    z[coord] = grid
+    _, _, _, z = advance(rhs, z, BURN_IN, ((_escape, 1),), *_steps(flow))
+    events = ((lambda z: z[1 - coord], sect.direction), (_escape, 1))
+    planar = advance(rhs, z, T_max, events, *_steps(flow))
+
+    def padded(z):
+        return np.vstack([rhs(z[:2]), np.zeros((1, z.shape[1]))])
+
+    extra = advance(padded, np.vstack([z, np.full((1, grid.size), 0.5)]),
+                    T_max, events, *_steps(flow))
+    assert (planar[0] == 1).all() and (planar[1] == 0).all()
+    for a, b in zip(planar[:3], extra[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert planar[3].tobytes() == extra[3][:2].tobytes()
+    assert (extra[3][2] == 0.5).all()
+
+
+def test_sign_lane_runs_negated_field():
+    # lanes with time sign -1, batched with forward lanes, give the bits
+    # of a run of the negated field; the events are the separatrix runs'
+    flow, _, grid, _ = _witness_grid()
+    starts = np.vstack([np.full(8, 0.5), grid[::20]])
+    rhs = _lockstep_field(flow)
+    events = ((lambda z: z[0], 0), (_escape, 1))
+    lanes = np.vstack([np.hstack([starts, starts]),
+                       np.repeat([[1.0, -1.0]], 8, axis=1)])
+    both = advance(_signed_field(flow), lanes, 20.0, events, *_steps(flow))
+    fwd = advance(rhs, starts, 20.0, events, *_steps(flow))
+    back = advance(lambda z: -rhs(z), starts, 20.0, events, *_steps(flow))
+    assert (both[0] == 1).all()
+    for k, ref in enumerate((fwd, back)):
+        i = slice(8 * k, 8 * k + 8)
+        for a, b in zip(ref[:3], both[:3]):
+            assert a.tobytes() == b[i].tobytes()
+        assert ref[3].tobytes() == both[3][:2, i].tobytes()
+
+
 def _oracle_return(flow, sect, s, T_max):
-    """The return map from solve_ivp: integrate with a burn-in lead, then
-    the section and escape events."""
-    lead = integrate(flow, sect.point(s), BURN_IN,
-                     user_events=(_ESCAPE_EVENT,))
-    if lead.status != "completed":
-        return None, "escape" if lead.status == "event" else "failed"
+    """The return map from scipy's solve_ivp under the same step settings:
+    a burn-in lead with the escape event, then the section and escape
+    events."""
     off = 1 if sect.axis == "x" else 0
-    on = 1 - off
-    section = EventSpec(func=lambda z: float(z[off]),
-                        direction=sect.direction, name="section")
-    tr = integrate(flow, lead.states[-1], T_max - BURN_IN,
-                   user_events=(section, _ESCAPE_EVENT))
-    if tr.status == "event" and tr.event_name == "section":
-        s_ret = float(tr.event_state[on])
+
+    def escape(t, z):
+        return _escape(z)
+
+    def section(t, z):
+        return z[off]
+
+    escape.terminal, escape.direction = True, 1
+    section.terminal, section.direction = True, sect.direction
+    max_step, rtol, atol = _steps(flow)
+
+    def run(start, T, events):
+        return solve_ivp(flow.rhs, (0.0, T), start, method="DOP853",
+                         rtol=rtol, atol=atol, max_step=max_step,
+                         events=events)
+
+    lead = run(sect.point(s), BURN_IN, [escape])
+    if lead.status != 0:
+        return None, "escape" if lead.status == 1 else "failed"
+    tr = run(lead.y[:, -1], T_max - BURN_IN, [section, escape])
+    if len(tr.t_events[0]):
+        s_ret = float(tr.y_events[0][0][1 - off])
         return (s_ret, "ok") if sect.contains(s_ret) else (None, "left_annulus")
-    if tr.status == "event":
+    if tr.status == 1:
         return None, "escape"
-    return None, "failed" if tr.status == "failed" else "timeout"
+    return None, "failed" if tr.status < 0 else "timeout"
 
 
 @pytest.mark.parametrize("trial", [2, 11])
@@ -427,12 +510,8 @@ def test_near_saddle_returns_match_tight_oracle():
     # the step: each ok orbit passes within 0.07 of both saddles (its
     # step ends already do).  Lanes 3 and 4 slip through the broken upper
     # connection; lane 5 starts next to the repelling cycle.
-    w = alien_witness()
-    flow = witness_flow(w)
+    flow, sect, grid, T_max = _witness_grid()
     tight = dataclasses.replace(flow, tol=1e-13)
-    sect = section_segment(flow.hamiltonian, Annulus.SIGMA_PLUS)
-    grid = np.linspace(*w["section_window"], int(w["grid_points"]))
-    T_max = float(w["t_max"])
     lanes = [3, 4, 5, 6, 8, 10, 14, 20, 30, 40]
     got = return_maps(flow, sect, grid[lanes], T_max=T_max)
     tp = saddle_traces(flow)
