@@ -347,13 +347,6 @@ def appendix_moments_on_grid(spec: HamiltonianSpec, hs,
     return val[:, 0], val[:, 1]
 
 
-def appendix_oval_moments(spec: HamiltonianSpec, h: float,
-                          tol: float = 1e-11) -> tuple[float, float]:
-    """(oint y dx, oint y^2 dx) over the oval H = h, counterclockwise."""
-    iy, iy2 = appendix_moments_on_grid(spec, [h], tol=tol)
-    return float(iy[0]), float(iy2[0])
-
-
 def segment_integral_appendix(spec: HamiltonianSpec, which: str,
                               integrand, tol: float = 1e-12) -> float:
     """Line integral along Gamma1 or Gamma2 of integrand(x, y) dx.

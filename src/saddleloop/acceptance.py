@@ -243,7 +243,6 @@ def criterion_9() -> CriterionResult:
     res = flowsim.census(flow,
                          s_range=tuple(w["section_window"]),
                          n=int(w["grid_points"]),
-                         stability_delta=float(w["stability_delta"]),
                          T_max=float(w["t_max"]))
     n_cycles = len(res.cycles)
     stabs = tuple(c.stability for c in res.cycles)
@@ -317,8 +316,7 @@ def criterion_10() -> CriterionResult:
     max_gamma = 0
     for pure_gamma, flow, s_range in scan_draws():
         res = flowsim.census(flow, annulus=Annulus.SIGMA_PLUS,
-                             s_range=s_range, n=100, T_max=60.0,
-                             with_saddle_data=False)
+                             s_range=s_range, n=100, T_max=60.0)
         if pure_gamma:
             max_gamma = max(max_gamma, len(res.cycles))
         else:

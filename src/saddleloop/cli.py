@@ -314,8 +314,8 @@ def cmd_sim(args) -> int:
         s_range = (_parse_pair(args.window, "window")
                    if args.window else None)
         res = census(flow, annulus=_annulus(args.annulus), s_range=s_range,
-                     n=args.n, stability_delta=args.stability_delta,
-                     T_max=CENSUS_T_MAX if args.T is None else args.T)
+                     n=args.n, T_max=CENSUS_T_MAX if args.T is None else args.T,
+                     with_saddle_data=True)
         payload = {
             "family": args.family,
             "epsilon": args.eps,
@@ -339,7 +339,7 @@ def cmd_sim(args) -> int:
         flags = [f"cycle at s={c.section_coordinate:.6g} stability undetermined"
                  for c in res.cycles if c.stability == "undetermined"]
         _write_manifest(out, _config_echo(args, config_fields + (
-                            "annulus", "window", "n", "stability_delta")),
+                            "annulus", "window", "n")),
                         [str(out)], time.time() - t0, flags)
         print(out)
         return 3 if flags else 0
@@ -461,9 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", metavar="LO:HI",
                    help="section window for the census")
     p.add_argument("--n", type=int, default=100, help="census grid size")
-    p.add_argument("--stability-delta", type=float, default=1e-4,
-                   help="census stability probe offset, as a fraction of "
-                   "the window")
     p.add_argument("--traj", action="store_true")
     p.add_argument("--start", metavar="X,Y")
     p.add_argument("--T", type=float, default=None,

@@ -14,14 +14,15 @@ error control alone sets the step.  Every run that stops on an event
 is a lockstep batch (``saddleloop.lockstep``): all lanes advance
 together as numpy arrays, each with its own step control, and each
 event is located on the lane's dense output: the Poincare return maps
-(``return_maps``) and the four separatrix runs of ``separatrix_shifts``,
-whose stable lanes run backward through a constant time-sign row.
-The one solve_ivp run is
-``integrate``, the recorded trajectory of ``sim --traj``.  Also here:
-a cycle census by displacement sign changes, refined together by a
-lockstep Illinois search, saddle traces by Newton continuation, and
-separatrix shift functions measured in the Hamiltonian chart on
-mid-connection transversals.
+(``return_maps``), the census's return slopes, whose tangent rows carry
+the variational equation (``_return_slopes``), and the four separatrix
+runs of ``separatrix_shifts``, whose stable lanes run backward through
+a constant time-sign row.  The one solve_ivp run is ``integrate``, the
+recorded trajectory of ``sim --traj``.  Also here: a cycle census by
+displacement sign changes, refined together by a lockstep Illinois
+search, saddle traces by Newton continuation, and separatrix shift
+functions measured in the Hamiltonian chart on mid-connection
+transversals.
 
 Cycle detection is fixed-point based rather than attractor settling:
 the cycles of interest can be repelling or nearly neutral (traces are
@@ -47,9 +48,6 @@ ESCAPE_RADIUS = 12.0        # |z| at which a trajectory has left the loop region
 BURN_IN = 1e-3              # return-map lead time before the section event arms
 SEPARATRIX_OFFSET = 1e-8    # launch distance along the saddle eigenvectors
 SEPARATRIX_T_MAX = 60.0     # time budget for a separatrix to reach x = 0
-
-# coefficient order for quadratic polynomials
-QUAD_BASIS = ("1", "x", "y", "x^2", "x*y", "y^2")
 
 
 def _poly_val(c, x, y):
@@ -121,7 +119,8 @@ class FlowSpec:
     @cached_property
     def coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(xdot, ydot) = (H_y + eps*g, -H_x - eps*f) as quadratic
-        coefficient tuples in QUAD_BASIS order: the flow's one field."""
+        coefficient tuples ordered as (1, x, y, x^2, x*y, y^2): the
+        flow's one field."""
         hx, hy = self.hamiltonian.grad_H_coeffs()
         e, w = self.epsilon, self.one_form
         return (tuple(p + e * q for p, q in zip(hy, w.g)),
@@ -190,19 +189,29 @@ def _escape(z):
 def _lockstep_field(flow: FlowSpec):
     """FlowSpec.rhs on a (2, n) array of lanes, from the same coefficients
     and in the same order, with the monomials whose coefficients vanish
-    in both components left out."""
+    in both components left out.  On (4, n) tangent lanes (x, y, u, v)
+    it is the variational system: rows 0-1 keep those bits and rows 2-3
+    are J(x, y) (u, v), the same terms with each monomial replaced by its
+    derivative along (u, v)."""
     coef = np.array(flow.coeffs)
     const = coef[:, :1]
     terms = [(k - 1, coef[:, k:k + 1]) for k in range(1, 6)
              if coef[:, k].any()]
 
     def field(z):
-        x, y = z
+        x, y = z[0], z[1]
         mono = (x, y, x * x, x * y, y * y)
         out = np.repeat(const, z.shape[1], axis=1)
         for k, c in terms:
             out += c * mono[k]
-        return out
+        if len(z) == 2:
+            return out
+        u, v = z[2], z[3]
+        dmono = (u, v, 2.0 * x * u, y * u + x * v, 2.0 * y * v)
+        dz = np.zeros_like(out)
+        for k, c in terms:
+            dz += c * dmono[k]
+        return np.vstack([out, dz])
 
     return field
 
@@ -216,11 +225,10 @@ class ReturnLanes:
     t_return: np.ndarray        # nan where the lane did not return
 
 
-def return_maps(flow: FlowSpec, section: SectionSegment, s,
-                T_max: float = 400.0) -> ReturnLanes:
-    """First returns to the section from every coordinate in s, with all
-    lanes advanced in lockstep under the flow's tolerance and
-    OUTER_MAX_STEP.
+def _first_returns(field, z, section: SectionSegment, T_max: float,
+                   tol: float):
+    """First returns of lanes z, shape (d, n), whose rows 0-1 start on the
+    section, advanced in lockstep under tol and OUTER_MAX_STEP.
 
     Each lane first runs a BURN_IN lead with only the escape event
     armed, so that the departure itself cannot register as the return.
@@ -229,30 +237,27 @@ def return_maps(flow: FlowSpec, section: SectionSegment, s,
     reason is ok, escape, left_annulus (it crossed the section line
     outside the annulus: it slipped through a broken connection),
     timeout (no crossing within T_max) or failed (step size underflow).
+    Returns per lane the reason code, the return time and the state at
+    the return, nan where the lane did not return.
     """
     if T_max <= BURN_IN:
         raise ValueError(f"T_max={T_max} does not exceed the burn-in "
                          f"{BURN_IN}")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
     lo, hi = section.s_bounds()
-    outside = ~((lo <= s) & (s <= hi))
-    if outside.any():
-        raise ValueError(f"s={s[outside][0]} outside section range "
-                         f"{section.s_bounds()}")
     coord = 0 if section.axis == "x" else 1
-    z = np.zeros((2, s.size))
-    z[coord] = s
-
-    reason = np.full(s.size, _FAILED)
-    s_ret = np.full(s.size, np.nan)
-    t_ret = np.full(s.size, np.nan)
-    rhs = _lockstep_field(flow)
-    steps = (OUTER_MAX_STEP, flow.tol, 0.01 * flow.tol)
-    st, _, _, z = advance(rhs, z, BURN_IN, ((_escape, 1),), *steps)
+    outside = ~((lo <= z[coord]) & (z[coord] <= hi))
+    if outside.any():
+        raise ValueError(f"s={z[coord][outside][0]} outside section range "
+                         f"{section.s_bounds()}")
+    reason = np.full(z.shape[1], _FAILED)
+    t_ret = np.full(z.shape[1], np.nan)
+    z_ret = np.full(z.shape, np.nan)
+    steps = (OUTER_MAX_STEP, tol, 0.01 * tol)
+    st, _, _, z = advance(field, z, BURN_IN, ((_escape, 1),), *steps)
     reason[st == 1] = _ESCAPE
     go = np.flatnonzero(st == 0)
     events = ((lambda z: z[1 - coord], section.direction), (_escape, 1))
-    st, which, t, z = advance(rhs, z[:, go], T_max - BURN_IN, events,
+    st, which, t, z = advance(field, z[:, go], T_max - BURN_IN, events,
                               *steps)
     crossed = (st == 1) & (which == 0)
     inside = (lo <= z[coord]) & (z[coord] <= hi)
@@ -260,9 +265,43 @@ def return_maps(flow: FlowSpec, section: SectionSegment, s,
                   [_OK, _LEFT, _ESCAPE, _TIMEOUT], _FAILED)
     reason[go] = r
     ok = r == _OK
-    s_ret[go[ok]] = z[coord, ok]
     t_ret[go[ok]] = BURN_IN + t[ok]
-    return ReturnLanes(s_ret, np.array(REASONS)[reason], t_ret)
+    z_ret[:, go[ok]] = z[:, ok]
+    return reason, t_ret, z_ret
+
+
+def return_maps(flow: FlowSpec, section: SectionSegment, s,
+                T_max: float = 400.0) -> ReturnLanes:
+    """First returns to the section from every coordinate in s: one
+    lockstep batch of (2, n) lanes under the flow's tolerance
+    (``_first_returns``, which defines the reasons)."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    c = 0 if section.axis == "x" else 1
+    z = np.zeros((2, s.size))
+    z[c] = s
+    reason, t_ret, z = _first_returns(_lockstep_field(flow), z, section,
+                                      T_max, flow.tol)
+    return ReturnLanes(z[c], np.array(REASONS)[reason], t_ret)
+
+
+def _return_slopes(flow: FlowSpec, section: SectionSegment, s,
+                   T_max: float) -> np.ndarray:
+    """The return-map derivative P'(s) at every coordinate in s, nan where
+    the lane did not return: one batch of (4, n) tangent lanes whose
+    rows 0-1 run return_maps' lanes bit for bit and whose rows 2-3 start
+    as the unit vector along the section.  At the return the tangent v
+    is projected along the field f onto the section, P' = v_c - f_c v_o
+    / f_o for the section axis c and the other axis o (Parker and Chua,
+    *Practical Numerical Algorithms for Chaotic Systems*, 1989, ch. 3).
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    c = 0 if section.axis == "x" else 1
+    z = np.zeros((4, s.size))
+    z[c], z[2 + c] = s, 1.0
+    field = _lockstep_field(flow)
+    _, _, z = _first_returns(field, z, section, T_max, flow.tol)
+    f = field(z[:2])
+    return z[2 + c] - f[c] * z[3 - c] / f[1 - c]
 
 
 def return_map(flow: FlowSpec, section: SectionSegment, s: float,
@@ -303,27 +342,26 @@ class CycleCensus:
 
 
 def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
-           s_range=None, n: int = 100, margin: float = 0.0,
-           stability_delta: float = 1e-4, T_max: float = 400.0,
-           with_saddle_data: bool = True) -> CycleCensus:
+           s_range=None, n: int = 100, T_max: float = 400.0,
+           with_saddle_data: bool = False) -> CycleCensus:
     """Limit-cycle census by return-map fixed points on one annulus.
 
     s_range defaults to the full section span (slightly shrunk); pass a
-    narrow window near the loop end for near-loop censuses, with margin
-    extending the section past the unperturbed loop.  The grid is one
-    lockstep batch of return maps; its exact displacement zeros and one
-    root per displacement sign change are the candidate cycles
+    narrow window near the loop end for near-loop censuses.  The grid is
+    one lockstep batch of return maps; its exact displacement zeros and
+    one root per displacement sign change are the candidate cycles
     (``lockstep.grid_roots``: all brackets refined in one lockstep
-    Illinois search), deduplicated, and the stability probes r +- d of
-    every root are one more batch.  no_return_count counts grid lanes
-    without a return plus brackets abandoned because a refinement lane
-    did not return.  A flow whose perturbation part is zero has a
-    continuum of closed orbits and is reported as degenerate_continuum
-    without a scan.
+    Illinois search), deduplicated, and their exact return slopes are
+    one batch of tangent lanes (``_return_slopes``).  no_return_count
+    counts grid lanes without a return plus brackets abandoned because a
+    refinement lane did not return.  A flow whose perturbation part is
+    zero has a continuum of closed orbits and is reported as
+    degenerate_continuum without a scan.  with_saddle_data adds the
+    saddle traces and connection shifts of an appendix flow.
     """
     if n < 100:
         raise ValueError("census needs a grid of at least 100 points")
-    sec = section_segment(flow.hamiltonian, annulus, margin=margin)
+    sec = section_segment(flow.hamiltonian, annulus)
     lo, hi = sec.s_bounds()
     if s_range is None:
         span0 = hi - lo
@@ -355,21 +393,10 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
         if not merged or r - merged[-1] > 1e-8 * span:
             merged.append(r)
 
-    slo, shi = sec.s_bounds()
-    slo, shi = min(slo, shi), max(slo, shi)
-    rs = np.array(merged)
-    d = np.minimum(stability_delta * span,
-                   np.minimum(0.5 * (rs - slo), 0.5 * (shi - rs)))
-    probed = d >= 1e-13 * span
-    deriv = np.full(rs.size, math.nan)
-    if probed.any():
-        rp, rm = np.split(return_maps(
-            flow, sec, np.concatenate([rs[probed] + d[probed],
-                                       rs[probed] - d[probed]]),
-            T_max=T_max).s_return, 2)
-        deriv[probed] = (rp - rm) / (2.0 * d[probed])
+    slopes = (_return_slopes(flow, sec, merged, T_max).tolist() if merged
+              else [])
     cycles = []
-    for r, dv in zip(merged, deriv):
+    for r, dv in zip(merged, slopes):
         if math.isnan(dv) or abs(dv - 1.0) < 1e-5:
             stab = "undetermined"
         elif abs(dv) < 1.0:

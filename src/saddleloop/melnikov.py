@@ -18,8 +18,7 @@ Both zero counts sample their function on GRID_POINTS energies and
 refine every sign change to one root with the lockstep Illinois search
 that the cycle census uses (``lockstep.grid_roots``).  The grid and each
 Illinois round are one quadrature batch (``triples_on_grid``,
-``appendix_moments_on_grid``); ``value`` and ``appendix_first_order``
-are one-energy views.
+``appendix_moments_on_grid``); ``value`` is a one-energy view.
 """
 from __future__ import annotations
 
@@ -221,22 +220,17 @@ def classify_cyclicity(coeffs: MelnikovCoeffs,
                           "up to three cycles from the loop")
 
 
-def appendix_first_order(spec: HamiltonianSpec, mu2: float, h: float,
-                         tol: float = 1e-11) -> float:
-    """First-order displacement density for the appendix perturbation.
+def appendix_first_order_on_grid(spec: HamiltonianSpec, mu2: float, hs,
+                                 tol: float = 1e-11) -> np.ndarray:
+    """First-order displacement density for the appendix perturbation at
+    every energy of an h-grid, from one ``appendix_moments_on_grid``
+    batch.
 
     Along closed ovals the perturbation one-form reduces to
     (16 + mu2) * oint y dx - pi*sqrt(3) * oint y^2 dx: the mu1 and c*x*y
     terms integrate to zero by closedness and x -> -x symmetry.  In the
     loop limit the value tends to -pi*sqrt(3)*mu2.
     """
-    return float(appendix_first_order_on_grid(spec, mu2, [h], tol=tol)[0])
-
-
-def appendix_first_order_on_grid(spec: HamiltonianSpec, mu2: float, hs,
-                                 tol: float = 1e-11) -> np.ndarray:
-    """``appendix_first_order`` at every energy of an h-grid, from one
-    ``appendix_moments_on_grid`` batch."""
     if spec.family is not Family.APPENDIX_ELLIPSE:
         raise ValueError("defined for the appendix family")
     iy, iy2 = appendix_moments_on_grid(spec, hs, tol=tol)

@@ -28,8 +28,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-SQRT3 = math.sqrt(3.0)
-
 
 class Family(enum.Enum):
     NORMAL_FORM = "normal_form"

@@ -227,7 +227,6 @@ class SectionSegment:
     annulus: Annulus
     s_center: float  # parameter at the center (degenerate) end
     s_loop: float  # parameter at the loop end (energy 0)
-    margin: float  # allowed overshoot past the loop end
     axis: str  # 'x': section on y=0; 'y': section on x=0
     direction: int
 
@@ -238,21 +237,15 @@ class SectionSegment:
         return self.spec.eval_H(*self.point(s))
 
     def s_bounds(self) -> tuple[float, float]:
-        lo = min(self.s_center, self.s_loop)
-        hi = max(self.s_center, self.s_loop)
-        if self.s_loop >= self.s_center:
-            hi += self.margin
-        else:
-            lo -= self.margin
-        return lo, hi
+        return tuple(sorted((self.s_center, self.s_loop)))
 
     def contains(self, s: float) -> bool:
         lo, hi = self.s_bounds()
         return lo <= s <= hi
 
     def coord_for_energy(self, t: float) -> float:
-        """Invert the energy chart on the segment (without the margin)."""
-        a, b = sorted((self.s_center, self.s_loop))
+        """Invert the energy chart on the segment."""
+        a, b = self.s_bounds()
         fa = self.energy(a) - t
         fb = self.energy(b) - t
         if fa == 0.0:
@@ -267,16 +260,11 @@ class SectionSegment:
 def section_segment(
     spec: HamiltonianSpec,
     annulus: Annulus = Annulus.SIGMA_PLUS,
-    margin: float = 0.0,
 ) -> SectionSegment:
     """Build the annulus section (``model.section_ends``) and check the
-    energy chart is monotone.
-
-    ``margin`` extends the segment past the loop end (used by censuses
-    that must catch cycles straddling the unperturbed loop).
-    """
+    energy chart is monotone."""
     s_center, s_loop = section_ends(spec, annulus)
-    seg = SectionSegment(spec, annulus, s_center, s_loop, margin,
+    seg = SectionSegment(spec, annulus, s_center, s_loop,
                          spec.slice_axis, -1)
     ss = np.linspace(seg.s_center, seg.s_loop, CHART_CHECK_POINTS)
     hs = np.array([seg.energy(s) for s in ss])

@@ -10,7 +10,6 @@ from saddleloop.model import Annulus, Family, HamiltonianSpec
 from saddleloop.abelian import (
     QUAD_LIMIT,
     appendix_moments_on_grid,
-    appendix_oval_moments,
     default_log_window,
     fit_log_basis,
     jk_at_loop,
@@ -94,7 +93,7 @@ def test_kernel_lanes_batch_invariant(appendix_spec):
     hs = np.linspace(-1.3, -1e-4, 25)
     iy, iy2 = appendix_moments_on_grid(appendix_spec, hs)
     for h, m1, m2 in zip(hs[::4], iy[::4], iy2[::4]):
-        single = np.array(appendix_oval_moments(appendix_spec, h))
+        single = np.array(appendix_moments_on_grid(appendix_spec, [h])).ravel()
         assert single.tobytes() == np.array([m1, m2]).tobytes()
 
 
@@ -192,7 +191,7 @@ def test_appendix_segment_closed_forms(appendix_spec):
 
 @pytest.mark.parametrize("h", sorted(APPENDIX_MOMENTS))
 def test_appendix_oval_moments_against_oracle(appendix_spec, h):
-    iy, iy2 = appendix_oval_moments(appendix_spec, h)
+    (iy,), (iy2,) = appendix_moments_on_grid(appendix_spec, [h])
     ref = APPENDIX_MOMENTS[h]
     assert iy == pytest.approx(ref[0], rel=1e-10)
     assert iy2 == pytest.approx(ref[1], rel=1e-10)
@@ -201,7 +200,7 @@ def test_appendix_oval_moments_against_oracle(appendix_spec, h):
 def test_appendix_moments_approach_loop_values(appendix_spec):
     # as h -> 0- the oval tends to the upper loop arc plus the segment,
     # where the y and y^2 moments have known closed forms
-    iy, iy2 = appendix_oval_moments(appendix_spec, -1e-6)
+    (iy,), (iy2,) = appendix_moments_on_grid(appendix_spec, [-1e-6])
     assert iy == pytest.approx(-math.pi * math.sqrt(3.0), rel=1e-3)
     assert iy2 == pytest.approx(-16.0, rel=1e-3)
 

@@ -114,7 +114,7 @@ def test_first_order_agrees_with_census_on_scan_draws():
                 flowsim.FlowSpec(hamiltonian=flow.hamiltonian, epsilon=eps,
                                  one_form=flow.one_form),
                 annulus=Annulus.SIGMA_PLUS, s_range=s_range, n=100,
-                T_max=60.0, with_saddle_data=False)
+                T_max=60.0)
             assert len(res.cycles) == 1
             energies.append(res.cycles[0].energy_estimate)
         assert abs(2.0 * energies[1] - energies[0] - zero) <= 5e-5, f"draw {trial}"

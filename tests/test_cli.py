@@ -152,7 +152,7 @@ def test_sim_census_json(tmp_path, capsys):
                           "return_derivative"}
     man = json.loads((tmp_path / "census.json.manifest.json").read_text())
     assert set(man["config"]) == {"family", "a", "eps", "f", "g", "annulus",
-                                  "n", "stability_delta", "T", "tol"}
+                                  "n", "T", "tol"}
 
 
 def test_sim_census_zero_one_form_degenerate(tmp_path, capsys):
@@ -168,13 +168,12 @@ def test_sim_census_zero_one_form_degenerate(tmp_path, capsys):
 
 
 def test_sim_census_witness_replay(tmp_path, capsys):
-    # the README witness command, at the fixture's stability delta
+    # the README witness command
     out = tmp_path / "census.json"
     code, _, _ = run(["sim", "--family", "appendix", "--c", "60",
                       "--eps", "3.6e-3", "--mu1", "0.352", "--mu2", "0.657",
                       "--census", "--window", "1.15e-3,4.0e-3", "--n", "160",
-                      "--T", "80", "--stability-delta", "1e-6",
-                      "--out", str(out)], capsys)
+                      "--T", "80", "--out", str(out)], capsys)
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["outcomes"] == {"ok": 155, "left_annulus": 5}
@@ -183,8 +182,7 @@ def test_sim_census_witness_replay(tmp_path, capsys):
                                                        "attracting"]
     man = json.loads((tmp_path / "census.json.manifest.json").read_text())
     assert set(man["config"]) == {"family", "c", "eps", "mu1", "mu2",
-                                  "annulus", "window", "n", "stability_delta",
-                                  "T", "tol"}
+                                  "annulus", "window", "n", "T", "tol"}
 
 
 def test_sim_requires_exactly_one_mode(tmp_path, capsys):
@@ -382,9 +380,9 @@ def test_manifest_clock_covers_computation(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("extra, t_max", [
-    (["--T", "80", "--stability-delta", "1e-6"], 80.0), ([], 400.0)])
+    (["--T", "80"], 80.0), ([], 400.0)])
 def test_sim_census_passes_T(tmp_path, capsys, monkeypatch, extra, t_max):
-    # and --stability-delta, whose default is census's own 1e-4
+    # and asks for the saddle data that census leaves out by default
     seen = {}
 
     def fake_census(flow, **kwargs):
@@ -400,7 +398,7 @@ def test_sim_census_passes_T(tmp_path, capsys, monkeypatch, extra, t_max):
                       "--out", str(out)] + extra, capsys)
     assert code == 0
     assert seen["T_max"] == t_max
-    assert seen["stability_delta"] == (1e-6 if extra else 1e-4)
+    assert seen["with_saddle_data"] is True
     man = json.loads((tmp_path / "census.json.manifest.json").read_text())
     assert man["config"].get("T") == (80.0 if extra else None)
 
@@ -418,7 +416,8 @@ _VALID_ARGV = {
 
 @pytest.mark.parametrize("command, flag", [
     *((c, f) for c in sorted(_VALID_ARGV) for f in ("--threads", "--seed")),
-    ("pf", "--tol"), ("verify", "--tol"), ("melnikov", "--c")])
+    ("pf", "--tol"), ("verify", "--tol"), ("melnikov", "--c"),
+    ("sim", "--stability-delta")])
 def test_removed_flags_rejected(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command] + _VALID_ARGV[command] + [flag, "1"])

@@ -21,7 +21,9 @@ from saddleloop.flowsim import (
     FlowSpec,
     QuadraticOneForm,
     _escape,
+    _first_returns,
     _lockstep_field,
+    _return_slopes,
     _signed_field,
     alien_witness,
     appendix_flow,
@@ -250,7 +252,7 @@ def test_separatrix_lane_without_crossing_raises(monkeypatch):
 
 
 def test_census_unperturbed_degenerate(spec_a1):
-    res = census(unperturbed(spec_a1), n=100, with_saddle_data=False)
+    res = census(unperturbed(spec_a1), n=100)
     assert res.degenerate_continuum
     assert res.cycles == ()
 
@@ -261,7 +263,7 @@ def test_census_zero_one_form_degenerate(spec_a1):
     for eps, form in ((1e-3, QuadraticOneForm(f=(0.0,) * 6)),
                       (0.0, QuadraticOneForm.gamma_type(0.5))):
         res = census(FlowSpec(hamiltonian=spec_a1, epsilon=eps,
-                              one_form=form), n=100, with_saddle_data=False)
+                              one_form=form), n=100)
         assert res.degenerate_continuum
         assert res.cycles == () and res.outcomes == {}
 
@@ -285,7 +287,7 @@ def test_census_validation(spec_a1):
 def test_witness_fixture_contents():
     w = alien_witness()
     for key in ("family", "c", "epsilon", "mu1", "mu2", "section_window",
-                "energy_window", "grid_points", "stability_delta", "t_max",
+                "energy_window", "grid_points", "t_max",
                 "expected_cycles", "expected_stabilities",
                 "expected_section_coords", "coord_tolerance",
                 "melnikov_max_zeros"):
@@ -298,9 +300,7 @@ def test_witness_census_replay():
     w = alien_witness()
     flow = witness_flow()
     res = census(flow, s_range=tuple(w["section_window"]),
-                 n=int(w["grid_points"]),
-                 stability_delta=float(w["stability_delta"]),
-                 T_max=float(w["t_max"]), with_saddle_data=False)
+                 n=int(w["grid_points"]), T_max=float(w["t_max"]))
     assert len(res.cycles) == w["expected_cycles"]
     stabs = [c.stability for c in res.cycles]
     assert stabs == list(w["expected_stabilities"])
@@ -341,9 +341,15 @@ def test_lockstep_field_matches_rhs(spec_a05, appendix_spec):
     flows = [draw, FlowSpec(hamiltonian=spec_a05, epsilon=0.1,
                             one_form=draw.one_form), witness_flow(),
              appendix_flow(appendix_spec, PerturbationSpec(epsilon=0.0))]
+    v = rng.uniform(-1.0, 1.0, (2, 2000))
     for flow in flows:
         got = _lockstep_field(flow)(z)
         assert np.array_equal(got, np.array(flow.rhs(0.0, z)))
+        # tangent lanes: the same rows 0-1, and J(z) v in rows 2-3
+        tan = _lockstep_field(flow)(np.vstack([z, v]))
+        assert np.array_equal(tan[:2], got)
+        jv = np.einsum("ijn,jn->in", flow.jacobian(z), v)
+        assert np.allclose(tan[2:], jv, rtol=1e-13, atol=1e-13)
 
 
 def test_illinois_lockstep_roots():
@@ -525,3 +531,82 @@ def test_near_saddle_returns_match_tight_oracle():
         for saddle in (tp.saddle1, tp.saddle2):
             assert np.min(np.hypot(*(orbit - saddle).T)) < 0.07
     assert list(got.reason[:2]) == ["left_annulus"] * 2
+
+
+# --- return slopes -------------------------------------------------------
+
+
+def test_tangent_lanes_keep_return_bits():
+    # the witness grid (five lanes slip through the broken connection) as
+    # (4, n) tangent lanes: rows 0-1 return return_maps' bits
+    flow, sect, grid, T_max = _witness_grid()
+    planar = return_maps(flow, sect, grid, T_max=T_max)
+    assert sect.axis == "y"
+    z = np.zeros((4, grid.size))
+    z[1], z[3] = grid, 1.0
+    reason, t_ret, z = _first_returns(_lockstep_field(flow), z, sect, T_max,
+                                      flow.tol)
+    assert [flowsim.REASONS[r] for r in reason] == list(planar.reason)
+    assert z[1].tobytes() == planar.s_return.tobytes()
+    assert t_ret.tobytes() == planar.t_return.tobytes()
+    # a slope lane gives the same bits alone as in the batch
+    slopes = _return_slopes(flow, sect, grid, T_max)
+    assert np.isnan(slopes).sum() == 5
+    for i in (0, 3, 5, 40, 159):
+        alone = _return_slopes(flow, sect, grid[i:i + 1], T_max)
+        assert alone.tobytes() == slopes[i:i + 1].tobytes()
+
+
+def test_witness_slopes_match_central_difference():
+    # the census's own map differentiated by a central difference at
+    # d = 1e-5 * span, neither truncation- nor roundoff-limited there
+    w = alien_witness()
+    flow, sect, _, T_max = _witness_grid()
+    res = census(flow, s_range=tuple(w["section_window"]),
+                 n=int(w["grid_points"]), T_max=T_max)
+    lo, hi = w["section_window"]
+    d = 1e-5 * (hi - lo)
+    for cyc in res.cycles:
+        r = cyc.section_coordinate
+        up, down = return_maps(flow, sect, [r + d, r - d],
+                               T_max=T_max).s_return
+        assert abs(cyc.return_derivative - (up - down) / (2.0 * d)) < 1e-5
+
+
+def _oracle_slope(flow, sect, s, T_max):
+    """P'(s) from scipy's solve_ivp on the variational system (x, y, u, v)
+    at rtol 1e-13: a burn-in lead, then the section event, where the
+    tangent is projected along the field onto the section."""
+    c = 0 if sect.axis == "x" else 1
+
+    def rhs(t, w):
+        return [*flow.rhs(t, w[:2]), *(flow.jacobian(w[:2]) @ w[2:])]
+
+    def section(t, w):
+        return w[1 - c]
+
+    section.terminal, section.direction = True, sect.direction
+    start = np.zeros(4)
+    start[c], start[2 + c] = s, 1.0
+    steps = dict(method="DOP853", rtol=1e-13, atol=1e-15,
+                 max_step=OUTER_MAX_STEP)
+    lead = solve_ivp(rhs, (0.0, BURN_IN), start, **steps)
+    tr = solve_ivp(rhs, (0.0, T_max - BURN_IN), lead.y[:, -1],
+                   events=[section], **steps)
+    w = tr.y_events[0][0]
+    f = flow.rhs(0.0, w[:2])
+    return w[2 + c] - f[c] * w[3 - c] / f[1 - c]
+
+
+@pytest.mark.parametrize("trial", [85, 97, 138])
+def test_scan_slopes_match_variational_oracle(trial):
+    # the three criterion-10 draws whose cycle sits at a first-order zero;
+    # their slopes lie within 3e-3 of 1, so the stability label rests on
+    # the slope's accuracy
+    _, flow, s_range = scan_draws()[trial]
+    sect = section_segment(flow.hamiltonian, Annulus.SIGMA_PLUS)
+    res = census(flow, s_range=s_range, n=100, T_max=60.0)
+    (cyc,) = res.cycles
+    oracle = _oracle_slope(flow, sect, cyc.section_coordinate, 60.0)
+    assert abs(cyc.return_derivative - oracle) < 1e-6
+    assert cyc.stability == ("attracting" if oracle < 1.0 else "repelling")

@@ -6,6 +6,7 @@ from pathlib import Path
 import saddleloop
 
 SRC = Path(saddleloop.__file__).parent
+ROOT = Path(__file__).parents[1]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -27,6 +28,52 @@ def test_no_unused_module_imports():
     assert len(modules) >= 10
     unused = {p.name: _unused_imports(p) for p in modules}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def _defined_names(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and assigned names, dunders left
+    out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                names += [n.id for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not n.startswith("__")]
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, imports, or spells as a whole string (the
+    benchmark tracer hooks names as (module, name) strings)."""
+    refs = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.alias):
+            refs.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            refs.add(n.value)
+    return refs
+
+
+def test_no_unreferenced_definitions():
+    # every module-level definition of the package is read somewhere in
+    # the package, the tests or the benchmark
+    files = [p for d in ("src", "tests", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert SRC / "flowsim.py" in files
+    refs = set().union(*(_referenced_names(ast.parse(p.read_text()))
+                         for p in files))
+    unreferenced = {p.name: [n for n in _defined_names(ast.parse(p.read_text()))
+                             if n not in refs]
+                    for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in unreferenced.items() if v} == {}
 
 
 def test_benchmark_tracer_hooks_resolve():

@@ -8,7 +8,7 @@ from saddleloop.model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs
 from saddleloop.melnikov import (
     ZeroFunctionError,
     appendix_count_zeros,
-    appendix_first_order,
+    appendix_first_order_on_grid,
     classify_cyclicity,
     count_zeros,
     d1_expected,
@@ -102,14 +102,15 @@ def test_appendix_first_order_from_moments(appendix_spec, h):
     iy, iy2 = APPENDIX_MOMENTS[h]
     mu2 = 0.3
     want = (16.0 + mu2) * iy - math.pi * math.sqrt(3.0) * iy2
-    assert appendix_first_order(appendix_spec, mu2, h) == pytest.approx(want, rel=1e-9)
+    (got,) = appendix_first_order_on_grid(appendix_spec, mu2, [h])
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_appendix_loop_value_is_mu2_line(appendix_spec):
     # M(0-) -> -pi*sqrt(3)*mu2: the mu1 channel integrates to zero over
     # a closed oval and the remaining terms cancel at the loop
     for mu2 in (0.2, -0.4):
-        got = appendix_first_order(appendix_spec, mu2, -1e-7)
+        (got,) = appendix_first_order_on_grid(appendix_spec, mu2, [-1e-7])
         assert got == pytest.approx(-math.pi * math.sqrt(3.0) * mu2, rel=1e-4)
 
 
@@ -119,8 +120,10 @@ def test_appendix_zero_location(appendix_spec):
     zc = appendix_count_zeros(appendix_spec, 0.657, (-0.1, -0.01))
     assert zc.count == 1
     assert -0.08 < zc.zeros[0] < -0.05
-    oracle = brentq(lambda h: appendix_first_order(appendix_spec, 0.657, h),
-                    -0.08, -0.05, xtol=1e-14)
+    def m1(h):
+        return float(appendix_first_order_on_grid(appendix_spec, 0.657, [h])[0])
+
+    oracle = brentq(m1, -0.08, -0.05, xtol=1e-14)
     assert abs(zc.zeros[0] - oracle) < 1e-10
     zc2 = appendix_count_zeros(appendix_spec, 0.657, (-0.004, -0.00115))
     assert zc2.count == 0

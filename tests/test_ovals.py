@@ -168,17 +168,6 @@ def test_coord_for_energy_inverts_energy(spec_a05, annulus, t):
     assert sect.energy(s) == pytest.approx(t, rel=1e-10, abs=1e-12)
 
 
-def test_section_margin_extends_past_loop(spec_a1):
-    plain = section_segment(spec_a1, Annulus.SIGMA_PLUS)
-    wide = section_segment(spec_a1, Annulus.SIGMA_PLUS, margin=0.05)
-    lo0, hi0 = plain.s_bounds()
-    lo1, hi1 = wide.s_bounds()
-    assert (hi1 - hi0) + (lo0 - lo1) == pytest.approx(0.05, rel=1e-12)
-    outside = plain.s_loop + 0.01 * (plain.s_loop - plain.s_center)
-    assert not plain.contains(outside)
-    assert wide.contains(outside)
-
-
 def test_appendix_section(appendix_spec):
     sect = section_segment(appendix_spec, Annulus.SIGMA_PLUS)
     assert sect.axis == "y"
