@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import abelian, centroid, flowsim, melnikov, picard_fuchs
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
@@ -185,7 +186,7 @@ def criterion_7() -> CriterionResult:
     t0 = time.time()
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=1.0)
     curve = centroid.sample_curve(spec, Annulus.SIGMA_PLUS, n=200)
-    rng = np.random.default_rng(RANDOM_LINE_SEED)
+    rng = default_rng(RANDOM_LINE_SEED)
     worst_general = 0
     worst_vertical = 0
     for _ in range(1000):
@@ -271,7 +272,7 @@ def scan_draws() -> list[tuple]:
     """
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=1.0)
     sect = section_segment(spec, Annulus.SIGMA_PLUS)
-    rng = np.random.default_rng(RANDOM_SCAN_SEED)
+    rng = default_rng(RANDOM_SCAN_SEED)
 
     def window(t_deep: float, t_near: float) -> tuple[float, float]:
         s1 = sect.coord_for_energy(t_deep)

@@ -18,7 +18,8 @@ event is located on the lane's dense output: the Poincare return maps
 the variational equation (``_return_slopes``), and the four separatrix
 runs of ``separatrix_shifts``, whose stable lanes run backward through
 a constant time-sign row.  The one solve_ivp run is ``integrate``, the
-recorded trajectory of ``sim --traj``.  Also here: a cycle census by
+recorded trajectory of ``sim --traj``; it imports scipy when called, and
+nothing else in the package loads scipy.  Also here: a cycle census by
 displacement sign changes, refined together by a lockstep Illinois
 search, saddle traces by Newton continuation, and separatrix shift
 functions measured in the Hamiltonian chart on mid-connection
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .lockstep import advance, grid_roots
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
@@ -158,7 +158,10 @@ class Trajectory:
 def integrate(flow: FlowSpec, start, T: float) -> Trajectory:
     """The trajectory of ``sim --traj``: one solve_ivp DOP853 run over
     [0, T] at the flow's tolerance and a maximum step of OUTER_MAX_STEP,
-    with every accepted step recorded."""
+    with every accepted step recorded.  scipy is imported here, so only
+    this command pays for loading it."""
+    from scipy.integrate import solve_ivp
+
     if T <= 0.0:
         raise ValueError("duration must be positive")
     sol = solve_ivp(flow.rhs, (0.0, T), np.asarray(start, dtype=float),

@@ -4,11 +4,12 @@ as numpy arrays.
 A lane is one initial state of d >= 2 rows.  Rows 0-1 are the planar
 state; further rows ride along (a constant time sign, say) and are
 left out of the error control.  Every lane takes its own steps under
-scipy's DOP853 tableau and step control (Hairer, Norsett & Wanner,
-*Solving ODEs I*, II.4-II.6): the err5/err3 norm of rows 0-1, safety
-0.9, step factors in [0.2, 10], exponent -1/8 and select_initial_step's
-first step.  Terminal events are detected by sign changes at step
-ends, as solve_ivp does, and located on the step's dense output.
+the DOP853 tableau (``saddleloop.dop853``, scipy's coefficients) and
+scipy's step control (Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.4-II.6): the err5/err3 norm of rows 0-1, safety 0.9, step factors
+in [0.2, 10], exponent -1/8 and select_initial_step's first step.
+Terminal events are detected by sign changes at step ends, as
+solve_ivp does, and located on the step's dense output.
 
 Every sum over stages is accumulated term by term in a fixed order,
 never by a matrix product, whose summation order depends on the array
@@ -26,7 +27,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
+
+from . import dop853 as _dop
 
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 EVENT_TOL = 4.0 * np.finfo(float).eps       # solve_ivp's event-root tolerance

@@ -24,8 +24,9 @@ bracket).  ``slice_grid`` refines the endpoints of a whole energy grid
 together, with one lockstep Illinois search (``lockstep.illinois``),
 and polishes them with two Newton steps to ~1e-14 relative;
 ``slice_oval`` is its one-energy view.  Sections come from
-``model.section_ends``; only their energy chart inversion
-(``SectionSegment.coord_for_energy``) uses brentq.
+``model.section_ends``; their energy chart inversion
+(``SectionSegment.coord_for_energy``) uses ``_brentq``, a scalar port of
+scipy's brentq loop that returns brentq's bits.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .lockstep import illinois
 from .model import (Annulus, HamiltonianSpec, OvalRangeError, critical_data,
@@ -214,6 +214,51 @@ def slice_oval(spec: HamiltonianSpec, annulus: Annulus, t: float) -> OvalSlice:
                      float(g.third_root[0]), bool(g.degenerate[0]))
 
 
+def _brentq(f, xpre, xcur, fpre, fcur, xtol=1e-15, rtol=8.9e-16, maxiter=100):
+    """Root of f on the bracket [xpre, xcur], whose end values fpre and
+    fcur are nonzero and of opposite signs.
+
+    The loop of scipy's ``brentq`` (scipy/optimize/Zeros/brentq.c,
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD
+    3-clause license, reproduced in LICENSE-scipy.txt), ported operation
+    for operation in double precision, so it returns brentq's bits.
+    Raises RuntimeError after maxiter iterations, as brentq does.
+    """
+    xpre, xcur, fpre, fcur = float(xpre), float(xcur), float(fpre), float(fcur)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+        if stry is not None and \
+                2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry     # good short step
+        else:
+            spre = scur = sbis          # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur!r}")
+
+
 @dataclass(frozen=True)
 class SectionSegment:
     """Transversal segment crossing every oval of an annulus once.
@@ -254,7 +299,7 @@ class SectionSegment:
             return b
         if fa * fb > 0.0:
             raise OvalRangeError(f"energy {t!r} not attained on the section")
-        return brentq(lambda s: self.energy(s) - t, a, b, xtol=1e-15, rtol=8.9e-16)
+        return _brentq(lambda s: self.energy(s) - t, a, b, fa, fb)
 
 
 def section_segment(

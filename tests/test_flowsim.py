@@ -352,6 +352,21 @@ def test_lockstep_field_matches_rhs(spec_a05, appendix_spec):
         assert np.allclose(tan[2:], jv, rtol=1e-13, atol=1e-13)
 
 
+def test_dop853_table_matches_scipy():
+    # the lanes step as solve_ivp's DOP853 only if every coefficient has
+    # scipy's bits
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    from saddleloop import dop853
+
+    assert (dop853.N_STAGES, dop853.N_STAGES_EXTENDED) == \
+        (ref.N_STAGES, ref.N_STAGES_EXTENDED)
+    for name in ("A", "B", "E3", "E5", "D"):
+        ours, theirs = getattr(dop853, name), getattr(ref, name)
+        assert ours.shape == theirs.shape, name
+        assert ours.tobytes() == theirs.tobytes(), name
+
+
 def test_illinois_lockstep_roots():
     # three brackets of x^3 - k, one abandoned by a nan evaluation
     ks = np.array([2.0, 5.0, 7.0])

@@ -1,6 +1,10 @@
 import ast
 import dataclasses
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import saddleloop
@@ -99,3 +103,24 @@ def test_benchmark_tracer_hooks_resolve():
     for cls, names in read.items():
         fields = {f.name for f in dataclasses.fields(cls)}
         assert set(names) <= fields, cls.__name__
+
+
+def test_import_path_loads_no_scipy_solvers():
+    # only sim --traj (flowsim.integrate) imports scipy, when it runs:
+    # the package and every module of it, cli included, load none of
+    # scipy's solver packages
+    code = (
+        "import importlib, json, pkgutil, sys, saddleloop\n"
+        "names = [m.name for m in pkgutil.iter_modules(saddleloop.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('saddleloop.' + name)\n"
+        "print(json.dumps([names, sorted(sys.modules)]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    names, loaded = json.loads(out)
+    assert {"cli", "flowsim", "lockstep", "ovals"} <= set(names)
+    heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg",
+             "scipy.special")
+    assert [h for h in heavy if h in loaded] == []

@@ -3,12 +3,13 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from saddleloop.centroid import default_grid
 from saddleloop.model import (Annulus, Family, HamiltonianSpec, critical_data,
                               x1_loop_root)
-from saddleloop.ovals import (OvalRangeError, section_segment, slice_grid,
-                              slice_oval)
+from saddleloop.ovals import (OvalRangeError, _brentq, section_segment,
+                              slice_grid, slice_oval)
 
 NF, APP = Family.NORMAL_FORM, Family.APPENDIX_ELLIPSE
 
@@ -166,6 +167,37 @@ def test_coord_for_energy_inverts_energy(spec_a05, annulus, t):
     s = sect.coord_for_energy(t)
     assert sect.contains(s)
     assert sect.energy(s) == pytest.approx(t, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("family,a,annulus", [
+    (NF, 1.0, Annulus.SIGMA_PLUS), (NF, 1.0, Annulus.SIGMA_MINUS),
+    (NF, 0.5, Annulus.SIGMA_PLUS), (NF, 0.5, Annulus.SIGMA_MINUS),
+    (APP, 1.0, Annulus.SIGMA_PLUS),
+], ids=["a1-plus", "a1-minus", "a0.5-plus", "a0.5-minus", "appendix"])
+def test_coord_for_energy_matches_brentq(family, a, annulus):
+    # the chart inversion returns scipy brentq's bits: criterion 10's
+    # census windows, and so every lane of its draws, hang on them
+    sect = section_segment(HamiltonianSpec(family=family, a=a), annulus)
+    lo, hi = sect.s_bounds()
+    e_lo, e_hi = sorted((sect.energy(lo), sect.energy(hi)))
+    span = e_hi - e_lo
+    near = np.geomspace(1e-12, 1e-2, 10) * span
+    ts = np.concatenate([np.linspace(e_lo, e_hi, 62)[1:-1], e_lo + near,
+                         e_hi - near])
+    if (family, a, annulus) == (NF, 1.0, Annulus.SIGMA_PLUS):
+        ts = np.append(ts, [-0.4, -1e-3, -0.08, -5e-4])    # criterion 10
+    for t in map(float, ts):
+        ref = brentq(lambda s: sect.energy(s) - t, lo, hi, xtol=1e-15,
+                     rtol=8.9e-16)
+        assert repr(sect.coord_for_energy(t)) == repr(ref), t
+    for t in (e_lo - 0.1 * span, e_hi + 0.1 * span):
+        with pytest.raises(OvalRangeError):
+            sect.coord_for_energy(t)
+
+
+def test_brentq_port_raises_when_unconverged():
+    with pytest.raises(RuntimeError, match="Failed to converge after 3"):
+        _brentq(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0, maxiter=3)
 
 
 def test_appendix_section(appendix_spec):
