@@ -34,6 +34,8 @@ from .ovals import OvalSlice, phi, phi_prime, slice_grid
 
 HALF_PI = math.pi / 2.0
 MIN_TOL = 1e-12
+QUAD_TOL = 1e-11        # tolerance of the grid integrals unless a caller sets one
+LIMIT_QUAD_TOL = 1e-12  # loop limits J_k(0) and connection integrals
 QUAD_LIMIT = 200    # panel budget of one lane
 
 # QUADPACK's qk21: Kronrod abscissae on (0, 1) with their weights (the
@@ -222,9 +224,8 @@ def _jk_grid(spec: HamiltonianSpec, annulus: Annulus, ts, ks, tol):
     return vals, errs, ok, g.degenerate
 
 
-def jk_on_slice(sl: OvalSlice, k: int,
-                tol: float = 1e-11) -> tuple[float, float, bool]:
-    """One Abelian integral J_k on a normal-form slice.
+def jk_on_slice(sl: OvalSlice, k: int) -> tuple[float, float, bool]:
+    """One Abelian integral J_k on a normal-form slice, at QUAD_TOL.
 
     Returns (value, error estimate, converged).
     """
@@ -232,15 +233,14 @@ def jk_on_slice(sl: OvalSlice, k: int,
         raise ValueError("x^k y dx basis applies to the normal-form family")
     if sl.degenerate:
         return 0.0, 0.0, True
-    _check_tol(tol)
     v, e, ok = _jk_lanes(sl.r, np.array([sl.lo]), np.array([sl.hi]),
-                         np.array([sl.third_root]), np.array([k]), tol)
+                         np.array([sl.third_root]), np.array([k]), QUAD_TOL)
     return float(v[0]), float(e[0]), bool(ok[0])
 
 
 def triples_on_grid(spec: HamiltonianSpec, annulus: Annulus,
                     ts: Sequence[float],
-                    tol: float = 1e-11) -> list[AbelianTriple]:
+                    tol: float = QUAD_TOL) -> list[AbelianTriple]:
     """(J_{-1}, J_0, J_1) with error flags at every energy of a t-grid,
     in grid order, from one kernel batch."""
     vals, errs, ok, degenerate = _jk_grid(spec, annulus, ts, (-1, 0, 1), tol)
@@ -252,13 +252,12 @@ def triples_on_grid(spec: HamiltonianSpec, annulus: Annulus,
             in zip(ts, vals.tolist(), errs.tolist(), ok.all(axis=1))]
 
 
-def triple(spec: HamiltonianSpec, annulus: Annulus, t: float,
-           tol: float = 1e-11) -> AbelianTriple:
+def triple(spec: HamiltonianSpec, annulus: Annulus, t: float) -> AbelianTriple:
     """(J_{-1}, J_0, J_1) at energy t, with error flags."""
-    return triples_on_grid(spec, annulus, [t], tol=tol)[0]
+    return triples_on_grid(spec, annulus, [t])[0]
 
 
-def jk_at_loop(spec: HamiltonianSpec, k: int, tol: float = 1e-12) -> float:
+def jk_at_loop(spec: HamiltonianSpec, k: int) -> float:
     """J_k(0) = 2 * int_0^{x1} x^k sqrt(r(x)) dx for k in {0, 1}.
 
     The k = -1 integral diverges logarithmically at the loop.
@@ -279,7 +278,7 @@ def jk_at_loop(spec: HamiltonianSpec, k: int, tol: float = 1e-12) -> float:
         q = -r2 * (x - x2) if r2 != 0.0 else np.full(x.shape, -r1)
         return (x if k else 1.0) * np.sqrt(q) * s * c * c
 
-    val, err, ok = _gk21(f, 1, 0.0, HALF_PI, tol)
+    val, err, ok = _gk21(f, 1, 0.0, HALF_PI, LIMIT_QUAD_TOL)
     if not ok[0]:
         raise QuadratureError(f"loop-limit quadrature not converged (err={err[0]})")
     return 4.0 * x1**1.5 * float(val[0])
@@ -318,10 +317,11 @@ def _appendix_integrals(spec: HamiltonianSpec, hs, fe, n_forms: int, tol):
     return tuple(x.reshape(len(g.t), n_forms) for x in out)
 
 
-def appendix_oval_integral(spec: HamiltonianSpec, h: float,
-                           fe: Callable[[float, float], float],
-                           tol: float = 1e-11) -> tuple[float, float, bool]:
-    """oint f dx over the oval H = h, counterclockwise, for f even in x.
+def appendix_oval_integral(
+        spec: HamiltonianSpec, h: float,
+        fe: Callable[[float, float], float]) -> tuple[float, float, bool]:
+    """oint f dx over the oval H = h, counterclockwise, for f even in x,
+    at QUAD_TOL.
 
     ``fe(x2, y)`` is f expressed through x^2 (odd-in-x parts integrate
     to zero by symmetry and are rejected by construction), evaluated
@@ -330,12 +330,12 @@ def appendix_oval_integral(spec: HamiltonianSpec, h: float,
     substitution makes smooth.
     """
     val, err, ok = _appendix_integrals(
-        spec, [h], lambda x2, y, _: fe(x2, y), 1, tol)
+        spec, [h], lambda x2, y, _: fe(x2, y), 1, QUAD_TOL)
     return float(val[0, 0]), float(err[0, 0]), bool(ok[0, 0])
 
 
 def appendix_moments_on_grid(spec: HamiltonianSpec, hs,
-                             tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
+                             tol: float = QUAD_TOL) -> tuple[np.ndarray, np.ndarray]:
     """(oint y dx, oint y^2 dx) over the ovals H = h of an h-grid,
     counterclockwise, from one kernel batch; both moments of an oval
     share its slice."""
@@ -348,7 +348,7 @@ def appendix_moments_on_grid(spec: HamiltonianSpec, hs,
 
 
 def segment_integral_appendix(spec: HamiltonianSpec, which: str,
-                              integrand, tol: float = 1e-12) -> float:
+                              integrand) -> float:
     """Line integral along Gamma1 or Gamma2 of integrand(x, y) dx.
 
     Gamma1 is the saddle connection {y = 0, -1 <= x <= 1} traversed
@@ -361,7 +361,7 @@ def segment_integral_appendix(spec: HamiltonianSpec, which: str,
     if which == "gamma1":
         val, err, ok = _gk21(
             lambda x, _: np.broadcast_to(integrand(x, 0.0), x.shape),
-            1, -1.0, 1.0, tol)
+            1, -1.0, 1.0, LIMIT_QUAD_TOL)
         sign = 1.0
     elif which == "gamma2":
         # x = sin(theta), y = 2*sqrt(3)*cos(theta); endpoint at theta=pi/2
@@ -370,7 +370,7 @@ def segment_integral_appendix(spec: HamiltonianSpec, which: str,
                              2.0 * math.sqrt(3.0) * np.cos(theta)) \
                 * np.cos(theta)
 
-        val, err, ok = _gk21(g, 1, -HALF_PI, HALF_PI, tol)
+        val, err, ok = _gk21(g, 1, -HALF_PI, HALF_PI, LIMIT_QUAD_TOL)
         sign = -1.0
     else:
         raise ValueError(f"unknown connection {which!r}; use 'gamma1' or 'gamma2'")
@@ -422,20 +422,19 @@ def fit_log_basis(ts: np.ndarray, vals: np.ndarray,
 
 
 _LOWEST_LOG = {-1: "t^0*log", 0: "t^1*log", 1: "t^2*log"}
+LOG_WINDOW_POINTS = 40
+LOG_WINDOW_T_MIN = 1e-6     # |t| at which every log-fit window stops
 
 
-def default_log_window(n: int = 40, t_min: float = 1e-6,
-                       t_max: float = 0.1) -> np.ndarray:
-    """Geometric grid t_j -> 0^- used by the log-coefficient fits."""
-    if t_min < 1e-6:
-        raise ValueError("log-fit window must stop at |t| >= 1e-6")
-    return -np.geomspace(t_max, t_min, n)
+def default_log_window(t_max: float = 0.1) -> np.ndarray:
+    """LOG_WINDOW_POINTS energies from -t_max to -LOG_WINDOW_T_MIN,
+    geometric, for the log-coefficient fits."""
+    return -np.geomspace(t_max, LOG_WINDOW_T_MIN, LOG_WINDOW_POINTS)
 
 
-def log_coefficient(spec: HamiltonianSpec, k: int,
-                    window: np.ndarray | None = None,
-                    tol: float = 1e-11) -> LogFit:
-    """Fit J_k near t = 0^- and expose its lowest-order log coefficient.
+def log_coefficient(spec: HamiltonianSpec, k: int) -> LogFit:
+    """Fit J_k on default_log_window() and expose its lowest-order log
+    coefficient.
 
     The leading log terms are ln|t| for k = -1, t*ln|t| for k = 0 and
     t^2*ln|t| for k = 1; the fitted value lands in ``coeffs['lowest']``
@@ -443,8 +442,8 @@ def log_coefficient(spec: HamiltonianSpec, k: int,
     """
     if k not in (-1, 0, 1):
         raise ValueError(f"k must be in {{-1, 0, 1}}, got {k}")
-    ts = default_log_window() if window is None else np.asarray(window)
-    vals = _jk_grid(spec, Annulus.SIGMA_PLUS, ts, (k,), tol)[0][:, 0]
+    ts = default_log_window()
+    vals = _jk_grid(spec, Annulus.SIGMA_PLUS, ts, (k,), QUAD_TOL)[0][:, 0]
     fit = fit_log_basis(ts, vals)
     out = dict(fit.coeffs)
     out["lowest"] = out[_LOWEST_LOG[k]]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs, critical_data
-from .abelian import jk_at_loop, triples_on_grid
+from .abelian import QUAD_TOL, jk_at_loop, triples_on_grid
 from .lockstep import sign_changes
 
 # relative distance of the default grid from the center and loop energies
@@ -29,6 +29,10 @@ CENTER_MARGIN = 1e-5
 LOOP_MARGIN = 1e-6
 # relative band around zero in which a non-crossing sample flags tangency
 TANGENCY_BAND = 1e-8
+# samples nearest the center that endpoint_extrapolated extrapolates from
+EXTRAPOLATION_POINTS = 4
+# relative band in which simultaneous_loop_test counts a loop condition met
+LOOP_BAND = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +52,11 @@ class CentroidCurve:
     def functional(self, coeffs: MelnikovCoeffs) -> np.ndarray:
         return coeffs.alpha + coeffs.beta * self.xi + coeffs.gamma * self.eta
 
-    def endpoint_extrapolated(self, n_points: int = 4) -> tuple[float, float]:
-        """Richardson (polynomial) extrapolation of the samples nearest
-        the center energy, for checking against the analytic endpoint."""
+    def endpoint_extrapolated(self) -> tuple[float, float]:
+        """Richardson (polynomial) extrapolation of the
+        EXTRAPOLATION_POINTS samples nearest the center energy, for
+        checking against the analytic endpoint."""
+        n_points = EXTRAPOLATION_POINTS
         if len(self.ts) < n_points:
             raise ValueError("not enough samples to extrapolate")
         if self.annulus is Annulus.SIGMA_PLUS:
@@ -103,7 +109,7 @@ def default_grid(spec: HamiltonianSpec, annulus: Annulus,
 
 
 def sample_curve(spec: HamiltonianSpec, annulus: Annulus, t_grid=None,
-                 n: int = 200, tol: float = 1e-11) -> CentroidCurve:
+                 n: int = 200, tol: float = QUAD_TOL) -> CentroidCurve:
     """Sample the centroid curve on t_grid, or on default_grid(n)."""
     if spec.family is not Family.NORMAL_FORM:
         raise ValueError("centroid curves are defined for the normal-form "
@@ -248,15 +254,15 @@ def line_intersections(curve: CentroidCurve,
 
 
 def total_line_intersections(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
-                             n: int = 200, tol: float = 1e-11) -> int:
+                             n: int = 200) -> int:
     """Intersection count relevant for cycle bifurcation from periodic
     orbits: the plus curve alone, or both curves when the second annulus
     exists and gamma != 0 (elliptic case convention)."""
-    total = line_intersections(sample_curve(spec, Annulus.SIGMA_PLUS, n=n,
-                                            tol=tol), coeffs).count
+    total = line_intersections(sample_curve(spec, Annulus.SIGMA_PLUS, n=n),
+                               coeffs).count
     if 0.0 < spec.a < 2.0 and coeffs.gamma != 0.0:
         total += line_intersections(sample_curve(spec, Annulus.SIGMA_MINUS,
-                                                 n=n, tol=tol), coeffs).count
+                                                 n=n), coeffs).count
     return total
 
 
@@ -271,23 +277,22 @@ class SimultaneousLoopReport:
         return self.annihilates_both
 
 
-def simultaneous_loop_test(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
-                           band: float = 1e-3, n: int = 200,
-                           tol: float = 1e-11) -> SimultaneousLoopReport:
+def simultaneous_loop_test(spec: HamiltonianSpec,
+                           coeffs: MelnikovCoeffs) -> SimultaneousLoopReport:
     """Whether (alpha, beta) kills the loop-limit condition on both
-    annuli at once.  Must come out false for any nonzero pair, since the
-    two loop abscissas straddle zero."""
+    annuli at once, within LOOP_BAND.  Must come out false for any
+    nonzero pair, since the two loop abscissas straddle zero."""
     if not (0.0 < spec.a < 2.0):
         raise ValueError("both loops exist only for a in (0, 2)")
     if coeffs.gamma != 0.0:
         raise ValueError("loop bifurcation condition applies to gamma = 0")
     if coeffs.alpha == 0.0 and coeffs.beta == 0.0:
         raise ValueError("degenerate zero coefficients")
-    xp = sample_curve(spec, Annulus.SIGMA_PLUS, n=n, tol=tol).asymptote
-    xm = sample_curve(spec, Annulus.SIGMA_MINUS, n=n, tol=tol).asymptote
+    xp = sample_curve(spec, Annulus.SIGMA_PLUS).asymptote
+    xm = sample_curve(spec, Annulus.SIGMA_MINUS).asymptote
     scale = abs(coeffs.alpha) + abs(coeffs.beta)
-    both = (abs(coeffs.alpha + xp * coeffs.beta) <= band * scale
-            and abs(coeffs.alpha + xm * coeffs.beta) <= band * scale)
+    both = (abs(coeffs.alpha + xp * coeffs.beta) <= LOOP_BAND * scale
+            and abs(coeffs.alpha + xm * coeffs.beta) <= LOOP_BAND * scale)
     return SimultaneousLoopReport(annihilates_both=both, xi_plus_loop=xp,
                                   xi_minus_loop=xm,
                                   sign_fact_ok=xm < 0.0 < xp)

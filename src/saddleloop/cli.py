@@ -21,14 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, abelian, acceptance, centroid, melnikov, picard_fuchs
-from .flowsim import (FlowSpec, QuadraticOneForm, appendix_flow, census,
-                      integrate)
+from .flowsim import (FLOW_TOL, RETURN_T_MAX, FlowSpec, QuadraticOneForm,
+                      appendix_flow, census, integrate)
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     PerturbationSpec)
 
 OUT_DIR_ENV = "SADDLELOOP_OUT_DIR"
 TRAJ_T = 100.0          # sim --traj duration when --T is not given
-CENSUS_T_MAX = 400.0    # sim --census return-map time limit when --T is not given
 
 
 class ConfigError(Exception):
@@ -314,7 +313,7 @@ def cmd_sim(args) -> int:
         s_range = (_parse_pair(args.window, "window")
                    if args.window else None)
         res = census(flow, annulus=_annulus(args.annulus), s_range=s_range,
-                     n=args.n, T_max=CENSUS_T_MAX if args.T is None else args.T,
+                     n=args.n, T_max=RETURN_T_MAX if args.T is None else args.T,
                      with_saddle_data=True)
         payload = {
             "family": args.family,
@@ -412,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
     p.add_argument("--t-grid", required=True, metavar="LO:HI:N")
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--tol", type=float, default=abelian.QUAD_TOL)
     _add_common(p)
     p.set_defaults(fn=cmd_abelian)
 
@@ -433,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu2", type=float, default=0.0)
     p.add_argument("--t-grid", metavar="LO:HI:N")
     p.add_argument("--h-grid", metavar="LO:HI:N")
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--tol", type=float, default=abelian.QUAD_TOL)
     _add_common(p)
     p.set_defaults(fn=cmd_melnikov)
 
@@ -441,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--tol", type=float, default=abelian.QUAD_TOL)
     _add_common(p)
     p.set_defaults(fn=cmd_centroid)
 
@@ -465,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", metavar="X,Y")
     p.add_argument("--T", type=float, default=None,
                    help=f"duration: trajectory length (default {TRAJ_T:g}) "
-                   f"or return-map time limit (default {CENSUS_T_MAX:g})")
-    p.add_argument("--tol", type=float, default=1e-10)
+                   f"or return-map time limit (default {RETURN_T_MAX:g})")
+    p.add_argument("--tol", type=float, default=FLOW_TOL)
     _add_common(p)
     p.set_defaults(fn=cmd_sim)
 

@@ -44,6 +44,8 @@ from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
 from .ovals import SectionSegment, section_segment
 
 OUTER_MAX_STEP = 0.2        # maximum step of both integrators
+FLOW_TOL = 1e-10            # integrator rtol of a flow unless it sets its own
+RETURN_T_MAX = 400.0        # return-map time limit unless a caller sets one
 ESCAPE_RADIUS = 12.0        # |z| at which a trajectory has left the loop region
 BURN_IN = 1e-3              # return-map lead time before the section event arms
 SEPARATRIX_OFFSET = 1e-8    # launch distance along the saddle eigenvectors
@@ -114,7 +116,7 @@ class FlowSpec:
     hamiltonian: HamiltonianSpec
     epsilon: float
     one_form: QuadraticOneForm
-    tol: float = 1e-10
+    tol: float = FLOW_TOL
 
     @cached_property
     def coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -142,7 +144,7 @@ class FlowSpec:
 
 
 def appendix_flow(spec: HamiltonianSpec, pert: PerturbationSpec,
-                  tol: float = 1e-10) -> FlowSpec:
+                  tol: float = FLOW_TOL) -> FlowSpec:
     return FlowSpec(hamiltonian=spec, epsilon=pert.epsilon,
                     one_form=QuadraticOneForm.appendix(spec, pert), tol=tol)
 
@@ -274,7 +276,7 @@ def _first_returns(field, z, section: SectionSegment, T_max: float,
 
 
 def return_maps(flow: FlowSpec, section: SectionSegment, s,
-                T_max: float = 400.0) -> ReturnLanes:
+                T_max: float) -> ReturnLanes:
     """First returns to the section from every coordinate in s: one
     lockstep batch of (2, n) lanes under the flow's tolerance
     (``_first_returns``, which defines the reasons)."""
@@ -308,7 +310,7 @@ def _return_slopes(flow: FlowSpec, section: SectionSegment, s,
 
 
 def return_map(flow: FlowSpec, section: SectionSegment, s: float,
-               T_max: float = 400.0) -> ReturnResult:
+               T_max: float = RETURN_T_MAX) -> ReturnResult:
     """First return to the section in the flow direction: one lane of
     return_maps.  No-return outcomes are reported as data, not errors."""
     lanes = return_maps(flow, section, s, T_max=T_max)
@@ -319,7 +321,7 @@ def return_map(flow: FlowSpec, section: SectionSegment, s: float,
 
 
 def displacement(flow: FlowSpec, section: SectionSegment, s: float,
-                 T_max: float = 400.0) -> float | None:
+                 T_max: float = RETURN_T_MAX) -> float | None:
     res = return_map(flow, section, s, T_max=T_max)
     return None if res.s_return is None else res.s_return - s
 
@@ -340,12 +342,11 @@ class CycleCensus:
     degenerate_continuum: bool
     no_return_count: int
     grid_size: int
-    flow: FlowSpec
     outcomes: dict[str, int] = field(default_factory=dict)  # lanes by reason
 
 
 def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
-           s_range=None, n: int = 100, T_max: float = 400.0,
+           s_range=None, n: int = 100, T_max: float = RETURN_T_MAX,
            with_saddle_data: bool = False) -> CycleCensus:
     """Limit-cycle census by return-map fixed points on one annulus.
 
@@ -380,7 +381,7 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     if not any(flow.epsilon * q for q in flow.one_form.f + flow.one_form.g):
         return CycleCensus(cycles=(), saddle_traces=None, shifts=None,
                            degenerate_continuum=True, no_return_count=0,
-                           grid_size=n, flow=flow)
+                           grid_size=n)
 
     lanes = return_maps(flow, sec, grid, T_max=T_max)
     outcomes = {r: int(np.count_nonzero(lanes.reason == r))
@@ -418,7 +419,7 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
         shifts = (sh.b1, sh.b2)
     return CycleCensus(cycles=tuple(cycles), saddle_traces=traces,
                        shifts=shifts, degenerate_continuum=False,
-                       no_return_count=no_return, grid_size=n, flow=flow,
+                       no_return_count=no_return, grid_size=n,
                        outcomes=outcomes)
 
 
@@ -481,8 +482,6 @@ def _eig_directions(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ShiftPair:
     b1: float       # lower connection (segment through y = 0)
     b2: float       # upper connection (half-ellipse arc)
-    saddle1: tuple[float, float]
-    saddle2: tuple[float, float]
 
 
 def _signed_field(flow: FlowSpec):
@@ -543,9 +542,7 @@ def separatrix_shifts(flow: FlowSpec) -> ShiftPair:
         raise RuntimeError(f"separatrix did not reach the transversal "
                            f"({outcome})")
     hu1, hs1, hu2, hs2 = flow.energy(z)
-    return ShiftPair(b1=hu1 - hs1, b2=hu2 - hs2,
-                     saddle1=(float(s1[0]), float(s1[1])),
-                     saddle2=(float(s2[0]), float(s2[1])))
+    return ShiftPair(b1=hu1 - hs1, b2=hu2 - hs2)
 
 
 def alien_witness() -> dict:

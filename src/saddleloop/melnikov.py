@@ -30,8 +30,9 @@ import numpy as np
 
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     critical_data)
-from .abelian import (appendix_moments_on_grid, default_log_window,
-                      fit_log_basis, triple, triples_on_grid)
+from .abelian import (QUAD_TOL, appendix_moments_on_grid,
+                      default_log_window, fit_log_basis, triple,
+                      triples_on_grid)
 from .lockstep import grid_roots
 
 
@@ -41,8 +42,8 @@ class ZeroFunctionError(RuntimeError):
 
 
 def value(spec: HamiltonianSpec, coeffs: MelnikovCoeffs, annulus: Annulus,
-          t: float, tol: float = 1e-11) -> float:
-    tr = triple(spec, annulus, t, tol=tol)
+          t: float) -> float:
+    tr = triple(spec, annulus, t)
     if not tr.converged:
         warnings.warn(f"quadrature not converged at t={t}", RuntimeWarning)
     return coeffs.alpha * tr.j0 + coeffs.beta * tr.j1 + coeffs.gamma * tr.jm1
@@ -50,7 +51,7 @@ def value(spec: HamiltonianSpec, coeffs: MelnikovCoeffs, annulus: Annulus,
 
 def values_on_grid(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
                    annulus: Annulus, ts,
-                   tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
+                   tol: float = QUAD_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Returns (values, converged mask) over the grid, from one
     ``triples_on_grid`` batch."""
     trs = triples_on_grid(spec, annulus, ts, tol=tol)
@@ -72,16 +73,13 @@ class MelnikovExpansion:
     well_conditioned: bool
 
 
-def expansion(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
-              window=None, tol: float = 1e-11) -> MelnikovExpansion:
+def expansion(spec: HamiltonianSpec,
+              coeffs: MelnikovCoeffs) -> MelnikovExpansion:
     """Fit the loop-side expansion coefficients on a t -> -0 window."""
-    # Default window stops at |t| = 1e-2: the basis omits the analytic
-    # t^2 term, whose leakage into the t*ln|t| column grows with t_max.
-    if window is None:
-        window = default_log_window(t_max=1e-2)
-    window = np.asarray(window, dtype=float)
-    vals, ok = values_on_grid(spec, coeffs, Annulus.SIGMA_PLUS, window,
-                              tol=tol)
+    # the window stops at |t| = 1e-2: the basis omits the analytic t^2
+    # term, whose leakage into the t*ln|t| column grows with t_max
+    window = default_log_window(t_max=1e-2)
+    vals, ok = values_on_grid(spec, coeffs, Annulus.SIGMA_PLUS, window)
     if not ok.all():
         warnings.warn("expansion window contains unconverged quadrature "
                       "points", RuntimeWarning)
@@ -139,8 +137,7 @@ def _count_sign_changes(f, grid, vals) -> ZeroCount:
 
 
 def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
-                annulus: Annulus, t_range=None,
-                tol: float = 1e-11) -> ZeroCount:
+                annulus: Annulus, t_range=None) -> ZeroCount:
     """Zeros of M on the annulus: the exact zeros and sign changes of
     GRID_POINTS samples, each sign change refined to one root by the
     lockstep Illinois search of ``lockstep.grid_roots``.
@@ -154,14 +151,14 @@ def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
         t_range = _default_range(spec, annulus)
     lo, hi = float(t_range[0]), float(t_range[1])
     grid = np.linspace(lo, hi, GRID_POINTS)
-    vals, ok = values_on_grid(spec, coeffs, annulus, grid, tol=tol)
+    vals, ok = values_on_grid(spec, coeffs, annulus, grid)
     if not ok.all():
         warnings.warn("zero count grid contains unconverged quadrature "
                       "points", RuntimeWarning)
 
     def f(ts):
         # one batch per Illinois round, warning as ``value`` does
-        vals, ok = values_on_grid(spec, coeffs, annulus, ts, tol=tol)
+        vals, ok = values_on_grid(spec, coeffs, annulus, ts)
         for t in ts[~ok]:
             warnings.warn(f"quadrature not converged at t={t}", RuntimeWarning)
         return vals
@@ -221,7 +218,7 @@ def classify_cyclicity(coeffs: MelnikovCoeffs,
 
 
 def appendix_first_order_on_grid(spec: HamiltonianSpec, mu2: float, hs,
-                                 tol: float = 1e-11) -> np.ndarray:
+                                 tol: float = QUAD_TOL) -> np.ndarray:
     """First-order displacement density for the appendix perturbation at
     every energy of an h-grid, from one ``appendix_moments_on_grid``
     batch.
@@ -237,8 +234,8 @@ def appendix_first_order_on_grid(spec: HamiltonianSpec, mu2: float, hs,
     return (16.0 + mu2) * iy - math.pi * math.sqrt(3.0) * iy2
 
 
-def appendix_count_zeros(spec: HamiltonianSpec, mu2: float, h_range,
-                         tol: float = 1e-11) -> ZeroCount:
+def appendix_count_zeros(spec: HamiltonianSpec, mu2: float,
+                         h_range) -> ZeroCount:
     """Zero count of the appendix first-order function on an h-window,
     found as count_zeros finds those of M."""
     lo, hi = float(h_range[0]), float(h_range[1])
@@ -247,6 +244,6 @@ def appendix_count_zeros(spec: HamiltonianSpec, mu2: float, h_range,
     grid = np.linspace(lo, hi, GRID_POINTS)
 
     def f(hs):
-        return appendix_first_order_on_grid(spec, mu2, hs, tol=tol)
+        return appendix_first_order_on_grid(spec, mu2, hs)
 
     return _count_sign_changes(f, grid, f(grid))

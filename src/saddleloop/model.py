@@ -113,7 +113,6 @@ class HamiltonianSpec:
 class CriticalPoint:
     xy: tuple[float, float]
     energy: float
-    kind: str  # "center" | "saddle"
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,6 @@ class CriticalData:
     center0: CriticalPoint
     saddles: tuple[CriticalPoint, ...]
     center1: CriticalPoint | None
-    two_saddle_loop: bool
-    t_saddle: float = 0.0
 
     def center_of(self, annulus: Annulus) -> CriticalPoint:
         """The center that the annulus surrounds."""
@@ -142,29 +139,25 @@ class CriticalData:
 
 def critical_data(spec: HamiltonianSpec) -> CriticalData:
     if spec.family is Family.APPENDIX_ELLIPSE:
-        center = CriticalPoint((0.0, 2.0), -4.0 / 3.0, "center")
-        saddles = (
-            CriticalPoint((-1.0, 0.0), 0.0, "saddle"),
-            CriticalPoint((1.0, 0.0), 0.0, "saddle"),
-        )
-        return CriticalData(center, saddles, None, True)
+        center = CriticalPoint((0.0, 2.0), -4.0 / 3.0)
+        saddles = (CriticalPoint((-1.0, 0.0), 0.0),
+                   CriticalPoint((1.0, 0.0), 0.0))
+        return CriticalData(center, saddles, None)
 
     a = spec.a
-    center0 = CriticalPoint((1.0, 0.0), a - 3.0, "center")
+    center0 = CriticalPoint((1.0, 0.0), a - 3.0)
     if a < 2.0:
         ys = math.sqrt(3.0 * (2.0 - a))
-        saddles = (
-            CriticalPoint((0.0, -ys), 0.0, "saddle"),
-            CriticalPoint((0.0, ys), 0.0, "saddle"),
-        )
+        saddles = (CriticalPoint((0.0, -ys), 0.0),
+                   CriticalPoint((0.0, ys), 0.0))
     else:
         saddles = ()  # complex pair
     center1 = None
     if 0.0 < a < 2.0:
         xc = (a - 2.0) / a
         t1 = (a + 1.0) * (a - 2.0) ** 2 / a**2
-        center1 = CriticalPoint((xc, 0.0), t1, "center")
-    return CriticalData(center0, saddles, center1, spec.two_saddle_loop)
+        center1 = CriticalPoint((xc, 0.0), t1)
+    return CriticalData(center0, saddles, center1)
 
 
 def _r_roots(a: float) -> list[float]:

@@ -42,6 +42,8 @@ from .model import (Annulus, HamiltonianSpec, OvalRangeError, critical_data,
 
 # samples on which section_segment checks that the energy chart is monotone
 CHART_CHECK_POINTS = 100
+# brentq's xtol and rtol, which every chart inversion uses
+BRENTQ_XTOL, BRENTQ_RTOL = 1e-15, 8.9e-16
 
 
 class BracketingError(RuntimeError):
@@ -146,22 +148,22 @@ def _slice_brackets(spec: HamiltonianSpec, annulus: Annulus, ts):
     every slice of the grid, as (lo_end, hi_end, u_c, degenerate mask).
 
     One endpoint lies between the singular line u = 0 and the center
-    u_c, the other between u_c and the root u_r of r beyond it.
+    u_c, the other between u_c and the root u_r of r beyond it.  The
+    annulus runs from its center's energy to the loop energy 0.
     """
-    crit = critical_data(spec)
-    t_center = crit.center_of(annulus).energy
+    t_center = critical_data(spec).center_of(annulus).energy
     uc, ur = slice_span(spec, annulus)
     if annulus is Annulus.SIGMA_PLUS:
-        bad = ~((t_center < ts) & (ts < crit.t_saddle))
+        bad = ~((t_center < ts) & (ts < 0.0))
         if bad.any():
             raise OvalRangeError(
-                f"SigmaPlus requires t in ({t_center}, {crit.t_saddle}), "
+                f"SigmaPlus requires t in ({t_center}, 0.0), "
                 f"got t={float(ts[np.argmax(bad)])!r}")
     else:
-        bad = ~((crit.t_saddle < ts) & (ts <= t_center))
+        bad = ~((0.0 < ts) & (ts <= t_center))
         if bad.any():
             raise OvalRangeError(
-                f"SigmaMinus requires t in ({crit.t_saddle}, {t_center}], "
+                f"SigmaMinus requires t in (0.0, {t_center}], "
                 f"got t={float(ts[np.argmax(bad)])!r}")
     degenerate = ts == t_center if annulus is Annulus.SIGMA_MINUS \
         else np.zeros(ts.shape, dtype=bool)
@@ -214,9 +216,9 @@ def slice_oval(spec: HamiltonianSpec, annulus: Annulus, t: float) -> OvalSlice:
                      float(g.third_root[0]), bool(g.degenerate[0]))
 
 
-def _brentq(f, xpre, xcur, fpre, fcur, xtol=1e-15, rtol=8.9e-16, maxiter=100):
+def _brentq(f, xpre, xcur, fpre, fcur, maxiter=100):
     """Root of f on the bracket [xpre, xcur], whose end values fpre and
-    fcur are nonzero and of opposite signs.
+    fcur are nonzero and of opposite signs, to BRENTQ_XTOL and BRENTQ_RTOL.
 
     The loop of scipy's ``brentq`` (scipy/optimize/Zeros/brentq.c,
     Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD
@@ -234,7 +236,7 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol=1e-15, rtol=8.9e-16, maxiter=100):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (BRENTQ_XTOL + BRENTQ_RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

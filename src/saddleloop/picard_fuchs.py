@@ -28,6 +28,8 @@ import numpy as np
 
 from .model import Family, HamiltonianSpec
 
+STENCIL_STEP = 1e-3     # spacing of finite_difference_residuals' stencil
+
 
 @dataclass(frozen=True)
 class PFSystem:
@@ -150,10 +152,9 @@ def fundamental(spec: HamiltonianSpec, order: int = 8) -> FundamentalSeries:
     return FundamentalSeries(a=a, lam=lam, p_const=p_const, p_lin=p_lin, q=q)
 
 
-def finite_difference_residuals(spec: HamiltonianSpec, ts,
-                                delta: float = 1e-3,
-                                tol: float = 1e-11) -> np.ndarray:
-    """System residual at each t with J' from a five-point stencil.
+def finite_difference_residuals(spec: HamiltonianSpec, ts) -> np.ndarray:
+    """System residual at each t with J' from a five-point stencil of
+    spacing STENCIL_STEP.
 
     Quadrature values of the triple feed both sides, so this checks the
     integrals against the ODE with no shared code path.
@@ -164,10 +165,10 @@ def finite_difference_residuals(spec: HamiltonianSpec, ts,
     sys = pf_system(spec)
     ts = np.asarray(ts, dtype=float)
     out = np.empty(ts.shape)
-    weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * delta)
+    weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * STENCIL_STEP)
     # every stencil point of every row in one batch
-    stencils = ts[:, None] + delta * np.arange(-2.0, 3.0)
-    trs = triples_on_grid(spec, Annulus.SIGMA_PLUS, stencils.ravel(), tol=tol)
+    stencils = ts[:, None] + STENCIL_STEP * np.arange(-2.0, 3.0)
+    trs = triples_on_grid(spec, Annulus.SIGMA_PLUS, stencils.ravel())
     J = np.array([tr.as_vector() for tr in trs]).reshape(len(ts), 5, 3)
     for i, (t, vals) in enumerate(zip(ts, J)):
         out[i] = sys.residual(t, vals[2], weights @ vals)
@@ -183,9 +184,9 @@ class AsymptoticsMatch:
     window: np.ndarray
 
 
-def match_asymptotics(spec: HamiltonianSpec, window=None,
-                      tol: float = 1e-11, order: int = 8) -> AsymptoticsMatch:
-    """Fit each J_k on {Q_k(t) ln|t|, 1, t, t^2, t^3} near t = -0.
+def match_asymptotics(spec: HamiltonianSpec) -> AsymptoticsMatch:
+    """Fit each J_k on {Q_k(t) ln|t|, 1, t, t^2, t^3} over
+    default_log_window().
 
     The triple is lam*(Q ln|t| + S) + mu*P + nu*Q with analytic S, so the
     fitted multiplier of the structured log column must reproduce lam on
@@ -195,11 +196,9 @@ def match_asymptotics(spec: HamiltonianSpec, window=None,
     from .abelian import default_log_window, triples_on_grid
     from .model import Annulus
 
-    fs = fundamental(spec, order=order)
-    if window is None:
-        window = default_log_window()
-    window = np.asarray(window, dtype=float)
-    trs = triples_on_grid(spec, Annulus.SIGMA_PLUS, window, tol=tol)
+    fs = fundamental(spec)
+    window = default_log_window()
+    trs = triples_on_grid(spec, Annulus.SIGMA_PLUS, window)
     vals = np.array([tr.as_vector() for tr in trs])
     qcols = fs.Q(window)  # (n, 3)
     logs = np.log(np.abs(window))

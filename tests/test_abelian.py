@@ -97,7 +97,7 @@ def test_kernel_lanes_batch_invariant(appendix_spec):
         assert single.tobytes() == np.array([m1, m2]).tobytes()
 
 
-def _quadpack_jk(sl, k, tol=1e-11):
+def _quadpack_jk(sl, k):
     # jk_on_slice's integrand and tolerance through scipy's QUADPACK qags
     w = 0.5 * (sl.hi - sl.lo)
     m = 0.5 * (sl.hi + sl.lo)
@@ -107,7 +107,7 @@ def _quadpack_jk(sl, k, tol=1e-11):
         c = math.cos(theta)
         return x**k * math.sqrt(sl.phi(x)) * c * c
 
-    q = 0.25 * tol / max(w * w, 1e-30)
+    q = 0.25 * abelian.QUAD_TOL / max(w * w, 1e-30)
     val, _ = quad(f, -0.5 * math.pi, 0.5 * math.pi, epsabs=q, epsrel=q,
                   limit=QUAD_LIMIT)
     return 2.0 * w * w * val
@@ -158,9 +158,11 @@ def test_budget_exhausted_lane_flagged_and_isolated():
         assert alone[2][0]
 
 
-def test_tolerance_floor(spec_a1):
-    with pytest.raises(ValueError):
-        triple(spec_a1, Annulus.SIGMA_PLUS, -1.0, tol=1e-13)
+def test_tolerance_floor(spec_a1, appendix_spec):
+    with pytest.raises(ValueError, match="quadrature tolerance"):
+        triples_on_grid(spec_a1, Annulus.SIGMA_PLUS, [-1.0], tol=1e-13)
+    with pytest.raises(ValueError, match="quadrature tolerance"):
+        appendix_moments_on_grid(appendix_spec, [-0.5], tol=1e-13)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
@@ -172,7 +174,7 @@ def test_log_coefficient_of_divergent_integral(a):
 
 
 def test_log_fit_recovers_synthetic_basis():
-    ts = default_log_window(40)
+    ts = default_log_window()
     lt = np.log(np.abs(ts))
     vals = 2.0 + 0.5 * ts - 3.0 * lt + 0.25 * ts * lt
     fit = fit_log_basis(ts, vals)

@@ -247,7 +247,7 @@ def test_config_converts_types(tmp_path, capsys, monkeypatch):
         seen.update(kwargs, epsilon=flow.epsilon)
         return CycleCensus(cycles=(), saddle_traces=None, shifts=None,
                            degenerate_continuum=False, no_return_count=0,
-                           grid_size=kwargs["n"], flow=flow)
+                           grid_size=kwargs["n"])
 
     monkeypatch.setattr(cli, "census", fake_census)
     cfg = tmp_path / "cfg.json"
@@ -389,7 +389,7 @@ def test_sim_census_passes_T(tmp_path, capsys, monkeypatch, extra, t_max):
         seen.update(kwargs)
         return CycleCensus(cycles=(), saddle_traces=None, shifts=None,
                            degenerate_continuum=False, no_return_count=0,
-                           grid_size=kwargs["n"], flow=flow)
+                           grid_size=kwargs["n"])
 
     monkeypatch.setattr(cli, "census", fake_census)
     out = tmp_path / "census.json"
@@ -423,3 +423,19 @@ def test_removed_flags_rejected(command, flag, capsys):
         main([command] + _VALID_ARGV[command] + [flag, "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["abelian"] + _VALID_ARGV["abelian"],
+    ["melnikov"] + _VALID_ARGV["melnikov"],
+    ["melnikov", "--family", "appendix", "--mu2", "0.657",
+     "--h-grid=-0.1:-0.01:5"],
+    ["centroid", "--a", "1", "--n", "12"]])
+def test_tolerance_floor_rejected(argv, tmp_path, capsys):
+    # a quadrature --tol tighter than 1e-12 is a config error, caught
+    # before any artifact is written
+    out = tmp_path / "out.csv"
+    code, _, err = run(argv + ["--tol", "1e-13", "--out", str(out)], capsys)
+    assert code == 2
+    assert "quadrature tolerance must be >= 1e-12" in err
+    assert not out.exists()

@@ -124,3 +124,55 @@ def test_import_path_loads_no_scipy_solvers():
     heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg",
              "scipy.special")
     assert [h for h in heavy if h in loaded] == []
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(function name, parameter, call position or None) of every
+    defaulted parameter of a module-level function or method; a
+    method's call position skips its self or cls."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs.append((node, 0))
+        elif isinstance(node, ast.ClassDef):
+            defs += [(d, 0 if any(getattr(x, "id", None) == "staticmethod"
+                                  for x in d.decorator_list) else 1)
+                     for d in node.body if isinstance(d, ast.FunctionDef)]
+    out = []
+    for fn, skip in defs:
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        out += [(fn.name, a.arg, i - skip)
+                for i, a in enumerate(args) if i >= first]
+        out += [(fn.name, a.arg, None) for a, d
+                in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None]
+    return out
+
+
+def _passed_parameters(tree: ast.Module) -> set[tuple[str, str | int]]:
+    """(callee name, keyword) and (callee name, position) of every
+    argument that a call in the module passes by name or position."""
+    passed = set()
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+        passed |= {(name, kw.arg) for kw in n.keywords if kw.arg}
+        passed |= {(name, i) for i, a in enumerate(n.args)
+                   if not isinstance(a, ast.Starred)}
+    return passed
+
+
+def test_no_unset_parameters():
+    # every defaulted parameter of the package is set by some call in
+    # the package, the tests or the benchmark: a default that no call
+    # overrides is a constant (nested closures are exempt)
+    files = [p for d in ("src", "tests", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    passed = set().union(*(_passed_parameters(ast.parse(p.read_text()))
+                           for p in files))
+    unset = [f"{p.stem}.{fn}({arg})" for p in sorted(SRC.glob("*.py"))
+             for fn, arg, pos in _defaulted_parameters(ast.parse(p.read_text()))
+             if (fn, arg) not in passed and (fn, pos) not in passed]
+    assert unset == []

@@ -36,7 +36,7 @@ def test_normal_form_critical_points(a):
         assert abs(abs(s.xy[1]) - ys) < 1e-14
         gx, gy = grad_H(spec, *s.xy)
         assert abs(gx) < 1e-13 and abs(gy) < 1e-13
-    assert data.two_saddle_loop
+    assert spec.two_saddle_loop
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 1.9])
@@ -79,7 +79,7 @@ def test_appendix_critical_points():
     for p in (data.center0, *data.saddles):
         assert grad_H(spec, *p.xy) == (0.0, 0.0)
     assert data.center1 is None
-    assert data.two_saddle_loop
+    assert spec.two_saddle_loop
 
 
 def test_appendix_requires_c_above_16():
