@@ -24,6 +24,8 @@ from .model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs, critical_da
 from .abelian import QUAD_TOL, jk_at_loop, triples_on_grid
 from .lockstep import sign_changes
 
+# samples of a centroid curve's default grid
+CURVE_POINTS = 200
 # relative distance of the default grid from the center and loop energies
 CENTER_MARGIN = 1e-5
 LOOP_MARGIN = 1e-6
@@ -91,7 +93,7 @@ def loop_abscissa_exact(spec: HamiltonianSpec) -> float:
 
 
 def default_grid(spec: HamiltonianSpec, annulus: Annulus,
-                 n: int = 200) -> np.ndarray:
+                 n: int = CURVE_POINTS) -> np.ndarray:
     """Samples clustered toward the center endpoint (cosine map), with
     relative margins off both singular ends."""
     if n < 4:
@@ -109,7 +111,8 @@ def default_grid(spec: HamiltonianSpec, annulus: Annulus,
 
 
 def sample_curve(spec: HamiltonianSpec, annulus: Annulus, t_grid=None,
-                 n: int = 200, tol: float = QUAD_TOL) -> CentroidCurve:
+                 n: int = CURVE_POINTS,
+                 tol: float = QUAD_TOL) -> CentroidCurve:
     """Sample the centroid curve on t_grid, or on default_grid(n)."""
     if spec.family is not Family.NORMAL_FORM:
         raise ValueError("centroid curves are defined for the normal-form "
@@ -254,7 +257,7 @@ def line_intersections(curve: CentroidCurve,
 
 
 def total_line_intersections(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
-                             n: int = 200) -> int:
+                             n: int = CURVE_POINTS) -> int:
     """Intersection count relevant for cycle bifurcation from periodic
     orbits: the plus curve alone, or both curves when the second annulus
     exists and gamma != 0 (elliptic case convention)."""

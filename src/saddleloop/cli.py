@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, abelian, acceptance, centroid, melnikov, picard_fuchs
-from .flowsim import (FLOW_TOL, RETURN_T_MAX, FlowSpec, QuadraticOneForm,
-                      appendix_flow, census, integrate)
+from .flowsim import (CENSUS_POINTS, FLOW_TOL, RETURN_T_MAX, FlowSpec,
+                      QuadraticOneForm, appendix_flow, census, integrate)
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     PerturbationSpec)
 
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centroid", help="centroid curve samples")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--n", type=int, default=centroid.CURVE_POINTS)
     p.add_argument("--tol", type=float, default=abelian.QUAD_TOL)
     _add_common(p)
     p.set_defaults(fn=cmd_centroid)
@@ -459,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--census", action="store_true")
     p.add_argument("--window", metavar="LO:HI",
                    help="section window for the census")
-    p.add_argument("--n", type=int, default=100, help="census grid size")
+    p.add_argument("--n", type=int, default=CENSUS_POINTS,
+                   help="census grid size")
     p.add_argument("--traj", action="store_true")
     p.add_argument("--start", metavar="X,Y")
     p.add_argument("--T", type=float, default=None,

@@ -5,21 +5,19 @@ i.e. xdot = H_y + eps*g, ydot = -H_x - eps*f, for quadratic f and g.
 The appendix family uses f = (16 + c*x - pi*sqrt(3)*y)*y + mu1 + mu2*y,
 g = 0.  The field is defined once, as two coefficient tuples
 (``FlowSpec.coeffs``); ``FlowSpec.rhs``, ``FlowSpec.jacobian`` and the
-lockstep lanes all evaluate those, so both integrators see the same
-field bit for bit.
+lockstep lanes all evaluate those, so ``rhs`` and the lanes see the
+same field bit for bit.
 
-Both integrators here are adaptive DOP853 under one maximum step,
-OUTER_MAX_STEP; near the saddles, where passage times diverge, the
-error control alone sets the step.  Every run that stops on an event
-is a lockstep batch (``saddleloop.lockstep``): all lanes advance
-together as numpy arrays, each with its own step control, and each
-event is located on the lane's dense output: the Poincare return maps
-(``return_maps``), the census's return slopes, whose tangent rows carry
-the variational equation (``_return_slopes``), and the four separatrix
-runs of ``separatrix_shifts``, whose stable lanes run backward through
-a constant time-sign row.  The one solve_ivp run is ``integrate``, the
-recorded trajectory of ``sim --traj``; it imports scipy when called, and
-nothing else in the package loads scipy.  Also here: a cycle census by
+Every run is a lockstep DOP853 batch (``saddleloop.lockstep``) under
+one maximum step, OUTER_MAX_STEP; near the saddles, where passage times
+diverge, the error control alone sets the step.  All lanes advance
+together as numpy arrays, each with its own step control.  The Poincare
+return maps (``return_maps``), the census's return slopes, whose
+tangent rows carry the variational equation (``_return_slopes``), and
+the four separatrix runs of ``separatrix_shifts``, whose stable lanes
+run backward through a constant time-sign row, stop on events located
+on each lane's dense output; the recorded trajectory of ``sim --traj``
+(``integrate``) is one lane with no events.  Also here: a cycle census by
 displacement sign changes, refined together by a lockstep Illinois
 search, saddle traces by Newton continuation, and separatrix shift
 functions measured in the Hamiltonian chart on mid-connection
@@ -43,9 +41,10 @@ from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     PerturbationSpec)
 from .ovals import SectionSegment, section_segment
 
-OUTER_MAX_STEP = 0.2        # maximum step of both integrators
+OUTER_MAX_STEP = 0.2        # maximum step of every lockstep run
 FLOW_TOL = 1e-10            # integrator rtol of a flow unless it sets its own
 RETURN_T_MAX = 400.0        # return-map time limit unless a caller sets one
+CENSUS_POINTS = 100         # default census grid size, also its minimum
 ESCAPE_RADIUS = 12.0        # |z| at which a trajectory has left the loop region
 BURN_IN = 1e-3              # return-map lead time before the section event arms
 SEPARATRIX_OFFSET = 1e-8    # launch distance along the saddle eigenvectors
@@ -54,7 +53,7 @@ SEPARATRIX_T_MAX = 60.0     # time budget for a separatrix to reach x = 0
 
 def _poly_val(c, x, y):
     # the monomials are formed first, the order _lockstep_field uses, so
-    # both integrators see the same field bit for bit
+    # rhs and the lanes see the same field bit for bit
     return (c[0] + c[1] * x + c[2] * y + c[3] * (x * x) + c[4] * (x * y)
             + c[5] * (y * y))
 
@@ -154,26 +153,28 @@ class Trajectory:
     ts: np.ndarray
     states: np.ndarray          # shape (n, 2)
     status: str                 # completed | failed
-    n_segments: int = 1         # always 1: one solve_ivp run per trajectory
+    n_segments: int = 1         # always 1: one lockstep lane per trajectory
 
 
 def integrate(flow: FlowSpec, start, T: float) -> Trajectory:
-    """The trajectory of ``sim --traj``: one solve_ivp DOP853 run over
-    [0, T] at the flow's tolerance and a maximum step of OUTER_MAX_STEP,
-    with every accepted step recorded.  scipy is imported here, so only
-    this command pays for loading it."""
-    from scipy.integrate import solve_ivp
-
+    """The trajectory of ``sim --traj``: one lockstep lane over [0, T]
+    with no events, at the flow's tolerance and a maximum step of
+    OUTER_MAX_STEP, with the start and every accepted step recorded.  A
+    run whose step size underflows stops there, status failed."""
     if T <= 0.0:
         raise ValueError("duration must be positive")
-    sol = solve_ivp(flow.rhs, (0.0, T), np.asarray(start, dtype=float),
-                    method="DOP853", rtol=flow.tol, atol=0.01 * flow.tol,
-                    max_step=OUTER_MAX_STEP)
-    if sol.status < 0:
-        warnings.warn(f"integrator failed at t={sol.t[-1]:.6g}: "
-                      f"{sol.message}", RuntimeWarning)
-        return Trajectory(sol.t, sol.y.T, "failed")
-    return Trajectory(sol.t, sol.y.T, "completed")
+    z = np.asarray(start, dtype=float).reshape(2, 1)
+    steps = []
+    status = advance(_lockstep_field(flow), z, T, (), OUTER_MAX_STEP,
+                     flow.tol, 0.01 * flow.tol, record=steps)[0]
+    ts = np.concatenate([[0.0]] + [t for t, _ in steps])
+    states = np.hstack([z] + [y for _, y in steps]).T
+    if status[0] == -1:
+        warnings.warn(f"integrator failed at t={ts[-1]:.6g}: required step "
+                      f"size is less than spacing between numbers",
+                      RuntimeWarning)
+        return Trajectory(ts, states, "failed")
+    return Trajectory(ts, states, "completed")
 
 
 @dataclass(frozen=True)
@@ -346,7 +347,7 @@ class CycleCensus:
 
 
 def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
-           s_range=None, n: int = 100, T_max: float = RETURN_T_MAX,
+           s_range=None, n: int = CENSUS_POINTS, T_max: float = RETURN_T_MAX,
            with_saddle_data: bool = False) -> CycleCensus:
     """Limit-cycle census by return-map fixed points on one annulus.
 
@@ -363,8 +364,9 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     degenerate_continuum without a scan.  with_saddle_data adds the
     saddle traces and connection shifts of an appendix flow.
     """
-    if n < 100:
-        raise ValueError("census needs a grid of at least 100 points")
+    if n < CENSUS_POINTS:
+        raise ValueError(f"census needs a grid of at least {CENSUS_POINTS} "
+                         f"points")
     sec = section_segment(flow.hamiltonian, annulus)
     lo, hi = sec.s_bounds()
     if s_range is None:

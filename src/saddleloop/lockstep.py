@@ -8,8 +8,9 @@ the DOP853 tableau (``saddleloop.dop853``, scipy's coefficients) and
 scipy's step control (Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.4-II.6): the err5/err3 norm of rows 0-1, safety 0.9, step factors
 in [0.2, 10], exponent -1/8 and select_initial_step's first step.
-Terminal events are detected by sign changes at step ends, as
-solve_ivp does, and located on the step's dense output.
+Terminal events, if any, are detected by sign changes at step ends, as
+solve_ivp does, and located on the step's dense output; a run may record
+its accepted steps instead (``sim --traj``).
 
 Every sum over stages is accumulated term by term in a fixed order,
 never by a matrix product, whose summation order depends on the array
@@ -168,37 +169,46 @@ def grid_roots(fun, grid, vals):
     return np.sort(np.concatenate([grid[zeros], refined]))
 
 
-def advance(field, z, t_end, events, max_step, rtol, atol):
+def advance(field, z, t_end, events, max_step, rtol, atol, record=None):
     """Advance lanes z (shape (d, n), d >= 2) from t = 0 to t_end,
     stopping each lane at the first of its terminal events.
 
     field maps a (d, m) array of states to their derivatives.  Error
     control and the first step read rows 0-1 only.  events holds (func,
-    direction) pairs: func maps a (d, m) array to m values, direction is
-    as in solve_ivp.  max_step bounds every step of every lane.  Returns
-    per lane the status (0 reached t_end, 1 event, -1 step size
-    underflow), the index of the event that stopped it, and the time and
-    state where it stopped.
+    direction) pairs, possibly none: func maps a (d, m) array to m
+    values, direction is as in solve_ivp.  max_step bounds every step of
+    every lane.  Returns per lane the status (0 reached t_end, 1 event,
+    -1 step size underflow), the index of the event that stopped it, and
+    the time and state where it stopped.
     Event times are roots of the event function on the step's dense
-    output, located to 4 eps as solve_ivp does.
+    output, located to 4 eps as solve_ivp does.  A list passed as record
+    receives (t, z) at the end of every step for the lanes that accepted
+    it: the steps of a one-lane run.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _advance(field, z, t_end, events, max_step, rtol, atol)
+        return _advance(field, z, t_end, events, max_step, rtol, atol,
+                        record)
 
 
-def _advance(field, z, t_end, events, max_step, rtol, atol):
+def _event_values(events, z):
+    """(len(events), n) values of the event functions at lanes z."""
+    return np.array([fn(z) for fn, _ in events]).reshape(len(events),
+                                                         z.shape[1])
+
+
+def _advance(field, z, t_end, events, max_step, rtol, atol, record):
     n = z.shape[1]
     status = np.zeros(n, dtype=int)
     which = np.full(n, -1)
     t_stop = np.zeros(n)
     z_stop = z.copy()
-    dirs = np.array([[d] for _, d in events])
+    dirs = np.array([d for _, d in events]).reshape(len(events), 1)
     lane = np.arange(n)
     t = np.zeros(n)
     f = field(z)
     h_abs = _initial_step(field, z, f, t_end, max_step, rtol, atol)
     retry = np.zeros(n, dtype=bool)
-    g = np.array([fn(z) for fn, _ in events])
+    g = _event_values(events, z)
     hits = []       # lanes, bracket, dense output and event values per hit
     while lane.size:
         min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
@@ -228,8 +238,10 @@ def _advance(field, z, t_end, events, max_step, rtol, atol):
                         np.minimum(MAX_FACTOR, factor))
         grow = np.where(retry, np.minimum(1.0, grow), grow)
         h_abs = h * np.where(ok, grow, np.fmax(MIN_FACTOR, factor))
+        if record is not None:
+            record.append((t_new[ok], y[:, ok]))
 
-        g_new = np.array([fn(y) for fn, _ in events])
+        g_new = _event_values(events, y)
         up, down = (g <= 0.0) & (g_new >= 0.0), (g >= 0.0) & (g_new <= 0.0)
         act = ok & (((dirs > 0) & up) | ((dirs < 0) & down)
                     | ((dirs == 0) & (up | down)))

@@ -24,9 +24,9 @@ bracket).  ``slice_grid`` refines the endpoints of a whole energy grid
 together, with one lockstep Illinois search (``lockstep.illinois``),
 and polishes them with two Newton steps to ~1e-14 relative;
 ``slice_oval`` is its one-energy view.  Sections come from
-``model.section_ends``; their energy chart inversion
-(``SectionSegment.coord_for_energy``) uses ``_brentq``, a scalar port of
-scipy's brentq loop that returns brentq's bits.
+``model.section_ends`` and lie on the slice axis, so their energy chart
+energy(s) = t is the same cubic: ``SectionSegment.coord_for_energy``
+solves it as one bracket of the same refinement.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ from .model import (Annulus, HamiltonianSpec, OvalRangeError, critical_data,
 
 # samples on which section_segment checks that the energy chart is monotone
 CHART_CHECK_POINTS = 100
-# brentq's xtol and rtol, which every chart inversion uses
-BRENTQ_XTOL, BRENTQ_RTOL = 1e-15, 8.9e-16
+# sign of the crossing speed of every section's transverse coordinate
+SECTION_DIRECTION = -1
 
 
 class BracketingError(RuntimeError):
@@ -216,66 +216,28 @@ def slice_oval(spec: HamiltonianSpec, annulus: Annulus, t: float) -> OvalSlice:
                      float(g.third_root[0]), bool(g.degenerate[0]))
 
 
-def _brentq(f, xpre, xcur, fpre, fcur, maxiter=100):
-    """Root of f on the bracket [xpre, xcur], whose end values fpre and
-    fcur are nonzero and of opposite signs, to BRENTQ_XTOL and BRENTQ_RTOL.
-
-    The loop of scipy's ``brentq`` (scipy/optimize/Zeros/brentq.c,
-    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD
-    3-clause license, reproduced in LICENSE-scipy.txt), ported operation
-    for operation in double precision, so it returns brentq's bits.
-    Raises RuntimeError after maxiter iterations, as brentq does.
-    """
-    xpre, xcur, fpre, fcur = float(xpre), float(xcur), float(fpre), float(fcur)
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENTQ_XTOL + BRENTQ_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:            # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                       # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-        if stry is not None and \
-                2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry     # good short step
-        else:
-            spre = scur = sbis          # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = float(f(xcur))
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
-                       f"value is {xcur!r}")
-
-
 @dataclass(frozen=True)
 class SectionSegment:
     """Transversal segment crossing every oval of an annulus once.
 
-    Parameterized by the coordinate ``s`` along the section axis; the
-    energy chart s -> H(point(s)) is strictly monotone.  ``direction``
-    is the sign of the crossing speed of the transverse coordinate.
+    Parameterized by the coordinate ``s`` along the section axis (the
+    slice axis: 'x', the section on y = 0, or 'y', on x = 0); the energy
+    chart s -> H(point(s)) is strictly monotone.  ``direction`` is the
+    sign of the crossing speed of the transverse coordinate.
     """
 
     spec: HamiltonianSpec
     annulus: Annulus
     s_center: float  # parameter at the center (degenerate) end
     s_loop: float  # parameter at the loop end (energy 0)
-    axis: str  # 'x': section on y=0; 'y': section on x=0
-    direction: int
+
+    @property
+    def axis(self) -> str:
+        return self.spec.slice_axis
+
+    @property
+    def direction(self) -> int:
+        return SECTION_DIRECTION
 
     def point(self, s: float) -> tuple[float, float]:
         return (s, 0.0) if self.axis == "x" else (0.0, s)
@@ -291,7 +253,9 @@ class SectionSegment:
         return lo <= s <= hi
 
     def coord_for_energy(self, t: float) -> float:
-        """Invert the energy chart on the segment."""
+        """Invert the energy chart on the segment.  The section lies on
+        the slice axis, where energy(s) = t is the slice cubic's root,
+        c(s) = t - energy(s): one bracket of ``_refine_roots``."""
         a, b = self.s_bounds()
         fa = self.energy(a) - t
         fb = self.energy(b) - t
@@ -301,7 +265,8 @@ class SectionSegment:
             return b
         if fa * fb > 0.0:
             raise OvalRangeError(f"energy {t!r} not attained on the section")
-        return _brentq(lambda s: self.energy(s) - t, a, b, fa, fb)
+        return float(_refine_roots(self.spec.slice_r(), np.array([t]),
+                                   np.array([a]), np.array([b]))[0])
 
 
 def section_segment(
@@ -311,8 +276,7 @@ def section_segment(
     """Build the annulus section (``model.section_ends``) and check the
     energy chart is monotone."""
     s_center, s_loop = section_ends(spec, annulus)
-    seg = SectionSegment(spec, annulus, s_center, s_loop,
-                         spec.slice_axis, -1)
+    seg = SectionSegment(spec, annulus, s_center, s_loop)
     ss = np.linspace(seg.s_center, seg.s_loop, CHART_CHECK_POINTS)
     hs = np.array([seg.energy(s) for s in ss])
     dh = np.diff(hs)

@@ -101,6 +101,34 @@ def test_integrate_validation(spec_a1):
         integrate(flow, np.array([1.5, 0.2]), -1.0)
 
 
+def test_integrate_reports_a_failed_run(spec_a1):
+    # a finite-time blow-up: the run stops where the step size underflows
+    g = (0.0, 0.0, 0.0, 5.0, 0.0, 0.0)
+    flow = FlowSpec(hamiltonian=spec_a1, epsilon=1.0,
+                    one_form=QuadraticOneForm(f=(0.0,) * 6, g=g))
+    with pytest.warns(RuntimeWarning, match=r"integrator failed at t=0\.08"):
+        traj = integrate(flow, np.array([3.0, 0.0]), 10.0)
+    assert traj.status == "failed"
+    assert traj.ts[-1] < 0.1
+    assert len(traj.ts) == len(traj.states) > 100
+    assert np.all(np.diff(traj.ts) > 0.0)
+
+
+def test_integrate_rows_as_accurate_as_solve_ivp(spec_a1):
+    # the README trajectory: solve_ivp's row count at the same settings,
+    # and every row as close to a tight reference as solve_ivp's own
+    flow = unperturbed(spec_a1)
+    start = np.array([1.0, 0.5])
+    traj = integrate(flow, start, 20.0)
+    assert traj.status == "completed"
+    assert len(traj.ts) == 237
+    assert traj.ts[0] == 0.0 and traj.ts[-1] == 20.0
+    assert traj.states[0].tolist() == start.tolist()
+    ref = solve_ivp(flow.rhs, (0.0, 20.0), start, method="DOP853",
+                    rtol=1e-13, atol=1e-15, dense_output=True)
+    assert np.max(np.abs(ref.sol(traj.ts).T - traj.states)) < 1e-8
+
+
 def test_return_map_rejects_out_of_section(spec_a1):
     flow = unperturbed(spec_a1)
     sect = section_segment(spec_a1, Annulus.SIGMA_PLUS)
@@ -456,6 +484,21 @@ def test_advance_extra_row_keeps_planar_bits():
         assert a.tobytes() == b.tobytes()
     assert planar[3].tobytes() == extra[3][:2].tobytes()
     assert (extra[3][2] == 0.5).all()
+
+
+def test_advance_without_events():
+    # the witness grid lanes with no events take the bits of a run whose
+    # one event never fires
+    flow, sect, grid, _ = _witness_grid()
+    z = np.zeros((2, grid.size))
+    z[0 if sect.axis == "x" else 1] = grid
+    rhs = _lockstep_field(flow)
+    bare = advance(rhs, z, 5.0, (), *_steps(flow))
+    never = advance(rhs, z, 5.0, ((lambda z: np.full(z.shape[1], -1.0), 1),),
+                    *_steps(flow))
+    assert (bare[0] == 0).all() and (bare[2] == 5.0).all()
+    for a, b in zip(bare, never):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_sign_lane_runs_negated_field():

@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 from saddleloop.centroid import default_grid
 from saddleloop.model import (Annulus, Family, HamiltonianSpec, critical_data,
                               x1_loop_root)
-from saddleloop.ovals import (OvalRangeError, _brentq, section_segment,
-                              slice_grid, slice_oval)
+from saddleloop.ovals import (OvalRangeError, section_segment, slice_grid,
+                              slice_oval)
 
 NF, APP = Family.NORMAL_FORM, Family.APPENDIX_ELLIPSE
 
@@ -62,14 +62,22 @@ def _exact_root(r, t, u):
         return float(x - Decimal(u))
 
 
+def _cubic_bound(r, t, u):
+    # the rounding of the cubic t + u*r(u) at u, eps times the summed
+    # magnitudes of its terms over |c'(u)|, plus eps*|u|
+    r0, r1, r2 = r
+    terms = abs(t) + abs(u) * (abs(r2) * u * u + abs(r1 * u) + abs(r0))
+    slope = abs(3.0 * r2 * u * u + 2.0 * r1 * u + r0)
+    return np.finfo(float).eps * (terms / slope + abs(u))
+
+
 @pytest.mark.parametrize("family,a,annulus", [
     (NF, -0.5, Annulus.SIGMA_PLUS), (NF, 0.0, Annulus.SIGMA_PLUS),
     (NF, 1.7, Annulus.SIGMA_PLUS), (NF, 1.7, Annulus.SIGMA_MINUS),
     (NF, 0.3, Annulus.SIGMA_MINUS), (APP, 1.0, Annulus.SIGMA_PLUS)])
 def test_slice_endpoints_as_accurate_as_their_cubic(family, a, annulus):
-    # each endpoint is within the rounding of its cubic, eps times the
-    # summed magnitudes of its terms over |c'(u)|, plus eps*|u|.  Near
-    # the center energy c'(u) is small (the two endpoints merge in a
+    # each endpoint is within the rounding of its cubic.  Near the center
+    # energy c'(u) is small (the two endpoints merge in a
     # double root), so ~1e-14 relative is the best any solver gets there
     spec = HamiltonianSpec(family=family, a=a)
     if family is NF:
@@ -77,13 +85,9 @@ def test_slice_endpoints_as_accurate_as_their_cubic(family, a, annulus):
     else:
         ts = np.linspace(-4.0 / 3.0 + 1e-5, -1e-6, 200)
     g = slice_grid(spec, annulus, ts)
-    r0, r1, r2 = g.r
-    eps = np.finfo(float).eps
     for t, lo, hi in zip(ts, g.lo, g.hi):
         for u in (float(lo), float(hi)):
-            terms = abs(t) + abs(u) * (abs(r2) * u * u + abs(r1 * u) + abs(r0))
-            slope = abs(3.0 * r2 * u * u + 2.0 * r1 * u + r0)
-            assert abs(_exact_root(g.r, t, u)) <= eps * (terms / slope + abs(u))
+            assert abs(_exact_root(g.r, t, u)) <= _cubic_bound(g.r, t, u)
 
 
 def test_slice_grid_matches_slice_oval(spec_a05):
@@ -175,9 +179,13 @@ def test_coord_for_energy_inverts_energy(spec_a05, annulus, t):
     (APP, 1.0, Annulus.SIGMA_PLUS),
 ], ids=["a1-plus", "a1-minus", "a0.5-plus", "a0.5-minus", "appendix"])
 def test_coord_for_energy_matches_brentq(family, a, annulus):
-    # the chart inversion returns scipy brentq's bits: criterion 10's
-    # census windows, and so every lane of its draws, hang on them
-    sect = section_segment(HamiltonianSpec(family=family, a=a), annulus)
+    # the section lies on the slice axis, so the chart inversion is a root
+    # of the slice cubic: it sits within that cubic's rounding bound of
+    # the exact root, as the slice endpoints do, and so within brentq's
+    # tolerance of brentq's root.  brentq's absolute xtol = 1e-15 alone
+    # exceeds the bound next to the loop end, where the root is ~1e-6
+    spec = HamiltonianSpec(family=family, a=a)
+    sect = section_segment(spec, annulus)
     lo, hi = sect.s_bounds()
     e_lo, e_hi = sorted((sect.energy(lo), sect.energy(hi)))
     span = e_hi - e_lo
@@ -186,18 +194,17 @@ def test_coord_for_energy_matches_brentq(family, a, annulus):
                          e_hi - near])
     if (family, a, annulus) == (NF, 1.0, Annulus.SIGMA_PLUS):
         ts = np.append(ts, [-0.4, -1e-3, -0.08, -5e-4])    # criterion 10
+    r = spec.slice_r()
     for t in map(float, ts):
-        ref = brentq(lambda s: sect.energy(s) - t, lo, hi, xtol=1e-15,
+        s = sect.coord_for_energy(t)
+        bound = _cubic_bound(r, t, s)
+        assert abs(_exact_root(r, t, s)) <= bound, t
+        ref = brentq(lambda u: sect.energy(u) - t, lo, hi, xtol=1e-15,
                      rtol=8.9e-16)
-        assert repr(sect.coord_for_energy(t)) == repr(ref), t
+        assert abs(s - ref) <= bound + 2.0 * (1e-15 + 8.9e-16 * abs(ref)), t
     for t in (e_lo - 0.1 * span, e_hi + 0.1 * span):
         with pytest.raises(OvalRangeError):
             sect.coord_for_energy(t)
-
-
-def test_brentq_port_raises_when_unconverged():
-    with pytest.raises(RuntimeError, match="Failed to converge after 3"):
-        _brentq(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0, maxiter=3)
 
 
 def test_appendix_section(appendix_spec):
