@@ -391,9 +391,6 @@ class LogFit:
     cond: float
     well_conditioned: bool
 
-    def __getitem__(self, key: str) -> float:
-        return self.coeffs[key]
-
 
 def fit_log_basis(ts: np.ndarray, vals: np.ndarray,
                   poly_powers: Sequence[int] = (0, 1, 2),
@@ -421,7 +418,6 @@ def fit_log_basis(ts: np.ndarray, vals: np.ndarray,
                   bool(cond < 1e12))
 
 
-_LOWEST_LOG = {-1: "t^0*log", 0: "t^1*log", 1: "t^2*log"}
 LOG_WINDOW_POINTS = 40
 LOG_WINDOW_T_MIN = 1e-6     # |t| at which every log-fit window stops
 
@@ -433,18 +429,14 @@ def default_log_window(t_max: float = 0.1) -> np.ndarray:
 
 
 def log_coefficient(spec: HamiltonianSpec, k: int) -> LogFit:
-    """Fit J_k on default_log_window() and expose its lowest-order log
-    coefficient.
+    """Fit J_k on default_log_window().
 
     The leading log terms are ln|t| for k = -1, t*ln|t| for k = 0 and
-    t^2*ln|t| for k = 1; the fitted value lands in ``coeffs['lowest']``
-    as well as under its basis label.
+    t^2*ln|t| for k = 1, under the basis labels "t^0*log", "t^1*log"
+    and "t^2*log" of ``coeffs``.
     """
     if k not in (-1, 0, 1):
         raise ValueError(f"k must be in {{-1, 0, 1}}, got {k}")
     ts = default_log_window()
     vals = _jk_grid(spec, Annulus.SIGMA_PLUS, ts, (k,), QUAD_TOL)[0][:, 0]
-    fit = fit_log_basis(ts, vals)
-    out = dict(fit.coeffs)
-    out["lowest"] = out[_LOWEST_LOG[k]]
-    return LogFit(out, fit.residual, fit.cond, fit.well_conditioned)
+    return fit_log_basis(ts, vals)

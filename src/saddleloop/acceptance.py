@@ -2,7 +2,8 @@
 
 Each criterion function runs one self-contained check against the pinned
 tolerance and returns a CriterionResult whose line() renders the single
-pass/fail line printed by the verify subcommand. run() executes a selection
+pass/fail line printed by the verify subcommand; ``_criterion`` numbers,
+titles, budgets and times every check in one place. run() executes a selection
 in order; nothing here mutates package state, so criteria can be re-run or
 cherry-picked freely.
 
@@ -15,6 +16,7 @@ reported honestly.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -50,9 +52,28 @@ class CriterionResult:
                 f"[{self.runtime_s:.1f}s / {self.budget_s:.0f}s]")
 
 
-def criterion_1() -> CriterionResult:
+CRITERIA = {}   # number -> criterion function, filled by _criterion
+
+
+def _criterion(number: int, title: str, budget_s: float):
+    """Register a check as criterion ``number``.  The check returns
+    (passed, detail); the registered function times it and returns its
+    CriterionResult."""
+    def register(check):
+        @functools.wraps(check)
+        def criterion() -> CriterionResult:
+            t0 = time.time()
+            passed, detail = check()
+            return CriterionResult(number, title, bool(passed),
+                                   time.time() - t0, budget_s, detail)
+        CRITERIA[number] = criterion
+        return criterion
+    return register
+
+
+@_criterion(1, "loop-limit identity, 7 a-values", 5.0)
+def criterion_1():
     """Loop-limit identity between J0, J1 and the saddle energy gap."""
-    t0 = time.time()
     worst = 0.0
     ok = True
     for a in (-0.9, -0.5, 0.3, 0.7, 1.0, 1.5, 1.9):
@@ -67,22 +88,18 @@ def criterion_1() -> CriterionResult:
         rel = abs(term0 + term1 + const) / scale
         worst = max(worst, rel)
         ok = ok and rel <= 1e-7
-    return CriterionResult(1, "loop-limit identity, 7 a-values",
-                           ok, time.time() - t0, 5.0,
-                           f"max residual {worst:.2e} of term-sum scale (tol 1e-7)")
+    return ok, f"max residual {worst:.2e} of term-sum scale (tol 1e-7)"
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "ODE-system residual on 40 quadrature rows", 10.0)
+def criterion_2():
     """Quadrature triples satisfy the ODE system via central differences."""
-    t0 = time.time()
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=1.0)
     ts = np.linspace(-1.8, -0.05, 40)
     res = picard_fuchs.finite_difference_residuals(spec, ts)
     worst = float(np.max(res))
     ok = bool(np.all(res <= 1e-6))
-    return CriterionResult(2, "ODE-system residual on 40 quadrature rows",
-                           ok, time.time() - t0, 10.0,
-                           f"max row residual {worst:.2e} (tol 1e-6)")
+    return ok, f"max row residual {worst:.2e} (tol 1e-6)"
 
 
 def _reference_q(a: float, k: int) -> np.ndarray:
@@ -104,9 +121,9 @@ def _reference_q(a: float, k: int) -> np.ndarray:
     raise ValueError(k)
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "series coefficients q1..q3, 4 a-values", 1.0)
+def criterion_3():
     """Series recursion reproduces the closed-form coefficients."""
-    t0 = time.time()
     worst = 0.0
     worst_p = 0.0
     for a in (-0.5, 0.5, 1.0, 1.5):
@@ -122,14 +139,12 @@ def criterion_3() -> CriterionResult:
             rhs = sys.B @ (fund.p_const + fund.p_lin * t)
             worst_p = max(worst_p, float(np.max(np.abs(lhs - rhs))))
     ok = worst <= 1e-10 and worst_p <= 1e-10
-    return CriterionResult(3, "series coefficients q1..q3, 4 a-values",
-                           ok, time.time() - t0, 1.0,
-                           f"max coeff err {worst:.2e}, poly residual {worst_p:.2e}")
+    return ok, f"max coeff err {worst:.2e}, poly residual {worst_p:.2e}"
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "log coefficient of J_{-1}, 3 a-values", 10.0)
+def criterion_4():
     """Fitted log coefficient of the k=-1 integral near the loop."""
-    t0 = time.time()
     worst = 0.0
     ok = True
     for a in (0.5, 1.0, 1.5):
@@ -139,29 +154,25 @@ def criterion_4() -> CriterionResult:
         rel = abs(fit.coeffs["t^0*log"] - expected) / abs(expected)
         worst = max(worst, rel)
         ok = ok and rel <= 1e-3
-    return CriterionResult(4, "log coefficient of J_{-1}, 3 a-values",
-                           bool(ok), time.time() - t0, 10.0,
-                           f"max rel err {worst:.2e} (tol 1e-3)")
+    return ok, f"max rel err {worst:.2e} (tol 1e-3)"
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "upper-arc closed forms", 1.0)
+def criterion_5():
     """Closed-form arc integrals of the ellipse family."""
-    t0 = time.time()
     spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
     iy = abelian.segment_integral_appendix(spec, "gamma2", lambda x, y: y)
     iy2 = abelian.segment_integral_appendix(spec, "gamma2", lambda x, y: y * y)
     e1 = abs(iy + math.pi * math.sqrt(3.0))
     e2 = abs(iy2 + 16.0)
     ok = e1 <= 1e-10 and e2 <= 1e-10
-    return CriterionResult(5, "upper-arc closed forms",
-                           ok, time.time() - t0, 1.0,
-                           f"|I_y+pi*sqrt3|={e1:.2e}, |I_y2+16|={e2:.2e} (tol 1e-10)")
+    return ok, f"|I_y+pi*sqrt3|={e1:.2e}, |I_y2+16|={e2:.2e} (tol 1e-10)"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "centroid shape and endpoints", 20.0)
+def criterion_6():
     """Centroid curves: monotone, fixed curvature sign, and samples that
     extrapolate to the analytic center endpoint."""
-    t0 = time.time()
     checks = []
     for a, annuli in ((1.0, (Annulus.SIGMA_PLUS,)),
                       (0.5, (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS))):
@@ -175,15 +186,13 @@ def criterion_6() -> CriterionResult:
             checks.append((shape.passed, end_err))
     ok = all(c[0] for c in checks) and all(c[1] <= 1e-6 for c in checks)
     worst = max(c[1] for c in checks)
-    return CriterionResult(6, "centroid shape and endpoints",
-                           ok, time.time() - t0, 20.0,
-                           f"shape {'ok' if all(c[0] for c in checks) else 'BAD'}, "
-                           f"max endpoint err {worst:.2e} (tol 1e-6)")
+    return ok, (f"shape {'ok' if all(c[0] for c in checks) else 'BAD'}, "
+                f"max endpoint err {worst:.2e} (tol 1e-6)")
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "line-intersection bounds, 1000 seeded draws", 30.0)
+def criterion_7():
     """Intersection bounds: random lines against the centroid curve."""
-    t0 = time.time()
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=1.0)
     curve = centroid.sample_curve(spec, Annulus.SIGMA_PLUS, n=200)
     rng = default_rng(RANDOM_LINE_SEED)
@@ -201,15 +210,13 @@ def criterion_7() -> CriterionResult:
     xi_zero = centroid.line_intersections(
         curve, MelnikovCoeffs(alpha=0.0, beta=1.0, gamma=0.0)).count
     ok = worst_general <= 2 and worst_vertical <= 1 and xi_zero == 0
-    return CriterionResult(7, "line-intersection bounds, 1000 seeded draws",
-                           ok, time.time() - t0, 30.0,
-                           f"max general {worst_general} (<=2), "
-                           f"max gamma=0 {worst_vertical} (<=1), xi=0 line {xi_zero} (=0)")
+    return ok, (f"max general {worst_general} (<=2), "
+                f"max gamma=0 {worst_vertical} (<=1), xi=0 line {xi_zero} (=0)")
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "trace/shift first-order laws, 3x3 grid", 60.0)
+def criterion_8():
     """First-order trace and shift laws on a 3x3 mu-grid at eps=1e-3."""
-    t0 = time.time()
     spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
     eps = 1e-3
     grid = (-0.01, 0.007, 0.01)
@@ -232,13 +239,12 @@ def criterion_8() -> CriterionResult:
             worst["b2"] = max(worst["b2"], abs(sh.b2 / eps - exp_b2) / abs(exp_b2))
     ok = all(v <= 0.05 for v in worst.values())
     detail = ", ".join(f"{k} {v:.1%}" for k, v in worst.items()) + " (tol 5%)"
-    return CriterionResult(8, "trace/shift first-order laws, 3x3 grid",
-                           ok, time.time() - t0, 60.0, detail)
+    return ok, detail
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "alien-cycle witness", 120.0)
+def criterion_9():
     """Committed witness: two cycles where first order predicts at most one."""
-    t0 = time.time()
     w = flowsim.alien_witness()
     flow = flowsim.witness_flow(w)
     res = flowsim.census(flow,
@@ -256,10 +262,8 @@ def criterion_9() -> CriterionResult:
           and list(stabs) == list(w["expected_stabilities"])
           and coords_ok
           and zc.count <= int(w["melnikov_max_zeros"]))
-    return CriterionResult(9, "alien-cycle witness",
-                           ok, time.time() - t0, 120.0,
-                           f"census {n_cycles} cycles {stabs}, "
-                           f"first-order zeros {zc.count} (<= {w['melnikov_max_zeros']})")
+    return ok, (f"census {n_cycles} cycles {stabs}, "
+                f"first-order zeros {zc.count} (<= {w['melnikov_max_zeros']})")
 
 
 def scan_draws() -> list[tuple]:
@@ -299,7 +303,8 @@ def scan_draws() -> list[tuple]:
     return draws
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "census bound, 200 seeded one-forms", 600.0)
+def criterion_10():
     """Cycle-count bound over a seeded scan of random quadratic one-forms.
 
     Every seventh draw is a pure x^{-1}-direction one-form, censused in
@@ -312,7 +317,6 @@ def criterion_10() -> CriterionResult:
     the loop when that coefficient is small, so only the global <= 3
     bound applies to them); they get the wide near-loop window.
     """
-    t0 = time.time()
     max_general = 0
     max_gamma = 0
     for pure_gamma, flow, s_range in scan_draws():
@@ -323,17 +327,10 @@ def criterion_10() -> CriterionResult:
         else:
             max_general = max(max_general, len(res.cycles))
     ok = max_general <= 3 and max_gamma == 0
-    return CriterionResult(10, "census bound, 200 seeded one-forms",
-                           ok, time.time() - t0, 600.0,
-                           f"max count {max_general} (<=3), "
-                           f"max pure-gamma count {max_gamma} (=0)")
+    return ok, (f"max count {max_general} (<=3), "
+                f"max pure-gamma count {max_gamma} (=0)")
 
 
-CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10,
-}
 QUICK = (1, 2, 3, 4, 5, 6, 7)
 DEFAULT = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 ALL = tuple(range(1, 11))

@@ -10,12 +10,14 @@ which is what ties zero counts of Melnikov functions to cycle counts.
 
 Intersections are counted in the t-parameterization: sign changes of the
 affine functional along the samples, which is exact for monotone curves
-and avoids 2-D clipping predicates.
+and avoids 2-D clipping predicates.  What a count cannot certify is a
+field of its result, never a warning: ``tangency_suspected`` (a possible
+even-multiplicity contact the count leaves out) and ``contains_curve``
+(the line holds the whole curve, so the count of 0 means nothing).
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,8 +211,8 @@ class LineIntersections:
     count: int
     ts: tuple[float, ...]
     points: tuple[tuple[float, float], ...]
-    tangency_suspected: bool
-    contains_curve: bool
+    tangency_suspected: bool    # a near-zero sample without a sign change
+    contains_curve: bool        # the functional vanishes on every sample
 
 
 def line_intersections(curve: CentroidCurve,
@@ -229,8 +231,6 @@ def line_intersections(curve: CentroidCurve,
     scale = (abs(coeffs.alpha) + abs(coeffs.beta) * np.max(np.abs(curve.xi))
              + abs(coeffs.gamma) * np.max(np.abs(curve.eta)))
     if np.max(np.abs(g)) < 1e-13 * max(scale, 1e-300):
-        warnings.warn("line functional vanishes along the whole curve",
-                      RuntimeWarning)
         return LineIntersections(0, (), (), False, True)
     zeros, cells = sign_changes(g)
     w = g[cells] / (g[cells] - g[cells + 1])
@@ -249,9 +249,6 @@ def line_intersections(curve: CentroidCurve,
         right = g[i + 1] if i + 1 < len(g) else g[i]
         if left * right > 0.0 and g[i] != 0.0:
             tangent = True
-    if tangent:
-        warnings.warn("near-tangent approach detected; count excludes "
-                      "possible even-multiplicity contact", RuntimeWarning)
     return LineIntersections(count=len(ts), ts=tuple(ts), points=tuple(pts),
                              tangency_suspected=tangent, contains_curve=False)
 

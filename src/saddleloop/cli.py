@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 hard failure, 2 invalid config, 3 degraded
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from . import __version__, abelian, acceptance, centroid, melnikov, picard_fuchs
 from .flowsim import (CENSUS_POINTS, FLOW_TOL, RETURN_T_MAX, FlowSpec,
                       QuadraticOneForm, appendix_flow, census, integrate)
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
-                    PerturbationSpec)
+                    PerturbationSpec, critical_data)
 
 OUT_DIR_ENV = "SADDLELOOP_OUT_DIR"
 TRAJ_T = 100.0          # sim --traj duration when --T is not given
@@ -169,8 +170,24 @@ def _spec_for(args) -> HamiltonianSpec:
     return HamiltonianSpec(family=Family.NORMAL_FORM, a=float(a))
 
 
-def cmd_abelian(args) -> int:
-    t0 = time.time()
+def _artifact(cmd):
+    """The tail every artifact command shares.  cmd(args) writes its
+    artifact and returns (path, config fields to echo, quality flags);
+    the manifest's wall time covers the whole of cmd, and any flag
+    makes the exit code 3."""
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        t0 = time.time()
+        out, echo, flags = cmd(args)
+        _write_manifest(out, _config_echo(args, echo), [str(out)],
+                        time.time() - t0, flags)
+        print(out)
+        return 3 if flags else 0
+    return run
+
+
+@_artifact
+def cmd_abelian(args):
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=float(args.a))
     ts = _parse_grid(args.t_grid, "t-grid")
     trs = abelian.triples_on_grid(spec, _annulus(args.annulus), ts,
@@ -182,14 +199,11 @@ def cmd_abelian(args) -> int:
     _write_csv(out, ["t", "j_minus1", "j0", "j1",
                      "err_minus1", "err0", "err1", "converged"], rows)
     flags = [f"row t={tr.t:g} not converged" for tr in trs if not tr.converged]
-    _write_manifest(out, _config_echo(args, ("a", "annulus", "t_grid", "tol")),
-                    [str(out)], time.time() - t0, flags)
-    print(out)
-    return 3 if flags else 0
+    return out, ("a", "annulus", "t_grid", "tol"), flags
 
 
-def cmd_pf(args) -> int:
-    t0 = time.time()
+@_artifact
+def cmd_pf(args):
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=float(args.a))
     sys_ = picard_fuchs.pf_system(spec)
     fund = picard_fuchs.fundamental(spec, order=args.order)
@@ -205,16 +219,13 @@ def cmd_pf(args) -> int:
         "q": np.asarray(fund.q).tolist(),
     }
     _write_json(out, payload)
-    _write_manifest(out, _config_echo(args, ("a", "order")),
-                    [str(out)], time.time() - t0, [])
-    print(out)
-    return 0
+    return out, ("a", "order"), []
 
 
-def cmd_melnikov(args) -> int:
+@_artifact
+def cmd_melnikov(args):
     flags: list[str] = []
     out = _out_path(args, "melnikov.csv")
-    t0 = time.time()
     if args.family == "appendix":
         if args.a is not None:
             raise ConfigError("a not applicable to family=appendix")
@@ -226,7 +237,8 @@ def cmd_melnikov(args) -> int:
         if not args.h_grid:
             raise ConfigError("h-grid required for family=appendix")
         hs = _parse_grid(args.h_grid, "h-grid")
-        if np.any(hs >= 0.0) or np.any(hs <= -4.0 / 3.0):
+        h_center = critical_data(spec).center0.energy
+        if np.any(hs >= 0.0) or np.any(hs <= h_center):
             raise ConfigError("h-grid: appendix ovals live in (-4/3, 0)")
         vals = melnikov.appendix_first_order_on_grid(spec, args.mu2, hs,
                                                      tol=args.tol)
@@ -252,14 +264,11 @@ def cmd_melnikov(args) -> int:
         _write_csv(out, ["t", "value"], rows)
         flags = [f"row t={float(t):g} not converged"
                  for t, c in zip(ts, conv) if not c]
-    _write_manifest(out, _config_echo(args, ("family", *echo, "tol")),
-                    [str(out)], time.time() - t0, flags)
-    print(out)
-    return 3 if flags else 0
+    return out, ("family", *echo, "tol"), flags
 
 
-def cmd_centroid(args) -> int:
-    t0 = time.time()
+@_artifact
+def cmd_centroid(args):
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=float(args.a))
     curve = centroid.sample_curve(spec, _annulus(args.annulus), n=args.n,
                                   tol=args.tol)
@@ -269,10 +278,7 @@ def cmd_centroid(args) -> int:
                     (float(e) for e in curve.eta)))
     _write_csv(out, ["t", "xi", "eta"], rows)
     flags = [] if curve.converged else ["curve quadrature not converged"]
-    _write_manifest(out, _config_echo(args, ("a", "annulus", "n", "tol")),
-                    [str(out)], time.time() - t0, flags)
-    print(out)
-    return 3 if flags else 0
+    return out, ("a", "annulus", "n", "tol"), flags
 
 
 def _sim_flow(args) -> FlowSpec:
@@ -299,17 +305,16 @@ def _sim_flow(args) -> FlowSpec:
                     tol=args.tol)
 
 
-def cmd_sim(args) -> int:
+@_artifact
+def cmd_sim(args):
     if bool(args.census) == bool(args.traj):
         raise ConfigError("exactly one of --census or --traj is required")
     flow = _sim_flow(args)
-    flags: list[str] = []
     # echo only the settings of the family and the mode that ran
     config_fields = ("family", "eps", "tol", "T") + (
         ("c", "mu1", "mu2") if args.family == "appendix" else ("a", "f", "g"))
     if args.census:
         out = _out_path(args, "census.json")
-        t0 = time.time()
         s_range = (_parse_pair(args.window, "window")
                    if args.window else None)
         res = census(flow, annulus=_annulus(args.annulus), s_range=s_range,
@@ -337,14 +342,9 @@ def cmd_sim(args) -> int:
         _write_json(out, payload)
         flags = [f"cycle at s={c.section_coordinate:.6g} stability undetermined"
                  for c in res.cycles if c.stability == "undetermined"]
-        _write_manifest(out, _config_echo(args, config_fields + (
-                            "annulus", "window", "n")),
-                        [str(out)], time.time() - t0, flags)
-        print(out)
-        return 3 if flags else 0
+        return out, config_fields + ("annulus", "window", "n"), flags
 
     out = _out_path(args, "traj.csv")
-    t0 = time.time()
     start = _parse_pair(args.start, "start") if args.start else None
     if start is None:
         raise ConfigError("start (X,Y) is required with --traj")
@@ -353,12 +353,9 @@ def cmd_sim(args) -> int:
     rows = [(float(t), float(z[0]), float(z[1]), float(flow.energy(z)))
             for t, z in zip(traj.ts, traj.states)]
     _write_csv(out, ["t", "x", "y", "H"], rows)
-    if traj.status == "failed":
-        flags.append("integration failed before reaching T")
-    _write_manifest(out, _config_echo(args, config_fields + ("start",)),
-                    [str(out)], time.time() - t0, flags)
-    print(out)
-    return 3 if flags else 0
+    flags = (["integration failed before reaching T"]
+             if traj.status == "failed" else [])
+    return out, config_fields + ("start",), flags
 
 
 def cmd_verify(args) -> int:

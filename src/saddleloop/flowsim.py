@@ -30,7 +30,6 @@ O(eps)), so forward settling would miss them.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -160,7 +159,8 @@ def integrate(flow: FlowSpec, start, T: float) -> Trajectory:
     """The trajectory of ``sim --traj``: one lockstep lane over [0, T]
     with no events, at the flow's tolerance and a maximum step of
     OUTER_MAX_STEP, with the start and every accepted step recorded.  A
-    run whose step size underflows stops there, status failed."""
+    run whose step size underflows stops there: status failed, and
+    ``ts[-1]`` is the time it failed at."""
     if T <= 0.0:
         raise ValueError("duration must be positive")
     z = np.asarray(start, dtype=float).reshape(2, 1)
@@ -169,12 +169,7 @@ def integrate(flow: FlowSpec, start, T: float) -> Trajectory:
                      flow.tol, 0.01 * flow.tol, record=steps)[0]
     ts = np.concatenate([[0.0]] + [t for t, _ in steps])
     states = np.hstack([z] + [y for _, y in steps]).T
-    if status[0] == -1:
-        warnings.warn(f"integrator failed at t={ts[-1]:.6g}: required step "
-                      f"size is less than spacing between numbers",
-                      RuntimeWarning)
-        return Trajectory(ts, states, "failed")
-    return Trajectory(ts, states, "completed")
+    return Trajectory(ts, states, "failed" if status[0] == -1 else "completed")
 
 
 @dataclass(frozen=True)

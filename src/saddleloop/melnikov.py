@@ -19,11 +19,16 @@ refine every sign change to one root with the lockstep Illinois search
 that the cycle census uses (``lockstep.grid_roots``).  The grid and each
 Illinois round are one quadrature batch (``triples_on_grid``,
 ``appendix_moments_on_grid``); ``value`` is a one-energy view.
+
+Each quality fact is a field of its result:
+``ZeroCount.converged`` (every quadrature of the grid and of the
+Illinois rounds converged), ``ZeroCount.grid_coarse`` (two zeros within
+a few grid cells, so the grid may miss a pair between them), and
+``MelnikovExpansion.converged`` and ``well_conditioned`` for the fit.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +48,9 @@ class ZeroFunctionError(RuntimeError):
 
 def value(spec: HamiltonianSpec, coeffs: MelnikovCoeffs, annulus: Annulus,
           t: float) -> float:
+    """M at one energy; ``triple(spec, annulus, t).converged`` says
+    whether its quadrature converged."""
     tr = triple(spec, annulus, t)
-    if not tr.converged:
-        warnings.warn(f"quadrature not converged at t={t}", RuntimeWarning)
     return coeffs.alpha * tr.j0 + coeffs.beta * tr.j1 + coeffs.gamma * tr.jm1
 
 
@@ -71,6 +76,7 @@ class MelnikovExpansion:
     dlog: float | None  # ln|t|, present only when gamma != 0
     cond: float
     well_conditioned: bool
+    converged: bool     # every quadrature of the fit window converged
 
 
 def expansion(spec: HamiltonianSpec,
@@ -80,20 +86,15 @@ def expansion(spec: HamiltonianSpec,
     # term, whose leakage into the t*ln|t| column grows with t_max
     window = default_log_window(t_max=1e-2)
     vals, ok = values_on_grid(spec, coeffs, Annulus.SIGMA_PLUS, window)
-    if not ok.all():
-        warnings.warn("expansion window contains unconverged quadrature "
-                      "points", RuntimeWarning)
     log_powers = (1, 2) if coeffs.gamma == 0.0 else (0, 1, 2)
     fit = fit_log_basis(window, vals, poly_powers=(0, 1), log_powers=log_powers)
-    if not fit.well_conditioned:
-        warnings.warn(f"expansion fit ill-conditioned (cond={fit.cond:.2e})",
-                      RuntimeWarning)
     return MelnikovExpansion(
         d0=fit.coeffs["t^0"], d1=fit.coeffs["t^1*log"],
         d2=fit.coeffs["t^1"], d3=fit.coeffs["t^2*log"],
         fit_residual=fit.residual,
         dlog=fit.coeffs.get("t^0*log") if coeffs.gamma != 0.0 else None,
-        cond=fit.cond, well_conditioned=fit.well_conditioned)
+        cond=fit.cond, well_conditioned=fit.well_conditioned,
+        converged=bool(ok.all()))
 
 
 def d1_expected(spec: HamiltonianSpec, coeffs: MelnikovCoeffs) -> float:
@@ -111,6 +112,7 @@ class ZeroCount:
     count: int
     zeros: tuple[float, ...]
     grid_coarse: bool     # adjacent zeros closer than a few grid cells
+    converged: bool       # every quadrature of the grid and the rounds
 
 
 def _default_range(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, float]:
@@ -120,20 +122,27 @@ def _default_range(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, floa
     return 1e-6 * t_center, t_center * (1.0 - 1e-3)
 
 
-def _count_sign_changes(f, grid, vals) -> ZeroCount:
-    """Zeros of f sampled as vals on grid; f maps an array of points
-    to their values, one batch per Illinois round."""
+def _count_sign_changes(f, grid) -> ZeroCount:
+    """Zeros of f on grid; f maps an array of points to their values
+    and a converged mask, one batch for the grid and one per Illinois
+    round."""
+    vals, ok = f(grid)
+    masks = [ok]
     scale = float(np.max(np.abs(vals)))
     if scale < 1e-13:
         raise ZeroFunctionError("function is identically zero on the grid; "
                                 "zero count is meaningless")
-    zeros = grid_roots(f, grid, vals).tolist()
+
+    def values(xs):
+        vals, ok = f(xs)
+        masks.append(ok)
+        return vals
+
+    zeros = grid_roots(values, grid, vals).tolist()
     step = grid[1] - grid[0] if len(grid) > 1 else 0.0
     coarse = any(z2 - z1 < 3.0 * step for z1, z2 in zip(zeros, zeros[1:]))
-    if coarse:
-        warnings.warn("adjacent zeros within a few grid cells; the grid "
-                      "may miss a pair of zeros between them", RuntimeWarning)
-    return ZeroCount(count=len(zeros), zeros=tuple(zeros), grid_coarse=coarse)
+    return ZeroCount(count=len(zeros), zeros=tuple(zeros), grid_coarse=coarse,
+                     converged=all(bool(m.all()) for m in masks))
 
 
 def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
@@ -151,19 +160,8 @@ def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
         t_range = _default_range(spec, annulus)
     lo, hi = float(t_range[0]), float(t_range[1])
     grid = np.linspace(lo, hi, GRID_POINTS)
-    vals, ok = values_on_grid(spec, coeffs, annulus, grid)
-    if not ok.all():
-        warnings.warn("zero count grid contains unconverged quadrature "
-                      "points", RuntimeWarning)
-
-    def f(ts):
-        # one batch per Illinois round, warning as ``value`` does
-        vals, ok = values_on_grid(spec, coeffs, annulus, ts)
-        for t in ts[~ok]:
-            warnings.warn(f"quadrature not converged at t={t}", RuntimeWarning)
-        return vals
-
-    return _count_sign_changes(f, grid, vals)
+    return _count_sign_changes(
+        lambda ts: values_on_grid(spec, coeffs, annulus, ts), grid)
 
 
 @dataclass(frozen=True)
@@ -237,13 +235,16 @@ def appendix_first_order_on_grid(spec: HamiltonianSpec, mu2: float, hs,
 def appendix_count_zeros(spec: HamiltonianSpec, mu2: float,
                          h_range) -> ZeroCount:
     """Zero count of the appendix first-order function on an h-window,
-    found as count_zeros finds those of M."""
+    found as count_zeros finds those of M.  Its moments raise
+    QuadratureError rather than return unconverged, so every mask is
+    all true."""
     lo, hi = float(h_range[0]), float(h_range[1])
-    if not (-4.0 / 3.0 < lo < hi < 0.0):
+    if not (critical_data(spec).center0.energy < lo < hi < 0.0):
         raise ValueError("h range must lie inside (-4/3, 0)")
     grid = np.linspace(lo, hi, GRID_POINTS)
 
     def f(hs):
-        return appendix_first_order_on_grid(spec, mu2, hs)
+        vals = appendix_first_order_on_grid(spec, mu2, hs)
+        return vals, np.ones(vals.shape, dtype=bool)
 
-    return _count_sign_changes(f, grid, f(grid))
+    return _count_sign_changes(f, grid)

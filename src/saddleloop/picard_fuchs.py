@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Family, HamiltonianSpec
+from .abelian import default_log_window, triples_on_grid
+from .model import Annulus, Family, HamiltonianSpec
 
 STENCIL_STEP = 1e-3     # spacing of finite_difference_residuals' stencil
 
@@ -159,9 +160,6 @@ def finite_difference_residuals(spec: HamiltonianSpec, ts) -> np.ndarray:
     Quadrature values of the triple feed both sides, so this checks the
     integrals against the ODE with no shared code path.
     """
-    from .abelian import triples_on_grid
-    from .model import Annulus
-
     sys = pf_system(spec)
     ts = np.asarray(ts, dtype=float)
     out = np.empty(ts.shape)
@@ -193,9 +191,6 @@ def match_asymptotics(spec: HamiltonianSpec) -> AsymptoticsMatch:
     every component.  (A direct three-column fit against lam, mu, nu is
     not solvable from data because S is not in the span of P and Q.)
     """
-    from .abelian import default_log_window, triples_on_grid
-    from .model import Annulus
-
     fs = fundamental(spec)
     window = default_log_window()
     trs = triples_on_grid(spec, Annulus.SIGMA_PLUS, window)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from saddleloop.model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs
 from saddleloop.centroid import (
+    TANGENCY_BAND,
     center_endpoint,
     line_intersections,
     loop_abscissa_exact,
@@ -74,6 +77,33 @@ def test_line_intersections_planted(spec_a1):
     li = line_intersections(curve, MelnikovCoeffs(alpha=1.0, beta=-j0 / j1))
     assert li.count == 1
     assert li.ts[0] == pytest.approx(-1.0, abs=5e-3)
+    assert not li.contains_curve
+
+
+def test_near_tangent_line_flags_tangency(spec_a1):
+    # the line through sample i parallel to the chord of its neighbours
+    # leaves both neighbours on one side of the convex curve; moved
+    # toward them by half the band, it misses sample i narrowly
+    curve = sample_curve(spec_a1, Annulus.SIGMA_PLUS, n=120)
+    i = 60
+    beta = curve.eta[i + 1] - curve.eta[i - 1]
+    gamma = curve.xi[i - 1] - curve.xi[i + 1]
+    touch = MelnikovCoeffs(alpha=-(beta * curve.xi[i] + gamma * curve.eta[i]),
+                           beta=beta, gamma=gamma, order_k=2)
+    g = curve.functional(touch)
+    scale = (abs(touch.alpha) + abs(beta) * np.max(np.abs(curve.xi))
+             + abs(gamma) * np.max(np.abs(curve.eta)))
+    assert g[i - 1] * g[i + 1] > 0.0
+    offset = 0.5 * TANGENCY_BAND * scale * np.sign(g[i - 1])
+    near = MelnikovCoeffs(alpha=touch.alpha + offset, beta=beta, gamma=gamma,
+                          order_k=2)
+    g = curve.functional(near)
+    assert 0.0 < g[i] * g[i - 1] and abs(g[i]) < TANGENCY_BAND * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        li = line_intersections(curve, near)
+    assert li.count == 0
+    assert li.tangency_suspected
     assert not li.contains_curve
 
 

@@ -34,6 +34,20 @@ def test_no_unused_module_imports():
     assert {k: v for k, v in unused.items() if v} == {}
 
 
+def test_no_module_imports_warnings():
+    # quality facts are fields of the results, read by the command line
+    # in one place; none travels as a warning
+    importers = []
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(n and n.split(".")[0] == "warnings" for n in names):
+                importers.append(p.name)
+    assert importers == []
+
+
 def _defined_names(tree: ast.Module) -> list[str]:
     """Module-level functions, classes and assigned names, dunders left
     out."""

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from saddleloop import melnikov
+from saddleloop.centroid import sample_curve
 from saddleloop.model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs
 from saddleloop.melnikov import (
     ZeroFunctionError,
@@ -75,6 +78,78 @@ def test_expansion_constant_term_matches_loop_limits(spec_a1):
     assert exp.d0 == pytest.approx(0.3 * j0_loop - 0.2 * j1_loop, rel=1e-6)
     # fitted t*ln(t) slope against the series prediction
     assert exp.d1 == pytest.approx(d1_expected(spec_a1, coeffs), rel=1e-3)
+
+
+def _line_through(p1, p2):
+    """alpha + beta*xi + gamma*eta = 0 through two centroid points."""
+    beta, gamma = p2[1] - p1[1], p1[0] - p2[0]
+    return MelnikovCoeffs(alpha=-(beta * p1[0] + gamma * p1[1]), beta=beta,
+                          gamma=gamma, order_k=2)
+
+
+def test_close_zeros_flag_grid_coarse(spec_a1):
+    # M = J0 * (line functional) vanishes where the line meets the
+    # centroid curve: here at two energies about two grid cells apart
+    lo, hi = melnikov._default_range(spec_a1, Annulus.SIGMA_PLUS)
+    step = (hi - lo) / (melnikov.GRID_POINTS - 1)
+    ts = lo + step * np.array([100.3, 102.3])
+    curve = sample_curve(spec_a1, Annulus.SIGMA_PLUS, t_grid=ts)
+    coeffs = _line_through(*zip(curve.xi, curve.eta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zc = count_zeros(spec_a1, coeffs, Annulus.SIGMA_PLUS)
+    assert zc.count == 2
+    assert np.allclose(zc.zeros, ts, rtol=0.0, atol=1e-9)
+    assert zc.grid_coarse
+    assert zc.converged
+
+
+def _clear_one_mask_entry(monkeypatch, at_call):
+    """Wrap values_on_grid so that its at_call-th call (0 is the grid)
+    reports its first point unconverged; the values are untouched."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        vals, ok = values_on_grid(*args, **kwargs)
+        if len(calls) == at_call:
+            ok = ok.copy()
+            ok[0] = False
+        calls.append(len(ok))
+        return vals, ok
+
+    monkeypatch.setattr(melnikov, "values_on_grid", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("at_call", [0, 1])
+def test_unconverged_quadrature_clears_zero_count_flag(spec_a1, monkeypatch,
+                                                       at_call):
+    # one unconverged point, on the grid or in the first Illinois round
+    _, j0, j1 = SIGMA_PLUS_TRIPLES[(1.0, -1.0)]
+    coeffs = MelnikovCoeffs(alpha=1.0, beta=-j0 / j1)
+    clean = count_zeros(spec_a1, coeffs, Annulus.SIGMA_PLUS)
+    assert clean.converged
+    calls = _clear_one_mask_entry(monkeypatch, at_call)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zc = count_zeros(spec_a1, coeffs, Annulus.SIGMA_PLUS)
+    assert len(calls) > 1
+    assert not zc.converged
+    assert (zc.count, zc.zeros, zc.grid_coarse) == (
+        clean.count, clean.zeros, clean.grid_coarse)
+
+
+def test_unconverged_quadrature_clears_expansion_flag(spec_a1, monkeypatch):
+    coeffs = MelnikovCoeffs(alpha=0.3, beta=-0.2)
+    clean = expansion(spec_a1, coeffs)
+    assert clean.converged
+    _clear_one_mask_entry(monkeypatch, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exp = expansion(spec_a1, coeffs)
+    assert not exp.converged
+    assert exp.well_conditioned
+    assert (exp.d0, exp.d1) == (clean.d0, clean.d1)
 
 
 def test_d1_expected_closed_form(spec_a1):
