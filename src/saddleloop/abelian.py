@@ -176,15 +176,21 @@ def _check_tol(tol: float) -> float:
 
 @dataclass(frozen=True)
 class AbelianTriple:
-    t: float
-    jm1: float
-    j0: float
-    j1: float
-    err: tuple[float, float, float]
-    converged: bool
+    """(J_{-1}, J_0, J_1) with error estimates and a converged flag:
+    arrays over a grid (``err`` of shape (n, 3)) from ``triples_on_grid``,
+    floats, an ``err`` tuple and a bool from its one-energy view ``triple``.
+    """
+
+    t: float | np.ndarray
+    jm1: float | np.ndarray
+    j0: float | np.ndarray
+    j1: float | np.ndarray
+    err: tuple[float, float, float] | np.ndarray
+    converged: bool | np.ndarray
 
     def as_vector(self) -> np.ndarray:
-        return np.array([self.jm1, self.j0, self.j1])
+        # shape (3,) for one energy, (n, 3) for a grid
+        return np.stack([self.jm1, self.j0, self.j1], axis=-1)
 
 
 def _jk_lanes(r, lo, hi, third_root, k, tol):
@@ -240,21 +246,24 @@ def jk_on_slice(sl: OvalSlice, k: int) -> tuple[float, float, bool]:
 
 def triples_on_grid(spec: HamiltonianSpec, annulus: Annulus,
                     ts: Sequence[float],
-                    tol: float = QUAD_TOL) -> list[AbelianTriple]:
+                    tol: float = QUAD_TOL) -> AbelianTriple:
     """(J_{-1}, J_0, J_1) with error flags at every energy of a t-grid,
-    in grid order, from one kernel batch."""
+    from one kernel batch, as one AbelianTriple of arrays in grid order."""
     vals, errs, ok, degenerate = _jk_grid(spec, annulus, ts, (-1, 0, 1), tol)
     bad = ~(vals[:, 1] > 0.0) & ~degenerate
     if bad.any():
         raise QuadratureError("orientation normalization violated: "
                               f"J0={float(vals[np.argmax(bad), 1])!r}")
-    return [AbelianTriple(t, *v, tuple(e), bool(c)) for t, v, e, c
-            in zip(ts, vals.tolist(), errs.tolist(), ok.all(axis=1))]
+    return AbelianTriple(np.asarray(ts, dtype=float).reshape(-1), *vals.T,
+                         errs, ok.all(axis=1))
 
 
 def triple(spec: HamiltonianSpec, annulus: Annulus, t: float) -> AbelianTriple:
-    """(J_{-1}, J_0, J_1) at energy t, with error flags."""
-    return triples_on_grid(spec, annulus, [t])[0]
+    """(J_{-1}, J_0, J_1) at energy t, with error flags: the one-energy
+    view of ``triples_on_grid``."""
+    g = triples_on_grid(spec, annulus, [t])
+    return AbelianTriple(t, *g.as_vector()[0].tolist(),
+                         tuple(g.err[0].tolist()), bool(g.converged[0]))
 
 
 def jk_at_loop(spec: HamiltonianSpec, k: int) -> float:

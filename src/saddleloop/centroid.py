@@ -122,25 +122,23 @@ def sample_curve(spec: HamiltonianSpec, annulus: Annulus, t_grid=None,
     if t_grid is None:
         t_grid = default_grid(spec, annulus, n=n)
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    trs = triples_on_grid(spec, annulus, t_grid, tol=tol)
-    j = np.array([tr.as_vector() for tr in trs])  # columns J_-1, J_0, J_1
-    if np.any(j[:, 1] == 0.0):
+    tr = triples_on_grid(spec, annulus, t_grid, tol=tol)
+    if np.any(tr.j0 == 0.0):
         raise ArithmeticError("J_0 vanished on the grid; orientation "
                               "normalization violated upstream")
-    xi = j[:, 2] / j[:, 1]
-    eta = j[:, 0] / j[:, 1]
+    xi = tr.j1 / tr.j0
     return CentroidCurve(
-        spec=spec, annulus=annulus, ts=t_grid, xi=xi, eta=eta,
-        asymptote=_fit_asymptote(t_grid, xi, annulus),
+        spec=spec, annulus=annulus, ts=t_grid, xi=xi, eta=tr.jm1 / tr.j0,
+        asymptote=_fit_asymptote(t_grid, xi),
         t_center=critical_data(spec).center_of(annulus).energy,
-        converged=all(tr.converged for tr in trs))
+        converged=bool(tr.converged.all()))
 
 
-def _fit_asymptote(ts: np.ndarray, xi: np.ndarray, annulus: Annulus) -> float:
+def _fit_asymptote(ts: np.ndarray, xi: np.ndarray) -> float:
     """Loop-side limit of xi by fitting {1, t ln|t|, t} on the samples
     of the last energy decade."""
     absts = np.abs(ts)
-    tiny = absts <= max(1e-2 * absts.min(), absts.min() * 10.0)
+    tiny = absts <= absts.min() * 10.0
     if tiny.sum() < 4:
         order = np.argsort(absts)
         tiny = np.zeros(len(ts), dtype=bool)

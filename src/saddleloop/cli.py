@@ -190,15 +190,14 @@ def _artifact(cmd):
 def cmd_abelian(args):
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=float(args.a))
     ts = _parse_grid(args.t_grid, "t-grid")
-    trs = abelian.triples_on_grid(spec, _annulus(args.annulus), ts,
-                                  tol=args.tol)
+    tr = abelian.triples_on_grid(spec, _annulus(args.annulus), ts,
+                                 tol=args.tol)
     out = _out_path(args, "abelian.csv")
-    rows = [(tr.t, tr.jm1, tr.j0, tr.j1,
-             tr.err[0], tr.err[1], tr.err[2], int(tr.converged))
-            for tr in trs]
+    cols = (tr.t, tr.jm1, tr.j0, tr.j1, *tr.err.T, tr.converged.astype(int))
     _write_csv(out, ["t", "j_minus1", "j0", "j1",
-                     "err_minus1", "err0", "err1", "converged"], rows)
-    flags = [f"row t={tr.t:g} not converged" for tr in trs if not tr.converged]
+                     "err_minus1", "err0", "err1", "converged"],
+               zip(*(c.tolist() for c in cols)))
+    flags = [f"row t={t:g} not converged" for t in tr.t[~tr.converged]]
     return out, ("a", "annulus", "t_grid", "tol"), flags
 
 
@@ -242,8 +241,7 @@ def cmd_melnikov(args):
             raise ConfigError("h-grid: appendix ovals live in (-4/3, 0)")
         vals = melnikov.appendix_first_order_on_grid(spec, args.mu2, hs,
                                                      tol=args.tol)
-        rows = list(zip((float(h) for h in hs), (float(v) for v in vals)))
-        _write_csv(out, ["h", "value"], rows)
+        _write_csv(out, ["h", "value"], zip(hs.tolist(), vals.tolist()))
     else:
         if args.mu2 != 0.0:
             raise ConfigError("mu2 applies to family=appendix only")
@@ -260,10 +258,8 @@ def cmd_melnikov(args):
         vals, conv = melnikov.values_on_grid(spec, coeffs,
                                              _annulus(args.annulus), ts,
                                              tol=args.tol)
-        rows = list(zip((float(t) for t in ts), (float(v) for v in vals)))
-        _write_csv(out, ["t", "value"], rows)
-        flags = [f"row t={float(t):g} not converged"
-                 for t, c in zip(ts, conv) if not c]
+        _write_csv(out, ["t", "value"], zip(ts.tolist(), vals.tolist()))
+        flags = [f"row t={t:g} not converged" for t in ts[~conv]]
     return out, ("family", *echo, "tol"), flags
 
 

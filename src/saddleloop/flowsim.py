@@ -245,7 +245,7 @@ def _first_returns(field, z, section: SectionSegment, T_max: float,
         raise ValueError(f"T_max={T_max} does not exceed the burn-in "
                          f"{BURN_IN}")
     lo, hi = section.s_bounds()
-    coord = 0 if section.axis == "x" else 1
+    coord = section.row
     outside = ~((lo <= z[coord]) & (z[coord] <= hi))
     if outside.any():
         raise ValueError(f"s={z[coord][outside][0]} outside section range "
@@ -277,7 +277,7 @@ def return_maps(flow: FlowSpec, section: SectionSegment, s,
     lockstep batch of (2, n) lanes under the flow's tolerance
     (``_first_returns``, which defines the reasons)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    c = 0 if section.axis == "x" else 1
+    c = section.row
     z = np.zeros((2, s.size))
     z[c] = s
     reason, t_ret, z = _first_returns(_lockstep_field(flow), z, section,
@@ -296,7 +296,7 @@ def _return_slopes(flow: FlowSpec, section: SectionSegment, s,
     *Practical Numerical Algorithms for Chaotic Systems*, 1989, ch. 3).
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    c = 0 if section.axis == "x" else 1
+    c = section.row
     z = np.zeros((4, s.size))
     z[c], z[2 + c] = s, 1.0
     field = _lockstep_field(flow)
@@ -349,10 +349,11 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     s_range defaults to the full section span (slightly shrunk); pass a
     narrow window near the loop end for near-loop censuses.  The grid is
     one lockstep batch of return maps; its exact displacement zeros and
-    one root per displacement sign change are the candidate cycles
+    one root per displacement sign change are the cycles
     (``lockstep.grid_roots``: all brackets refined in one lockstep
-    Illinois search), deduplicated, and their exact return slopes are
-    one batch of tangent lanes (``_return_slopes``).  no_return_count
+    Illinois search, each root in its own cell, so none is merged away
+    however close), and their exact return slopes are one batch of
+    tangent lanes (``_return_slopes``).  no_return_count
     counts grid lanes without a return plus brackets abandoned because a
     refinement lane did not return.  A flow whose perturbation part is
     zero has a continuum of closed orbits and is reported as
@@ -373,7 +374,6 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
             raise ValueError(f"s_range {s_range} outside section "
                              f"{sec.s_bounds()}")
     grid = np.linspace(lo, hi, n)
-    span = abs(hi - lo)
 
     if not any(flow.epsilon * q for q in flow.one_form.f + flow.one_form.g):
         return CycleCensus(cycles=(), saddle_traces=None, shifts=None,
@@ -389,15 +389,12 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
         grid, lanes.s_return - grid)
     abandoned = np.isnan(roots)
     no_return += int(abandoned.sum())
-    merged = []     # deduplicated
-    for r in roots[~abandoned].tolist():
-        if not merged or r - merged[-1] > 1e-8 * span:
-            merged.append(r)
+    found = roots[~abandoned].tolist()
 
-    slopes = (_return_slopes(flow, sec, merged, T_max).tolist() if merged
+    slopes = (_return_slopes(flow, sec, found, T_max).tolist() if found
               else [])
     cycles = []
-    for r, dv in zip(merged, slopes):
+    for r, dv in zip(found, slopes):
         if math.isnan(dv) or abs(dv - 1.0) < 1e-5:
             stab = "undetermined"
         elif abs(dv) < 1.0:

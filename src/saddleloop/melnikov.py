@@ -18,7 +18,8 @@ Both zero counts sample their function on GRID_POINTS energies and
 refine every sign change to one root with the lockstep Illinois search
 that the cycle census uses (``lockstep.grid_roots``).  The grid and each
 Illinois round are one quadrature batch (``triples_on_grid``,
-``appendix_moments_on_grid``); ``value`` is a one-energy view.
+``appendix_moments_on_grid``); M is written once, on a grid triple's
+columns in ``values_on_grid``, and ``value`` is its one-energy view.
 
 Each quality fact is a field of its result:
 ``ZeroCount.converged`` (every quadrature of the grid and of the
@@ -36,8 +37,7 @@ import numpy as np
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     critical_data)
 from .abelian import (QUAD_TOL, appendix_moments_on_grid,
-                      default_log_window, fit_log_basis, triple,
-                      triples_on_grid)
+                      default_log_window, fit_log_basis, triples_on_grid)
 from .lockstep import grid_roots
 
 
@@ -46,24 +46,21 @@ class ZeroFunctionError(RuntimeError):
     therefore meaningless."""
 
 
-def value(spec: HamiltonianSpec, coeffs: MelnikovCoeffs, annulus: Annulus,
-          t: float) -> float:
-    """M at one energy; ``triple(spec, annulus, t).converged`` says
-    whether its quadrature converged."""
-    tr = triple(spec, annulus, t)
-    return coeffs.alpha * tr.j0 + coeffs.beta * tr.j1 + coeffs.gamma * tr.jm1
-
-
 def values_on_grid(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
                    annulus: Annulus, ts,
                    tol: float = QUAD_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (values, converged mask) over the grid, from one
-    ``triples_on_grid`` batch."""
-    trs = triples_on_grid(spec, annulus, ts, tol=tol)
-    vals = np.array([coeffs.alpha * tr.j0 + coeffs.beta * tr.j1
-                     + coeffs.gamma * tr.jm1 for tr in trs])
-    ok = np.array([tr.converged for tr in trs])
-    return vals, ok
+    """(values, converged mask) of M over the grid: one
+    ``triples_on_grid`` batch combined column by column."""
+    tr = triples_on_grid(spec, annulus, ts, tol=tol)
+    return (coeffs.alpha * tr.j0 + coeffs.beta * tr.j1 + coeffs.gamma * tr.jm1,
+            tr.converged)
+
+
+def value(spec: HamiltonianSpec, coeffs: MelnikovCoeffs, annulus: Annulus,
+          t: float) -> float:
+    """M at one energy: the one-energy view of ``values_on_grid``, whose
+    mask says whether its quadrature converged."""
+    return float(values_on_grid(spec, coeffs, annulus, [t])[0][0])
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,11 @@ class SectionSegment:
         return self.spec.slice_axis
 
     @property
+    def row(self) -> int:
+        """Row of the section coordinate in a planar state (x, y)."""
+        return 0 if self.axis == "x" else 1
+
+    @property
     def direction(self) -> int:
         return SECTION_DIRECTION
 
@@ -277,9 +282,8 @@ def section_segment(
     energy chart is monotone."""
     s_center, s_loop = section_ends(spec, annulus)
     seg = SectionSegment(spec, annulus, s_center, s_loop)
-    ss = np.linspace(seg.s_center, seg.s_loop, CHART_CHECK_POINTS)
-    hs = np.array([seg.energy(s) for s in ss])
-    dh = np.diff(hs)
+    dh = np.diff(seg.energy(np.linspace(seg.s_center, seg.s_loop,
+                                        CHART_CHECK_POINTS)))
     if not (np.all(dh > 0.0) or np.all(dh < 0.0)):
         raise OvalRangeError("energy chart not monotone along the section")
     return seg

@@ -162,15 +162,13 @@ def finite_difference_residuals(spec: HamiltonianSpec, ts) -> np.ndarray:
     """
     sys = pf_system(spec)
     ts = np.asarray(ts, dtype=float)
-    out = np.empty(ts.shape)
     weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * STENCIL_STEP)
     # every stencil point of every row in one batch
     stencils = ts[:, None] + STENCIL_STEP * np.arange(-2.0, 3.0)
-    trs = triples_on_grid(spec, Annulus.SIGMA_PLUS, stencils.ravel())
-    J = np.array([tr.as_vector() for tr in trs]).reshape(len(ts), 5, 3)
-    for i, (t, vals) in enumerate(zip(ts, J)):
-        out[i] = sys.residual(t, vals[2], weights @ vals)
-    return out
+    J = triples_on_grid(spec, Annulus.SIGMA_PLUS,
+                        stencils.ravel()).as_vector().reshape(len(ts), 5, 3)
+    return np.array([sys.residual(t, rows[2], weights @ rows)
+                     for t, rows in zip(ts, J)])
 
 
 @dataclass(frozen=True)
@@ -193,8 +191,7 @@ def match_asymptotics(spec: HamiltonianSpec) -> AsymptoticsMatch:
     """
     fs = fundamental(spec)
     window = default_log_window()
-    trs = triples_on_grid(spec, Annulus.SIGMA_PLUS, window)
-    vals = np.array([tr.as_vector() for tr in trs])
+    vals = triples_on_grid(spec, Annulus.SIGMA_PLUS, window).as_vector()
     qcols = fs.Q(window)  # (n, 3)
     logs = np.log(np.abs(window))
 

@@ -71,13 +71,28 @@ def test_error_estimates_honest(spec_a1):
         assert abs(val - r) <= max(10 * est, 1e-12 * abs(r))
 
 
+def _same_row(grid, i, single):
+    # row i of a grid triple carries the one-energy triple's bits
+    assert grid.as_vector()[i].tobytes() == single.as_vector().tobytes()
+    assert grid.err[i].tobytes() == np.array(single.err).tobytes()
+    assert grid.converged[i] == single.converged
+
+
 def test_triples_on_grid_matches_pointwise(spec_a1):
     ts = [-1.5, -1.0, -0.3]
     grid = triples_on_grid(spec_a1, Annulus.SIGMA_PLUS, ts)
-    assert [g.t for g in grid] == ts
-    for g in grid:
-        single = triple(spec_a1, Annulus.SIGMA_PLUS, g.t)
-        assert g.j0 == single.j0
+    assert grid.t.tolist() == ts
+    for i, t in enumerate(ts):
+        _same_row(grid, i, triple(spec_a1, Annulus.SIGMA_PLUS, t))
+    # a grid triple holds arrays of grid length; the one-energy view
+    # holds a float per integral and a bool, which the benchmark tracer
+    # reads
+    for col in (grid.t, grid.jm1, grid.j0, grid.j1, grid.converged):
+        assert isinstance(col, np.ndarray) and col.shape == (3,)
+    assert grid.err.shape == (3, 3) and grid.converged.dtype == bool
+    one = triple(spec_a1, Annulus.SIGMA_PLUS, -1.0)
+    assert all(type(v) is float for v in (one.jm1, one.j0, one.j1, *one.err))
+    assert type(one.converged) is bool
 
 
 def test_kernel_lanes_batch_invariant(appendix_spec):
@@ -86,10 +101,8 @@ def test_kernel_lanes_batch_invariant(appendix_spec):
     for annulus in (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS):
         ts = default_grid(spec, annulus, n=40)
         grid = triples_on_grid(spec, annulus, ts)
-        for t, g in zip(ts[::5], grid[::5]):
-            single = triple(spec, annulus, t)
-            assert single.as_vector().tobytes() == g.as_vector().tobytes()
-            assert single.err == g.err and single.converged == g.converged
+        for i in range(0, len(ts), 5):
+            _same_row(grid, i, triple(spec, annulus, ts[i]))
     hs = np.linspace(-1.3, -1e-4, 25)
     iy, iy2 = appendix_moments_on_grid(appendix_spec, hs)
     for h, m1, m2 in zip(hs[::4], iy[::4], iy2[::4]):
@@ -124,9 +137,10 @@ def test_kernel_matches_quadpack(a, annulus):
     ts = default_grid(spec, annulus)
     if annulus is Annulus.SIGMA_PLUS:
         ts = np.concatenate([ts, default_log_window()])
-    for t, tr in zip(ts, triples_on_grid(spec, annulus, ts)):
+    j = triples_on_grid(spec, annulus, ts).as_vector()
+    for t, row in zip(ts, j):
         sl = slice_oval(spec, annulus, t)
-        for k, v in zip((-1, 0, 1), tr.as_vector()):
+        for k, v in zip((-1, 0, 1), row):
             assert v == pytest.approx(_quadpack_jk(sl, k), rel=1e-13, abs=0.0)
 
 

@@ -87,6 +87,7 @@ def test_criterion_10_census_bound():
     _check(acceptance.criterion_10)
 
 
+@pytest.mark.slow
 def test_first_order_agrees_with_census_on_scan_draws():
     # first order and simulation check each other on criterion 10's 171
     # general draws: the zero count of M1 over the census window's

@@ -35,6 +35,21 @@ def test_abelian_row_count_and_manifest(tmp_path, capsys):
     assert "version" in man
 
 
+def test_abelian_unconverged_rows_flagged(tmp_path, capsys, monkeypatch):
+    # one panel per lane: the rows off the center side do not converge,
+    # and each reaches the csv, the manifest flags and the exit code
+    monkeypatch.setattr(cli.abelian, "QUAD_LIMIT", 1)
+    out = tmp_path / "ab.csv"
+    code, _, _ = run(["abelian", "--a", "1", "--t-grid=-1.9:-1e-4:4",
+                      "--out", str(out)], capsys)
+    assert code == 3
+    rows = list(csv.reader(out.open()))[1:]
+    assert [r[-1] for r in rows] == ["1", "0", "0", "0"]
+    man = json.loads((tmp_path / "ab.csv.manifest.json").read_text())
+    assert man["flags"] == [f"row t={t} not converged"
+                            for t in ("-1.2667", "-0.6334", "-0.0001")]
+
+
 def test_space_separated_negative_grid(tmp_path, capsys):
     # argparse alone rejects a leading-dash value; the wrapper merges it
     a = tmp_path / "a.csv"

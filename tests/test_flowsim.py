@@ -342,6 +342,27 @@ def test_witness_census_replay():
     assert res.no_return_count == 5
 
 
+def test_census_keeps_close_cycle_pair(monkeypatch):
+    # a second root 0.5e-8 of the window above the repeller is a second
+    # cycle: the census merges no roots, so a close pair is never hidden
+    w = alien_witness()
+    lo, hi = w["section_window"]
+    found = []
+
+    def close_pair(*args):
+        roots = grid_roots(*args)
+        found.extend([roots[0], roots[0] + 0.5e-8 * (hi - lo)])
+        return np.sort(np.append(roots, found[1]))
+
+    monkeypatch.setattr(flowsim, "grid_roots", close_pair)
+    res = census(witness_flow(), s_range=(lo, hi), n=int(w["grid_points"]),
+                 T_max=float(w["t_max"]))
+    coords = [c.section_coordinate for c in res.cycles]
+    assert len(coords) == 3
+    assert coords[:2] == found
+    assert [c.stability for c in res.cycles[:2]] == ["repelling"] * 2
+
+
 def test_witness_cycle_is_fixed_point():
     w = alien_witness()
     flow = witness_flow()
