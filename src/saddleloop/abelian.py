@@ -8,8 +8,8 @@ x = mid + halfwidth*sin(theta).
 
 Appendix-family ovals are y-graphs; this module provides their closed
 oval moments oint y^m dx (counterclockwise, the orientation pinned by
-the connection integrals below) and the open line integrals along the
-two loop connections Gamma1 (segment y=0, x: -1 -> 1) and Gamma2 (upper
+the connection integral below), each grid with its converged mask, and
+the open line integral along the upper loop connection Gamma2 (upper
 half-ellipse, (1,0) -> (-1,0)).
 
 Every integral here comes from one lockstep adaptive Gauss-Kronrod
@@ -343,49 +343,36 @@ def appendix_oval_integral(
     return float(val[0, 0]), float(err[0, 0]), bool(ok[0, 0])
 
 
-def appendix_moments_on_grid(spec: HamiltonianSpec, hs,
-                             tol: float = QUAD_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """(oint y dx, oint y^2 dx) over the ovals H = h of an h-grid,
-    counterclockwise, from one kernel batch; both moments of an oval
-    share its slice."""
+def appendix_moments_on_grid(
+        spec: HamiltonianSpec, hs,
+        tol: float = QUAD_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(oint y dx, oint y^2 dx, converged) over the ovals H = h of an
+    h-grid, counterclockwise, from one kernel batch; both moments of an
+    oval share its slice, and its converged entry covers both."""
     val, _, ok = _appendix_integrals(
         spec, hs, lambda x2, y, j: np.where(j == 0, y, y * y), 2, tol)
-    if not ok.all():
-        h = np.asarray(hs, dtype=float).reshape(-1)[np.argmin(ok.all(axis=1))]
-        raise QuadratureError(f"oval moments not converged at h={float(h)}")
-    return val[:, 0], val[:, 1]
+    return val[:, 0], val[:, 1], ok.all(axis=1)
 
 
-def segment_integral_appendix(spec: HamiltonianSpec, which: str,
-                              integrand) -> float:
-    """Line integral along Gamma1 or Gamma2 of integrand(x, y) dx.
+def segment_integral_appendix(spec: HamiltonianSpec, integrand) -> float:
+    """Line integral of integrand(x, y) dx along Gamma2, the upper
+    half-ellipse x^2 + y^2/12 = 1 traversed (1, 0) -> (-1, 0).
 
-    Gamma1 is the saddle connection {y = 0, -1 <= x <= 1} traversed
-    x: -1 -> 1; Gamma2 the upper half-ellipse x^2 + y^2/12 = 1 traversed
-    (1, 0) -> (-1, 0).  ``integrand`` is a callable f(x, y), evaluated
-    elementwise on numpy arrays.
+    ``integrand`` is a callable f(x, y), evaluated elementwise on numpy
+    arrays.
     """
     if spec.family is not Family.APPENDIX_ELLIPSE:
         raise ValueError("connection integrals apply to the appendix family")
-    if which == "gamma1":
-        val, err, ok = _gk21(
-            lambda x, _: np.broadcast_to(integrand(x, 0.0), x.shape),
-            1, -1.0, 1.0, LIMIT_QUAD_TOL)
-        sign = 1.0
-    elif which == "gamma2":
-        # x = sin(theta), y = 2*sqrt(3)*cos(theta); endpoint at theta=pi/2
-        def g(theta, _):
-            return integrand(np.sin(theta),
-                             2.0 * math.sqrt(3.0) * np.cos(theta)) \
-                * np.cos(theta)
 
-        val, err, ok = _gk21(g, 1, -HALF_PI, HALF_PI, LIMIT_QUAD_TOL)
-        sign = -1.0
-    else:
-        raise ValueError(f"unknown connection {which!r}; use 'gamma1' or 'gamma2'")
+    # x = sin(theta), y = 2*sqrt(3)*cos(theta); endpoint at theta=pi/2
+    def g(theta, _):
+        return integrand(np.sin(theta),
+                         2.0 * math.sqrt(3.0) * np.cos(theta)) * np.cos(theta)
+
+    val, err, ok = _gk21(g, 1, -HALF_PI, HALF_PI, LIMIT_QUAD_TOL)
     if not ok[0]:
         raise QuadratureError(f"connection integral not converged (err={err[0]})")
-    return sign * float(val[0])
+    return -float(val[0])
 
 
 # --- log-basis fitting ---------------------------------------------------

@@ -161,8 +161,8 @@ def criterion_4():
 def criterion_5():
     """Closed-form arc integrals of the ellipse family."""
     spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
-    iy = abelian.segment_integral_appendix(spec, "gamma2", lambda x, y: y)
-    iy2 = abelian.segment_integral_appendix(spec, "gamma2", lambda x, y: y * y)
+    iy = abelian.segment_integral_appendix(spec, lambda x, y: y)
+    iy2 = abelian.segment_integral_appendix(spec, lambda x, y: y * y)
     e1 = abs(iy + math.pi * math.sqrt(3.0))
     e2 = abs(iy2 + 16.0)
     ok = e1 <= 1e-10 and e2 <= 1e-10
@@ -261,9 +261,11 @@ def criterion_9():
     ok = (n_cycles == int(w["expected_cycles"])
           and list(stabs) == list(w["expected_stabilities"])
           and coords_ok
-          and zc.count <= int(w["melnikov_max_zeros"]))
+          and zc.count <= int(w["melnikov_max_zeros"])
+          and zc.converged)
     return ok, (f"census {n_cycles} cycles {stabs}, "
-                f"first-order zeros {zc.count} (<= {w['melnikov_max_zeros']})")
+                f"first-order zeros {zc.count} (<= {w['melnikov_max_zeros']})"
+                + ("" if zc.converged else ", not converged"))
 
 
 def scan_draws() -> list[tuple]:

@@ -208,7 +208,6 @@ def verify_shape(curve: CentroidCurve) -> ShapeReport:
 class LineIntersections:
     count: int
     ts: tuple[float, ...]
-    points: tuple[tuple[float, float], ...]
     tangency_suspected: bool    # a near-zero sample without a sign change
     contains_curve: bool        # the functional vanishes on every sample
 
@@ -229,17 +228,13 @@ def line_intersections(curve: CentroidCurve,
     scale = (abs(coeffs.alpha) + abs(coeffs.beta) * np.max(np.abs(curve.xi))
              + abs(coeffs.gamma) * np.max(np.abs(curve.eta)))
     if np.max(np.abs(g)) < 1e-13 * max(scale, 1e-300):
-        return LineIntersections(0, (), (), False, True)
+        return LineIntersections(0, (), False, True)
     zeros, cells = sign_changes(g)
     w = g[cells] / (g[cells] - g[cells + 1])
     order = np.argsort(np.concatenate([zeros, cells]), kind="stable")
-
-    def at_crossings(arr):
-        lerp = arr[cells] + w * (arr[cells + 1] - arr[cells])
-        return np.concatenate([arr[zeros], lerp])[order].tolist()
-
-    ts = at_crossings(curve.ts)
-    pts = list(zip(at_crossings(curve.xi), at_crossings(curve.eta)))
+    t = curve.ts
+    lerp = t[cells] + w * (t[cells + 1] - t[cells])
+    ts = np.concatenate([t[zeros], lerp])[order].tolist()
     near = np.abs(g) < TANGENCY_BAND * scale
     tangent = False
     for i in np.nonzero(near)[0]:
@@ -247,7 +242,7 @@ def line_intersections(curve: CentroidCurve,
         right = g[i + 1] if i + 1 < len(g) else g[i]
         if left * right > 0.0 and g[i] != 0.0:
             tangent = True
-    return LineIntersections(count=len(ts), ts=tuple(ts), points=tuple(pts),
+    return LineIntersections(count=len(ts), ts=tuple(ts),
                              tangency_suspected=tangent, contains_curve=False)
 
 

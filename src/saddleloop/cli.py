@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Every module is exposed as a subcommand with reproducible runs: a run is
-fully described by its config (flags, or a JSON file overriding them), and
-every run writes its artifact plus a manifest echoing the config, the
-toolkit version, and wall time. Artifacts are deterministic for a fixed
-config; the manifest is not (it carries the wall time).
+fully described by its flags, and every run writes its artifact plus a
+manifest echoing the config, the toolkit version, and wall time.
+Artifacts are deterministic for a fixed config; the manifest is not (it
+carries the wall time).  ``--config FILE`` holds flags too: the keys of
+its JSON object become --key=value flags read after the command line,
+so they override it and the subcommand's own parser checks them.
 
 Exit codes: 0 success, 1 hard failure, 2 invalid config, 3 degraded
 (artifact written, but one or more numerical quality flags were raised).
@@ -118,49 +120,6 @@ def _config_echo(args, fields) -> dict:
     return {k: getattr(args, k) for k in fields if getattr(args, k) is not None}
 
 
-def _apply_config_file(args) -> None:
-    """--config file.json overrides flags.  Keys use flag spelling and
-    must name a flag of the subcommand that runs; each value is
-    converted and checked as that flag's own value would be."""
-    if not getattr(args, "config", None):
-        return
-    try:
-        overrides = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise ConfigError("config: top level must be an object")
-    flags = {act.dest: act for act in args.parser._actions
-             if act.option_strings and act.dest not in ("help", "config")}
-    for key, val in overrides.items():
-        attr = key.replace("-", "_")
-        if attr not in flags:
-            raise ConfigError(f"config: unknown field {key!r}")
-        setattr(args, attr, _config_value(key, flags[attr], val))
-
-
-def _config_value(key: str, action: argparse.Action, val):
-    """One config value, converted as argparse converts the flag's text."""
-    if action.nargs == 0:  # a switch such as --census
-        if not isinstance(val, bool):
-            raise ConfigError(f"config: {key}: expected true or false, "
-                              f"got {val!r}")
-        return val
-    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
-        raise ConfigError(f"config: {key}: expected a string or a number, "
-                          f"got {val!r}")
-    text = str(val)
-    try:
-        val = text if action.type is None else action.type(text)
-    except ValueError as exc:
-        raise ConfigError(f"config: {key}: invalid {action.type.__name__} "
-                          f"value {text!r}") from exc
-    if action.choices is not None and val not in action.choices:
-        raise ConfigError(f"config: {key}: invalid choice {val!r} (choose "
-                          f"from {', '.join(action.choices)})")
-    return val
-
-
 def _spec_for(args) -> HamiltonianSpec:
     if args.family == "appendix":
         if getattr(args, "a", None) is not None:
@@ -223,7 +182,6 @@ def cmd_pf(args):
 
 @_artifact
 def cmd_melnikov(args):
-    flags: list[str] = []
     out = _out_path(args, "melnikov.csv")
     if args.family == "appendix":
         if args.a is not None:
@@ -235,13 +193,12 @@ def cmd_melnikov(args):
         echo = ("mu2", "h_grid")
         if not args.h_grid:
             raise ConfigError("h-grid required for family=appendix")
-        hs = _parse_grid(args.h_grid, "h-grid")
+        col, xs = "h", _parse_grid(args.h_grid, "h-grid")
         h_center = critical_data(spec).center0.energy
-        if np.any(hs >= 0.0) or np.any(hs <= h_center):
+        if np.any(xs >= 0.0) or np.any(xs <= h_center):
             raise ConfigError("h-grid: appendix ovals live in (-4/3, 0)")
-        vals = melnikov.appendix_first_order_on_grid(spec, args.mu2, hs,
-                                                     tol=args.tol)
-        _write_csv(out, ["h", "value"], zip(hs.tolist(), vals.tolist()))
+        vals, conv = melnikov.appendix_first_order_on_grid(spec, args.mu2, xs,
+                                                           tol=args.tol)
     else:
         if args.mu2 != 0.0:
             raise ConfigError("mu2 applies to family=appendix only")
@@ -254,12 +211,12 @@ def cmd_melnikov(args):
                                 gamma=args.gamma, order_k=order)
         if not args.t_grid:
             raise ConfigError("t-grid required for family=normal")
-        ts = _parse_grid(args.t_grid, "t-grid")
+        col, xs = "t", _parse_grid(args.t_grid, "t-grid")
         vals, conv = melnikov.values_on_grid(spec, coeffs,
-                                             _annulus(args.annulus), ts,
+                                             _annulus(args.annulus), xs,
                                              tol=args.tol)
-        _write_csv(out, ["t", "value"], zip(ts.tolist(), vals.tolist()))
-        flags = [f"row t={t:g} not converged" for t in ts[~conv]]
+    _write_csv(out, [col, "value"], zip(xs.tolist(), vals.tolist()))
+    flags = [f"row {col}={x:g} not converged" for x in xs[~conv]]
     return out, ("family", *echo, "tol"), flags
 
 
@@ -355,9 +312,6 @@ def cmd_sim(args):
 
 
 def cmd_verify(args) -> int:
-    # the parser keeps the three exclusive; a --config file must too
-    if sum(map(bool, (args.criteria, args.quick, args.slow))) > 1:
-        raise ConfigError("at most one of quick, slow, criteria")
     if args.criteria:
         try:
             numbers = tuple(int(p) for p in args.criteria.split(","))
@@ -390,7 +344,8 @@ def cmd_verify(args) -> int:
 def _add_common(p) -> None:
     p.add_argument("--out", help="artifact path (default: subcommand name "
                    f"under ${OUT_DIR_ENV} or the working directory)")
-    p.add_argument("--config", help="JSON file whose fields override flags")
+    p.add_argument("--config", help="JSON object of flags (key: value) "
+                   "read after the command line")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,11 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
     # an unknown flag is an error, never read as the prefix of another
-    # (melnikov --c would otherwise become --config); --config reads the
-    # flags of its own subcommand from ``parser``
+    # (melnikov --c would otherwise become --config)
     for p in sub.choices.values():
         p.allow_abbrev = False
-        p.set_defaults(parser=p)
     return ap
 
 
@@ -505,11 +458,41 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _config_flags(path: str) -> list[str]:
+    """The JSON object of a --config file as flags of the subcommand:
+    each key in flag spelling, true as the bare switch, a string or a
+    number as --key=value.  There is no flag for false, so it is an
+    error, as are null, lists and objects."""
+    try:
+        overrides = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ConfigError("config: top level must be an object")
+    flags = []
+    for key, val in overrides.items():
+        flag = "--" + key.replace("_", "-")
+        if flag in ("--help", "--config"):
+            raise ConfigError(f"config: {key!r} is not a run setting")
+        if val is True:
+            flags.append(flag)
+        elif isinstance(val, (str, int, float)) and not isinstance(val, bool):
+            flags.append(f"{flag}={val}")
+        else:
+            raise ConfigError(f"config: {key}: expected true, a string or "
+                              f"a number, got {json.dumps(val)}")
+    return flags
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(_merge_dash_values(list(sys.argv[1:] if argv is None else argv)))
+    argv = _merge_dash_values(list(sys.argv[1:] if argv is None else argv))
+    args = ap.parse_args(argv)
     try:
-        _apply_config_file(args)
+        # config flags come last, so they override the command line and
+        # argparse converts and checks them as it does every flag
+        if args.config:
+            args = ap.parse_args(argv + _config_flags(args.config))
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

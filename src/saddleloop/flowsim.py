@@ -8,10 +8,12 @@ g = 0.  The field is defined once, as two coefficient tuples
 lockstep lanes all evaluate those, so ``rhs`` and the lanes see the
 same field bit for bit.
 
-Every run is a lockstep DOP853 batch (``saddleloop.lockstep``) under
-one maximum step, OUTER_MAX_STEP; near the saddles, where passage times
-diverge, the error control alone sets the step.  All lanes advance
-together as numpy arrays, each with its own step control.  The Poincare
+Every run is a lockstep DOP853 batch (``saddleloop.lockstep``) at the
+flow's tolerance under the engine's own step policy (an atol of
+``lockstep.ATOL_PER_RTOL`` times the tolerance and steps of at most
+``lockstep.MAX_STEP``); near the saddles, where passage times diverge,
+the error control alone sets the step.  All lanes advance together as numpy arrays, each with its own
+step control.  The Poincare
 return maps (``return_maps``), the census's return slopes, whose
 tangent rows carry the variational equation (``_return_slopes``), and
 the four separatrix runs of ``separatrix_shifts``, whose stable lanes
@@ -40,7 +42,6 @@ from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     PerturbationSpec)
 from .ovals import SectionSegment, section_segment
 
-OUTER_MAX_STEP = 0.2        # maximum step of every lockstep run
 FLOW_TOL = 1e-10            # integrator rtol of a flow unless it sets its own
 RETURN_T_MAX = 400.0        # return-map time limit unless a caller sets one
 CENSUS_POINTS = 100         # default census grid size, also its minimum
@@ -157,16 +158,15 @@ class Trajectory:
 
 def integrate(flow: FlowSpec, start, T: float) -> Trajectory:
     """The trajectory of ``sim --traj``: one lockstep lane over [0, T]
-    with no events, at the flow's tolerance and a maximum step of
-    OUTER_MAX_STEP, with the start and every accepted step recorded.  A
-    run whose step size underflows stops there: status failed, and
-    ``ts[-1]`` is the time it failed at."""
+    with no events, at the flow's tolerance, with the start and every
+    accepted step recorded.  A run whose step size underflows stops
+    there: status failed, and ``ts[-1]`` is the time it failed at."""
     if T <= 0.0:
         raise ValueError("duration must be positive")
     z = np.asarray(start, dtype=float).reshape(2, 1)
     steps = []
-    status = advance(_lockstep_field(flow), z, T, (), OUTER_MAX_STEP,
-                     flow.tol, 0.01 * flow.tol, record=steps)[0]
+    status = advance(_lockstep_field(flow), z, T, (), flow.tol,
+                     record=steps)[0]
     ts = np.concatenate([[0.0]] + [t for t, _ in steps])
     states = np.hstack([z] + [y for _, y in steps]).T
     return Trajectory(ts, states, "failed" if status[0] == -1 else "completed")
@@ -229,7 +229,7 @@ class ReturnLanes:
 def _first_returns(field, z, section: SectionSegment, T_max: float,
                    tol: float):
     """First returns of lanes z, shape (d, n), whose rows 0-1 start on the
-    section, advanced in lockstep under tol and OUTER_MAX_STEP.
+    section, advanced in lockstep under tol.
 
     Each lane first runs a BURN_IN lead with only the escape event
     armed, so that the departure itself cannot register as the return.
@@ -253,13 +253,11 @@ def _first_returns(field, z, section: SectionSegment, T_max: float,
     reason = np.full(z.shape[1], _FAILED)
     t_ret = np.full(z.shape[1], np.nan)
     z_ret = np.full(z.shape, np.nan)
-    steps = (OUTER_MAX_STEP, tol, 0.01 * tol)
-    st, _, _, z = advance(field, z, BURN_IN, ((_escape, 1),), *steps)
+    st, _, _, z = advance(field, z, BURN_IN, ((_escape, 1),), tol)
     reason[st == 1] = _ESCAPE
     go = np.flatnonzero(st == 0)
     events = ((lambda z: z[1 - coord], section.direction), (_escape, 1))
-    st, which, t, z = advance(field, z[:, go], T_max - BURN_IN, events,
-                              *steps)
+    st, which, t, z = advance(field, z[:, go], T_max - BURN_IN, events, tol)
     crossed = (st == 1) & (which == 0)
     inside = (lo <= z[coord]) & (z[coord] <= hi)
     r = np.select([crossed & inside, crossed, st == 1, st == 0],
@@ -501,7 +499,7 @@ def separatrix_shifts(flow: FlowSpec) -> ShiftPair:
     Launch points sit SEPARATRIX_OFFSET along the saddle eigenvectors; the
     O(offset^2) manifold curvature error is far below the O(eps*mu) shifts.
     The four separatrices are one lockstep batch under the flow's
-    tolerance and OUTER_MAX_STEP: the unstable ones run forward, the
+    tolerance: the unstable ones run forward, the
     stable ones backward (time sign -1, ``_signed_field``), each until it
     first crosses x = 0 or escapes, within SEPARATRIX_T_MAX.  Every lane
     starts near x = +-1, so its first crossing is the one sought.  A lane
@@ -526,8 +524,7 @@ def separatrix_shifts(flow: FlowSpec) -> ShiftPair:
                                     s2 + SEPARATRIX_OFFSET * v2]),
                    [1.0, -1.0, 1.0, -1.0]])
     st, which, _, z = advance(_signed_field(flow), z, SEPARATRIX_T_MAX,
-                              ((lambda z: z[0], 0), (_escape, 1)),
-                              OUTER_MAX_STEP, flow.tol, 0.01 * flow.tol)
+                              ((lambda z: z[0], 0), (_escape, 1)), flow.tol)
     missed = np.flatnonzero((st != 1) | (which != 0))
     if missed.size:
         k = missed[0]

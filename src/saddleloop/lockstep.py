@@ -7,7 +7,9 @@ left out of the error control.  Every lane takes its own steps under
 the DOP853 tableau (``saddleloop.dop853``, scipy's coefficients) and
 scipy's step control (Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.4-II.6): the err5/err3 norm of rows 0-1, safety 0.9, step factors
-in [0.2, 10], exponent -1/8 and select_initial_step's first step.
+in [0.2, 10], exponent -1/8 and select_initial_step's first step.  The
+step policy is the engine's own: a caller sets rtol, atol is
+ATOL_PER_RTOL*rtol and every step is at most MAX_STEP.
 Terminal events, if any, are detected by sign changes at step ends, as
 solve_ivp does, and located on the step's dense output; a run may record
 its accepted steps instead (``sim --traj``).
@@ -32,6 +34,8 @@ import numpy as np
 from . import dop853 as _dop
 
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+MAX_STEP = 0.2          # bound on every step of every lane
+ATOL_PER_RTOL = 0.01    # atol of every run, as a share of its rtol
 EVENT_TOL = 4.0 * np.finfo(float).eps       # solve_ivp's event-root tolerance
 
 
@@ -71,7 +75,7 @@ def _rms(z):
     return np.sqrt(z[0] * z[0] + z[1] * z[1]) / math.sqrt(2.0)
 
 
-def _initial_step(field, z, f, t_end, max_step, rtol, atol):
+def _initial_step(field, z, f, t_end, rtol, atol):
     """scipy's select_initial_step, per lane (error estimator order 7)."""
     scale = atol + np.abs(z) * rtol
     d0, d1 = _rms(z / scale), _rms(f / scale)
@@ -82,7 +86,7 @@ def _initial_step(field, z, f, t_end, max_step, rtol, atol):
                   np.maximum(1e-6, h0 * 1e-3),
                   _root8(0.01 / np.maximum(d1, d2)))
     return np.minimum(np.minimum(100.0 * h0, h1),
-                      np.minimum(t_end, max_step))
+                      np.minimum(t_end, MAX_STEP))
 
 
 def _dense_output(field, K, p, h, z, y):
@@ -169,15 +173,16 @@ def grid_roots(fun, grid, vals):
     return np.sort(np.concatenate([grid[zeros], refined]))
 
 
-def advance(field, z, t_end, events, max_step, rtol, atol, record=None):
+def advance(field, z, t_end, events, rtol, record=None):
     """Advance lanes z (shape (d, n), d >= 2) from t = 0 to t_end,
     stopping each lane at the first of its terminal events.
 
     field maps a (d, m) array of states to their derivatives.  Error
     control and the first step read rows 0-1 only.  events holds (func,
     direction) pairs, possibly none: func maps a (d, m) array to m
-    values, direction is as in solve_ivp.  max_step bounds every step of
-    every lane.  Returns per lane the status (0 reached t_end, 1 event,
+    values, direction is as in solve_ivp.  The tolerances are rtol and
+    ATOL_PER_RTOL*rtol, and MAX_STEP bounds every step of every lane.
+    Returns per lane the status (0 reached t_end, 1 event,
     -1 step size underflow), the index of the event that stopped it, and
     the time and state where it stopped.
     Event times are roots of the event function on the step's dense
@@ -186,8 +191,7 @@ def advance(field, z, t_end, events, max_step, rtol, atol, record=None):
     it: the steps of a one-lane run.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _advance(field, z, t_end, events, max_step, rtol, atol,
-                        record)
+        return _advance(field, z, t_end, events, rtol, record)
 
 
 def _event_values(events, z):
@@ -196,7 +200,7 @@ def _event_values(events, z):
                                                          z.shape[1])
 
 
-def _advance(field, z, t_end, events, max_step, rtol, atol, record):
+def _advance(field, z, t_end, events, rtol, record):
     n = z.shape[1]
     status = np.zeros(n, dtype=int)
     which = np.full(n, -1)
@@ -206,14 +210,15 @@ def _advance(field, z, t_end, events, max_step, rtol, atol, record):
     lane = np.arange(n)
     t = np.zeros(n)
     f = field(z)
-    h_abs = _initial_step(field, z, f, t_end, max_step, rtol, atol)
+    atol = ATOL_PER_RTOL * rtol
+    h_abs = _initial_step(field, z, f, t_end, rtol, atol)
     retry = np.zeros(n, dtype=bool)
     g = _event_values(events, z)
     hits = []       # lanes, bracket, dense output and event values per hit
     while lane.size:
         min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(retry, h_abs, np.minimum(np.maximum(h_abs, min_step),
-                                                  max_step))
+                                                  MAX_STEP))
         failed = h_abs < min_step
         t_new = np.minimum(t + h_abs, t_end)
         h = t_new - t

@@ -12,7 +12,9 @@ from fitting quadrature data, which keeps them an independent check of
 the series asymptotics in picard_fuchs.
 
 The appendix family's perturbation enters through its own first-order
-function of the oval energy, provided at the bottom of the module.
+function of the oval energy, provided at the bottom of the module; like
+``values_on_grid`` it returns its values with the grid's converged
+mask, so an unconverged oval is flagged, not fatal.
 
 Both zero counts sample their function on GRID_POINTS energies and
 refine every sign change to one root with the lockstep Illinois search
@@ -23,8 +25,9 @@ columns in ``values_on_grid``, and ``value`` is its one-energy view.
 
 Each quality fact is a field of its result:
 ``ZeroCount.converged`` (every quadrature of the grid and of the
-Illinois rounds converged), ``ZeroCount.grid_coarse`` (two zeros within
-a few grid cells, so the grid may miss a pair between them), and
+Illinois rounds converged, for either family), ``ZeroCount.grid_coarse``
+(two zeros within a few grid cells, so the grid may miss a pair between
+them), and
 ``MelnikovExpansion.converged`` and ``well_conditioned`` for the fit.
 """
 from __future__ import annotations
@@ -212,11 +215,12 @@ def classify_cyclicity(coeffs: MelnikovCoeffs,
                           "up to three cycles from the loop")
 
 
-def appendix_first_order_on_grid(spec: HamiltonianSpec, mu2: float, hs,
-                                 tol: float = QUAD_TOL) -> np.ndarray:
-    """First-order displacement density for the appendix perturbation at
-    every energy of an h-grid, from one ``appendix_moments_on_grid``
-    batch.
+def appendix_first_order_on_grid(
+        spec: HamiltonianSpec, mu2: float, hs,
+        tol: float = QUAD_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(values, converged mask) of the first-order displacement density
+    for the appendix perturbation at every energy of an h-grid, from one
+    ``appendix_moments_on_grid`` batch.
 
     Along closed ovals the perturbation one-form reduces to
     (16 + mu2) * oint y dx - pi*sqrt(3) * oint y^2 dx: the mu1 and c*x*y
@@ -225,23 +229,17 @@ def appendix_first_order_on_grid(spec: HamiltonianSpec, mu2: float, hs,
     """
     if spec.family is not Family.APPENDIX_ELLIPSE:
         raise ValueError("defined for the appendix family")
-    iy, iy2 = appendix_moments_on_grid(spec, hs, tol=tol)
-    return (16.0 + mu2) * iy - math.pi * math.sqrt(3.0) * iy2
+    iy, iy2, ok = appendix_moments_on_grid(spec, hs, tol=tol)
+    return (16.0 + mu2) * iy - math.pi * math.sqrt(3.0) * iy2, ok
 
 
 def appendix_count_zeros(spec: HamiltonianSpec, mu2: float,
                          h_range) -> ZeroCount:
     """Zero count of the appendix first-order function on an h-window,
-    found as count_zeros finds those of M.  Its moments raise
-    QuadratureError rather than return unconverged, so every mask is
-    all true."""
+    found as count_zeros finds those of M."""
     lo, hi = float(h_range[0]), float(h_range[1])
     if not (critical_data(spec).center0.energy < lo < hi < 0.0):
         raise ValueError("h range must lie inside (-4/3, 0)")
     grid = np.linspace(lo, hi, GRID_POINTS)
-
-    def f(hs):
-        vals = appendix_first_order_on_grid(spec, mu2, hs)
-        return vals, np.ones(vals.shape, dtype=bool)
-
-    return _count_sign_changes(f, grid)
+    return _count_sign_changes(
+        lambda hs: appendix_first_order_on_grid(spec, mu2, hs), grid)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from saddleloop import acceptance, centroid, flowsim, melnikov
+from saddleloop import abelian, acceptance, centroid, flowsim, melnikov
 from saddleloop.model import Annulus
 
 CENSUS_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
@@ -80,6 +80,15 @@ def test_criterion_8_trace_and_shift_laws():
 
 def test_criterion_9_alien_cycles():
     _check(acceptance.criterion_9)
+
+
+def test_criterion_9_fails_on_unconverged_zero_count(monkeypatch):
+    # one quadrature panel leaves the witness-window moments unconverged:
+    # their zero count is no evidence, so the criterion must not pass
+    monkeypatch.setattr(abelian, "QUAD_LIMIT", 1)
+    result = acceptance.criterion_9()
+    assert not result.passed
+    assert result.detail.endswith(", not converged")
 
 
 @pytest.mark.slow

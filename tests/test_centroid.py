@@ -14,6 +14,7 @@ from saddleloop.centroid import (
     total_line_intersections,
     verify_shape,
 )
+from saddleloop.melnikov import count_zeros
 
 from oracle_values import LOOP_LIMITS, SIGMA_PLUS_TRIPLES
 
@@ -129,6 +130,27 @@ def test_total_intersections_sum(spec_a05):
         for ann in (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS)
     )
     assert tot == per
+
+
+def test_minus_annulus_counts_agree():
+    # M = J_0 * (alpha + beta*xi + gamma*eta) with J_0 > 0: on the minus
+    # annulus its zeros are the minus curve's crossings, and with
+    # gamma != 0 total_line_intersections adds both curves
+    rng = np.random.default_rng(7)
+    seen = set()
+    for a in (0.5, 1.0, 1.5):
+        spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
+        plus = sample_curve(spec, Annulus.SIGMA_PLUS)
+        minus = sample_curve(spec, Annulus.SIGMA_MINUS)
+        for _ in range(12):
+            coeffs = MelnikovCoeffs(*rng.uniform(-1.0, 1.0, 3), order_k=2)
+            on_minus = line_intersections(minus, coeffs).count
+            seen.add(on_minus)
+            assert count_zeros(spec, coeffs,
+                               Annulus.SIGMA_MINUS).count == on_minus
+            assert total_line_intersections(spec, coeffs) == (
+                line_intersections(plus, coeffs).count + on_minus)
+    assert seen == {0, 1}
 
 
 def test_simultaneous_loop_report(spec_a05):

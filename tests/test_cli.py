@@ -50,6 +50,20 @@ def test_abelian_unconverged_rows_flagged(tmp_path, capsys, monkeypatch):
                             for t in ("-1.2667", "-0.6334", "-0.0001")]
 
 
+def test_appendix_unconverged_rows_flagged(tmp_path, capsys, monkeypatch):
+    # as for the normal family: the csv is written, each unconverged row
+    # is flagged and the run exits 3
+    monkeypatch.setattr(cli.abelian, "QUAD_LIMIT", 1)
+    out = tmp_path / "m.csv"
+    code, _, _ = run(["melnikov", "--family", "appendix", "--mu2", "0.657",
+                      "--h-grid=-1.3:-0.01:4", "--out", str(out)], capsys)
+    assert code == 3
+    assert len(list(csv.reader(out.open()))) == 5
+    man = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+    assert man["flags"] == [f"row h={h} not converged"
+                            for h in ("-0.87", "-0.44", "-0.01")]
+
+
 def test_space_separated_negative_grid(tmp_path, capsys):
     # argparse alone rejects a leading-dash value; the wrapper merges it
     a = tmp_path / "a.csv"
@@ -248,13 +262,22 @@ def test_config_file_overrides_flags(tmp_path, capsys):
     assert float(rows[1][0]) == pytest.approx(-2.5, abs=1e-3)
 
 
+def _parse_error(argv, capsys):
+    """The error line of an argv that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err.strip().splitlines()[-1]
+
+
 def test_config_unknown_field(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"bogus": 1}))
-    code, _, err = run(["centroid", "--a", "1", "--config", str(cfg),
-                        "--out", str(tmp_path / "c.csv")], capsys)
-    assert code == 2
-    assert "unknown field 'bogus'" in err
+    out = tmp_path / "c.csv"
+    err = _parse_error(["centroid", "--a", "1", "--config", str(cfg),
+                        "--out", str(out)], capsys)
+    assert err.endswith("error: unrecognized arguments: --bogus=1")
+    assert not out.exists()
 
 
 def test_config_checks_choices(tmp_path, capsys):
@@ -262,10 +285,9 @@ def test_config_checks_choices(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"annulus": "plsu"}))
     out = tmp_path / "ab.csv"
-    code, _, err = run(["abelian", "--a", "0.5", "--t-grid=-1.0:-0.5:3",
+    err = _parse_error(["abelian", "--a", "0.5", "--t-grid=-1.0:-0.5:3",
                         "--config", str(cfg), "--out", str(out)], capsys)
-    assert code == 2
-    assert "annulus" in err and "'plsu'" in err
+    assert "argument --annulus: invalid choice: 'plsu'" in err
     assert not out.exists()
 
 
@@ -281,29 +303,34 @@ def test_config_converts_types(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "census", fake_census)
     cfg = tmp_path / "cfg.json"
+    out = tmp_path / "census.json"
     argv = ["sim", "--family", "normal", "--a", "1", "--eps", "0.001",
             "--f", "0.3,0,0,0,0,0", "--census", "--config", str(cfg),
-            "--out", str(tmp_path / "census.json")]
+            "--out", str(out)]
     cfg.write_text(json.dumps({"n": "100", "eps": 2e-3}))
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert type(seen["n"]) is int and seen["n"] == 100
     assert seen["epsilon"] == 2e-3
+    out.unlink()
     cfg.write_text(json.dumps({"n": "1e2"}))
-    code, _, err = run(argv, capsys)
-    assert code == 2 and "n: invalid int value '1e2'" in err
+    err = _parse_error(argv, capsys)
+    assert "argument --n: invalid int value: '1e2'" in err
     cfg.write_text(json.dumps({"census": "yes"}))
-    code, _, err = run(argv, capsys)
-    assert code == 2 and "census: expected true or false" in err
+    err = _parse_error(argv, capsys)
+    assert "argument --census: ignored explicit argument 'yes'" in err
+    assert not out.exists()
 
 
 def test_config_keeps_verify_modes_exclusive(tmp_path, capsys):
     # as --criteria 3 --quick is rejected by the parser
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"quick": True}))
-    code, _, err = run(["verify", "--criteria", "3", "--config", str(cfg)],
-                       capsys)
-    assert code == 2 and "at most one of quick, slow, criteria" in err
+    out = tmp_path / "v.json"
+    err = _parse_error(["verify", "--criteria", "3", "--config", str(cfg),
+                        "--out", str(out)], capsys)
+    assert "argument --quick: not allowed with argument --criteria" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["fn", "command", "parser", "eps"])
@@ -311,11 +338,67 @@ def test_config_accepts_only_own_flags(tmp_path, capsys, field):
     # fn, command and parser are dispatch attributes, eps a flag of sim
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({field: 1}))
-    code, _, err = run(["centroid", "--a", "1", "--n", "8",
-                        "--config", str(cfg),
-                        "--out", str(tmp_path / "c.csv")], capsys)
-    assert code == 2
-    assert f"unknown field {field!r}" in err
+    out = tmp_path / "c.csv"
+    err = _parse_error(["centroid", "--a", "1", "--n", "8",
+                        "--config", str(cfg), "--out", str(out)], capsys)
+    assert err.endswith(f"error: unrecognized arguments: --{field}=1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key, val, flags", [
+    (["centroid", "--a", "1", "--n", "8"], "bogus", 1, ["--bogus=1"]),
+    (["abelian", "--a", "0.5", "--t-grid=-1.0:-0.5:3"], "annulus", "plsu",
+     ["--annulus=plsu"]),
+    (["sim", "--family", "normal", "--a", "1", "--eps", "0.001", "--census"],
+     "n", "1e2", ["--n=1e2"]),
+    (["sim", "--family", "normal", "--a", "1", "--eps", "0.001", "--traj"],
+     "census", "yes", ["--census=yes"]),
+    (["verify", "--criteria", "3"], "quick", True, ["--quick"]),
+    *((["centroid", "--a", "1", "--n", "8"], name, 1, [f"--{name}=1"])
+      for name in ("fn", "command", "parser")),
+], ids=["bogus", "annulus", "n", "census", "quick", "fn", "command", "parser"])
+def test_config_fails_as_its_flag(tmp_path, capsys, argv, key, val, flags):
+    # a config value is a flag read after the command line: it fails
+    # with the same error line as that flag, before any artifact
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: val}))
+    out = tmp_path / "artifact"
+    by_config = _parse_error(argv + ["--out", str(out), "--config", str(cfg)],
+                             capsys)
+    by_flag = _parse_error(argv + ["--out", str(out)] + flags, capsys)
+    assert by_config == by_flag
+    assert " error: " in by_config
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "Expecting property name"),
+    ("[1]", "top level must be an object"),
+    ('{"help": true}', "'help' is not a run setting"),
+    ('{"config": "x.json"}', "'config' is not a run setting"),
+    ('{"a": false}', "a: expected true, a string or a number, got false"),
+    ('{"a": null}', "a: expected true, a string or a number, got null"),
+    ('{"a": [1]}', "a: expected true, a string or a number, got [1]"),
+    ('{"a": {"b": 1}}', 'a: expected true, a string or a number, '
+                        'got {"b": 1}'),
+], ids=["bad-json", "not-object", "help", "config", "false", "null", "list",
+        "object"])
+def test_config_file_errors(tmp_path, capsys, text, message):
+    # false has no flag to become: a command line cannot switch off a
+    # switch either
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "c.csv"
+    code, _, err = run(["centroid", "--a", "1", "--n", "8", "--config",
+                        str(cfg), "--out", str(out)], capsys)
+    assert code == 2 and f"error: config: {message}" in err
+    assert not out.exists()
+
+
+def test_config_file_unreadable(tmp_path, capsys):
+    code, _, err = run(["centroid", "--a", "1", "--config",
+                        str(tmp_path / "missing.json")], capsys)
+    assert code == 2 and "error: config:" in err and "missing.json" in err
 
 
 def test_sim_appendix_c_must_exceed_16(tmp_path, capsys):

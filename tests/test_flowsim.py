@@ -14,10 +14,10 @@ from saddleloop.model import (
 from saddleloop.ovals import OvalRangeError, section_segment
 from saddleloop.acceptance import scan_draws
 from saddleloop import flowsim
-from saddleloop.lockstep import advance, grid_roots, illinois, sign_changes
+from saddleloop.lockstep import (ATOL_PER_RTOL, MAX_STEP, advance,
+                                 grid_roots, illinois, sign_changes)
 from saddleloop.flowsim import (
     BURN_IN,
-    OUTER_MAX_STEP,
     FlowSpec,
     QuadraticOneForm,
     _escape,
@@ -41,11 +41,6 @@ from saddleloop.flowsim import (
 def unperturbed(spec):
     return FlowSpec(hamiltonian=spec, epsilon=0.0,
                     one_form=QuadraticOneForm.gamma_type(0.0))
-
-
-def _steps(flow):
-    """advance's step settings for the flow, as flowsim passes them."""
-    return OUTER_MAX_STEP, flow.tol, 0.01 * flow.tol
 
 
 # --- conservative checks ------------------------------------------------
@@ -79,7 +74,7 @@ def test_reversibility_normal_form(spec_a1):
     for k, T in enumerate((1.0, 2.5, 5.0)):
         fwd = integrate(flow, start, T).states[-1]
         st, _, _, back = advance(_signed_field(flow), lanes[:, k:k + 1], T,
-                                 ((_escape, 1),), *_steps(flow))
+                                 ((_escape, 1),), flow.tol)
         assert st[0] == 0
         worst = max(worst, abs(fwd[0] - back[0, 0]), abs(fwd[1] + back[1, 0]))
     assert worst < 1e-8
@@ -490,15 +485,15 @@ def test_advance_extra_row_keeps_planar_bits():
     rhs = _lockstep_field(flow)
     z = np.zeros((2, grid.size))
     z[coord] = grid
-    _, _, _, z = advance(rhs, z, BURN_IN, ((_escape, 1),), *_steps(flow))
+    _, _, _, z = advance(rhs, z, BURN_IN, ((_escape, 1),), flow.tol)
     events = ((lambda z: z[1 - coord], sect.direction), (_escape, 1))
-    planar = advance(rhs, z, T_max, events, *_steps(flow))
+    planar = advance(rhs, z, T_max, events, flow.tol)
 
     def padded(z):
         return np.vstack([rhs(z[:2]), np.zeros((1, z.shape[1]))])
 
     extra = advance(padded, np.vstack([z, np.full((1, grid.size), 0.5)]),
-                    T_max, events, *_steps(flow))
+                    T_max, events, flow.tol)
     assert (planar[0] == 1).all() and (planar[1] == 0).all()
     for a, b in zip(planar[:3], extra[:3]):
         assert a.tobytes() == b.tobytes()
@@ -513,9 +508,9 @@ def test_advance_without_events():
     z = np.zeros((2, grid.size))
     z[0 if sect.axis == "x" else 1] = grid
     rhs = _lockstep_field(flow)
-    bare = advance(rhs, z, 5.0, (), *_steps(flow))
+    bare = advance(rhs, z, 5.0, (), flow.tol)
     never = advance(rhs, z, 5.0, ((lambda z: np.full(z.shape[1], -1.0), 1),),
-                    *_steps(flow))
+                    flow.tol)
     assert (bare[0] == 0).all() and (bare[2] == 5.0).all()
     for a, b in zip(bare, never):
         assert a.tobytes() == b.tobytes()
@@ -530,9 +525,9 @@ def test_sign_lane_runs_negated_field():
     events = ((lambda z: z[0], 0), (_escape, 1))
     lanes = np.vstack([np.hstack([starts, starts]),
                        np.repeat([[1.0, -1.0]], 8, axis=1)])
-    both = advance(_signed_field(flow), lanes, 20.0, events, *_steps(flow))
-    fwd = advance(rhs, starts, 20.0, events, *_steps(flow))
-    back = advance(lambda z: -rhs(z), starts, 20.0, events, *_steps(flow))
+    both = advance(_signed_field(flow), lanes, 20.0, events, flow.tol)
+    fwd = advance(rhs, starts, 20.0, events, flow.tol)
+    back = advance(lambda z: -rhs(z), starts, 20.0, events, flow.tol)
     assert (both[0] == 1).all()
     for k, ref in enumerate((fwd, back)):
         i = slice(8 * k, 8 * k + 8)
@@ -555,12 +550,10 @@ def _oracle_return(flow, sect, s, T_max):
 
     escape.terminal, escape.direction = True, 1
     section.terminal, section.direction = True, sect.direction
-    max_step, rtol, atol = _steps(flow)
-
     def run(start, T, events):
         return solve_ivp(flow.rhs, (0.0, T), start, method="DOP853",
-                         rtol=rtol, atol=atol, max_step=max_step,
-                         events=events)
+                         rtol=flow.tol, atol=ATOL_PER_RTOL * flow.tol,
+                         max_step=MAX_STEP, events=events)
 
     lead = run(sect.point(s), BURN_IN, [escape])
     if lead.status != 0:
@@ -667,7 +660,7 @@ def _oracle_slope(flow, sect, s, T_max):
     start = np.zeros(4)
     start[c], start[2 + c] = s, 1.0
     steps = dict(method="DOP853", rtol=1e-13, atol=1e-15,
-                 max_step=OUTER_MAX_STEP)
+                 max_step=MAX_STEP)
     lead = solve_ivp(rhs, (0.0, BURN_IN), start, **steps)
     tr = solve_ivp(rhs, (0.0, T_max - BURN_IN), lead.y[:, -1],
                    events=[section], **steps)

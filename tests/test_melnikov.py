@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from saddleloop import melnikov
+from saddleloop import abelian, melnikov
 from saddleloop.centroid import sample_curve
 from saddleloop.model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs
+from saddleloop.picard_fuchs import fundamental
 from saddleloop.melnikov import (
     ZeroFunctionError,
     appendix_count_zeros,
@@ -159,17 +160,45 @@ def test_d1_expected_closed_form(spec_a1):
     assert d1_expected(spec_a1, coeffs) == pytest.approx(-0.9 * math.sqrt(3.0) / 3.0, rel=1e-12)
 
 
-def test_classification_regimes():
-    c1 = classify_cyclicity(MelnikovCoeffs(0.5, 0.1), d0_is_zero=False)
-    assert c1.order_k == 1
-    assert c1.max_cycles_from_loop == 0
-    assert c1.max_cycles_from_annulus >= 1
+_LOOP = "cycle(s) from the loop"
 
-    c2 = classify_cyclicity(MelnikovCoeffs(0.0, 0.0, gamma=1.0, order_k=2), d0_is_zero=True)
-    assert c2.max_cycles_from_loop == 0
 
-    c3 = classify_cyclicity(MelnikovCoeffs(0.5, 0.1), d0_is_zero=True)
-    assert c3.max_cycles_from_loop >= 1
+@pytest.mark.parametrize("coeffs, d0_is_zero, expected", [
+    (MelnikovCoeffs(0.0, 0.0), False, ZeroFunctionError),
+    (MelnikovCoeffs(0.5, 0.1), True,
+     f"order k=1, M1(0) = 0: <= 2 {_LOOP}, <= 0 from the open annulus"),
+    (MelnikovCoeffs(0.5, 0.1), False,
+     f"order k=1, M1(0) != 0: <= 0 {_LOOP}, <= 1 from the closed annulus"),
+    (MelnikovCoeffs(0.0, 0.0, gamma=1.0, order_k=2), True,
+     f"order k=2, gamma != 0: <= 0 {_LOOP}, <= 2 from the closed annulus"),
+    (MelnikovCoeffs(0.0, 0.4, order_k=2), True, ValueError),
+    (MelnikovCoeffs(0.5, 0.1, order_k=2), True,
+     f"order k=2, gamma = 0, M_k(0) = 0: <= 2 {_LOOP}, "
+     "<= 0 from the open annulus"),
+    (MelnikovCoeffs(0.5, 0.1, order_k=3), False,
+     f"order k=3, gamma = 0, alpha != 0, M_k(0) != 0: <= 0 {_LOOP}, "
+     "<= 1 from the closed annulus"),
+    # the paper's bound: up to three cycles from the two-saddle loop
+    (MelnikovCoeffs(0.0, 0.4, order_k=2), False,
+     f"order k=2, gamma = alpha = 0, beta != 0: <= 3 {_LOOP}, "
+     "<= 0 from the open annulus"),
+], ids=["all-zero", "k1-loop", "k1-annulus", "gamma", "d0-inconsistent",
+        "k2-loop", "k3-annulus", "beta-only"])
+def test_classification_table(coeffs, d0_is_zero, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            classify_cyclicity(coeffs, d0_is_zero)
+        return
+    assert str(classify_cyclicity(coeffs, d0_is_zero)) == expected
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("gamma", [0.3, -0.7])
+def test_expansion_log_term_is_gamma_lambda(a, gamma):
+    # gamma*J_{-1} carries the only ln|t| term, with J_{-1}'s multiplier
+    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
+    exp = expansion(spec, MelnikovCoeffs(0.3, -0.2, gamma, order_k=2))
+    assert exp.dlog == pytest.approx(gamma * fundamental(spec).lam, rel=1e-7)
 
 
 @pytest.mark.parametrize("h", sorted(APPENDIX_MOMENTS))
@@ -177,15 +206,16 @@ def test_appendix_first_order_from_moments(appendix_spec, h):
     iy, iy2 = APPENDIX_MOMENTS[h]
     mu2 = 0.3
     want = (16.0 + mu2) * iy - math.pi * math.sqrt(3.0) * iy2
-    (got,) = appendix_first_order_on_grid(appendix_spec, mu2, [h])
+    (got,), (ok,) = appendix_first_order_on_grid(appendix_spec, mu2, [h])
     assert got == pytest.approx(want, rel=1e-9)
+    assert ok
 
 
 def test_appendix_loop_value_is_mu2_line(appendix_spec):
     # M(0-) -> -pi*sqrt(3)*mu2: the mu1 channel integrates to zero over
     # a closed oval and the remaining terms cancel at the loop
     for mu2 in (0.2, -0.4):
-        (got,) = appendix_first_order_on_grid(appendix_spec, mu2, [-1e-7])
+        (got,), _ = appendix_first_order_on_grid(appendix_spec, mu2, [-1e-7])
         assert got == pytest.approx(-math.pi * math.sqrt(3.0) * mu2, rel=1e-4)
 
 
@@ -196,9 +226,20 @@ def test_appendix_zero_location(appendix_spec):
     assert zc.count == 1
     assert -0.08 < zc.zeros[0] < -0.05
     def m1(h):
-        return float(appendix_first_order_on_grid(appendix_spec, 0.657, [h])[0])
+        return float(appendix_first_order_on_grid(appendix_spec, 0.657,
+                                                  [h])[0][0])
 
     oracle = brentq(m1, -0.08, -0.05, xtol=1e-14)
     assert abs(zc.zeros[0] - oracle) < 1e-10
     zc2 = appendix_count_zeros(appendix_spec, 0.657, (-0.004, -0.00115))
     assert zc2.count == 0
+    assert zc.converged and zc2.converged
+
+
+def test_appendix_unconverged_moments_clear_zero_count_flag(appendix_spec,
+                                                            monkeypatch):
+    # one panel per lane: the moments off the center side do not
+    # converge, which the count reports instead of raising
+    monkeypatch.setattr(abelian, "QUAD_LIMIT", 1)
+    zc = appendix_count_zeros(appendix_spec, 0.657, (-0.1, -0.01))
+    assert not zc.converged

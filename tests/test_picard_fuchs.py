@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from saddleloop.abelian import log_coefficient
 from saddleloop.model import Family, HamiltonianSpec
 from saddleloop.picard_fuchs import (
     finite_difference_residuals,
@@ -115,6 +116,16 @@ def test_asymptotics_match(spec_a1):
     assert am.rel_err[0] < 1e-8
     assert am.rel_err[1] < 1e-5
     assert am.rel_err[2] < 1e-2
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+def test_series_log_term_matches_quadrature_fit(a):
+    # J_0 = c*t*ln|t| + ...: the series coefficient against a fit of
+    # quadrature data (J_1's t^2*ln|t| fit is too loose to pin down)
+    power, c = fundamental(nf(a)).log_term(0)
+    assert power == 1
+    assert log_coefficient(nf(a), 0).coeffs["t^1*log"] == pytest.approx(
+        c, rel=1e-3)
 
 
 def test_system_matrices_regular_inside_annulus(spec_a1):
