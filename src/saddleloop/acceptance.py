@@ -183,11 +183,14 @@ def criterion_6():
             got = curve.endpoint_extrapolated()
             exp = centroid.center_endpoint(spec, ann)
             end_err = max(abs(got[0] - exp[0]), abs(got[1] - exp[1]))
-            checks.append((shape.passed, end_err))
-    ok = all(c[0] for c in checks) and all(c[1] <= 1e-6 for c in checks)
+            checks.append((shape.passed, end_err, curve.converged))
+    converged = all(c[2] for c in checks)
+    ok = (all(c[0] for c in checks) and all(c[1] <= 1e-6 for c in checks)
+          and converged)
     worst = max(c[1] for c in checks)
     return ok, (f"shape {'ok' if all(c[0] for c in checks) else 'BAD'}, "
-                f"max endpoint err {worst:.2e} (tol 1e-6)")
+                f"max endpoint err {worst:.2e} (tol 1e-6)"
+                + ("" if converged else ", not converged"))
 
 
 @_criterion(7, "line-intersection bounds, 1000 seeded draws", 30.0)
@@ -209,9 +212,11 @@ def criterion_7():
         worst_vertical = max(worst_vertical, m)
     xi_zero = centroid.line_intersections(
         curve, MelnikovCoeffs(alpha=0.0, beta=1.0, gamma=0.0)).count
-    ok = worst_general <= 2 and worst_vertical <= 1 and xi_zero == 0
+    ok = (worst_general <= 2 and worst_vertical <= 1 and xi_zero == 0
+          and curve.converged)
     return ok, (f"max general {worst_general} (<=2), "
-                f"max gamma=0 {worst_vertical} (<=1), xi=0 line {xi_zero} (=0)")
+                f"max gamma=0 {worst_vertical} (<=1), xi=0 line {xi_zero} (=0)"
+                + ("" if curve.converged else ", not converged"))
 
 
 @_criterion(8, "trace/shift first-order laws, 3x3 grid", 60.0)

@@ -8,6 +8,12 @@ carries the wall time).  ``--config FILE`` holds flags too: the keys of
 its JSON object become --key=value flags read after the command line,
 so they override it and the subcommand's own parser checks them.
 
+The parser is the input policy: a ``melnikov`` or ``sim`` run is parsed
+with only the flags its family (and for ``sim`` its ``--census`` or
+``--traj`` mode) reads, the ones it needs required, so a flag of another
+family or mode fails as an unrecognized argument instead of being
+dropped.  The manifest echoes every setting of the parsed run.
+
 Exit codes: 0 success, 1 hard failure, 2 invalid config, 3 degraded
 (artifact written, but one or more numerical quality flags were raised).
 """
@@ -17,6 +23,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -33,7 +40,7 @@ OUT_DIR_ENV = "SADDLELOOP_OUT_DIR"
 TRAJ_T = 100.0          # sim --traj duration when --T is not given
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid run configuration; message names the offending field."""
 
 
@@ -116,30 +123,24 @@ def _write_manifest(path: Path, config: dict, artifacts: list[str],
     })
 
 
-def _config_echo(args, fields) -> dict:
-    return {k: getattr(args, k) for k in fields if getattr(args, k) is not None}
-
-
 def _spec_for(args) -> HamiltonianSpec:
     if args.family == "appendix":
-        if getattr(args, "a", None) is not None:
-            raise ConfigError("a not applicable to family=appendix")
         return HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
-    a = args.a if getattr(args, "a", None) is not None else 1.0
-    return HamiltonianSpec(family=Family.NORMAL_FORM, a=float(a))
+    return HamiltonianSpec(family=Family.NORMAL_FORM, a=args.a)
 
 
 def _artifact(cmd):
     """The tail every artifact command shares.  cmd(args) writes its
-    artifact and returns (path, config fields to echo, quality flags);
-    the manifest's wall time covers the whole of cmd, and any flag
-    makes the exit code 3."""
+    artifact and returns (path, quality flags); the manifest echoes
+    every setting the run was parsed with, its wall time covers the
+    whole of cmd, and any flag makes the exit code 3."""
     @functools.wraps(cmd)
     def run(args) -> int:
         t0 = time.time()
-        out, echo, flags = cmd(args)
-        _write_manifest(out, _config_echo(args, echo), [str(out)],
-                        time.time() - t0, flags)
+        out, flags = cmd(args)
+        config = {k: v for k, v in vars(args).items() if v is not None
+                  and k not in ("command", "fn", "out", "config", "mode")}
+        _write_manifest(out, config, [str(out)], time.time() - t0, flags)
         print(out)
         return 3 if flags else 0
     return run
@@ -157,7 +158,7 @@ def cmd_abelian(args):
                      "err_minus1", "err0", "err1", "converged"],
                zip(*(c.tolist() for c in cols)))
     flags = [f"row t={t:g} not converged" for t in tr.t[~tr.converged]]
-    return out, ("a", "annulus", "t_grid", "tol"), flags
+    return out, flags
 
 
 @_artifact
@@ -177,22 +178,14 @@ def cmd_pf(args):
         "q": np.asarray(fund.q).tolist(),
     }
     _write_json(out, payload)
-    return out, ("a", "order"), []
+    return out, []
 
 
 @_artifact
 def cmd_melnikov(args):
     out = _out_path(args, "melnikov.csv")
+    spec = _spec_for(args)
     if args.family == "appendix":
-        if args.a is not None:
-            raise ConfigError("a not applicable to family=appendix")
-        if args.alpha is not None or args.beta is not None or args.gamma:
-            raise ConfigError("alpha/beta/gamma not applicable to "
-                              "family=appendix; use --mu2")
-        spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
-        echo = ("mu2", "h_grid")
-        if not args.h_grid:
-            raise ConfigError("h-grid required for family=appendix")
         col, xs = "h", _parse_grid(args.h_grid, "h-grid")
         h_center = critical_data(spec).center0.energy
         if np.any(xs >= 0.0) or np.any(xs <= h_center):
@@ -200,24 +193,16 @@ def cmd_melnikov(args):
         vals, conv = melnikov.appendix_first_order_on_grid(spec, args.mu2, xs,
                                                            tol=args.tol)
     else:
-        if args.mu2 != 0.0:
-            raise ConfigError("mu2 applies to family=appendix only")
-        if args.alpha is None or args.beta is None:
-            raise ConfigError("alpha and beta are required for family=normal")
-        spec = _spec_for(args)
-        echo = ("a", "annulus", "alpha", "beta", "gamma", "t_grid")
-        order = 2 if args.gamma else 1
         coeffs = MelnikovCoeffs(alpha=args.alpha, beta=args.beta,
-                                gamma=args.gamma, order_k=order)
-        if not args.t_grid:
-            raise ConfigError("t-grid required for family=normal")
+                                gamma=args.gamma,
+                                order_k=2 if args.gamma else 1)
         col, xs = "t", _parse_grid(args.t_grid, "t-grid")
         vals, conv = melnikov.values_on_grid(spec, coeffs,
                                              _annulus(args.annulus), xs,
                                              tol=args.tol)
     _write_csv(out, [col, "value"], zip(xs.tolist(), vals.tolist()))
     flags = [f"row {col}={x:g} not converged" for x in xs[~conv]]
-    return out, ("family", *echo, "tol"), flags
+    return out, flags
 
 
 @_artifact
@@ -231,26 +216,15 @@ def cmd_centroid(args):
                     (float(e) for e in curve.eta)))
     _write_csv(out, ["t", "xi", "eta"], rows)
     flags = [] if curve.converged else ["curve quadrature not converged"]
-    return out, ("a", "annulus", "n", "tol"), flags
+    return out, flags
 
 
 def _sim_flow(args) -> FlowSpec:
     spec = _spec_for(args)
     if args.family == "appendix":
-        if args.f or args.g:
-            raise ConfigError("f/g apply to family=normal only; appendix "
-                              "perturbation is set by mu1, mu2, c")
-        if args.c is None:
-            args.c = PerturbationSpec.c     # echoed as the value that ran
         pert = PerturbationSpec(epsilon=args.eps, mu1=args.mu1, mu2=args.mu2,
                                 c=args.c)
         return appendix_flow(spec, pert, tol=args.tol)
-    if args.mu1 != 0.0 or args.mu2 != 0.0:
-        raise ConfigError("mu1/mu2 apply to family=appendix only; "
-                          "use --f/--g for family=normal")
-    if args.c is not None:
-        raise ConfigError("c applies to family=appendix only; "
-                          "use --f/--g for family=normal")
     f = _parse_coeffs(args.f, "f") if args.f else (0.0,) * 6
     g = _parse_coeffs(args.g, "g") if args.g else (0.0,) * 6
     one_form = QuadraticOneForm(f=f, g=g)
@@ -260,13 +234,8 @@ def _sim_flow(args) -> FlowSpec:
 
 @_artifact
 def cmd_sim(args):
-    if bool(args.census) == bool(args.traj):
-        raise ConfigError("exactly one of --census or --traj is required")
     flow = _sim_flow(args)
-    # echo only the settings of the family and the mode that ran
-    config_fields = ("family", "eps", "tol", "T") + (
-        ("c", "mu1", "mu2") if args.family == "appendix" else ("a", "f", "g"))
-    if args.census:
+    if args.mode == "census":
         out = _out_path(args, "census.json")
         s_range = (_parse_pair(args.window, "window")
                    if args.window else None)
@@ -295,20 +264,17 @@ def cmd_sim(args):
         _write_json(out, payload)
         flags = [f"cycle at s={c.section_coordinate:.6g} stability undetermined"
                  for c in res.cycles if c.stability == "undetermined"]
-        return out, config_fields + ("annulus", "window", "n"), flags
+        return out, flags
 
     out = _out_path(args, "traj.csv")
-    start = _parse_pair(args.start, "start") if args.start else None
-    if start is None:
-        raise ConfigError("start (X,Y) is required with --traj")
-    traj = integrate(flow, np.array(start),
+    traj = integrate(flow, np.array(_parse_pair(args.start, "start")),
                      TRAJ_T if args.T is None else args.T)
     rows = [(float(t), float(z[0]), float(z[1]), float(flow.energy(z)))
             for t, z in zip(traj.ts, traj.states)]
     _write_csv(out, ["t", "x", "y", "H"], rows)
     flags = (["integration failed before reaching T"]
              if traj.status == "failed" else [])
-    return out, config_fields + ("start",), flags
+    return out, flags
 
 
 def cmd_verify(args) -> int:
@@ -348,7 +314,14 @@ def _add_common(p) -> None:
                    "read after the command line")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(family, mode) -> argparse.ArgumentParser:
+    """The saddleloop parser.  With family and mode None every subcommand
+    holds all its flags, which -h lists; given a run's --family (and for
+    sim its --census or --traj mode), melnikov and sim hold only the
+    flags that run reads and require the ones it needs, so any other
+    flag fails as an unrecognized argument."""
+    full = family is None
+    normal, appendix = family in (None, "normal"), family in (None, "appendix")
     ap = argparse.ArgumentParser(
         prog="saddleloop",
         description="Numerics for limit cycles bifurcating from two-saddle "
@@ -372,14 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("melnikov", help="first-order displacement function")
     p.add_argument("--family", choices=("normal", "appendix"),
                    default="normal")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--mu2", type=float, default=0.0)
-    p.add_argument("--t-grid", metavar="LO:HI:N")
-    p.add_argument("--h-grid", metavar="LO:HI:N")
+    if normal:
+        p.add_argument("--a", type=float, default=1.0)
+        p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
+        p.add_argument("--alpha", type=float, required=not full)
+        p.add_argument("--beta", type=float, required=not full)
+        p.add_argument("--gamma", type=float, default=0.0)
+        p.add_argument("--t-grid", metavar="LO:HI:N", required=not full)
+    if appendix:
+        p.add_argument("--mu2", type=float, default=0.0)
+        p.add_argument("--h-grid", metavar="LO:HI:N", required=not full)
     p.add_argument("--tol", type=float, default=abelian.QUAD_TOL)
     _add_common(p)
     p.set_defaults(fn=cmd_melnikov)
@@ -395,22 +370,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="direct flow simulation")
     p.add_argument("--family", choices=("normal", "appendix"),
                    default="appendix")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--c", type=float, default=None,
-                   help="appendix perturbation's x*y coefficient (default 17)")
+    if normal:
+        p.add_argument("--a", type=float, default=1.0)
+        p.add_argument("--f", help="6 comma-separated coefficients "
+                       "(normal family)")
+        p.add_argument("--g", help="6 comma-separated coefficients "
+                       "(normal family)")
+    if appendix:
+        p.add_argument("--c", type=float, default=PerturbationSpec.c,
+                       help="appendix perturbation's x*y coefficient "
+                       "(default %(default)g)")
+        p.add_argument("--mu1", type=float, default=0.0)
+        p.add_argument("--mu2", type=float, default=0.0)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--mu1", type=float, default=0.0)
-    p.add_argument("--mu2", type=float, default=0.0)
-    p.add_argument("--f", help="6 comma-separated coefficients (normal family)")
-    p.add_argument("--g", help="6 comma-separated coefficients (normal family)")
-    p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
-    p.add_argument("--census", action="store_true")
-    p.add_argument("--window", metavar="LO:HI",
-                   help="section window for the census")
-    p.add_argument("--n", type=int, default=CENSUS_POINTS,
-                   help="census grid size")
-    p.add_argument("--traj", action="store_true")
-    p.add_argument("--start", metavar="X,Y")
+    g = p.add_mutually_exclusive_group(required=not full)
+    g.add_argument("--census", dest="mode", action="store_const",
+                   const="census")
+    g.add_argument("--traj", dest="mode", action="store_const", const="traj")
+    if mode in (None, "census"):
+        p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
+        p.add_argument("--window", metavar="LO:HI",
+                       help="section window for the census")
+        p.add_argument("--n", type=int, default=CENSUS_POINTS,
+                       help="census grid size")
+    if mode in (None, "traj"):
+        p.add_argument("--start", metavar="X,Y", required=mode == "traj")
     p.add_argument("--T", type=float, default=None,
                    help=f"duration: trajectory length (default {TRAJ_T:g}) "
                    f"or return-map time limit (default {RETURN_T_MAX:g})")
@@ -434,22 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Flags whose values routinely start with a minus sign (grids, coordinates,
-# coefficient lists).  argparse refuses "--t-grid -1.9:..." because the value
-# looks like an option, so merge such pairs into "--flag=value" form up front.
-_DASH_VALUE_FLAGS = frozenset(
-    {"--t-grid", "--h-grid", "--window", "--start", "--f", "--g",
-     "--alpha", "--beta", "--gamma", "--mu1", "--mu2", "--a", "--eps"}
-)
-
-
 def _merge_dash_values(argv: list[str]) -> list[str]:
+    """argparse refuses "--t-grid -1.9:..." because the value looks like
+    an option, so a --flag followed by a token that starts with a minus
+    sign and a digit or a point becomes one "--flag=value" token."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _DASH_VALUE_FLAGS and nxt is not None and nxt.startswith("-"):
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if (tok.startswith("--") and "=" not in tok
+                and re.match(r"-[\d.]", nxt)):
             out.append(f"{tok}={nxt}")
             i += 2
         else:
@@ -485,18 +464,18 @@ def _config_flags(path: str) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     argv = _merge_dash_values(list(sys.argv[1:] if argv is None else argv))
-    args = ap.parse_args(argv)
+    args = build_parser(None, None).parse_args(argv)
     try:
         # config flags come last, so they override the command line and
         # argparse converts and checks them as it does every flag
         if args.config:
-            args = ap.parse_args(argv + _config_flags(args.config))
+            argv += _config_flags(args.config)
+            args = build_parser(None, None).parse_args(argv)
+        # the run's family and mode pick the flags it is parsed with
+        args = build_parser(getattr(args, "family", None),
+                            getattr(args, "mode", None)).parse_args(argv)
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

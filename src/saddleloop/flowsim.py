@@ -112,10 +112,22 @@ class QuadraticOneForm:
 
 @dataclass(frozen=True)
 class FlowSpec:
+    """The perturbed flow dH + eps*omega = 0 and the relative tolerance
+    every integration of it runs at.  ``tol`` must be finite, at least
+    100 float64 machine epsilons (solve_ivp's own rtol floor) and below
+    1: at a tighter one a run need not end, a looser one controls no
+    error."""
+
     hamiltonian: HamiltonianSpec
     epsilon: float
     one_form: QuadraticOneForm
     tol: float = FLOW_TOL
+
+    def __post_init__(self):
+        floor = 100.0 * np.finfo(float).eps
+        if not floor <= self.tol < 1.0:     # a nan fails both comparisons
+            raise ValueError(f"flow tolerance must lie in [{floor:.3g}, 1), "
+                             f"got {self.tol}")
 
     @cached_property
     def coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:

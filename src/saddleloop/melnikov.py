@@ -139,7 +139,7 @@ def _count_sign_changes(f, grid) -> ZeroCount:
         return vals
 
     zeros = grid_roots(values, grid, vals).tolist()
-    step = grid[1] - grid[0] if len(grid) > 1 else 0.0
+    step = abs(grid[1] - grid[0]) if len(grid) > 1 else 0.0
     coarse = any(z2 - z1 < 3.0 * step for z1, z2 in zip(zeros, zeros[1:]))
     return ZeroCount(count=len(zeros), zeros=tuple(zeros), grid_coarse=coarse,
                      converged=all(bool(m.all()) for m in masks))

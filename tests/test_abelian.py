@@ -6,13 +6,15 @@ from scipy.integrate import quad
 
 from saddleloop import abelian
 from saddleloop.centroid import default_grid
-from saddleloop.model import Annulus, Family, HamiltonianSpec
+from saddleloop.model import Annulus, Family, HamiltonianSpec, critical_data
 from saddleloop.abelian import (
     QUAD_LIMIT,
     appendix_moments_on_grid,
+    appendix_oval_integral,
     default_log_window,
     fit_log_basis,
     jk_at_loop,
+    jk_on_slice,
     log_coefficient,
     segment_integral_appendix,
     triple,
@@ -109,6 +111,32 @@ def test_kernel_lanes_batch_invariant(appendix_spec):
     for h, m1, m2 in zip(hs[::4], iy[::4], iy2[::4]):
         single = np.array(appendix_moments_on_grid(appendix_spec, [h])[:2])
         assert single.ravel().tobytes() == np.array([m1, m2]).tobytes()
+
+
+def test_one_energy_views_match_grids(spec_a05, appendix_spec):
+    # jk_on_slice and appendix_oval_integral, which the benchmark tracer
+    # wraps, carry the bits of the grid rows, the degenerate center
+    # slice of SigmaMinus included
+    t_center = critical_data(spec_a05).center1.energy
+    for annulus in (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS):
+        ts = default_grid(spec_a05, annulus, n=8)
+        if annulus is Annulus.SIGMA_MINUS:
+            ts = np.append(ts, t_center)
+        grid = triples_on_grid(spec_a05, annulus, ts)
+        for i, t in enumerate(ts):
+            v, e, ok = zip(*(jk_on_slice(slice_oval(spec_a05, annulus, t), k)
+                             for k in (-1, 0, 1)))
+            assert np.array(v).tobytes() == grid.as_vector()[i].tobytes()
+            assert np.array(e).tobytes() == grid.err[i].tobytes()
+            assert all(ok) == grid.converged[i]
+    hs = np.linspace(-1.3, -1e-3, 6)
+    iy, iy2, ok = appendix_moments_on_grid(appendix_spec, hs)
+    for h, m1, m2, conv in zip(hs, iy, iy2, ok):
+        one = [appendix_oval_integral(appendix_spec, h, fe)
+               for fe in (lambda x2, y: y, lambda x2, y: y * y)]
+        assert (np.array([one[0][0], one[1][0]]).tobytes()
+                == np.array([m1, m2]).tobytes())
+        assert (one[0][2] and one[1][2]) == conv
 
 
 def _quadpack_jk(sl, k):

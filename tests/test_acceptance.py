@@ -70,8 +70,26 @@ def test_criterion_6_measures_endpoint(monkeypatch):
     assert "shape ok, max endpoint err 1.00e-01" in result.detail
 
 
+def test_criterion_6_fails_on_unconverged_curves(monkeypatch):
+    # one quadrature panel leaves all three curves unconverged: their
+    # shape and endpoint are no evidence, so the criterion must not pass
+    monkeypatch.setattr(abelian, "QUAD_LIMIT", 1)
+    result = acceptance.criterion_6()
+    assert not result.passed
+    assert result.detail.endswith(", not converged")
+
+
 def test_criterion_7_intersection_bounds():
     _check(acceptance.criterion_7)
+
+
+def test_criterion_7_fails_on_unconverged_curve(monkeypatch):
+    # as for criterion 6: intersections with an unconverged curve count
+    # for nothing
+    monkeypatch.setattr(abelian, "QUAD_LIMIT", 1)
+    result = acceptance.criterion_7()
+    assert not result.passed
+    assert result.detail.endswith(", not converged")
 
 
 def test_criterion_8_trace_and_shift_laws():

@@ -1,7 +1,9 @@
 import csv
 import importlib
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -127,11 +129,13 @@ def test_melnikov_validation(tmp_path, capsys):
     assert code == 2
     assert "(-4/3, 0)" in err
 
-    code, _, err = run(["melnikov", "--family", "appendix", "--a", "1",
+    # the appendix family reads no --a: the parser rejects it
+    out = tmp_path / "y.csv"
+    err = _parse_error(["melnikov", "--family", "appendix", "--a", "1",
                         "--mu2", "0.0", "--h-grid=-1:-0.1:3",
-                        "--out", str(tmp_path / "y.csv")], capsys)
-    assert code == 2
-    assert "a not applicable to family=appendix" in err
+                        "--out", str(out)], capsys)
+    assert err.endswith("error: unrecognized arguments: --a 1")
+    assert not out.exists()
 
 
 def test_sim_traj_csv(tmp_path, capsys):
@@ -230,20 +234,25 @@ def test_sim_census_witness_replay(tmp_path, capsys):
 
 
 def test_sim_requires_exactly_one_mode(tmp_path, capsys):
+    out = tmp_path / "x.json"
     base = ["sim", "--family", "normal", "--a", "1", "--eps", "0.001",
-            "--out", str(tmp_path / "x.json")]
-    code, _, err = run(base, capsys)
-    assert code == 2 and "exactly one of" in err
-    code, _, err = run(base + ["--census", "--traj"], capsys)
-    assert code == 2 and "exactly one of" in err
+            "--out", str(out)]
+    err = _parse_error(base, capsys)
+    assert err.endswith("error: one of the arguments --census --traj "
+                        "is required")
+    err = _parse_error(base + ["--census", "--traj"], capsys)
+    assert err.endswith("error: argument --traj: not allowed with "
+                        "argument --census")
+    assert not out.exists()
 
 
 def test_sim_family_validation(tmp_path, capsys):
-    code, _, err = run(["sim", "--family", "appendix", "--a", "1",
-                        "--eps", "1e-3", "--census",
-                        "--out", str(tmp_path / "x.json")], capsys)
-    assert code == 2
-    assert "a not applicable to family=appendix" in err
+    out = tmp_path / "x.json"
+    err = _parse_error(["sim", "--family", "appendix", "--a", "1",
+                        "--eps", "1e-3", "--census", "--out", str(out)],
+                       capsys)
+    assert err.endswith("error: unrecognized arguments: --a 1")
+    assert not out.exists()
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):
@@ -356,7 +365,12 @@ def test_config_accepts_only_own_flags(tmp_path, capsys, field):
     (["verify", "--criteria", "3"], "quick", True, ["--quick"]),
     *((["centroid", "--a", "1", "--n", "8"], name, 1, [f"--{name}=1"])
       for name in ("fn", "command", "parser")),
-], ids=["bogus", "annulus", "n", "census", "quick", "fn", "command", "parser"])
+    (["melnikov", "--family", "appendix", "--mu2", "0.657",
+      "--h-grid=-0.1:-0.01:5"], "annulus", "minus", ["--annulus=minus"]),
+    (["sim", "--family", "normal", "--a", "1", "--eps", "0", "--traj",
+      "--start", "1.0,0.5"], "family", "appendix", ["--family=appendix"]),
+], ids=["bogus", "annulus", "n", "census", "quick", "fn", "command", "parser",
+        "other-family-flag", "family"])
 def test_config_fails_as_its_flag(tmp_path, capsys, argv, key, val, flags):
     # a config value is a flag read after the command line: it fails
     # with the same error line as that flag, before any artifact
@@ -413,11 +427,10 @@ def test_sim_c_only_on_appendix(tmp_path, capsys):
     # --c is an appendix perturbation coefficient: the normal family
     # rejects it, as it rejects --mu1/--mu2, instead of dropping it
     out = tmp_path / "t.csv"
-    code, _, err = run(["sim", "--family", "normal", "--a", "1", "--c", "5",
+    err = _parse_error(["sim", "--family", "normal", "--a", "1", "--c", "5",
                         "--eps", "0", "--traj", "--start", "1.0,0.5",
                         "--T", "1", "--out", str(out)], capsys)
-    assert code == 2
-    assert "c applies to family=appendix only" in err
+    assert err.endswith("error: unrecognized arguments: --c 5")
     assert not out.exists()
     # without --c the appendix family runs and echoes c = 17
     code, _, _ = run(["sim", "--family", "appendix", "--eps", "1e-3",
@@ -426,6 +439,63 @@ def test_sim_c_only_on_appendix(tmp_path, capsys):
     assert code == 0
     man = json.loads((tmp_path / "t.csv.manifest.json").read_text())
     assert man["config"]["c"] == 17.0
+
+
+_TRAJ = ["sim", "--family", "normal", "--a", "1", "--eps", "0", "--traj",
+         "--start", "1.0,0.5", "--T", "2"]
+_APPENDIX_MELNIKOV = ["melnikov", "--family", "appendix", "--mu2", "0.657",
+                      "--h-grid=-0.1:-0.01:5"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_APPENDIX_MELNIKOV, ["--annulus", "minus"]),
+    (_APPENDIX_MELNIKOV, ["--t-grid=-1.5:-0.1:4"]),
+    (["melnikov", "--family", "normal", "--a", "1", "--alpha", "0.3",
+      "--beta", "-0.2", "--t-grid=-1.5:-0.1:4"], ["--h-grid=-0.1:-0.01:5"]),
+    (_TRAJ, ["--n", "160"]),
+    (_TRAJ, ["--window", "1.1,1.2"]),
+    (_TRAJ, ["--annulus", "minus"]),
+    (["sim", "--family", "appendix", "--eps", "1e-3", "--census"],
+     ["--start", "1.0,0.5"]),
+    (_TRAJ, ["--mu2", "0"]),
+], ids=["melnikov-appendix-annulus", "melnikov-appendix-t-grid",
+        "melnikov-normal-h-grid", "traj-n", "traj-window", "traj-annulus",
+        "census-start", "sim-normal-mu2"])
+def test_flag_the_run_does_not_read_rejected(tmp_path, capsys, argv, flag):
+    # a flag of another family or mode fails in the parser, before any
+    # artifact, instead of being dropped
+    out = tmp_path / "artifact"
+    err = _parse_error(argv + flag + ["--out", str(out)], capsys)
+    assert err.endswith("error: unrecognized arguments: " + " ".join(flag))
+    assert not out.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The saddleloop command lines of the README's Command line block,
+    continuations joined and comments dropped, without the verify
+    lines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    argvs = [shlex.split(line, comments=True)[1:]
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("saddleloop ")]
+    return [argv for argv in argvs if argv[0] != "verify"]
+
+
+_README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS, ids=[
+    f"{i}-{argv[0]}" for i, argv in enumerate(_README_COMMANDS)])
+def test_readme_command_lines(argv, tmp_path, capsys, monkeypatch):
+    # each example runs as printed and writes its artifact and manifest,
+    # so an example with a flag its run does not read fails here
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SADDLELOOP_OUT_DIR", raising=False)
+    code, stdout, err = run(argv, capsys)
+    assert code == 0, err
+    out = tmp_path / stdout.strip()
+    assert out.is_file() and Path(f"{out}.manifest.json").is_file()
 
 
 def test_grid_syntax_error(tmp_path, capsys):
@@ -551,4 +621,14 @@ def test_tolerance_floor_rejected(argv, tmp_path, capsys):
     code, _, err = run(argv + ["--tol", "1e-13", "--out", str(out)], capsys)
     assert code == 2
     assert "quadrature tolerance must be >= 1e-12" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", [["--tol", "-1"], ["--tol=0"]])
+def test_flow_tolerance_rejected(tol, tmp_path, capsys):
+    # "--tol -1" reaches the flow by the dash rule; both fail there,
+    # before any artifact, instead of integrating without end or error
+    out = tmp_path / "traj.csv"
+    code, _, err = run(_TRAJ + tol + ["--out", str(out)], capsys)
+    assert code == 2 and "error: flow tolerance must lie in" in err
     assert not out.exists()

@@ -63,6 +63,23 @@ def test_energy_conserved_appendix(appendix_spec):
     assert np.max(np.abs(hs + 11.0 / 12.0)) < 1e-7
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-30, 2e-14, -1.0, 1.0, 1e3,
+                                 math.nan, math.inf])
+def test_flow_tolerance_outside_range_rejected(spec_a1, appendix_spec, tol):
+    # every way of building a flow checks its tolerance; nothing is
+    # integrated (at tol 0 or 1e-30 a trajectory need not end)
+    with pytest.raises(ValueError, match="flow tolerance must lie in"):
+        FlowSpec(hamiltonian=spec_a1, epsilon=0.0,
+                 one_form=QuadraticOneForm.gamma_type(0.0), tol=tol)
+    with pytest.raises(ValueError, match="flow tolerance must lie in"):
+        appendix_flow(appendix_spec, PerturbationSpec(epsilon=1e-3), tol=tol)
+    with pytest.raises(ValueError, match="flow tolerance must lie in"):
+        dataclasses.replace(unperturbed(spec_a1), tol=tol)
+    # the floor itself, 100 machine epsilons, is a valid tolerance
+    floor = 100.0 * np.finfo(float).eps
+    assert dataclasses.replace(unperturbed(spec_a1), tol=floor).tol == floor
+
+
 def test_reversibility_normal_form(spec_a1):
     # the unperturbed field is odd under (x, y, t) -> (x, -y, -t): a lane
     # with time sign -1 from the mirrored start runs along the mirrored

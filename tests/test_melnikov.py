@@ -88,9 +88,12 @@ def _line_through(p1, p2):
                           gamma=gamma, order_k=2)
 
 
-def test_close_zeros_flag_grid_coarse(spec_a1):
+@pytest.mark.parametrize("descending", [False, True],
+                         ids=["ascending", "descending"])
+def test_close_zeros_flag_grid_coarse(spec_a1, descending):
     # M = J0 * (line functional) vanishes where the line meets the
-    # centroid curve: here at two energies about two grid cells apart
+    # centroid curve: here at two energies about two grid cells apart,
+    # on a grid run in either direction
     lo, hi = melnikov._default_range(spec_a1, Annulus.SIGMA_PLUS)
     step = (hi - lo) / (melnikov.GRID_POINTS - 1)
     ts = lo + step * np.array([100.3, 102.3])
@@ -98,7 +101,8 @@ def test_close_zeros_flag_grid_coarse(spec_a1):
     coeffs = _line_through(*zip(curve.xi, curve.eta))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        zc = count_zeros(spec_a1, coeffs, Annulus.SIGMA_PLUS)
+        zc = count_zeros(spec_a1, coeffs, Annulus.SIGMA_PLUS,
+                         t_range=(hi, lo) if descending else (lo, hi))
     assert zc.count == 2
     assert np.allclose(zc.zeros, ts, rtol=0.0, atol=1e-9)
     assert zc.grid_coarse
