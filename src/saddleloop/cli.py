@@ -314,13 +314,16 @@ def _add_common(p) -> None:
                    "read after the command line")
 
 
-def build_parser(family, mode) -> argparse.ArgumentParser:
-    """The saddleloop parser.  With family and mode None every subcommand
-    holds all its flags, which -h lists; given a run's --family (and for
-    sim its --census or --traj mode), melnikov and sim hold only the
-    flags that run reads and require the ones it needs, so any other
-    flag fails as an unrecognized argument."""
-    full = family is None
+def build_parser(run) -> argparse.ArgumentParser:
+    """The saddleloop parser.  With run None every subcommand holds all its
+    flags, which -h lists, and requires none, so that a --config file
+    can supply any of them.  Given run, the namespace of that full
+    parse, it is the run's own parser: every subcommand requires the
+    flags its run needs, and melnikov and sim hold only the flags their
+    --family (and for sim its --census or --traj mode) reads, so any
+    other flag fails as an unrecognized argument."""
+    full = run is None
+    family, mode = getattr(run, "family", None), getattr(run, "mode", None)
     normal, appendix = family in (None, "normal"), family in (None, "appendix")
     ap = argparse.ArgumentParser(
         prog="saddleloop",
@@ -329,15 +332,15 @@ def build_parser(family, mode) -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("abelian", help="integral triples on a parameter grid")
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=float, required=not full)
     p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
-    p.add_argument("--t-grid", required=True, metavar="LO:HI:N")
+    p.add_argument("--t-grid", required=not full, metavar="LO:HI:N")
     p.add_argument("--tol", type=float, default=abelian.QUAD_TOL)
     _add_common(p)
     p.set_defaults(fn=cmd_abelian)
 
     p = sub.add_parser("pf", help="ODE system and fundamental series")
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=float, required=not full)
     p.add_argument("--order", type=int, default=8)
     _add_common(p)
     p.set_defaults(fn=cmd_pf)
@@ -360,7 +363,7 @@ def build_parser(family, mode) -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_melnikov)
 
     p = sub.add_parser("centroid", help="centroid curve samples")
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=float, required=not full)
     p.add_argument("--annulus", choices=("plus", "minus"), default="plus")
     p.add_argument("--n", type=int, default=centroid.CURVE_POINTS)
     p.add_argument("--tol", type=float, default=abelian.QUAD_TOL)
@@ -382,7 +385,7 @@ def build_parser(family, mode) -> argparse.ArgumentParser:
                        "(default %(default)g)")
         p.add_argument("--mu1", type=float, default=0.0)
         p.add_argument("--mu2", type=float, default=0.0)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=float, required=not full)
     g = p.add_mutually_exclusive_group(required=not full)
     g.add_argument("--census", dest="mode", action="store_const",
                    const="census")
@@ -465,16 +468,15 @@ def _config_flags(path: str) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _merge_dash_values(list(sys.argv[1:] if argv is None else argv))
-    args = build_parser(None, None).parse_args(argv)
+    args = build_parser(None).parse_args(argv)
     try:
         # config flags come last, so they override the command line and
         # argparse converts and checks them as it does every flag
         if args.config:
             argv += _config_flags(args.config)
-            args = build_parser(None, None).parse_args(argv)
+            args = build_parser(None).parse_args(argv)
         # the run's family and mode pick the flags it is parsed with
-        args = build_parser(getattr(args, "family", None),
-                            getattr(args, "mode", None)).parse_args(argv)
+        args = build_parser(args).parse_args(argv)
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,13 +12,13 @@ Every run is a lockstep DOP853 batch (``saddleloop.lockstep``) at the
 flow's tolerance under the engine's own step policy (an atol of
 ``lockstep.ATOL_PER_RTOL`` times the tolerance and steps of at most
 ``lockstep.MAX_STEP``); near the saddles, where passage times diverge,
-the error control alone sets the step.  All lanes advance together as numpy arrays, each with its own
-step control.  The Poincare
-return maps (``return_maps``), the census's return slopes, whose
-tangent rows carry the variational equation (``_return_slopes``), and
-the four separatrix runs of ``separatrix_shifts``, whose stable lanes
-run backward through a constant time-sign row, stop on events located
-on each lane's dense output; the recorded trajectory of ``sim --traj``
+the error control alone sets the step.  All lanes advance together
+as numpy arrays, each with its own step control.  The Poincare return
+maps (``return_maps``), the census's return slopes, whose tangent rows
+carry the variational equation (``_return_slopes``), and the four
+separatrix runs of ``separatrix_shifts``, whose stable lanes run
+backward through a constant time-sign row, stop on events located on
+each lane's dense output; the recorded trajectory of ``sim --traj``
 (``integrate``) is one lane with no events.  Also here: a cycle census by
 displacement sign changes, refined together by a lockstep Illinois
 search, saddle traces by Newton continuation, and separatrix shift
@@ -204,26 +204,32 @@ def _lockstep_field(flow: FlowSpec):
     and in the same order, with the monomials whose coefficients vanish
     in both components left out.  On (4, n) tangent lanes (x, y, u, v)
     it is the variational system: rows 0-1 keep those bits and rows 2-3
-    are J(x, y) (u, v), the same terms with each monomial replaced by its
-    derivative along (u, v)."""
+    are J(x, y) (u, v), the same terms summed from 0, with each monomial
+    replaced by its derivative along (u, v).
+
+    The kept monomials are the rows of one array; both components are
+    one product with their coefficient columns and one np.add.reduce
+    over the rows, which adds the terms row by row, in rhs's order."""
     coef = np.array(flow.coeffs)
-    const = coef[:, :1]
-    terms = [(k - 1, coef[:, k:k + 1]) for k in range(1, 6)
-             if coef[:, k].any()]
+    kept = [0] + [k for k in range(1, 6) if coef[:, k].any()]
+    # the monomials (1, x, y, x^2, x*y, y^2) as products of two rows of
+    # (1, x, y)
+    a, b = np.array([(0, 0), (1, 0), (2, 0), (1, 1), (1, 2), (2, 2)])[kept].T
+    c = coef[:, kept].T[:, :, None]         # (monomial, component, 1)
+    dc = c.copy()
+    dc[0] = 0.0                             # J v's sum starts from +0
 
     def field(z):
-        x, y = z[0], z[1]
-        mono = (x, y, x * x, x * y, y * y)
-        out = np.repeat(const, z.shape[1], axis=1)
-        for k, c in terms:
-            out += c * mono[k]
+        e = np.empty((3, z.shape[1]))
+        e[0] = 1.0
+        e[1:] = z[:2]
+        out = np.add.reduce(c * (e[a] * e[b])[:, None], axis=0)
         if len(z) == 2:
             return out
-        u, v = z[2], z[3]
-        dmono = (u, v, 2.0 * x * u, y * u + x * v, 2.0 * y * v)
-        dz = np.zeros_like(out)
-        for k, c in terms:
-            dz += c * dmono[k]
+        x, y, u, v = z
+        dmono = np.array([np.zeros_like(x), u, v, 2.0 * x * u,
+                          y * u + x * v, 2.0 * y * v])
+        dz = np.add.reduce(dc * dmono[kept][:, None], axis=0)
         return np.vstack([out, dz])
 
     return field

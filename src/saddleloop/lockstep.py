@@ -12,7 +12,10 @@ step policy is the engine's own: a caller sets rtol, atol is
 ATOL_PER_RTOL*rtol and every step is at most MAX_STEP.
 Terminal events, if any, are detected by sign changes at step ends, as
 solve_ivp does, and located on the step's dense output; a run may record
-its accepted steps instead (``sim --traj``).
+its accepted steps instead (``sim --traj``).  A step where lanes hit an
+event keeps their stages; the dense output (three more stages and the
+interpolant rows) is built once per run, for those lanes only, just
+before the events are located.
 
 Every sum over stages is accumulated term by term in a fixed order,
 never by a matrix product, whose summation order depends on the array
@@ -89,14 +92,13 @@ def _initial_step(field, z, f, t_end, rtol, atol):
                       np.minimum(t_end, MAX_STEP))
 
 
-def _dense_output(field, K, p, h, z, y):
-    """DOP853 interpolant coefficients, shape (7, d, len(p)), of lanes p
-    over the step z -> y."""
-    K = [k[:, p] for k in K]
-    h, z = h[p], z[:, p]
+def _interpolant(field, K, h, z, y):
+    """DOP853 interpolant coefficients, shape (7, d, n), of lanes whose
+    steps z -> y of size h have the stages K, shape (13, d, n)."""
+    K = list(K)
     for terms in _EXTRA:
         K.append(field(z + _combo(terms, K) * h))
-    dy = y[:, p] - z
+    dy = y - z
     return np.array([dy, h * K[0] - dy, 2.0 * dy - h * (K[_N_STAGES] + K[0])]
                     + [h * _combo(terms, K) for terms in _D])
 
@@ -207,18 +209,19 @@ def _advance(field, z, t_end, events, rtol, record):
     t_stop = np.zeros(n)
     z_stop = z.copy()
     dirs = np.array([d for _, d in events]).reshape(len(events), 1)
+    rising, falling = dirs >= 0, dirs <= 0
     lane = np.arange(n)
     t = np.zeros(n)
     f = field(z)
     atol = ATOL_PER_RTOL * rtol
     h_abs = _initial_step(field, z, f, t_end, rtol, atol)
-    retry = np.zeros(n, dtype=bool)
+    retry = None        # lanes retrying a rejected step; None if none
     g = _event_values(events, z)
-    hits = []       # lanes, bracket, dense output and event values per hit
+    hits = []   # lanes, bracket, step ends, stages and event values
     while lane.size:
-        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = np.where(retry, h_abs, np.minimum(np.maximum(h_abs, min_step),
-                                                  MAX_STEP))
+        min_step = 10.0 * np.spacing(t)
+        clamped = np.minimum(np.maximum(h_abs, min_step), MAX_STEP)
+        h_abs = clamped if retry is None else np.where(retry, h_abs, clamped)
         failed = h_abs < min_step
         t_new = np.minimum(t + h_abs, t_end)
         h = t_new - t
@@ -230,9 +233,9 @@ def _advance(field, z, t_end, events, rtol, record):
                 K.append(field(z + S[j] * h))
         y = z + h * S[_Y_ROW]
         K.append(field(y))
-        scale = atol + np.maximum(np.abs(z), np.abs(y)) * rtol
-        e5 = S[-2] / scale
-        e3 = S[-1] / scale
+        scale = atol + np.maximum(np.abs(z[:2]), np.abs(y[:2])) * rtol
+        e5 = S[-2, :2] / scale
+        e3 = S[-1, :2] / scale
         n5 = e5[0] * e5[0] + e5[1] * e5[1]
         n3 = e3[0] * e3[0] + e3[1] * e3[1]
         err = np.where((n5 == 0.0) & (n3 == 0.0), 0.0,
@@ -241,41 +244,51 @@ def _advance(field, z, t_end, events, rtol, record):
         factor = SAFETY / _root8(err)
         grow = np.where(err == 0.0, MAX_FACTOR,
                         np.minimum(MAX_FACTOR, factor))
-        grow = np.where(retry, np.minimum(1.0, grow), grow)
-        h_abs = h * np.where(ok, grow, np.fmax(MIN_FACTOR, factor))
+        if retry is not None:
+            grow = np.where(retry, np.minimum(1.0, grow), grow)
+        retry = None if ok.all() else ~ok
+        h_abs = h * (grow if retry is None
+                     else np.where(ok, grow, np.fmax(MIN_FACTOR, factor)))
         if record is not None:
             record.append((t_new[ok], y[:, ok]))
 
         g_new = _event_values(events, y)
-        up, down = (g <= 0.0) & (g_new >= 0.0), (g >= 0.0) & (g_new <= 0.0)
-        act = ok & (((dirs > 0) & up) | ((dirs < 0) & down)
-                    | ((dirs == 0) & (up | down)))
+        act = ok & ((rising & (g <= 0.0) & (g_new >= 0.0))
+                    | (falling & (g >= 0.0) & (g_new <= 0.0)))
         fired = act.any(axis=0)
-        if fired.any():
-            p = np.flatnonzero(fired)
-            hits.append((lane[p], t[p], t_new[p], h[p], z[:, p],
-                         _dense_output(field, K, p, h, z, y),
-                         act[:, p], g[:, p], g_new[:, p]))
         reached = ok & ~fired & (t_new >= t_end)
-        status[lane[failed]] = -1
-        t_stop[lane[failed]] = t[failed]
-        z_stop[:, lane[failed]] = z[:, failed]
-        t_stop[lane[reached]] = t_new[reached]
-        z_stop[:, lane[reached]] = y[:, reached]
+        leave = failed | fired | reached
+        some_leave = leave.any()
+        if some_leave:
+            p = np.flatnonzero(fired)
+            if p.size:
+                hits.append((lane[p], t[p], t_new[p], h[p], z[:, p], y[:, p],
+                             np.array(K)[..., p], act[:, p], g[:, p],
+                             g_new[:, p]))
+            status[lane[failed]] = -1
+            t_stop[lane[failed]] = t[failed]
+            z_stop[:, lane[failed]] = z[:, failed]
+            t_stop[lane[reached]] = t_new[reached]
+            z_stop[:, lane[reached]] = y[:, reached]
 
-        z = np.where(ok, y, z)
-        f = np.where(ok, K[-1], f)
-        t = np.where(ok, t_new, t)
-        g = np.where(ok, g_new, g)
-        retry = ~ok
-        keep = ~(failed | fired | reached)
-        if not keep.all():
+        if retry is None:
+            z, f, t, g = y, K[-1], t_new, g_new
+        else:
+            z = np.where(ok, y, z)
+            f = np.where(ok, K[-1], f)
+            t = np.where(ok, t_new, t)
+            g = np.where(ok, g_new, g)
+        if some_leave:
+            keep = ~leave
             lane, t, z, f = lane[keep], t[keep], z[:, keep], f[:, keep]
-            h_abs, retry, g = h_abs[keep], retry[keep], g[:, keep]
+            h_abs, g = h_abs[keep], g[:, keep]
+            if retry is not None:
+                retry = retry[keep]
 
     if hits:
-        lanes, t0, t1, h, z0, F, act, ga, gb = (
+        lanes, t0, t1, h, z0, y1, K, act, ga, gb = (
             np.concatenate(v, axis=-1) for v in zip(*hits))
+        F = _interpolant(field, K, h, z0, y1)
         t_hit = np.full(act.shape, np.inf)
         for k, (fn, _) in enumerate(events):
             i = np.flatnonzero(act[k])

@@ -385,6 +385,34 @@ def test_config_fails_as_its_flag(tmp_path, capsys, argv, key, val, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, missing", [
+    (["abelian"], {"a": 1, "t_grid": "-1:-0.5:3"}, "a"),
+    (["pf"], {"a": 0.5}, "a"),
+    (["centroid", "--n", "8"], {"a": 1}, "a"),
+    (["sim", "--family", "normal", "--traj", "--start", "1.0,0.5", "--T", "1"],
+     {"eps": 0}, "eps"),
+], ids=["abelian", "pf", "centroid", "sim"])
+def test_required_flags_from_config(tmp_path, capsys, argv, config, missing):
+    # a flag its subcommand always requires may come from the config
+    # alone, and is required when neither the command line nor the
+    # config gives it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "artifact"
+    code, _, _ = run(argv + ["--out", str(out), "--config", str(cfg)], capsys)
+    assert code == 0 and out.exists()
+    man = json.loads((tmp_path / "artifact.manifest.json").read_text())
+    assert man["config"][missing] == float(config[missing])
+    cfg.write_text(json.dumps({k: v for k, v in config.items()
+                               if k != missing}))
+    out = tmp_path / "second"
+    err = _parse_error(argv + ["--out", str(out), "--config", str(cfg)],
+                       capsys)
+    assert err.endswith(f"error: the following arguments are required: "
+                        f"--{missing}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("{", "Expecting property name"),
     ("[1]", "top level must be an object"),

@@ -402,14 +402,30 @@ def test_lockstep_field_matches_rhs(spec_a05, appendix_spec):
                             one_form=draw.one_form), witness_flow(),
              appendix_flow(appendix_spec, PerturbationSpec(epsilon=0.0))]
     v = rng.uniform(-1.0, 1.0, (2, 2000))
+    x, y, u, w = *z, *v
+    dmono = (u, w, 2.0 * x * u, y * u + x * w, 2.0 * y * w)
     for flow in flows:
-        got = _lockstep_field(flow)(z)
+        field = _lockstep_field(flow)
+        got = field(z)
         assert np.array_equal(got, np.array(flow.rhs(0.0, z)))
         # tangent lanes: the same rows 0-1, and J(z) v in rows 2-3
-        tan = _lockstep_field(flow)(np.vstack([z, v]))
+        tan = field(np.vstack([z, v]))
         assert np.array_equal(tan[:2], got)
         jv = np.einsum("ijn,jn->in", flow.jacobian(z), v)
         assert np.allclose(tan[2:], jv, rtol=1e-13, atol=1e-13)
+        # bit for bit, J(z) v is the term-by-term sum from 0 over the
+        # monomials kept, each replaced by its derivative along v
+        coef = np.array(flow.coeffs)
+        terms = np.zeros((2, z.shape[1]))
+        for k in range(1, 6):
+            if coef[:, k].any():
+                terms += coef[:, k:k + 1] * dmono[k - 1]
+        assert tan[2:].tobytes() == terms.tobytes()
+        # a lane alone has its bits in the batch
+        for i in (0, 1, 1999):
+            assert field(z[:, i:i + 1]).tobytes() == got[:, i:i + 1].tobytes()
+            alone = field(np.vstack([z, v])[:, i:i + 1])
+            assert alone.tobytes() == tan[:, i:i + 1].tobytes()
 
 
 def test_dop853_table_matches_scipy():
@@ -498,7 +514,7 @@ def test_advance_extra_row_keeps_planar_bits():
     # section or escape events once as (2, n) lanes and once with a third
     # row of zero derivative: rows 0-1, events and times keep their bits
     flow, sect, grid, T_max = _witness_grid()
-    coord = 0 if sect.axis == "x" else 1
+    coord = sect.row
     rhs = _lockstep_field(flow)
     z = np.zeros((2, grid.size))
     z[coord] = grid
@@ -523,7 +539,7 @@ def test_advance_without_events():
     # one event never fires
     flow, sect, grid, _ = _witness_grid()
     z = np.zeros((2, grid.size))
-    z[0 if sect.axis == "x" else 1] = grid
+    z[sect.row] = grid
     rhs = _lockstep_field(flow)
     bare = advance(rhs, z, 5.0, (), flow.tol)
     never = advance(rhs, z, 5.0, ((lambda z: np.full(z.shape[1], -1.0), 1),),
@@ -557,7 +573,7 @@ def _oracle_return(flow, sect, s, T_max):
     """The return map from scipy's solve_ivp under the same step settings:
     a burn-in lead with the escape event, then the section and escape
     events."""
-    off = 1 if sect.axis == "x" else 0
+    off = 1 - sect.row
 
     def escape(t, z):
         return _escape(z)
@@ -665,7 +681,7 @@ def _oracle_slope(flow, sect, s, T_max):
     """P'(s) from scipy's solve_ivp on the variational system (x, y, u, v)
     at rtol 1e-13: a burn-in lead, then the section event, where the
     tangent is projected along the field onto the section."""
-    c = 0 if sect.axis == "x" else 1
+    c = sect.row
 
     def rhs(t, w):
         return [*flow.rhs(t, w[:2]), *(flow.jacobian(w[:2]) @ w[2:])]
