@@ -315,9 +315,9 @@ def criterion_10():
     """Cycle-count bound over a seeded scan of random quadratic one-forms.
 
     Every seventh draw is a pure x^{-1}-direction one-form, censused in
-    a tight window hugging the loop: its first-order function is a
-    nonzero multiple of the log-divergent integral, zero-free on the
-    whole annulus, so any cycle found there is a genuine violation.
+    a tight window hugging the loop.  Its flow is reversible, so every
+    Melnikov function vanishes and its displacement is integration error
+    (tested): a cycle found there would be a sign change of that error.
     The remaining draws are generic (their x^{-1} coefficient is almost
     surely nonzero too, but a generic draw may legitimately grow a
     cycle at interior zeros of its first-order function, even close to

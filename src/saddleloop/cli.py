@@ -246,6 +246,7 @@ def cmd_sim(args):
             "family": args.family,
             "epsilon": args.eps,
             "grid_size": res.grid_size,
+            "window": list(res.window),
             "degenerate_continuum": res.degenerate_continuum,
             "no_return_count": res.no_return_count,
             "outcomes": res.outcomes,

@@ -14,8 +14,8 @@ flow's tolerance under the engine's own step policy (an atol of
 ``lockstep.MAX_STEP``); near the saddles, where passage times diverge,
 the error control alone sets the step.  All lanes advance together
 as numpy arrays, each with its own step control.  The Poincare return
-maps (``return_maps``), the census's return slopes, whose tangent rows
-carry the variational equation (``_return_slopes``), and the four
+maps (``return_maps``), the census's return slopes, whose third row
+integrates the divergence (``_returns_and_slopes``), and the four
 separatrix runs of ``separatrix_shifts``, whose stable lanes run
 backward through a constant time-sign row, stop on events located on
 each lane's dense output; the recorded trajectory of ``sim --traj``
@@ -93,8 +93,8 @@ class QuadraticOneForm:
     def gamma_direction(self) -> float:
         """Coefficient of the y moment (2*f02 - g11).  When the first
         order coefficients vanish but this does not, the perturbation is
-        gamma-type: M_1 = 0 and the next Melnikov function carries a
-        nonzero x^{-1} coefficient."""
+        gamma-type: M_1 = 0, and on an H even in y the pure form c/2 y^2
+        dx is reversible, (x, y, t) -> (x, -y, -t), so all M_k vanish."""
         return 2.0 * self.f[5] - self.g[4]
 
     @classmethod
@@ -202,35 +202,31 @@ def _escape(z):
 def _lockstep_field(flow: FlowSpec):
     """FlowSpec.rhs on a (2, n) array of lanes, from the same coefficients
     and in the same order, with the monomials whose coefficients vanish
-    in both components left out.  On (4, n) tangent lanes (x, y, u, v)
-    it is the variational system: rows 0-1 keep those bits and rows 2-3
-    are J(x, y) (u, v), the same terms summed from 0, with each monomial
-    replaced by its derivative along (u, v).
+    in every component left out.  On (3, n) lanes row 2 integrates the
+    divergence eps*((g_1 - f_2) + (2 g_3 - f_4) x + (g_4 - 2 f_5) y),
+    exact from the one-form, as the Hamiltonian part is divergence-free.
 
-    The kept monomials are the rows of one array; both components are
+    The kept monomials are the rows of one array; all components are
     one product with their coefficient columns and one np.add.reduce
-    over the rows, which adds the terms row by row, in rhs's order."""
-    coef = np.array(flow.coeffs)
-    kept = [0] + [k for k in range(1, 6) if coef[:, k].any()]
-    # the monomials (1, x, y, x^2, x*y, y^2) as products of two rows of
-    # (1, x, y)
-    a, b = np.array([(0, 0), (1, 0), (2, 0), (1, 1), (1, 2), (2, 2)])[kept].T
-    c = coef[:, kept].T[:, :, None]         # (monomial, component, 1)
-    dc = c.copy()
-    dc[0] = 0.0                             # J v's sum starts from +0
+    over the rows, which adds the terms row by row, in rhs's order, so
+    rows 0-1 of (3, n) lanes only gain zero terms."""
+    f, g, eps = flow.one_form.f, flow.one_form.g, flow.epsilon
+    div = (eps * (g[1] - f[2]), eps * (2.0 * g[3] - f[4]),
+           eps * (g[4] - 2.0 * f[5]), 0.0, 0.0, 0.0)
+    coef = np.array(flow.coeffs + (div,))
+    # the monomials (1, x, y, x^2, x*y, y^2) as products of rows of (1, x, y)
+    pairs = np.array([(0, 0), (1, 0), (2, 0), (1, 1), (1, 2), (2, 2)])
+    by_rows = {}        # lane rows: monomial pairs, (monomial, row, 1) block
+    for rows in (2, 3):
+        kept = [0] + [k for k in range(1, 6) if coef[:rows, k].any()]
+        by_rows[rows] = (*pairs[kept].T, coef[:rows, kept].T[:, :, None])
 
     def field(z):
+        a, b, c = by_rows[len(z)]
         e = np.empty((3, z.shape[1]))
         e[0] = 1.0
         e[1:] = z[:2]
-        out = np.add.reduce(c * (e[a] * e[b])[:, None], axis=0)
-        if len(z) == 2:
-            return out
-        x, y, u, v = z
-        dmono = np.array([np.zeros_like(x), u, v, 2.0 * x * u,
-                          y * u + x * v, 2.0 * y * v])
-        dz = np.add.reduce(dc * dmono[kept][:, None], axis=0)
-        return np.vstack([out, dz])
+        return np.add.reduce(c * (e[a] * e[b])[:, None], axis=0)
 
     return field
 
@@ -301,24 +297,19 @@ def return_maps(flow: FlowSpec, section: SectionSegment, s,
     return ReturnLanes(z[c], np.array(REASONS)[reason], t_ret)
 
 
-def _return_slopes(flow: FlowSpec, section: SectionSegment, s,
-                   T_max: float) -> np.ndarray:
-    """The return-map derivative P'(s) at every coordinate in s, nan where
-    the lane did not return: one batch of (4, n) tangent lanes whose
-    rows 0-1 run return_maps' lanes bit for bit and whose rows 2-3 start
-    as the unit vector along the section.  At the return the tangent v
-    is projected along the field f onto the section, P' = v_c - f_c v_o
-    / f_o for the section axis c and the other axis o (Parker and Chua,
-    *Practical Numerical Algorithms for Chaotic Systems*, 1989, ch. 3).
-    """
+def _returns_and_slopes(flow: FlowSpec, section: SectionSegment, s,
+                        T_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Return coordinates and slopes P'(s) from every coordinate in s, nan
+    where the lane did not return: return_maps' lanes plus a row 2 that
+    integrates div f, and P' = f_o(p) / f_o(q) * exp(int div f dt) from
+    p to the return q on the section z_o = 0 (Liouville's formula)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    c = section.row
-    z = np.zeros((4, s.size))
-    z[c], z[2 + c] = s, 1.0
+    c, o = section.row, 1 - section.row
+    z = np.zeros((3, s.size))
+    z[c] = s
     field = _lockstep_field(flow)
-    _, _, z = _first_returns(field, z, section, T_max, flow.tol)
-    f = field(z[:2])
-    return z[2 + c] - f[c] * z[3 - c] / f[1 - c]
+    _, _, q = _first_returns(field, z, section, T_max, flow.tol)
+    return q[c], field(z[:2])[o] / field(q[:2])[o] * np.exp(q[2])
 
 
 def return_map(flow: FlowSpec, section: SectionSegment, s: float,
@@ -354,6 +345,7 @@ class CycleCensus:
     degenerate_continuum: bool
     no_return_count: int
     grid_size: int
+    window: tuple[float, float]         # the scanned section coordinates
     outcomes: dict[str, int] = field(default_factory=dict)  # lanes by reason
 
 
@@ -368,13 +360,13 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     one root per displacement sign change are the cycles
     (``lockstep.grid_roots``: all brackets refined in one lockstep
     Illinois search, each root in its own cell, so none is merged away
-    however close), and their exact return slopes are one batch of
-    tangent lanes (``_return_slopes``).  no_return_count
-    counts grid lanes without a return plus brackets abandoned because a
-    refinement lane did not return.  A flow whose perturbation part is
-    zero has a continuum of closed orbits and is reported as
-    degenerate_continuum without a scan.  with_saddle_data adds the
-    saddle traces and connection shifts of an appendix flow.
+    however close); refined on (3, n) lanes, each root carries the slope
+    of the round that evaluated it (``_returns_and_slopes``).
+    no_return_count counts grid lanes without a return plus brackets
+    abandoned because a refinement lane did not return.  A flow whose
+    perturbation part is zero has a continuum of closed orbits and is
+    reported as degenerate_continuum without a scan.  with_saddle_data
+    adds the saddle traces and connection shifts of an appendix flow.
     """
     if n < CENSUS_POINTS:
         raise ValueError(f"census needs a grid of at least {CENSUS_POINTS} "
@@ -394,23 +386,30 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     if not any(flow.epsilon * q for q in flow.one_form.f + flow.one_form.g):
         return CycleCensus(cycles=(), saddle_traces=None, shifts=None,
                            degenerate_continuum=True, no_return_count=0,
-                           grid_size=n)
+                           grid_size=n, window=(lo, hi))
 
     lanes = return_maps(flow, sec, grid, T_max=T_max)
     outcomes = {r: int(np.count_nonzero(lanes.reason == r))
                 for r in REASONS if r in lanes.reason}
     no_return = n - outcomes.get("ok", 0)
-    roots = grid_roots(
-        lambda s: return_maps(flow, sec, s, T_max=T_max).s_return - s,
-        grid, lanes.s_return - grid)
+    slope_at = {}       # P' of every refinement point; each root is one
+
+    def displacements(s):
+        s_ret, slopes = _returns_and_slopes(flow, sec, s, T_max)
+        slope_at.update(zip(s.tolist(), slopes.tolist()))
+        return s_ret - s
+
+    roots = grid_roots(displacements, grid, lanes.s_return - grid)
     abandoned = np.isnan(roots)
     no_return += int(abandoned.sum())
     found = roots[~abandoned].tolist()
+    unseen = [r for r in found if r not in slope_at]    # exact grid zeros
+    if unseen:
+        displacements(np.array(unseen))
 
-    slopes = (_return_slopes(flow, sec, found, T_max).tolist() if found
-              else [])
     cycles = []
-    for r, dv in zip(found, slopes):
+    for r in found:
+        dv = slope_at[r]
         if math.isnan(dv) or abs(dv - 1.0) < 1e-5:
             stab = "undetermined"
         elif abs(dv) < 1.0:
@@ -419,7 +418,7 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
             stab = "repelling"
         cycles.append(Cycle(section_coordinate=r,
                             energy_estimate=sec.energy(r),
-                            stability=stab, return_derivative=float(dv)))
+                            stability=stab, return_derivative=dv))
 
     traces = shifts = None
     if with_saddle_data and flow.hamiltonian.family is Family.APPENDIX_ELLIPSE:
@@ -430,7 +429,7 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     return CycleCensus(cycles=tuple(cycles), saddle_traces=traces,
                        shifts=shifts, degenerate_continuum=False,
                        no_return_count=no_return, grid_size=n,
-                       outcomes=outcomes)
+                       window=(lo, hi), outcomes=outcomes)
 
 
 class NewtonError(RuntimeError):

@@ -119,8 +119,10 @@ def illinois(fun, a, b, fa, fb, xtol, rtol, maxiter=100):
     fun(i, x) evaluates brackets i at points x; a nan value abandons a
     bracket, whose root is then nan.  A bracket is done when it is
     narrower than xtol + rtol*|b| or a point evaluates to exactly 0; its
-    root is the last point evaluated.  Each bracket's iterates depend on
-    its own values only.
+    root is the last point evaluated.  Every point lies half that width
+    or more inside its bracket (brentq's minimum step), so an end at the
+    root cannot stall the search.  Each bracket's iterates depend on its
+    own values only.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     root = np.where(fa == 0.0, a, b)
@@ -133,8 +135,9 @@ def illinois(fun, a, b, fa, fb, xtol, rtol, maxiter=100):
             break
         ai, bi = a[i], b[i]
         c = (ai * fb[i] - bi * fa[i]) / (fb[i] - fa[i])
-        inside = (c > np.minimum(ai, bi)) & (c < np.maximum(ai, bi))
-        c = np.where(inside, c, 0.5 * (ai + bi))
+        tol = 0.5 * (xtol + rtol * np.abs(bi))
+        c = np.fmax(np.minimum(ai, bi) + tol,
+                    np.fmin(c, np.maximum(ai, bi) - tol))
         fc = fun(i, c)
         root[i] = np.where(np.isnan(fc), np.nan, c)
         live[i[np.isnan(fc) | (fc == 0.0)]] = False

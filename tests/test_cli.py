@@ -10,6 +10,8 @@ import pytest
 from saddleloop import cli
 from saddleloop.cli import main
 from saddleloop.flowsim import CycleCensus
+from saddleloop.model import Annulus, Family, HamiltonianSpec
+from saddleloop.ovals import section_segment
 
 
 def run(args, capsys):
@@ -192,6 +194,11 @@ def test_sim_census_json(tmp_path, capsys):
     assert doc["family"] == "normal"
     assert doc["epsilon"] == 0.001
     assert doc["grid_size"] == 100
+    # the default window: the section span shrunk by 1e-3 of it each side
+    lo, hi = section_segment(HamiltonianSpec(family=Family.NORMAL_FORM,
+                                             a=1.0), Annulus.SIGMA_PLUS).s_bounds()
+    span = hi - lo
+    assert doc["window"] == [lo + 1e-3 * span, hi - 1e-3 * span]
     assert sum(doc["outcomes"].values()) == 100
     assert doc["no_return_count"] >= 100 - doc["outcomes"].get("ok", 0)
     assert isinstance(doc["cycles"], list)
@@ -224,6 +231,7 @@ def test_sim_census_witness_replay(tmp_path, capsys):
                       "--T", "80", "--out", str(out)], capsys)
     assert code == 0
     doc = json.loads(out.read_text())
+    assert doc["window"] == [1.15e-3, 4.0e-3]
     assert doc["outcomes"] == {"ok": 155, "left_annulus": 5}
     assert doc["no_return_count"] == 5
     assert [c["stability"] for c in doc["cycles"]] == ["repelling",
@@ -308,7 +316,7 @@ def test_config_converts_types(tmp_path, capsys, monkeypatch):
         seen.update(kwargs, epsilon=flow.epsilon)
         return CycleCensus(cycles=(), saddle_traces=None, shifts=None,
                            degenerate_continuum=False, no_return_count=0,
-                           grid_size=kwargs["n"])
+                           grid_size=kwargs["n"], window=(0.0, 1.0))
 
     monkeypatch.setattr(cli, "census", fake_census)
     cfg = tmp_path / "cfg.json"
@@ -600,7 +608,7 @@ def test_sim_census_passes_T(tmp_path, capsys, monkeypatch, extra, t_max):
         seen.update(kwargs)
         return CycleCensus(cycles=(), saddle_traces=None, shifts=None,
                            degenerate_continuum=False, no_return_count=0,
-                           grid_size=kwargs["n"])
+                           grid_size=kwargs["n"], window=(0.0, 1.0))
 
     monkeypatch.setattr(cli, "census", fake_census)
     out = tmp_path / "census.json"

@@ -23,7 +23,7 @@ from saddleloop.flowsim import (
     _escape,
     _first_returns,
     _lockstep_field,
-    _return_slopes,
+    _returns_and_slopes,
     _signed_field,
     alien_witness,
     appendix_flow,
@@ -320,6 +320,28 @@ def test_census_validation(spec_a1):
                annulus=Annulus.SIGMA_MINUS, n=100)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 4e-2])
+def test_pure_gamma_displacement_is_integration_error(eps):
+    # with omega = c/2 y^2 dx and H even in y the flow is reversible under
+    # (x, y, t) -> (x, -y, -t), so every orbit through the section closes
+    # and every Melnikov function vanishes: criterion 10's pure-gamma
+    # draws displace by integration error only, at any eps
+    draws = scan_draws()
+    for trial in (0, 7, 14):
+        pure_gamma, flow, s_range = draws[trial]
+        assert pure_gamma
+        sect = section_segment(flow.hamiltonian, Annulus.SIGMA_PLUS)
+        grid = np.linspace(*s_range, 100)
+        err = []
+        for tol in (1e-10, 1e-12):
+            run = dataclasses.replace(flow, epsilon=eps, tol=tol)
+            lanes = return_maps(run, sect, grid, T_max=60.0)
+            assert (lanes.reason == "ok").all()
+            err.append(np.max(np.abs(lanes.s_return - grid)))
+        assert err[0] < 2e-10
+        assert err[0] >= 50.0 * err[1]
+
+
 # --- committed witness ---------------------------------------------------
 
 
@@ -401,31 +423,28 @@ def test_lockstep_field_matches_rhs(spec_a05, appendix_spec):
     flows = [draw, FlowSpec(hamiltonian=spec_a05, epsilon=0.1,
                             one_form=draw.one_form), witness_flow(),
              appendix_flow(appendix_spec, PerturbationSpec(epsilon=0.0))]
-    v = rng.uniform(-1.0, 1.0, (2, 2000))
-    x, y, u, w = *z, *v
-    dmono = (u, w, 2.0 * x * u, y * u + x * w, 2.0 * y * w)
     for flow in flows:
         field = _lockstep_field(flow)
         got = field(z)
         assert np.array_equal(got, np.array(flow.rhs(0.0, z)))
-        # tangent lanes: the same rows 0-1, and J(z) v in rows 2-3
-        tan = field(np.vstack([z, v]))
-        assert np.array_equal(tan[:2], got)
-        jv = np.einsum("ijn,jn->in", flow.jacobian(z), v)
-        assert np.allclose(tan[2:], jv, rtol=1e-13, atol=1e-13)
-        # bit for bit, J(z) v is the term-by-term sum from 0 over the
-        # monomials kept, each replaced by its derivative along v
-        coef = np.array(flow.coeffs)
-        terms = np.zeros((2, z.shape[1]))
-        for k in range(1, 6):
-            if coef[:, k].any():
-                terms += coef[:, k:k + 1] * dmono[k - 1]
-        assert tan[2:].tobytes() == terms.tobytes()
+        # (3, n) lanes: the same rows 0-1, and the divergence in row 2,
+        # which is the trace of the Jacobian up to the rounding of its
+        # terms (the Hamiltonian ones cancel): a few ulps of their sum
+        div = field(np.vstack([z, np.zeros((1, z.shape[1]))]))
+        assert np.array_equal(div[:2], got)
+        jac = flow.jacobian(z)
+        cx, cy = np.abs(flow.coeffs)
+        ax, ay = np.abs(z)
+        terms = (cx[1] + 2.0 * cx[3] * ax + cx[4] * ay
+                 + cy[2] + cy[4] * ax + 2.0 * cy[5] * ay)
+        err = np.abs(div[2] - (jac[0, 0] + jac[1, 1]))
+        assert np.all(err <= 4.0 * np.spacing(terms))
         # a lane alone has its bits in the batch
         for i in (0, 1, 1999):
             assert field(z[:, i:i + 1]).tobytes() == got[:, i:i + 1].tobytes()
-            alone = field(np.vstack([z, v])[:, i:i + 1])
-            assert alone.tobytes() == tan[:, i:i + 1].tobytes()
+            alone = field(np.vstack([z, np.zeros((1, 2000))])[:, i:i + 1])
+            assert alone.tobytes() == div[:, i:i + 1].tobytes()
+    assert {f.hamiltonian.family for f in flows} == set(Family)
 
 
 def test_dop853_table_matches_scipy():
@@ -457,6 +476,28 @@ def test_illinois_lockstep_roots():
     assert np.isnan(roots[1])
     assert abs(roots[2] - 7.0 ** (1 / 3)) < 1e-12
 
+
+def test_illinois_event_search_takes_few_rounds(monkeypatch):
+    # the event search of the 100 grid lanes of criterion-10 draw 0: an
+    # iterate that would round onto a bracket end steps half a tolerance
+    # in, so no lane is held to linear convergence (35 rounds when such
+    # an iterate bisected instead)
+    from saddleloop import lockstep
+
+    rounds = []
+    search = lockstep.illinois
+
+    def counted(fun, *args):
+        def fun_counted(i, x):
+            rounds.append(i.size)
+            return fun(i, x)
+        return search(fun_counted, *args)
+
+    monkeypatch.setattr(lockstep, "illinois", counted)
+    flow, sect, grid = _draw_grid(0)
+    lanes = return_maps(flow, sect, grid, T_max=60.0)
+    assert (lanes.reason == "ok").all()
+    assert len(rounds) <= 10
 
 
 def test_sign_changes_zeros_and_cells():
@@ -640,41 +681,26 @@ def test_near_saddle_returns_match_tight_oracle():
 # --- return slopes -------------------------------------------------------
 
 
-def test_tangent_lanes_keep_return_bits():
+def test_divergence_lanes_keep_return_bits():
     # the witness grid (five lanes slip through the broken connection) as
-    # (4, n) tangent lanes: rows 0-1 return return_maps' bits
+    # (3, n) lanes: rows 0-1 return return_maps' bits
     flow, sect, grid, T_max = _witness_grid()
     planar = return_maps(flow, sect, grid, T_max=T_max)
     assert sect.axis == "y"
-    z = np.zeros((4, grid.size))
-    z[1], z[3] = grid, 1.0
+    z = np.zeros((3, grid.size))
+    z[1] = grid
     reason, t_ret, z = _first_returns(_lockstep_field(flow), z, sect, T_max,
                                       flow.tol)
     assert [flowsim.REASONS[r] for r in reason] == list(planar.reason)
     assert z[1].tobytes() == planar.s_return.tobytes()
     assert t_ret.tobytes() == planar.t_return.tobytes()
     # a slope lane gives the same bits alone as in the batch
-    slopes = _return_slopes(flow, sect, grid, T_max)
+    s_ret, slopes = _returns_and_slopes(flow, sect, grid, T_max)
+    assert s_ret.tobytes() == planar.s_return.tobytes()
     assert np.isnan(slopes).sum() == 5
     for i in (0, 3, 5, 40, 159):
-        alone = _return_slopes(flow, sect, grid[i:i + 1], T_max)
+        alone = _returns_and_slopes(flow, sect, grid[i:i + 1], T_max)[1]
         assert alone.tobytes() == slopes[i:i + 1].tobytes()
-
-
-def test_witness_slopes_match_central_difference():
-    # the census's own map differentiated by a central difference at
-    # d = 1e-5 * span, neither truncation- nor roundoff-limited there
-    w = alien_witness()
-    flow, sect, _, T_max = _witness_grid()
-    res = census(flow, s_range=tuple(w["section_window"]),
-                 n=int(w["grid_points"]), T_max=T_max)
-    lo, hi = w["section_window"]
-    d = 1e-5 * (hi - lo)
-    for cyc in res.cycles:
-        r = cyc.section_coordinate
-        up, down = return_maps(flow, sect, [r + d, r - d],
-                               T_max=T_max).s_return
-        assert abs(cyc.return_derivative - (up - down) / (2.0 * d)) < 1e-5
 
 
 def _oracle_slope(flow, sect, s, T_max):
@@ -712,5 +738,21 @@ def test_scan_slopes_match_variational_oracle(trial):
     res = census(flow, s_range=s_range, n=100, T_max=60.0)
     (cyc,) = res.cycles
     oracle = _oracle_slope(flow, sect, cyc.section_coordinate, 60.0)
-    assert abs(cyc.return_derivative - oracle) < 1e-6
+    assert abs(cyc.return_derivative - oracle) < 1e-9
     assert cyc.stability == ("attracting" if oracle < 1.0 else "repelling")
+
+
+def test_witness_slopes_match_variational_oracle():
+    # the slopes from the divergence integral are the true slopes of the
+    # return map, not only those of the map at the census's tolerance
+    w = alien_witness()
+    flow, sect, _, T_max = _witness_grid()
+    res = census(flow, s_range=tuple(w["section_window"]),
+                 n=int(w["grid_points"]), T_max=T_max)
+    oracle = [_oracle_slope(flow, sect, c.section_coordinate, T_max)
+              for c in res.cycles]
+    # P' changes by about 3e4 per unit of s at the repeller, so the
+    # oracle itself moves by 1e-6 across the roots' 1e-10 tolerance
+    assert oracle == pytest.approx([1.2307329, 0.9372720], abs=2e-6)
+    for cyc, ref in zip(res.cycles, oracle):
+        assert abs(cyc.return_derivative - ref) < 1e-7
