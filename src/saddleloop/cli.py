@@ -250,6 +250,8 @@ def cmd_sim(args):
             "degenerate_continuum": res.degenerate_continuum,
             "no_return_count": res.no_return_count,
             "outcomes": res.outcomes,
+            "refine_rounds": res.refine_rounds,
+            "refine_lanes": res.refine_lanes,
             "cycles": [{
                 "section_coordinate": c.section_coordinate,
                 "energy": c.energy_estimate,

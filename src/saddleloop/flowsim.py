@@ -21,7 +21,8 @@ backward through a constant time-sign row, stop on events located on
 each lane's dense output; the recorded trajectory of ``sim --traj``
 (``integrate``) is one lane with no events.  Also here: a cycle census by
 displacement sign changes, refined together by a lockstep Illinois
-search, saddle traces by Newton continuation, and separatrix shift
+search that takes Newton steps with the refinement lanes' slopes,
+saddle traces by Newton continuation, and separatrix shift
 functions measured in the Hamiltonian chart on mid-connection
 transversals.
 
@@ -347,6 +348,8 @@ class CycleCensus:
     grid_size: int
     window: tuple[float, float]         # the scanned section coordinates
     outcomes: dict[str, int] = field(default_factory=dict)  # lanes by reason
+    refine_rounds: int = 0              # serial refinement batches
+    refine_lanes: int = 0               # lanes over all of them
 
 
 def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
@@ -360,8 +363,11 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     one root per displacement sign change are the cycles
     (``lockstep.grid_roots``: all brackets refined in one lockstep
     Illinois search, each root in its own cell, so none is merged away
-    however close); refined on (3, n) lanes, each root carries the slope
-    of the round that evaluated it (``_returns_and_slopes``).
+    however close).  The refinement runs on (3, n) lanes, whose slopes
+    P' (``_returns_and_slopes``) give each bracket Newton steps on
+    P(s) - s; each root carries the slope of the round that evaluated
+    it.  refine_rounds and refine_lanes count the refinement batches and
+    their lanes.
     no_return_count counts grid lanes without a return plus brackets
     abandoned because a refinement lane did not return.  A flow whose
     perturbation part is zero has a continuum of closed orbits and is
@@ -393,11 +399,13 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
                 for r in REASONS if r in lanes.reason}
     no_return = n - outcomes.get("ok", 0)
     slope_at = {}       # P' of every refinement point; each root is one
+    rounds = []         # lanes of every refinement round
 
     def displacements(s):
         s_ret, slopes = _returns_and_slopes(flow, sec, s, T_max)
         slope_at.update(zip(s.tolist(), slopes.tolist()))
-        return s_ret - s
+        rounds.append(s.size)
+        return s_ret - s, slopes - 1.0
 
     roots = grid_roots(displacements, grid, lanes.s_return - grid)
     abandoned = np.isnan(roots)
@@ -429,7 +437,8 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     return CycleCensus(cycles=tuple(cycles), saddle_traces=traces,
                        shifts=shifts, degenerate_continuum=False,
                        no_return_count=no_return, grid_size=n,
-                       window=(lo, hi), outcomes=outcomes)
+                       window=(lo, hi), outcomes=outcomes,
+                       refine_rounds=len(rounds), refine_lanes=sum(rounds))
 
 
 class NewtonError(RuntimeError):

@@ -26,7 +26,8 @@ alone as in any batch.
 Also here: the one sign-change scan of sampled values (``sign_changes``)
 and its bracket refinement by a lockstep Illinois search
 (``grid_roots``), shared by the cycle census, both Melnikov zero counts
-and the centroid line intersections.
+and the centroid line intersections; where the function also returns
+slopes (the census), the search takes Newton steps inside each bracket.
 """
 from __future__ import annotations
 
@@ -114,31 +115,50 @@ def _dense_eval(t_old, h, z_old, F, t):
 
 def illinois(fun, a, b, fa, fb, xtol, rtol, maxiter=100):
     """Lockstep Illinois (modified regula falsi) search for one root in
-    each sign-change bracket [a[i], b[i]] with end values fa[i], fb[i].
+    each sign-change bracket [a[i], b[i]] with end values fa[i], fb[i],
+    safeguarded Newton where fun also returns slopes.
 
-    fun(i, x) evaluates brackets i at points x; a nan value abandons a
-    bracket, whose root is then nan.  A bracket is done when it is
-    narrower than xtol + rtol*|b| or a point evaluates to exactly 0; its
-    root is the last point evaluated.  Every point lies half that width
-    or more inside its bracket (brentq's minimum step), so an end at the
-    root cannot stall the search.  Each bracket's iterates depend on its
-    own values only.
+    fun(i, x) evaluates brackets i at points x: their values, or a
+    (values, slopes) pair.  A nan value abandons a bracket, whose root is
+    then nan.  After a point x with value v and slope d, the next point
+    is the Newton target x - v/d if it lies in the bracket, else the
+    Illinois point (Numerical Recipes' rtsafe).  A bracket is done when
+    it is narrower than xtol + rtol*|b|, a point evaluates to exactly 0,
+    or a Newton target in the bracket lies within xtol + rtol*|x| of x;
+    its root is the last point evaluated.  Every point lies half the
+    width tolerance or more inside its bracket (brentq's minimum step),
+    so an end at the root cannot stall the search.  Each bracket's
+    iterates depend on its own values only.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     root = np.where(fa == 0.0, a, b)
+    step = None             # Newton steps v/d at root, once fun gives slopes
     live = (fa != 0.0) & (fb != 0.0)
     kept = np.zeros(a.size, dtype=int)      # end retained last: 1 a, -1 b
     for _ in range(maxiter):
         live &= np.abs(b - a) > xtol + rtol * np.abs(b)
+        if step is not None:
+            target = root - step
+            newton = ((np.minimum(a, b) <= target)
+                      & (target <= np.maximum(a, b)))
+            live &= ~(newton & (np.abs(step) <= xtol + rtol * np.abs(root)))
         i = np.flatnonzero(live)
         if not i.size:
             break
         ai, bi = a[i], b[i]
         c = (ai * fb[i] - bi * fa[i]) / (fb[i] - fa[i])
+        if step is not None:
+            c = np.where(newton[i], target[i], c)
         tol = 0.5 * (xtol + rtol * np.abs(bi))
         c = np.fmax(np.minimum(ai, bi) + tol,
                     np.fmin(c, np.maximum(ai, bi) - tol))
         fc = fun(i, c)
+        if isinstance(fc, tuple):
+            fc, dc = fc
+            if step is None:
+                step = np.full(a.size, np.nan)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step[i] = fc / dc
         root[i] = np.where(np.isnan(fc), np.nan, c)
         live[i[np.isnan(fc) | (fc == 0.0)]] = False
         to_b, to_a = fc * fb[i] > 0.0, fc * fa[i] > 0.0
@@ -168,8 +188,9 @@ def grid_roots(fun, grid, vals):
     """Sorted roots of a function sampled as vals on grid: its exact
     zeros plus one lockstep Illinois root in each sign-change cell.
 
-    fun maps an array of points to their values; a bracket abandoned on
-    a nan value gives a nan root, sorted last.
+    fun maps an array of points to their values, or to a (values,
+    slopes) pair for Newton steps; a bracket abandoned on a nan value
+    gives a nan root, sorted last.
     """
     grid, vals = np.asarray(grid, dtype=float), np.asarray(vals, dtype=float)
     zeros, i = sign_changes(vals)

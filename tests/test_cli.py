@@ -234,6 +234,9 @@ def test_sim_census_witness_replay(tmp_path, capsys):
     assert doc["window"] == [1.15e-3, 4.0e-3]
     assert doc["outcomes"] == {"ok": 155, "left_annulus": 5}
     assert doc["no_return_count"] == 5
+    # two brackets: a false-position round, then Newton steps until one
+    # lands within the root tolerance
+    assert (doc["refine_rounds"], doc["refine_lanes"]) == (4, 7)
     assert [c["stability"] for c in doc["cycles"]] == ["repelling",
                                                        "attracting"]
     man = json.loads((tmp_path / "census.json.manifest.json").read_text())

@@ -397,6 +397,32 @@ def test_census_keeps_close_cycle_pair(monkeypatch):
     assert [c.stability for c in res.cycles[:2]] == ["repelling"] * 2
 
 
+def test_witness_refinement_newton_rounds(monkeypatch):
+    # the refinement lanes' slopes steer Newton steps: a false-position
+    # round, then Newton until a step lands within the root tolerance
+    # (Illinois alone takes 6 rounds and 11 lanes), so each root is a
+    # fixed point to far below that tolerance (Illinois leaves a Newton
+    # residual of about 5e-11)
+    w = alien_witness()
+    flow, sect, _, T_max = _witness_grid()
+    lanes = []
+    run = flowsim._returns_and_slopes
+
+    def counted(flow, sect, s, T_max):
+        lanes.append(s.size)
+        return run(flow, sect, s, T_max)
+
+    monkeypatch.setattr(flowsim, "_returns_and_slopes", counted)
+    res = census(flow, s_range=tuple(w["section_window"]),
+                 n=int(w["grid_points"]), T_max=T_max)
+    assert len(lanes) <= 4 and sum(lanes) <= 7
+    assert (res.refine_rounds, res.refine_lanes) == (len(lanes), sum(lanes))
+    roots = np.array([c.section_coordinate for c in res.cycles])
+    s_ret, slopes = run(flow, sect, roots, T_max)
+    assert slopes.tolist() == [c.return_derivative for c in res.cycles]
+    assert np.all(np.abs((s_ret - roots) / (slopes - 1.0)) <= 1e-12)
+
+
 def test_witness_cycle_is_fixed_point():
     w = alien_witness()
     flow = witness_flow()
@@ -475,6 +501,49 @@ def test_illinois_lockstep_roots():
     assert abs(roots[0] - 2.0 ** (1 / 3)) < 1e-12
     assert np.isnan(roots[1])
     assert abs(roots[2] - 7.0 ** (1 / 3)) < 1e-12
+
+
+def test_illinois_newton_steps_from_slopes():
+    # x^3 - k with slope 3x^2: Newton steps inside each bracket reach the
+    # value-only roots in fewer rounds, each bracket as alone in a batch
+    ks = np.array([2.0, 5.0, 7.0, 9.5])
+    a, b = np.ones(4), np.full(4, 2.5)
+    fa, fb = a ** 3 - ks, b ** 3 - ks
+
+    def search(slope, k=ks, fa=fa, fb=fb, a=a, b=b):
+        rounds = []
+
+        def fun(i, x):
+            rounds.append(i.size)
+            v = x ** 3 - k[i]
+            return v if slope is None else (v, slope(x))
+
+        return illinois(fun, a, b, fa, fb, 1e-14, 0.0), len(rounds)
+
+    plain, plain_rounds = search(None)
+    roots, rounds = search(lambda x: 3.0 * x * x)
+    assert np.all(np.abs(roots - plain) <= 1e-13)
+    assert np.all(np.abs(roots - np.cbrt(ks)) <= 1e-13)
+    assert rounds < plain_rounds
+    for j in range(ks.size):
+        alone, _ = search(lambda x: 3.0 * x * x, ks[j:j + 1], fa[j:j + 1],
+                          fb[j:j + 1], a[j:j + 1], b[j:j + 1])
+        assert alone.tobytes() == roots[j:j + 1].tobytes()
+    # a zero, nan or wrong-sign slope puts the Newton target outside the
+    # bracket: the Illinois point is taken, so the iterates are the
+    # value-only ones
+    for slope in (np.zeros_like, lambda x: np.full_like(x, np.nan),
+                  lambda x: -3.0 * x * x):
+        assert search(slope)[0].tobytes() == plain.tobytes()
+
+    # a nan value abandons its bracket whatever the slope
+    def fun(i, x):
+        v = np.where(ks[i] == 5.0, np.nan, x ** 3 - ks[i])
+        return v, 3.0 * x * x
+
+    roots = illinois(fun, a, b, fa, fb, 1e-14, 0.0)
+    assert np.isnan(roots[1])
+    assert np.all(np.abs(roots[[0, 2, 3]] - np.cbrt(ks[[0, 2, 3]])) <= 1e-13)
 
 
 def test_illinois_event_search_takes_few_rounds(monkeypatch):
