@@ -4,7 +4,8 @@ Orientation is normalized so J_0 > 0 on both annuli, which matches the
 clockwise (with-flow) traversal: on an x-graph oval the closed integral
 collapses to J_k(t) = 2 * int_{x_lo}^{x_hi} x^k sqrt(t/x + r(x)) dx.
 The endpoint square-root vanishing is removed exactly by
-x = mid + halfwidth*sin(theta).
+x = mid + halfwidth*sin(theta).  The loop limits J_0(0) and J_1(0) of
+either annulus (``jk_at_loop``) are the one source of loop-end values.
 
 Appendix-family ovals are y-graphs; this module provides their closed
 oval moments oint y^m dx (counterclockwise, the orientation pinned by
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Annulus, Family, HamiltonianSpec, x1_loop_root
+from .model import Annulus, Family, HamiltonianSpec, slice_span
 from .ovals import OvalSlice, phi, phi_prime, slice_grid
 
 HALF_PI = math.pi / 2.0
@@ -169,7 +170,7 @@ def _gk21(f, n, lo, hi, tol):
 
 
 def _check_tol(tol: float) -> float:
-    if tol < MIN_TOL:
+    if not tol >= MIN_TOL:      # a nan fails too
         raise ValueError(f"quadrature tolerance must be >= {MIN_TOL}, got {tol}")
     return tol
 
@@ -266,31 +267,34 @@ def triple(spec: HamiltonianSpec, annulus: Annulus, t: float) -> AbelianTriple:
                          tuple(g.err[0].tolist()), bool(g.converged[0]))
 
 
-def jk_at_loop(spec: HamiltonianSpec, k: int) -> float:
-    """J_k(0) = 2 * int_0^{x1} x^k sqrt(r(x)) dx for k in {0, 1}.
+def jk_at_loop(spec: HamiltonianSpec, annulus: Annulus, k: int) -> float:
+    """J_k(0) = 2 * int x^k sqrt(r(x)) dx between 0 and the annulus's
+    loop end u_r (``slice_span``), J_0(0) > 0, for k in {0, 1}; the
+    k = -1 integral diverges logarithmically at the loop.
 
-    The k = -1 integral diverges logarithmically at the loop.
+    x = u_r sin^2(psi) gives r(x) = |u_r| cos^2(psi) q(x), with
+    q = -r2 sign(u_r) (x - u_o) and u_o the other root of r.
     """
     if spec.family is not Family.NORMAL_FORM:
         raise ValueError("loop-limit J_k applies to the normal-form family")
     if k not in (0, 1):
         raise ValueError(f"J_k(0) finite only for k in {{0, 1}}, got k={k}")
     _, r1, r2 = spec.slice_r()
-    x1 = x1_loop_root(spec.a)
-    x2 = -r1 / r2 - x1 if r2 != 0.0 else 0.0  # other root of r
+    u_r = slice_span(spec, annulus)[1]
+    sign = math.copysign(1.0, u_r)
+    u_o = -r1 / r2 - u_r if r2 != 0.0 else 0.0  # other root of r
 
     def f(psi, _):
         s = np.sin(psi)
         c = np.cos(psi)
-        x = x1 * s * s
-        # r(x) = (x1 - x) * q(x)
-        q = -r2 * (x - x2) if r2 != 0.0 else np.full(x.shape, -r1)
+        x = u_r * s * s
+        q = -r2 * sign * (x - u_o) if r2 != 0.0 else np.full(x.shape, -r1)
         return (x if k else 1.0) * np.sqrt(q) * s * c * c
 
     val, err, ok = _gk21(f, 1, 0.0, HALF_PI, LIMIT_QUAD_TOL)
     if not ok[0]:
         raise QuadratureError(f"loop-limit quadrature not converged (err={err[0]})")
-    return 4.0 * x1**1.5 * float(val[0])
+    return 4.0 * abs(u_r)**1.5 * float(val[0])
 
 
 # --- appendix-family integrals ------------------------------------------

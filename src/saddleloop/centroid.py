@@ -5,6 +5,7 @@ The plus curve starts at (1,1) at the center energy, has xi strictly
 decreasing and eta strictly increasing, is convex, and runs off to a
 vertical asymptote as t -> -0.  The minus curve (present for a in (0,2))
 ends at ((a-2)/a, a/(a-2)), is concave, with its own vertical asymptote.
+Each asymptote is xi(0) = J_1(0)/J_0(0) (``loop_abscissa_exact``).
 A line alpha + beta*xi + gamma*eta = 0 meets either curve at most twice,
 which is what ties zero counts of Melnikov functions to cycle counts.
 
@@ -46,7 +47,6 @@ class CentroidCurve:
     ts: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
-    asymptote: float                # fitted abscissa of the loop-side limit
     t_center: float
     converged: bool
 
@@ -89,9 +89,10 @@ def center_endpoint(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, flo
     return xc, 1.0 / xc
 
 
-def loop_abscissa_exact(spec: HamiltonianSpec) -> float:
-    """xi_+(-0) = J_1(0)/J_0(0) from the loop-limit quadratures."""
-    return jk_at_loop(spec, 1) / jk_at_loop(spec, 0)
+def loop_abscissa_exact(spec: HamiltonianSpec, annulus: Annulus) -> float:
+    """The annulus's loop abscissa xi(0) = J_1(0)/J_0(0), its curve's
+    vertical asymptote, from the loop-limit quadratures."""
+    return jk_at_loop(spec, annulus, 1) / jk_at_loop(spec, annulus, 0)
 
 
 def default_grid(spec: HamiltonianSpec, annulus: Annulus,
@@ -126,30 +127,11 @@ def sample_curve(spec: HamiltonianSpec, annulus: Annulus, t_grid=None,
     if np.any(tr.j0 == 0.0):
         raise ArithmeticError("J_0 vanished on the grid; orientation "
                               "normalization violated upstream")
-    xi = tr.j1 / tr.j0
     return CentroidCurve(
-        spec=spec, annulus=annulus, ts=t_grid, xi=xi, eta=tr.jm1 / tr.j0,
-        asymptote=_fit_asymptote(t_grid, xi),
+        spec=spec, annulus=annulus, ts=t_grid, xi=tr.j1 / tr.j0,
+        eta=tr.jm1 / tr.j0,
         t_center=critical_data(spec).center_of(annulus).energy,
         converged=bool(tr.converged.all()))
-
-
-def _fit_asymptote(ts: np.ndarray, xi: np.ndarray) -> float:
-    """Loop-side limit of xi by fitting {1, t ln|t|, t} on the samples
-    of the last energy decade."""
-    absts = np.abs(ts)
-    tiny = absts <= absts.min() * 10.0
-    if tiny.sum() < 4:
-        order = np.argsort(absts)
-        tiny = np.zeros(len(ts), dtype=bool)
-        tiny[order[:max(4, len(ts) // 10)]] = True
-    if tiny.sum() < 4:
-        return float("nan")  # explicit grid too short to extrapolate
-    t = ts[tiny]
-    cols = np.column_stack([np.ones_like(t), t * np.log(np.abs(t)), t])
-    scale = np.linalg.norm(cols, axis=0)
-    sol, *_ = np.linalg.lstsq(cols / scale, xi[tiny], rcond=None)
-    return float(sol[0] / scale[0])
 
 
 @dataclass(frozen=True)
@@ -272,17 +254,17 @@ class SimultaneousLoopReport:
 
 def simultaneous_loop_test(spec: HamiltonianSpec,
                            coeffs: MelnikovCoeffs) -> SimultaneousLoopReport:
-    """Whether (alpha, beta) kills the loop-limit condition on both
-    annuli at once, within LOOP_BAND.  Must come out false for any
-    nonzero pair, since the two loop abscissas straddle zero."""
+    """Whether (alpha, beta) kills alpha + beta*xi(0) on both annuli at
+    once, within LOOP_BAND, at the loop abscissas.  Must come out false
+    for any nonzero pair, since the two loop abscissas straddle zero."""
     if not (0.0 < spec.a < 2.0):
         raise ValueError("both loops exist only for a in (0, 2)")
     if coeffs.gamma != 0.0:
         raise ValueError("loop bifurcation condition applies to gamma = 0")
     if coeffs.alpha == 0.0 and coeffs.beta == 0.0:
         raise ValueError("degenerate zero coefficients")
-    xp = sample_curve(spec, Annulus.SIGMA_PLUS).asymptote
-    xm = sample_curve(spec, Annulus.SIGMA_MINUS).asymptote
+    xp = loop_abscissa_exact(spec, Annulus.SIGMA_PLUS)
+    xm = loop_abscissa_exact(spec, Annulus.SIGMA_MINUS)
     scale = abs(coeffs.alpha) + abs(coeffs.beta)
     both = (abs(coeffs.alpha + xp * coeffs.beta) <= LOOP_BAND * scale
             and abs(coeffs.alpha + xm * coeffs.beta) <= LOOP_BAND * scale)

@@ -267,6 +267,8 @@ def cmd_sim(args):
         _write_json(out, payload)
         flags = [f"cycle at s={c.section_coordinate:.6g} stability undetermined"
                  for c in res.cycles if c.stability == "undetermined"]
+        if res.outcomes.get("failed"):
+            flags.append(f"{res.outcomes['failed']} census lanes failed")
         return out, flags
 
     out = _out_path(args, "traj.csv")

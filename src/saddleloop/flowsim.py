@@ -40,7 +40,7 @@ import numpy as np
 
 from .lockstep import advance, grid_roots
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
-                    PerturbationSpec)
+                    PerturbationSpec, require_finite)
 from .ovals import SectionSegment, section_segment
 
 FLOW_TOL = 1e-10            # integrator rtol of a flow unless it sets its own
@@ -78,6 +78,7 @@ class QuadraticOneForm:
     def __post_init__(self):
         if len(self.f) != 6 or len(self.g) != 6:
             raise ValueError("quadratic coefficient tuples have 6 entries")
+        require_finite("one-form coefficients f, g", *self.f, *self.g)
 
     def first_order_coeffs(self) -> MelnikovCoeffs:
         """(alpha, beta) of M_1 = alpha*J_0 + beta*J_1 for this form.
@@ -114,10 +115,10 @@ class QuadraticOneForm:
 @dataclass(frozen=True)
 class FlowSpec:
     """The perturbed flow dH + eps*omega = 0 and the relative tolerance
-    every integration of it runs at.  ``tol`` must be finite, at least
-    100 float64 machine epsilons (solve_ivp's own rtol floor) and below
-    1: at a tighter one a run need not end, a looser one controls no
-    error."""
+    every integration of it runs at.  ``epsilon`` must be finite, and
+    ``tol`` finite, at least 100 float64 machine epsilons (solve_ivp's
+    own rtol floor) and below 1: at a tighter one a run need not end, a
+    looser one controls no error."""
 
     hamiltonian: HamiltonianSpec
     epsilon: float
@@ -125,6 +126,7 @@ class FlowSpec:
     tol: float = FLOW_TOL
 
     def __post_init__(self):
+        require_finite("flow epsilon", self.epsilon)
         floor = 100.0 * np.finfo(float).eps
         if not floor <= self.tol < 1.0:     # a nan fails both comparisons
             raise ValueError(f"flow tolerance must lie in [{floor:.3g}, 1), "
@@ -172,11 +174,13 @@ class Trajectory:
 def integrate(flow: FlowSpec, start, T: float) -> Trajectory:
     """The trajectory of ``sim --traj``: one lockstep lane over [0, T]
     with no events, at the flow's tolerance, with the start and every
-    accepted step recorded.  A run whose step size underflows stops
-    there: status failed, and ``ts[-1]`` is the time it failed at."""
-    if T <= 0.0:
-        raise ValueError("duration must be positive")
+    accepted step recorded, from a finite start over a finite T > 0.  A
+    run whose step size underflows or is not finite (the field
+    overflowed) stops there: status failed, at time ``ts[-1]``."""
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {T}")
     z = np.asarray(start, dtype=float).reshape(2, 1)
+    require_finite("start point", *z.ravel().tolist())
     steps = []
     status = advance(_lockstep_field(flow), z, T, (), flow.tol,
                      record=steps)[0]
@@ -252,13 +256,14 @@ def _first_returns(field, z, section: SectionSegment, T_max: float,
     direction) and the escape event are armed until T_max.  A lane's
     reason is ok, escape, left_annulus (it crossed the section line
     outside the annulus: it slipped through a broken connection),
-    timeout (no crossing within T_max) or failed (step size underflow).
+    timeout (no crossing within T_max) or failed (a step size that
+    underflows or is not finite).
     Returns per lane the reason code, the return time and the state at
     the return, nan where the lane did not return.
     """
-    if T_max <= BURN_IN:
-        raise ValueError(f"T_max={T_max} does not exceed the burn-in "
-                         f"{BURN_IN}")
+    if not BURN_IN < T_max < math.inf:
+        raise ValueError(f"T_max must be finite and exceed the burn-in "
+                         f"{BURN_IN}, got {T_max}")
     lo, hi = section.s_bounds()
     coord = section.row
     outside = ~((lo <= z[coord]) & (z[coord] <= hi))

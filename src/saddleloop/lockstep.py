@@ -41,6 +41,7 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 MAX_STEP = 0.2          # bound on every step of every lane
 ATOL_PER_RTOL = 0.01    # atol of every run, as a share of its rtol
 EVENT_TOL = 4.0 * np.finfo(float).eps       # solve_ivp's event-root tolerance
+MAXITER = 200           # round cap of every Illinois search
 
 
 def _terms(row) -> tuple[tuple[int, float], ...]:
@@ -113,7 +114,7 @@ def _dense_eval(t_old, h, z_old, F, t):
     return y + z_old
 
 
-def illinois(fun, a, b, fa, fb, xtol, rtol, maxiter=100):
+def illinois(fun, a, b, fa, fb, xtol, rtol):
     """Lockstep Illinois (modified regula falsi) search for one root in
     each sign-change bracket [a[i], b[i]] with end values fa[i], fb[i],
     safeguarded Newton where fun also returns slopes.
@@ -125,17 +126,17 @@ def illinois(fun, a, b, fa, fb, xtol, rtol, maxiter=100):
     Illinois point (Numerical Recipes' rtsafe).  A bracket is done when
     it is narrower than xtol + rtol*|b|, a point evaluates to exactly 0,
     or a Newton target in the bracket lies within xtol + rtol*|x| of x;
-    its root is the last point evaluated.  Every point lies half the
-    width tolerance or more inside its bracket (brentq's minimum step),
-    so an end at the root cannot stall the search.  Each bracket's
-    iterates depend on its own values only.
+    its root is the last point evaluated, also after MAXITER rounds.
+    Every point lies half the width tolerance or more inside its bracket
+    (brentq's minimum step), so an end at the root cannot stall the
+    search.  Each bracket's iterates depend on its own values only.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     root = np.where(fa == 0.0, a, b)
     step = None             # Newton steps v/d at root, once fun gives slopes
     live = (fa != 0.0) & (fb != 0.0)
     kept = np.zeros(a.size, dtype=int)      # end retained last: 1 a, -1 b
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         live &= np.abs(b - a) > xtol + rtol * np.abs(b)
         if step is not None:
             target = root - step
@@ -170,9 +171,9 @@ def illinois(fun, a, b, fa, fb, xtol, rtol, maxiter=100):
     return root
 
 
-# Illinois settings of every grid root: the census and both Melnikov
+# Illinois tolerances of every grid root: the census and both Melnikov
 # zero counts
-ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 1e-10, 8.9e-16, 120
+ROOT_XTOL, ROOT_RTOL = 1e-10, 8.9e-16
 
 
 def sign_changes(vals):
@@ -195,7 +196,7 @@ def grid_roots(fun, grid, vals):
     grid, vals = np.asarray(grid, dtype=float), np.asarray(vals, dtype=float)
     zeros, i = sign_changes(vals)
     refined = illinois(lambda _, x: fun(x), grid[i], grid[i + 1], vals[i],
-                       vals[i + 1], ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER)
+                       vals[i + 1], ROOT_XTOL, ROOT_RTOL)
     return np.sort(np.concatenate([grid[zeros], refined]))
 
 
@@ -208,8 +209,8 @@ def advance(field, z, t_end, events, rtol, record=None):
     direction) pairs, possibly none: func maps a (d, m) array to m
     values, direction is as in solve_ivp.  The tolerances are rtol and
     ATOL_PER_RTOL*rtol, and MAX_STEP bounds every step of every lane.
-    Returns per lane the status (0 reached t_end, 1 event,
-    -1 step size underflow), the index of the event that stopped it, and
+    Returns per lane the status (0 reached t_end, 1 event, -1 step size
+    underflow or not finite), the index of the event that stopped it, and
     the time and state where it stopped.
     Event times are roots of the event function on the step's dense
     output, located to 4 eps as solve_ivp does.  A list passed as record
@@ -246,7 +247,7 @@ def _advance(field, z, t_end, events, rtol, record):
         min_step = 10.0 * np.spacing(t)
         clamped = np.minimum(np.maximum(h_abs, min_step), MAX_STEP)
         h_abs = clamped if retry is None else np.where(retry, h_abs, clamped)
-        failed = h_abs < min_step
+        failed = ~(h_abs >= min_step)   # a nan step fails too
         t_new = np.minimum(t + h_abs, t_end)
         h = t_new - t
         K = [f]

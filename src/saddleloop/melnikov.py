@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
-                    critical_data)
+                    critical_data, require_finite)
 from .abelian import (QUAD_TOL, appendix_moments_on_grid,
                       default_log_window, fit_log_basis, triples_on_grid)
 from .lockstep import grid_roots
@@ -95,13 +95,6 @@ def expansion(spec: HamiltonianSpec,
         dlog=fit.coeffs.get("t^0*log") if coeffs.gamma != 0.0 else None,
         cond=fit.cond, well_conditioned=fit.well_conditioned,
         converged=bool(ok.all()))
-
-
-def d1_expected(spec: HamiltonianSpec, coeffs: MelnikovCoeffs) -> float:
-    """Closed form of the t ln|t| coefficient when gamma = 0."""
-    if coeffs.gamma != 0.0:
-        raise ValueError("closed form applies to the gamma = 0 case")
-    return -coeffs.alpha / math.sqrt(3.0 * (2.0 - spec.a))
 
 
 GRID_POINTS = 200   # samples of a zero-count grid
@@ -229,6 +222,7 @@ def appendix_first_order_on_grid(
     """
     if spec.family is not Family.APPENDIX_ELLIPSE:
         raise ValueError("defined for the appendix family")
+    require_finite("mu2", mu2)
     iy, iy2, ok = appendix_moments_on_grid(spec, hs, tol=tol)
     return (16.0 + mu2) * iy - math.pi * math.sqrt(3.0) * iy2, ok
 

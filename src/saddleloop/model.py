@@ -47,8 +47,10 @@ class Annulus(enum.Enum):
     SIGMA_MINUS = "minus"
 
 
-class HamiltonianError(ValueError):
-    pass
+def require_finite(what: str, *values: float) -> None:
+    """Reject nan and infinite input: a ValueError naming ``what``."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite, got {values}")
 
 
 class OvalRangeError(ValueError):
@@ -67,8 +69,7 @@ class HamiltonianSpec:
     a: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.a):
-            raise HamiltonianError("parameters must be finite")
+        require_finite("parameter a", self.a)
 
     @property
     def two_saddle_loop(self) -> bool:
@@ -236,6 +237,7 @@ class MelnikovCoeffs:
     order_k: int = 1
 
     def __post_init__(self):
+        require_finite("alpha, beta, gamma", self.alpha, self.beta, self.gamma)
         if self.order_k < 1:
             raise ValueError(f"order_k must be >= 1, got {self.order_k}")
         if self.order_k == 1 and self.gamma != 0.0:
@@ -258,6 +260,7 @@ class PerturbationSpec:
     c: float = 17.0
 
     def __post_init__(self):
+        require_finite("epsilon, mu1, mu2", self.epsilon, self.mu1, self.mu2)
         if not (math.isfinite(self.c) and self.c > 16.0):
             raise ValueError(f"appendix perturbation requires c > 16, "
                              f"got c={self.c}")

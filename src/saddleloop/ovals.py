@@ -129,7 +129,7 @@ def _refine_roots(r, t, lo, hi):
             f"no sign change on [{float(lo[i])!r}, {float(hi[i])!r}]: "
             f"c(lo)={float(flo[i])!r}, c(hi)={float(fhi[i])!r}")
     u = illinois(lambda i, x: _cubic(r, t[i])[0](x), lo, hi, flo, fhi,
-                 1e-300, 8.9e-16, maxiter=200)
+                 1e-300, 8.9e-16)
     polish = (flo != 0.0) & (fhi != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(2):

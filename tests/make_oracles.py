@@ -51,17 +51,21 @@ def jk_normal(a, t, k, minus=False):
     return 2 * quad(f, [lo, hi])
 
 
-def jk_loop_normal(a, k):
-    """Limit J_k(0-), finite for k = 0, 1: 2 * int_0^x1 x^k sqrt(r(x)) dx."""
+def jk_loop_normal(a, k, minus=False):
+    """Limit J_k(0), finite for k = 0, 1: 2 * int x^k sqrt(r(x)) dx over
+    [0, x1] on the right loop, or over [x_left, 0] on the left one
+    (a in (0, 2)), where x_left is the negative root of r.  x^k carries
+    its own sign, as in jk_normal."""
     a = mpf(a)
     disc = 9 * (a - 1) ** 2 - 12 * a * (a - 2)
     x1 = (3 * (a - 1) + sqrt(disc)) / (2 * a)
+    x_left = (3 * (a - 1) - sqrt(disc)) / (2 * a)
 
     def f(x):
         r = -a * x**2 + 3 * (a - 1) * x - 3 * (a - 2)
         return x**k * sqrt(abs(r))
 
-    return 2 * quad(f, [0, x1])
+    return 2 * quad(f, [x_left, 0] if minus else [0, x1])
 
 
 def appendix_moments(h):
@@ -108,6 +112,13 @@ def main():
     for a in [1.0, 0.5, 1.9, -0.9]:
         j0 = jk_loop_normal(a, 0)
         j1 = jk_loop_normal(a, 1)
+        print(f"    {a}: ({mp.nstr(j0, 22)}, {mp.nstr(j1, 22)}),")
+    print("}")
+
+    print("SIGMA_MINUS_LOOP_LIMITS = {")
+    for a in [0.3, 0.5, 1.0, 1.5, 1.9]:
+        j0 = jk_loop_normal(a, 0, minus=True)
+        j1 = jk_loop_normal(a, 1, minus=True)
         print(f"    {a}: ({mp.nstr(j0, 22)}, {mp.nstr(j1, 22)}),")
     print("}")
 

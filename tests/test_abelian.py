@@ -25,6 +25,7 @@ from saddleloop.ovals import slice_oval
 from oracle_values import (
     APPENDIX_MOMENTS,
     LOOP_LIMITS,
+    SIGMA_MINUS_LOOP_LIMITS,
     SIGMA_MINUS_TRIPLES,
     SIGMA_PLUS_TRIPLES,
 )
@@ -56,13 +57,30 @@ def test_sigma_minus_triples_against_oracle(a, t):
 def test_loop_limits_against_oracle(a):
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
     ref0, ref1 = LOOP_LIMITS[a]
-    assert jk_at_loop(spec, 0) == pytest.approx(ref0, rel=1e-11)
-    assert jk_at_loop(spec, 1) == pytest.approx(ref1, rel=1e-11)
+    assert jk_at_loop(spec, Annulus.SIGMA_PLUS, 0) == pytest.approx(ref0, rel=1e-11)
+    assert jk_at_loop(spec, Annulus.SIGMA_PLUS, 1) == pytest.approx(ref1, rel=1e-11)
+
+
+@pytest.mark.parametrize("a", sorted(SIGMA_MINUS_LOOP_LIMITS))
+def test_minus_loop_limits_against_oracle(a):
+    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
+    ref0, ref1 = SIGMA_MINUS_LOOP_LIMITS[a]
+    assert jk_at_loop(spec, Annulus.SIGMA_MINUS, 0) == pytest.approx(ref0, rel=1e-11)
+    assert jk_at_loop(spec, Annulus.SIGMA_MINUS, 1) == pytest.approx(ref1, rel=1e-11)
+
+
+def test_loop_limits_mirror_at_a1(spec_a1):
+    # at a=1, H = x*(y^2 + x^2 - 3) is odd in x: x -> -x maps one loop
+    # onto the other, so J_0 agrees and J_1 flips sign
+    plus = [jk_at_loop(spec_a1, Annulus.SIGMA_PLUS, k) for k in (0, 1)]
+    minus = [jk_at_loop(spec_a1, Annulus.SIGMA_MINUS, k) for k in (0, 1)]
+    assert minus[0] == pytest.approx(plus[0], rel=1e-14)
+    assert minus[1] == pytest.approx(-plus[1], rel=1e-14)
 
 
 def test_loop_limit_closed_form_a1(spec_a1):
     # at a=1 the loop is y^2 = 3 - x^2: J_0(0) = 3*pi/2 exactly
-    assert jk_at_loop(spec_a1, 0) == pytest.approx(1.5 * math.pi, rel=1e-12)
+    assert jk_at_loop(spec_a1, Annulus.SIGMA_PLUS, 0) == pytest.approx(1.5 * math.pi, rel=1e-12)
 
 
 def test_error_estimates_honest(spec_a1):
@@ -255,4 +273,4 @@ def test_appendix_moments_approach_loop_values(appendix_spec):
 def test_loop_identity_cross_check(spec_a1):
     # (3/2)(a-1) J0 - a J1 at the loop equals -(2/3)(3(2-a))^{3/2}; at
     # a=1 that reduces to J1(0) = 2*sqrt(3), a one-line closed form
-    assert jk_at_loop(spec_a1, 1) == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-12)
+    assert jk_at_loop(spec_a1, Annulus.SIGMA_PLUS, 1) == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-12)

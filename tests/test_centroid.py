@@ -5,6 +5,7 @@ import pytest
 
 from saddleloop.model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs
 from saddleloop.centroid import (
+    LOOP_BAND,
     TANGENCY_BAND,
     center_endpoint,
     line_intersections,
@@ -30,18 +31,15 @@ def test_center_endpoint_closed_forms():
 
 def test_loop_abscissa_matches_oracle_ratio(spec_a1):
     j0, j1 = LOOP_LIMITS[1.0]
-    assert loop_abscissa_exact(spec_a1) == pytest.approx(j1 / j0, rel=1e-12)
+    assert loop_abscissa_exact(spec_a1, Annulus.SIGMA_PLUS) == pytest.approx(
+        j1 / j0, rel=1e-12)
 
 
 def test_curve_passes_through_oracle_point(spec_a1):
-    import math
-
     jm1, j0, j1 = SIGMA_PLUS_TRIPLES[(1.0, -1.0)]
     curve = sample_curve(spec_a1, Annulus.SIGMA_PLUS, t_grid=np.array([-1.1, -1.0, -0.9]))
     assert curve.xi[1] == pytest.approx(j1 / j0, rel=1e-10)
     assert curve.eta[1] == pytest.approx(jm1 / j0, rel=1e-10)
-    # a three-point grid cannot pin the loop-side limit
-    assert math.isnan(curve.asymptote)
 
 
 def test_shape_report_plus(spec_a1):
@@ -58,10 +56,10 @@ def test_shape_report_plus(spec_a1):
     xi_e, eta_e = curve.endpoint_extrapolated()
     assert abs(xi_e - xi_c) < 1e-6
     assert abs(eta_e - eta_c) < 1e-6
-    # the loop-end abscissa approaches the vertical asymptote; at 80
-    # samples the tail fit carries ~1e-5 truncation
-    assert curve.asymptote == pytest.approx(loop_abscissa_exact(spec_a1), rel=1e-4)
-    assert curve.xi[-1] == pytest.approx(curve.asymptote, rel=1e-3)
+    # the sample nearest the loop, at |t| = 2e-6, lies 3.5e-6 (relative)
+    # off the vertical asymptote: xi's t*ln|t| term
+    assert curve.xi[-1] == pytest.approx(
+        loop_abscissa_exact(spec_a1, Annulus.SIGMA_PLUS), rel=1e-5)
 
 
 def test_shape_report_minus(spec_a05):
@@ -159,3 +157,19 @@ def test_simultaneous_loop_report(spec_a05):
     assert rep.sign_fact_ok
     # the two loop abscissas have opposite signs at a=0.5
     assert rep.xi_plus_loop > 0 > rep.xi_minus_loop
+
+
+@pytest.mark.parametrize("a", [round(0.1 * k, 1) for k in range(1, 20)])
+def test_loop_sign_fact_over_a(a):
+    # the two-annulus count rests on xi_-(+0) < 0 < xi_+(-0): a gamma = 0
+    # line that meets the plus loop condition misses the minus one
+    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
+    xp = loop_abscissa_exact(spec, Annulus.SIGMA_PLUS)
+    xm = loop_abscissa_exact(spec, Annulus.SIGMA_MINUS)
+    assert xm < 0.0 < xp
+    rep = simultaneous_loop_test(spec, MelnikovCoeffs(-xp, 1.0))
+    assert (rep.xi_plus_loop, rep.xi_minus_loop) == (xp, xm)
+    assert rep.sign_fact_ok
+    # alpha + beta*xi_+ = 0 by construction; alpha + beta*xi_- is not
+    assert abs(-xp + xm) > LOOP_BAND * (abs(-xp) + 1.0)
+    assert not rep.annihilates_both

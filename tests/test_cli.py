@@ -1,12 +1,16 @@
 import csv
 import importlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import saddleloop
 from saddleloop import cli
 from saddleloop.cli import main
 from saddleloop.flowsim import CycleCensus
@@ -670,4 +674,69 @@ def test_flow_tolerance_rejected(tol, tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code, _, err = run(_TRAJ + tol + ["--out", str(out)], capsys)
     assert code == 2 and "error: flow tolerance must lie in" in err
+    assert not out.exists()
+
+
+_NORMAL = ["sim", "--family", "normal", "--a", "1"]
+_TRAJ_AT = ["--traj", "--start", "1.0,0.5"]
+_FAILED_TRAJ = ["integration failed before reaching T"]
+
+
+# Each of these runs integrated without end while a nan step size never
+# counted as an underflow, so each runs in its own process, under a
+# timeout: a non-finite input is a config error (exit 2), and a field
+# that overflows from finite input fails its lanes (exit 3).
+@pytest.mark.parametrize("argv, code, flags", [
+    (_NORMAL + ["--eps", "nan", "--f", "0,0,0,0,0,1", "--census"], 2, None),
+    (_NORMAL + ["--eps", "1e-3", "--f", "nan,0,0,0,0,1", "--census"], 2, None),
+    (["sim", "--family", "appendix", "--eps", "inf", "--census",
+      "--n", "100"], 2, None),
+    (["sim", "--family", "appendix", "--eps", "1e-3", "--mu1", "nan",
+      "--census", "--n", "100"], 2, None),
+    (_NORMAL + ["--eps", "1e-3", "--f", "0,0,0,0,0,1", "--census",
+                "--T", "inf"], 2, None),
+    (_NORMAL + ["--eps", "nan"] + _TRAJ_AT + ["--T", "1"], 2, None),
+    (_NORMAL + ["--eps", "1e-3"] + _TRAJ_AT + ["--T", "nan"], 2, None),
+    (_NORMAL + ["--eps", "1e-3", "--traj", "--start", "nan,0.5"], 2, None),
+    (_NORMAL + ["--eps", "1e-3", "--traj", "--start", "1e200,1e200",
+                "--T", "10"], 3, _FAILED_TRAJ),
+    (_NORMAL + ["--eps", "1e300", "--f", "1,1,1,1,1,1", "--traj",
+                "--start", "1,0.5", "--T", "10"], 3, _FAILED_TRAJ),
+    (_NORMAL + ["--eps", "1e300", "--f", "1,1,1,1,1,1", "--census"], 3,
+     ["100 census lanes failed"]),
+], ids=["eps-nan", "f-nan", "appendix-eps-inf", "mu1-nan", "T-max-inf",
+        "traj-eps-nan", "T-nan", "start-nan", "start-overflow",
+        "field-overflow", "census-all-failed"])
+def test_non_finite_sim_input_ends(argv, code, flags, tmp_path):
+    out = tmp_path / "out.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(saddleloop.__file__).parent.parent)]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "saddleloop.cli", *argv,
+                           "--out", str(out)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert "must be" in proc.stderr and "finite" in proc.stderr
+        assert not out.exists()
+    else:
+        man = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert man["flags"] == flags
+
+
+@pytest.mark.parametrize("argv", [
+    ["melnikov", "--a", "1", "--alpha", "nan", "--beta", "1",
+     "--t-grid=-1.0:-0.5:3"],
+    ["melnikov", "--a", "1", "--alpha", "1", "--beta", "1", "--gamma", "inf",
+     "--t-grid=-1.0:-0.5:3"],
+    ["melnikov", "--family", "appendix", "--mu2", "nan",
+     "--h-grid=-0.1:-0.01:5"],
+    ["abelian", "--a", "1", "--t-grid=-1.0:-0.5:3", "--tol", "nan"],
+    ["centroid", "--a", "1", "--n", "12", "--tol", "nan"]])
+def test_non_finite_first_order_input_rejected(argv, tmp_path, capsys):
+    # a nan coefficient or tolerance once wrote an all-nan csv, exit 0
+    out = tmp_path / "out.csv"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert "nan" in err or "inf" in err
     assert not out.exists()

@@ -659,6 +659,21 @@ def test_advance_without_events():
         assert a.tobytes() == b.tobytes()
 
 
+def test_advance_fails_lanes_whose_step_is_not_finite():
+    # a nan start and a field that overflows give nan step sizes, which
+    # never underflow: each such lane fails where it stands, and the
+    # finite lanes of the batch keep the bits of a run without them
+    rhs = _lockstep_field(FlowSpec(HamiltonianSpec(Family.NORMAL_FORM, 1.0),
+                                   1e-3, QuadraticOneForm(f=(1.0,) * 6)))
+    z = np.array([[1.2, np.nan, 1e200, 1.5], [0.0, 0.5, 1e200, 0.0]])
+    st, which, t, zs = advance(rhs, z, 5.0, (), 1e-10)
+    assert st.tolist() == [0, -1, -1, 0]
+    assert t[[1, 2]].tolist() == [0.0, 0.0]
+    finite = advance(rhs, z[:, [0, 3]], 5.0, (), 1e-10)
+    for a, b in zip((st, which, t, zs), finite):
+        assert a[..., [0, 3]].tobytes() == b.tobytes()
+
+
 def test_sign_lane_runs_negated_field():
     # lanes with time sign -1, batched with forward lanes, give the bits
     # of a run of the negated field; the events are the separatrix runs'

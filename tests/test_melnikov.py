@@ -15,7 +15,6 @@ from saddleloop.melnikov import (
     appendix_first_order_on_grid,
     classify_cyclicity,
     count_zeros,
-    d1_expected,
     expansion,
     value,
     values_on_grid,
@@ -77,8 +76,9 @@ def test_expansion_constant_term_matches_loop_limits(spec_a1):
     exp = expansion(spec_a1, coeffs)
     assert exp.well_conditioned
     assert exp.d0 == pytest.approx(0.3 * j0_loop - 0.2 * j1_loop, rel=1e-6)
-    # fitted t*ln(t) slope against the series prediction
-    assert exp.d1 == pytest.approx(d1_expected(spec_a1, coeffs), rel=1e-3)
+    # fitted t*ln(t) slope against the series prediction alpha*lam*q1[J0]
+    assert exp.d1 == pytest.approx(
+        0.3 * fundamental(spec_a1).log_term(0)[1], rel=1e-3)
 
 
 def _line_through(p1, p2):
@@ -158,10 +158,11 @@ def test_unconverged_quadrature_clears_expansion_flag(spec_a1, monkeypatch):
 
 
 def test_d1_expected_closed_form(spec_a1):
-    # at a=1 only the alpha channel contributes at order t*ln(t):
-    # lam * q1[J0] * alpha = -2*sqrt(3)/6 * alpha
-    coeffs = MelnikovCoeffs(alpha=0.9, beta=0.4)
-    assert d1_expected(spec_a1, coeffs) == pytest.approx(-0.9 * math.sqrt(3.0) / 3.0, rel=1e-12)
+    # at a=1 only the alpha channel contributes at order t*ln(t), and
+    # J_0's log term is lam * q1[J0] * t*ln|t| = -2*sqrt(3)/6 * t*ln|t|
+    power, coeff = fundamental(spec_a1).log_term(0)
+    assert power == 1
+    assert coeff == pytest.approx(-math.sqrt(3.0) / 3.0, rel=1e-12)
 
 
 _LOOP = "cycle(s) from the loop"
