@@ -1,6 +1,6 @@
 """Numerical toolkit for limit-cycle bifurcation from two-saddle loops
 of quadratic Hamiltonian systems: Abelian integrals, Picard-Fuchs
-solutions, Melnikov expansions, centroid curves, and direct flow
+solutions, Melnikov functions, centroid curves, and direct flow
 simulation for cross-validation.
 """
 from .model import (

@@ -384,48 +384,38 @@ def segment_integral_appendix(spec: HamiltonianSpec, integrand) -> float:
 
 @dataclass(frozen=True)
 class LogFit:
-    """Least-squares fit on {t^p} U {t^p * ln|t|} over a window."""
+    """Least-squares coefficients on {t^p} U {t^p * ln|t|} over a
+    window, keyed "t^p" and "t^p*log", for p in LOG_FIT_POWERS."""
 
     coeffs: dict[str, float]
-    residual: float  # rms residual
-    cond: float
-    well_conditioned: bool
 
 
-def fit_log_basis(ts: np.ndarray, vals: np.ndarray,
-                  poly_powers: Sequence[int] = (0, 1, 2),
-                  log_powers: Sequence[int] = (0, 1, 2)) -> LogFit:
+LOG_FIT_POWERS = (0, 1, 2)
+
+
+def fit_log_basis(ts: np.ndarray, vals: np.ndarray) -> LogFit:
     ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    lab = []
-    cols = []
-    for p in poly_powers:
-        cols.append(ts**p)
-        lab.append(f"t^{p}")
     lt = np.log(np.abs(ts))
-    for p in log_powers:
-        cols.append(ts**p * lt)
-        lab.append(f"t^{p}*log")
-    A = np.column_stack(cols)
+    A = np.column_stack([ts**p for p in LOG_FIT_POWERS]
+                        + [ts**p * lt for p in LOG_FIT_POWERS])
     scale = np.max(np.abs(A), axis=0)
     scale[scale == 0.0] = 1.0
-    coef, _, _, sv = np.linalg.lstsq(A / scale, vals, rcond=None)
-    coef = coef / scale
-    resid = vals - A @ coef
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-    return LogFit(dict(zip(lab, coef)),
-                  float(np.sqrt(np.mean(resid**2))), float(cond),
-                  bool(cond < 1e12))
+    coef = np.linalg.lstsq(A / scale, np.asarray(vals, dtype=float),
+                           rcond=None)[0] / scale
+    labels = ([f"t^{p}" for p in LOG_FIT_POWERS]
+              + [f"t^{p}*log" for p in LOG_FIT_POWERS])
+    return LogFit(dict(zip(labels, coef)))
 
 
 LOG_WINDOW_POINTS = 40
+LOG_WINDOW_T_MAX = 0.1      # |t| at which every log-fit window starts
 LOG_WINDOW_T_MIN = 1e-6     # |t| at which every log-fit window stops
 
 
-def default_log_window(t_max: float = 0.1) -> np.ndarray:
-    """LOG_WINDOW_POINTS energies from -t_max to -LOG_WINDOW_T_MIN,
-    geometric, for the log-coefficient fits."""
-    return -np.geomspace(t_max, LOG_WINDOW_T_MIN, LOG_WINDOW_POINTS)
+def default_log_window() -> np.ndarray:
+    """LOG_WINDOW_POINTS energies from -LOG_WINDOW_T_MAX to
+    -LOG_WINDOW_T_MIN, geometric, for the log-coefficient fits."""
+    return -np.geomspace(LOG_WINDOW_T_MAX, LOG_WINDOW_T_MIN, LOG_WINDOW_POINTS)
 
 
 def log_coefficient(spec: HamiltonianSpec, k: int) -> LogFit:

@@ -73,22 +73,25 @@ def _criterion(number: int, title: str, budget_s: float):
 
 @_criterion(1, "loop-limit identity, 7 a-values", 5.0)
 def criterion_1():
-    """Loop-limit identity between J0, J1 and the saddle energy gap."""
+    """Loop-limit identity between J0(0), J1(0) (``jk_at_loop``) and the
+    saddle energy gap, to that quadrature's own tolerance."""
     worst = 0.0
     ok = True
     for a in (-0.9, -0.5, 0.3, 0.7, 1.0, 1.5, 1.9):
         spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
-        tr = abelian.triple(spec, Annulus.SIGMA_PLUS, -1e-8)
-        term0 = 1.5 * (a - 1.0) * tr.j0
-        term1 = -a * tr.j1
+        j0 = abelian.jk_at_loop(spec, Annulus.SIGMA_PLUS, 0)
+        j1 = abelian.jk_at_loop(spec, Annulus.SIGMA_PLUS, 1)
+        term0 = 1.5 * (a - 1.0) * j0
+        term1 = -a * j1
         const = (2.0 / 3.0) * (3.0 * (2.0 - a)) ** 1.5
         # backward-error scale: the combination cancels two O(1) terms,
         # so the residual is judged against the sum of term magnitudes
         scale = abs(term0) + abs(term1) + const
         rel = abs(term0 + term1 + const) / scale
         worst = max(worst, rel)
-        ok = ok and rel <= 1e-7
-    return ok, f"max residual {worst:.2e} of term-sum scale (tol 1e-7)"
+        ok = ok and rel <= abelian.LIMIT_QUAD_TOL
+    return ok, (f"max residual {worst:.2e} of term-sum scale "
+                f"(tol {abelian.LIMIT_QUAD_TOL:g})")
 
 
 @_criterion(2, "ODE-system residual on 40 quadrature rows", 10.0)

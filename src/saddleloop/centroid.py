@@ -5,7 +5,8 @@ The plus curve starts at (1,1) at the center energy, has xi strictly
 decreasing and eta strictly increasing, is convex, and runs off to a
 vertical asymptote as t -> -0.  The minus curve (present for a in (0,2))
 ends at ((a-2)/a, a/(a-2)), is concave, with its own vertical asymptote.
-Each asymptote is xi(0) = J_1(0)/J_0(0) (``loop_abscissa_exact``).
+Each asymptote is xi(0) = J_1(0)/J_0(0), whose values come from the
+loop-limit quadratures of ``abelian.jk_at_loop``.
 A line alpha + beta*xi + gamma*eta = 0 meets either curve at most twice,
 which is what ties zero counts of Melnikov functions to cycle counts.
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs, critical_data
-from .abelian import QUAD_TOL, jk_at_loop, triples_on_grid
+from .abelian import QUAD_TOL, triples_on_grid
 from .lockstep import sign_changes
 
 # samples of a centroid curve's default grid
@@ -36,8 +37,6 @@ LOOP_MARGIN = 1e-6
 TANGENCY_BAND = 1e-8
 # samples nearest the center that endpoint_extrapolated extrapolates from
 EXTRAPOLATION_POINTS = 4
-# relative band in which simultaneous_loop_test counts a loop condition met
-LOOP_BAND = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +86,6 @@ def center_endpoint(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, flo
         return 1.0, 1.0
     xc = (spec.a - 2.0) / spec.a
     return xc, 1.0 / xc
-
-
-def loop_abscissa_exact(spec: HamiltonianSpec, annulus: Annulus) -> float:
-    """The annulus's loop abscissa xi(0) = J_1(0)/J_0(0), its curve's
-    vertical asymptote, from the loop-limit quadratures."""
-    return jk_at_loop(spec, annulus, 1) / jk_at_loop(spec, annulus, 0)
 
 
 def default_grid(spec: HamiltonianSpec, annulus: Annulus,
@@ -226,48 +219,3 @@ def line_intersections(curve: CentroidCurve,
             tangent = True
     return LineIntersections(count=len(ts), ts=tuple(ts),
                              tangency_suspected=tangent, contains_curve=False)
-
-
-def total_line_intersections(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
-                             n: int = CURVE_POINTS) -> int:
-    """Intersection count relevant for cycle bifurcation from periodic
-    orbits: the plus curve alone, or both curves when the second annulus
-    exists and gamma != 0 (elliptic case convention)."""
-    total = line_intersections(sample_curve(spec, Annulus.SIGMA_PLUS, n=n),
-                               coeffs).count
-    if 0.0 < spec.a < 2.0 and coeffs.gamma != 0.0:
-        total += line_intersections(sample_curve(spec, Annulus.SIGMA_MINUS,
-                                                 n=n), coeffs).count
-    return total
-
-
-@dataclass(frozen=True)
-class SimultaneousLoopReport:
-    annihilates_both: bool
-    xi_plus_loop: float
-    xi_minus_loop: float
-    sign_fact_ok: bool   # xi_-(+0) < 0 < xi_+(-0)
-
-    def __bool__(self) -> bool:
-        return self.annihilates_both
-
-
-def simultaneous_loop_test(spec: HamiltonianSpec,
-                           coeffs: MelnikovCoeffs) -> SimultaneousLoopReport:
-    """Whether (alpha, beta) kills alpha + beta*xi(0) on both annuli at
-    once, within LOOP_BAND, at the loop abscissas.  Must come out false
-    for any nonzero pair, since the two loop abscissas straddle zero."""
-    if not (0.0 < spec.a < 2.0):
-        raise ValueError("both loops exist only for a in (0, 2)")
-    if coeffs.gamma != 0.0:
-        raise ValueError("loop bifurcation condition applies to gamma = 0")
-    if coeffs.alpha == 0.0 and coeffs.beta == 0.0:
-        raise ValueError("degenerate zero coefficients")
-    xp = loop_abscissa_exact(spec, Annulus.SIGMA_PLUS)
-    xm = loop_abscissa_exact(spec, Annulus.SIGMA_MINUS)
-    scale = abs(coeffs.alpha) + abs(coeffs.beta)
-    both = (abs(coeffs.alpha + xp * coeffs.beta) <= LOOP_BAND * scale
-            and abs(coeffs.alpha + xm * coeffs.beta) <= LOOP_BAND * scale)
-    return SimultaneousLoopReport(annihilates_both=both, xi_plus_loop=xp,
-                                  xi_minus_loop=xm,
-                                  sign_fact_ok=xm < 0.0 < xp)

@@ -259,16 +259,20 @@ def cmd_sim(args):
                 "return_derivative": c.return_derivative,
             } for c in res.cycles],
         }
-        if res.saddle_traces is not None:
-            payload["traces"] = {"sigma1": res.saddle_traces[0],
-                                 "sigma2": res.saddle_traces[1]}
-        if res.shifts is not None:
-            payload["shifts"] = {"b1": res.shifts[0], "b2": res.shifts[1]}
-        _write_json(out, payload)
         flags = [f"cycle at s={c.section_coordinate:.6g} stability undetermined"
                  for c in res.cycles if c.stability == "undetermined"]
         if res.outcomes.get("failed"):
             flags.append(f"{res.outcomes['failed']} census lanes failed")
+        # an appendix scan measures both; a missing one is flagged
+        measured = args.family == "appendix" and not res.degenerate_continuum
+        for key, names, pair in (
+                ("traces", ("sigma1", "sigma2"), res.saddle_traces),
+                ("shifts", ("b1", "b2"), res.shifts)):
+            if pair is not None:
+                payload[key] = dict(zip(names, pair))
+            elif measured:
+                flags.append(f"{key} not measured")
+        _write_json(out, payload)
         return out, flags
 
     out = _out_path(args, "traj.csv")

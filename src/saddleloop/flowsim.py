@@ -32,6 +32,7 @@ O(eps)), so forward settling would miss them.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -377,7 +378,9 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     abandoned because a refinement lane did not return.  A flow whose
     perturbation part is zero has a continuum of closed orbits and is
     reported as degenerate_continuum without a scan.  with_saddle_data
-    adds the saddle traces and connection shifts of an appendix flow.
+    adds the saddle traces and connection shifts of an appendix flow;
+    either is None when its measurement raises RuntimeError (a saddle
+    that Newton loses, a separatrix that misses the transversal).
     """
     if n < CENSUS_POINTS:
         raise ValueError(f"census needs a grid of at least {CENSUS_POINTS} "
@@ -392,6 +395,8 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
         if not (sec.contains(lo) and sec.contains(hi)):
             raise ValueError(f"s_range {s_range} outside section "
                              f"{sec.s_bounds()}")
+        if not lo < hi:
+            raise ValueError(f"s_range {s_range} must be increasing")
     grid = np.linspace(lo, hi, n)
 
     if not any(flow.epsilon * q for q in flow.one_form.f + flow.one_form.g):
@@ -435,10 +440,13 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
 
     traces = shifts = None
     if with_saddle_data and flow.hamiltonian.family is Family.APPENDIX_ELLIPSE:
-        tp = saddle_traces(flow)
-        traces = (tp.sigma1, tp.sigma2)
-        sh = separatrix_shifts(flow)
-        shifts = (sh.b1, sh.b2)
+        # one that raises stays None, so the scan is kept
+        with contextlib.suppress(RuntimeError):
+            tp = saddle_traces(flow)
+            traces = (tp.sigma1, tp.sigma2)
+        with contextlib.suppress(RuntimeError):
+            sh = separatrix_shifts(flow)
+            shifts = (sh.b1, sh.b2)
     return CycleCensus(cycles=tuple(cycles), saddle_traces=traces,
                        shifts=shifts, degenerate_continuum=False,
                        no_return_count=no_return, grid_size=n,

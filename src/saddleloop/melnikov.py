@@ -5,11 +5,10 @@ a quadratic perturbation reduces to
 
     M(t) = alpha*J_0(t) + beta*J_1(t) + gamma*J_{-1}(t),
 
-with gamma = 0 forced at order one.  Near the loop energy t = -0 it
-expands as d0 + d1*t*ln|t| + d2*t + d3*t^2*ln|t| + ..., picking up an
-extra ln|t| term exactly when gamma != 0.  The d-coefficients here come
-from fitting quadrature data, which keeps them an independent check of
-the series asymptotics in picard_fuchs.
+with gamma = 0 forced at order one.  Its loop-end facts have exact
+sources elsewhere: the loop value M(0) = alpha*J_0(0) + beta*J_1(0)
+from ``abelian.jk_at_loop``, and the ln|t| and t*ln|t| terms of its
+expansion from the Picard-Fuchs series (``picard_fuchs.fundamental``).
 
 The appendix family's perturbation enters through its own first-order
 function of the oval energy, provided at the bottom of the module; like
@@ -25,10 +24,9 @@ columns in ``values_on_grid``, and ``value`` is its one-energy view.
 
 Each quality fact is a field of its result:
 ``ZeroCount.converged`` (every quadrature of the grid and of the
-Illinois rounds converged, for either family), ``ZeroCount.grid_coarse``
-(two zeros within a few grid cells, so the grid may miss a pair between
-them), and
-``MelnikovExpansion.converged`` and ``well_conditioned`` for the fit.
+Illinois rounds converged, for either family) and
+``ZeroCount.grid_coarse`` (two zeros within a few grid cells, so the
+grid may miss a pair between them).
 """
 from __future__ import annotations
 
@@ -39,8 +37,7 @@ import numpy as np
 
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     critical_data, require_finite)
-from .abelian import (QUAD_TOL, appendix_moments_on_grid,
-                      default_log_window, fit_log_basis, triples_on_grid)
+from .abelian import QUAD_TOL, appendix_moments_on_grid, triples_on_grid
 from .lockstep import grid_roots
 
 
@@ -64,37 +61,6 @@ def value(spec: HamiltonianSpec, coeffs: MelnikovCoeffs, annulus: Annulus,
     """M at one energy: the one-energy view of ``values_on_grid``, whose
     mask says whether its quadrature converged."""
     return float(values_on_grid(spec, coeffs, annulus, [t])[0][0])
-
-
-@dataclass(frozen=True)
-class MelnikovExpansion:
-    d0: float
-    d1: float          # t ln|t|
-    d2: float          # t
-    d3: float          # t^2 ln|t|
-    fit_residual: float
-    dlog: float | None  # ln|t|, present only when gamma != 0
-    cond: float
-    well_conditioned: bool
-    converged: bool     # every quadrature of the fit window converged
-
-
-def expansion(spec: HamiltonianSpec,
-              coeffs: MelnikovCoeffs) -> MelnikovExpansion:
-    """Fit the loop-side expansion coefficients on a t -> -0 window."""
-    # the window stops at |t| = 1e-2: the basis omits the analytic t^2
-    # term, whose leakage into the t*ln|t| column grows with t_max
-    window = default_log_window(t_max=1e-2)
-    vals, ok = values_on_grid(spec, coeffs, Annulus.SIGMA_PLUS, window)
-    log_powers = (1, 2) if coeffs.gamma == 0.0 else (0, 1, 2)
-    fit = fit_log_basis(window, vals, poly_powers=(0, 1), log_powers=log_powers)
-    return MelnikovExpansion(
-        d0=fit.coeffs["t^0"], d1=fit.coeffs["t^1*log"],
-        d2=fit.coeffs["t^1"], d3=fit.coeffs["t^2*log"],
-        fit_residual=fit.residual,
-        dlog=fit.coeffs.get("t^0*log") if coeffs.gamma != 0.0 else None,
-        cond=fit.cond, well_conditioned=fit.well_conditioned,
-        converged=bool(ok.all()))
 
 
 GRID_POINTS = 200   # samples of a zero-count grid

@@ -231,7 +231,7 @@ def test_log_coefficient_of_divergent_integral(a):
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
     fit = log_coefficient(spec, -1)
     expected = -2.0 * math.sqrt(3.0 * (2.0 - a))
-    assert fit.coeffs["t^0*log"] == pytest.approx(expected, rel=1e-3)
+    assert fit.coeffs["t^0*log"] == pytest.approx(expected, rel=1e-6)
 
 
 def test_log_fit_recovers_synthetic_basis():

@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 
 from saddleloop.model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs
+from saddleloop.abelian import jk_at_loop
 from saddleloop.centroid import (
-    LOOP_BAND,
     TANGENCY_BAND,
     center_endpoint,
     line_intersections,
-    loop_abscissa_exact,
     sample_curve,
-    simultaneous_loop_test,
-    total_line_intersections,
     verify_shape,
 )
 from saddleloop.melnikov import count_zeros
 
 from oracle_values import LOOP_LIMITS, SIGMA_PLUS_TRIPLES
+
+
+def _loop_abscissa(spec, annulus):
+    """xi(0) = J_1(0)/J_0(0), the annulus's vertical asymptote."""
+    return jk_at_loop(spec, annulus, 1) / jk_at_loop(spec, annulus, 0)
 
 
 def test_center_endpoint_closed_forms():
@@ -31,7 +33,7 @@ def test_center_endpoint_closed_forms():
 
 def test_loop_abscissa_matches_oracle_ratio(spec_a1):
     j0, j1 = LOOP_LIMITS[1.0]
-    assert loop_abscissa_exact(spec_a1, Annulus.SIGMA_PLUS) == pytest.approx(
+    assert _loop_abscissa(spec_a1, Annulus.SIGMA_PLUS) == pytest.approx(
         j1 / j0, rel=1e-12)
 
 
@@ -59,7 +61,7 @@ def test_shape_report_plus(spec_a1):
     # the sample nearest the loop, at |t| = 2e-6, lies 3.5e-6 (relative)
     # off the vertical asymptote: xi's t*ln|t| term
     assert curve.xi[-1] == pytest.approx(
-        loop_abscissa_exact(spec_a1, Annulus.SIGMA_PLUS), rel=1e-5)
+        _loop_abscissa(spec_a1, Annulus.SIGMA_PLUS), rel=1e-5)
 
 
 def test_shape_report_minus(spec_a05):
@@ -120,25 +122,13 @@ def test_line_intersections_bounds(spec_a1):
         assert li.count <= 2
 
 
-def test_total_intersections_sum(spec_a05):
-    coeffs = MelnikovCoeffs(1.0, 0.5)
-    tot = total_line_intersections(spec_a05, coeffs, n=80)
-    per = sum(
-        line_intersections(sample_curve(spec_a05, ann, n=80), coeffs).count
-        for ann in (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS)
-    )
-    assert tot == per
-
-
 def test_minus_annulus_counts_agree():
     # M = J_0 * (alpha + beta*xi + gamma*eta) with J_0 > 0: on the minus
-    # annulus its zeros are the minus curve's crossings, and with
-    # gamma != 0 total_line_intersections adds both curves
+    # annulus its zeros are the minus curve's crossings
     rng = np.random.default_rng(7)
     seen = set()
     for a in (0.5, 1.0, 1.5):
         spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
-        plus = sample_curve(spec, Annulus.SIGMA_PLUS)
         minus = sample_curve(spec, Annulus.SIGMA_MINUS)
         for _ in range(12):
             coeffs = MelnikovCoeffs(*rng.uniform(-1.0, 1.0, 3), order_k=2)
@@ -146,17 +136,7 @@ def test_minus_annulus_counts_agree():
             seen.add(on_minus)
             assert count_zeros(spec, coeffs,
                                Annulus.SIGMA_MINUS).count == on_minus
-            assert total_line_intersections(spec, coeffs) == (
-                line_intersections(plus, coeffs).count + on_minus)
     assert seen == {0, 1}
-
-
-def test_simultaneous_loop_report(spec_a05):
-    rep = simultaneous_loop_test(spec_a05, MelnikovCoeffs(1.0, 0.5))
-    assert not rep.annihilates_both
-    assert rep.sign_fact_ok
-    # the two loop abscissas have opposite signs at a=0.5
-    assert rep.xi_plus_loop > 0 > rep.xi_minus_loop
 
 
 @pytest.mark.parametrize("a", [round(0.1 * k, 1) for k in range(1, 20)])
@@ -164,12 +144,13 @@ def test_loop_sign_fact_over_a(a):
     # the two-annulus count rests on xi_-(+0) < 0 < xi_+(-0): a gamma = 0
     # line that meets the plus loop condition misses the minus one
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
-    xp = loop_abscissa_exact(spec, Annulus.SIGMA_PLUS)
-    xm = loop_abscissa_exact(spec, Annulus.SIGMA_MINUS)
+    xp = _loop_abscissa(spec, Annulus.SIGMA_PLUS)
+    xm = _loop_abscissa(spec, Annulus.SIGMA_MINUS)
     assert xm < 0.0 < xp
-    rep = simultaneous_loop_test(spec, MelnikovCoeffs(-xp, 1.0))
-    assert (rep.xi_plus_loop, rep.xi_minus_loop) == (xp, xm)
-    assert rep.sign_fact_ok
-    # alpha + beta*xi_+ = 0 by construction; alpha + beta*xi_- is not
-    assert abs(-xp + xm) > LOOP_BAND * (abs(-xp) + 1.0)
-    assert not rep.annihilates_both
+    # (alpha, beta) = (-xp, 1): alpha + beta*xi_+ = 0 by construction,
+    # alpha + beta*xi_- stays outside a 1e-3 band, so no such line
+    # meets both loop conditions at once
+    alpha, beta = -xp, 1.0
+    band = 1e-3 * (abs(alpha) + abs(beta))
+    assert abs(alpha + beta * xp) <= band
+    assert abs(alpha + beta * xm) > band

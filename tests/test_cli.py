@@ -248,6 +248,38 @@ def test_sim_census_witness_replay(tmp_path, capsys):
                                   "annulus", "window", "n", "T", "tol"}
 
 
+@pytest.mark.parametrize("argv, outcomes", [
+    (["--eps", "1e300"], {"failed": 100}),
+    (["--eps", "0.5", "--mu1", "3", "--mu2", "1"], {"timeout": 100}),
+], ids=["eps-overflow", "finite-flow"])
+def test_sim_census_unmeasured_shifts_flagged(tmp_path, capsys, argv,
+                                              outcomes):
+    # the separatrices miss the transversal (failed, timed out): the
+    # census still writes its scan, without shifts, and the flag names
+    # what is missing
+    out = tmp_path / "census.json"
+    code, _, _ = run(["sim", "--family", "appendix", "--census", "--n", "100",
+                      "--out", str(out)] + argv, capsys)
+    assert code == 3
+    doc = json.loads(out.read_text())
+    assert doc["outcomes"] == outcomes
+    assert "shifts" not in doc and set(doc["traces"]) == {"sigma1", "sigma2"}
+    man = json.loads((tmp_path / "census.json.manifest.json").read_text())
+    assert "shifts not measured" in man["flags"]
+
+
+@pytest.mark.parametrize("window", ["0.002,0.002", "0.004,0.00115"],
+                         ids=["one-point", "reversed"])
+def test_sim_census_window_must_increase(tmp_path, capsys, window):
+    out = tmp_path / "census.json"
+    code, _, err = run(["sim", "--family", "appendix", "--eps", "3.6e-3",
+                        "--census", "--window", window, "--n", "160",
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert "must be increasing" in err
+    assert not out.exists()
+
+
 def test_sim_requires_exactly_one_mode(tmp_path, capsys):
     out = tmp_path / "x.json"
     base = ["sim", "--family", "normal", "--a", "1", "--eps", "0.001",

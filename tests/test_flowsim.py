@@ -314,6 +314,11 @@ def test_census_validation(spec_a1):
         census(flow, n=50)
     with pytest.raises(ValueError):
         census(flow, n=100, s_range=(0.0, 99.0))
+    lo, hi = section_segment(spec_a1, Annulus.SIGMA_PLUS).s_bounds()
+    mid = 0.5 * (lo + hi)
+    for s_range in ((mid, mid), (mid + 0.1, mid)):
+        with pytest.raises(ValueError, match="increasing"):
+            census(flow, n=100, s_range=s_range)
     with pytest.raises(OvalRangeError):
         census(appendix_flow(HamiltonianSpec(family=Family.APPENDIX_ELLIPSE),
                              PerturbationSpec(epsilon=1e-3)),

@@ -94,6 +94,41 @@ def test_no_unreferenced_definitions():
     assert {k: v for k, v in unreferenced.items() if v} == {}
 
 
+# definitions the program does not read yet, each kept for a stated use
+PROGRAM_UNREAD = {
+    # the cyclicity table, until a criterion checks counts against it
+    "classify_cyclicity",
+    # the tightest quadrature-vs-series check of the log multipliers
+    # (its structured basis beats the generic log_coefficient fit)
+    "match_asymptotics",
+}
+
+
+def _registered_functions(tree: ast.Module) -> set[str]:
+    """Module-level functions handed to a registering decorator call,
+    such as ``@_criterion(...)``, which reads them."""
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(d, ast.Call) for d in node.decorator_list)}
+
+
+def test_no_definitions_only_tests_read():
+    # every module-level definition of the package is read by the
+    # package or the benchmark; a test alone is not a reader
+    files = [p for d in ("src", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    trees = [ast.parse(p.read_text()) for p in files]
+    refs = set().union(*map(_referenced_names, trees),
+                       *map(_registered_functions, trees))
+    defined = {p.name: _defined_names(ast.parse(p.read_text()))
+               for p in sorted(SRC.glob("*.py"))}
+    unread = {k: [n for n in v if n not in refs | PROGRAM_UNREAD]
+              for k, v in defined.items()}
+    assert {k: v for k, v in unread.items() if v} == {}
+    # an exemption goes stale once the program reads it or it is gone
+    assert PROGRAM_UNREAD <= set().union(*defined.values()) - refs
+
+
 def test_benchmark_tracer_hooks_resolve():
     # perfbench/tracer.py wraps these names and reads these result
     # fields; a name that went missing would crash a traced benchmark run

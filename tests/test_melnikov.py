@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from saddleloop import abelian, melnikov
 from saddleloop.centroid import sample_curve
-from saddleloop.model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs
+from saddleloop.model import Annulus, MelnikovCoeffs
 from saddleloop.picard_fuchs import fundamental
 from saddleloop.melnikov import (
     ZeroFunctionError,
@@ -15,12 +15,11 @@ from saddleloop.melnikov import (
     appendix_first_order_on_grid,
     classify_cyclicity,
     count_zeros,
-    expansion,
     value,
     values_on_grid,
 )
 
-from oracle_values import APPENDIX_MOMENTS, LOOP_LIMITS, SIGMA_PLUS_TRIPLES
+from oracle_values import APPENDIX_MOMENTS, SIGMA_PLUS_TRIPLES
 
 
 def test_value_is_oracle_combination(spec_a1):
@@ -68,17 +67,6 @@ def test_pure_gamma_zero_free_near_loop(spec_a1):
     coeffs = MelnikovCoeffs(alpha=0.0, beta=0.0, gamma=0.5, order_k=2)
     zc = count_zeros(spec_a1, coeffs, Annulus.SIGMA_PLUS, t_range=(-0.5, -1e-4))
     assert zc.count == 0
-
-
-def test_expansion_constant_term_matches_loop_limits(spec_a1):
-    j0_loop, j1_loop = LOOP_LIMITS[1.0]
-    coeffs = MelnikovCoeffs(alpha=0.3, beta=-0.2)
-    exp = expansion(spec_a1, coeffs)
-    assert exp.well_conditioned
-    assert exp.d0 == pytest.approx(0.3 * j0_loop - 0.2 * j1_loop, rel=1e-6)
-    # fitted t*ln(t) slope against the series prediction alpha*lam*q1[J0]
-    assert exp.d1 == pytest.approx(
-        0.3 * fundamental(spec_a1).log_term(0)[1], rel=1e-3)
 
 
 def _line_through(p1, p2):
@@ -144,19 +132,6 @@ def test_unconverged_quadrature_clears_zero_count_flag(spec_a1, monkeypatch,
         clean.count, clean.zeros, clean.grid_coarse)
 
 
-def test_unconverged_quadrature_clears_expansion_flag(spec_a1, monkeypatch):
-    coeffs = MelnikovCoeffs(alpha=0.3, beta=-0.2)
-    clean = expansion(spec_a1, coeffs)
-    assert clean.converged
-    _clear_one_mask_entry(monkeypatch, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        exp = expansion(spec_a1, coeffs)
-    assert not exp.converged
-    assert exp.well_conditioned
-    assert (exp.d0, exp.d1) == (clean.d0, clean.d1)
-
-
 def test_d1_expected_closed_form(spec_a1):
     # at a=1 only the alpha channel contributes at order t*ln(t), and
     # J_0's log term is lam * q1[J0] * t*ln|t| = -2*sqrt(3)/6 * t*ln|t|
@@ -195,15 +170,6 @@ def test_classification_table(coeffs, d0_is_zero, expected):
             classify_cyclicity(coeffs, d0_is_zero)
         return
     assert str(classify_cyclicity(coeffs, d0_is_zero)) == expected
-
-
-@pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
-@pytest.mark.parametrize("gamma", [0.3, -0.7])
-def test_expansion_log_term_is_gamma_lambda(a, gamma):
-    # gamma*J_{-1} carries the only ln|t| term, with J_{-1}'s multiplier
-    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
-    exp = expansion(spec, MelnikovCoeffs(0.3, -0.2, gamma, order_k=2))
-    assert exp.dlog == pytest.approx(gamma * fundamental(spec).lam, rel=1e-7)
 
 
 @pytest.mark.parametrize("h", sorted(APPENDIX_MOMENTS))
