@@ -263,15 +263,14 @@ def cmd_sim(args):
                  for c in res.cycles if c.stability == "undetermined"]
         if res.outcomes.get("failed"):
             flags.append(f"{res.outcomes['failed']} census lanes failed")
-        # an appendix scan measures both; a missing one is flagged
-        measured = args.family == "appendix" and not res.degenerate_continuum
         for key, names, pair in (
                 ("traces", ("sigma1", "sigma2"), res.saddle_traces),
                 ("shifts", ("b1", "b2"), res.shifts)):
             if pair is not None:
                 payload[key] = dict(zip(names, pair))
-            elif measured:
-                flags.append(f"{key} not measured")
+        # an appendix scan measures both; a missing one is flagged
+        flags += [f"{key} not measured: {why}"
+                  for key, why in res.unmeasured.items()]
         _write_json(out, payload)
         return out, flags
 

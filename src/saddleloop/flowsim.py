@@ -32,7 +32,6 @@ O(eps)), so forward settling would miss them.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -356,6 +355,8 @@ class CycleCensus:
     outcomes: dict[str, int] = field(default_factory=dict)  # lanes by reason
     refine_rounds: int = 0              # serial refinement batches
     refine_lanes: int = 0               # lanes over all of them
+    # saddle data that raised ("traces", "shifts"): the error message
+    unmeasured: dict[str, str] = field(default_factory=dict)
 
 
 def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
@@ -380,7 +381,8 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     reported as degenerate_continuum without a scan.  with_saddle_data
     adds the saddle traces and connection shifts of an appendix flow;
     either is None when its measurement raises RuntimeError (a saddle
-    that Newton loses, a separatrix that misses the transversal).
+    that Newton loses, a separatrix that misses the transversal), and
+    unmeasured keeps the message.
     """
     if n < CENSUS_POINTS:
         raise ValueError(f"census needs a grid of at least {CENSUS_POINTS} "
@@ -439,19 +441,25 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
                             stability=stab, return_derivative=dv))
 
     traces = shifts = None
+    unmeasured = {}
     if with_saddle_data and flow.hamiltonian.family is Family.APPENDIX_ELLIPSE:
         # one that raises stays None, so the scan is kept
-        with contextlib.suppress(RuntimeError):
+        try:
             tp = saddle_traces(flow)
             traces = (tp.sigma1, tp.sigma2)
-        with contextlib.suppress(RuntimeError):
+        except RuntimeError as exc:
+            unmeasured["traces"] = str(exc)
+        try:
             sh = separatrix_shifts(flow)
             shifts = (sh.b1, sh.b2)
+        except RuntimeError as exc:
+            unmeasured["shifts"] = str(exc)
     return CycleCensus(cycles=tuple(cycles), saddle_traces=traces,
                        shifts=shifts, degenerate_continuum=False,
                        no_return_count=no_return, grid_size=n,
                        window=(lo, hi), outcomes=outcomes,
-                       refine_rounds=len(rounds), refine_lanes=sum(rounds))
+                       refine_rounds=len(rounds), refine_lanes=sum(rounds),
+                       unmeasured=unmeasured)
 
 
 class NewtonError(RuntimeError):

@@ -23,11 +23,13 @@ shape.  All other arithmetic is elementwise and correctly rounded
 (+ - * /, square roots, abs, min, max), so a lane gives the same bits
 alone as in any batch.
 
-Also here: the one sign-change scan of sampled values (``sign_changes``)
-and its bracket refinement by a lockstep Illinois search
-(``grid_roots``), shared by the cycle census, both Melnikov zero counts
-and the centroid line intersections; where the function also returns
-slopes (the census), the search takes Newton steps inside each bracket.
+Also here: the one bracketed root finder, a lockstep Illinois search
+(``illinois``).  It locates the events above, refines the sign-change
+cells of sampled values (``sign_changes``, ``grid_roots``) for the cycle
+census, both Melnikov zero counts and the centroid line intersections,
+and solves the oval slice endpoints whose closed-form start fails its
+sign test (``ovals``).  Where the function also returns slopes (the
+census), the search takes Newton steps inside each bracket.
 """
 from __future__ import annotations
 

@@ -20,13 +20,15 @@ u = mid + halfwidth*sin(theta).
 Endpoints are bracketed on either side of the annulus's center u_c:
 one toward the singular line u = 0, one toward the root of r beyond
 u_c (``model.slice_span``; the cubic has exactly one root in each
-bracket).  ``slice_grid`` refines the endpoints of a whole energy grid
-together, with one lockstep Illinois search (``lockstep.illinois``),
-and polishes them with two Newton steps to ~1e-14 relative;
+bracket).  ``slice_grid`` solves the endpoints of a whole energy grid
+together (``_roots``): each starts from the cubic's closed-form root in
+w = 1/(u - u_c), takes two Newton steps, and is kept where the cubic
+changes sign within its rounding bound; the few that fail go to one
+lockstep Illinois search (``lockstep.illinois``) on their brackets.
 ``slice_oval`` is its one-energy view.  Sections come from
 ``model.section_ends`` and lie on the slice axis, so their energy chart
 energy(s) = t is the same cubic: ``SectionSegment.coord_for_energy``
-solves it as one bracket of the same refinement.
+solves it as one bracket of the same solver.
 """
 from __future__ import annotations
 
@@ -116,10 +118,24 @@ def _cubic(r, t):
     return c, cp
 
 
+def _polish(c, cp, u, lo, hi):
+    """Two Newton steps on c from u, each taken only if it stays in the
+    bracket [lo, hi] or is tiny."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            d = cp(u)
+            step = c(u) / d
+            take = (d != 0.0) & (
+                ((lo <= u - step) & (u - step <= hi))
+                | (np.abs(step) < 1e-8 * (np.abs(u) + 1e-300)))
+            u = np.where(take, u - step, u)
+    return u
+
+
 def _refine_roots(r, t, lo, hi):
     """The cubic's root in every bracket [lo[i], hi[i]] at energy t[i]:
-    one lockstep Illinois pass, then two Newton steps confined to the
-    bracket.  An end where the cubic vanishes exactly is the root."""
+    one lockstep Illinois pass, then the Newton polish.  An end where the
+    cubic vanishes exactly is the root.  The slow path of ``_roots``."""
     c, cp = _cubic(r, t)
     flo, fhi = c(lo), c(hi)
     bad = flo * fhi > 0.0
@@ -130,16 +146,42 @@ def _refine_roots(r, t, lo, hi):
             f"c(lo)={float(flo[i])!r}, c(hi)={float(fhi[i])!r}")
     u = illinois(lambda i, x: _cubic(r, t[i])[0](x), lo, hi, flo, fhi,
                  1e-300, 8.9e-16)
-    polish = (flo != 0.0) & (fhi != 0.0)
+    exact = (flo == 0.0) | (fhi == 0.0)
+    return np.where(exact, u, _polish(c, cp, u, lo, hi))
+
+
+def _roots(r, t, lo, hi, uc):
+    """The cubic's root in every bracket [lo[i], hi[i]] at energy t[i],
+    where each bracket runs from the center uc to one side of it.
+
+    In w = 1/(u - uc) the cubic is depressed, delta*w^3 + q2*w + r2 = 0
+    with delta = c(uc) and q2 = 3*r2*uc + r1, and its three roots are
+    real: the largest w is the root above uc, the smallest the root
+    below.  Their trigonometric form (Blinn, "How to solve a cubic
+    equation", IEEE CG&A 2006-07), polished by two Newton steps, is
+    kept where c changes sign within eps*(terms/|c'(u)| + |u|) of it,
+    the rounding of the cubic at u; the other brackets (where the root
+    above uc nearly merges with the third root in w) go through
+    ``_refine_roots``.  Elementwise, so a bracket's root does not depend
+    on the batch.
+    """
+    r0, r1, r2 = r
+    c, cp = _cubic(r, t)
+    delta = c(uc)
+    q2 = 3.0 * r2 * uc + r1
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(2):
-            d = cp(u)
-            step = c(u) / d
-            # Newton polish confined to the bracket
-            take = polish & (d != 0.0) & (
-                ((lo <= u - step) & (u - step <= hi))
-                | (np.abs(step) < 1e-8 * (np.abs(u) + 1e-300)))
-            u = np.where(take, u - step, u)
+        m = 2.0 * np.sqrt(-q2 / (3.0 * delta))
+        cos3 = 1.5 * r2 / q2 * np.sqrt(-3.0 * delta / q2)
+        theta = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
+        w = m * np.cos(np.where(hi > uc, theta, theta + 2.0 * math.pi / 3.0))
+        u = _polish(c, cp, uc + 1.0 / w, lo, hi)
+        terms = np.abs(t) + np.abs(u) * (abs(r2) * u * u + np.abs(r1 * u)
+                                         + abs(r0))
+        eta = np.finfo(float).eps * (terms / np.abs(cp(u)) + np.abs(u))
+        ok = (lo <= u) & (u <= hi) & (c(u - eta) * c(u + eta) <= 0.0)
+    i = np.flatnonzero(~ok)
+    if i.size:
+        u[i] = _refine_roots(r, t[i], lo[i], hi[i])
     return u
 
 
@@ -198,9 +240,8 @@ def slice_grid(spec: HamiltonianSpec, annulus: Annulus, ts) -> OvalSlice:
     third = np.zeros(ts.shape)
     i = np.flatnonzero(~degenerate)
     center = np.full(i.size, uc)
-    ends = _refine_roots(r, np.tile(ts[i], 2),
-                         np.concatenate([lo_end[i], center]),
-                         np.concatenate([center, hi_end[i]]))
+    ends = _roots(r, np.tile(ts[i], 2), np.concatenate([lo_end[i], center]),
+                  np.concatenate([center, hi_end[i]]), uc)
     lo[i], hi[i] = ends[:i.size], ends[i.size:]
     _, r1, r2 = r
     # Vieta: the cubic's roots sum to -r1/r2
@@ -260,7 +301,8 @@ class SectionSegment:
     def coord_for_energy(self, t: float) -> float:
         """Invert the energy chart on the segment.  The section lies on
         the slice axis, where energy(s) = t is the slice cubic's root,
-        c(s) = t - energy(s): one bracket of ``_refine_roots``."""
+        c(s) = t - energy(s): one bracket of ``_roots``, from the center
+        end to the loop end."""
         a, b = self.s_bounds()
         fa = self.energy(a) - t
         fb = self.energy(b) - t
@@ -270,8 +312,8 @@ class SectionSegment:
             return b
         if fa * fb > 0.0:
             raise OvalRangeError(f"energy {t!r} not attained on the section")
-        return float(_refine_roots(self.spec.slice_r(), np.array([t]),
-                                   np.array([a]), np.array([b]))[0])
+        return float(_roots(self.spec.slice_r(), np.array([t]), np.array([a]),
+                            np.array([b]), self.s_center)[0])
 
 
 def section_segment(

@@ -174,10 +174,7 @@ def finite_difference_residuals(spec: HamiltonianSpec, ts) -> np.ndarray:
 @dataclass(frozen=True)
 class AsymptoticsMatch:
     lam_expected: float
-    lam_fitted: np.ndarray      # per component of the triple
-    rel_err: np.ndarray
-    residual_rms: np.ndarray
-    window: np.ndarray
+    rel_err: np.ndarray         # per component of the triple
 
 
 def match_asymptotics(spec: HamiltonianSpec) -> AsymptoticsMatch:
@@ -196,7 +193,6 @@ def match_asymptotics(spec: HamiltonianSpec) -> AsymptoticsMatch:
     logs = np.log(np.abs(window))
 
     lam_fit = np.empty(3)
-    res_rms = np.empty(3)
     for c in range(3):
         cols = np.column_stack([qcols[:, c] * logs,
                                 np.ones_like(window),
@@ -204,9 +200,6 @@ def match_asymptotics(spec: HamiltonianSpec) -> AsymptoticsMatch:
         scale = np.linalg.norm(cols, axis=0)
         scale[scale == 0.0] = 1.0
         sol, *_ = np.linalg.lstsq(cols / scale, vals[:, c], rcond=None)
-        coeffs = sol / scale
-        lam_fit[c] = coeffs[0]
-        res_rms[c] = float(np.sqrt(np.mean((cols @ coeffs - vals[:, c])**2)))
-    rel = np.abs(lam_fit - fs.lam) / abs(fs.lam)
-    return AsymptoticsMatch(lam_expected=fs.lam, lam_fitted=lam_fit,
-                            rel_err=rel, residual_rms=res_rms, window=window)
+        lam_fit[c] = sol[0] / scale[0]
+    return AsymptoticsMatch(lam_expected=fs.lam,
+                            rel_err=np.abs(lam_fit - fs.lam) / abs(fs.lam))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from saddleloop import ovals
 from saddleloop.centroid import default_grid
 from saddleloop.model import (Annulus, Family, HamiltonianSpec, critical_data,
                               x1_loop_root)
@@ -71,10 +72,31 @@ def _cubic_bound(r, t, u):
     return np.finfo(float).eps * (terms / slope + abs(u))
 
 
+def _near_ends(spec, annulus, n=40):
+    # energies in from the annulus's center and in from the loop,
+    # geometric from 1e-13 to 1e-1 of its energy span
+    tc = critical_data(spec).center_of(annulus).energy
+    near = np.copysign(np.geomspace(1e-13, 1e-1, n) * abs(tc), tc)
+    return np.sort(np.concatenate([tc - near, near]))
+
+
+# cases where the slice cubic is hard: r2 -> 0 (a -> 0), a center that
+# runs off to infinity (SigmaMinus at small a), and the ends of the
+# two-saddle range of a
+HARD_CASES = [
+    (NF, 1e-12, Annulus.SIGMA_PLUS), (NF, -1e-12, Annulus.SIGMA_PLUS),
+    (NF, 1e-8, Annulus.SIGMA_PLUS), (NF, 1e-8, Annulus.SIGMA_MINUS),
+    (NF, -0.999999, Annulus.SIGMA_PLUS), (NF, 1.999999, Annulus.SIGMA_PLUS),
+    (NF, 1.999999, Annulus.SIGMA_MINUS)]
+HARD_IDS = ["a1e-12-plus", "a-1e-12-plus", "a1e-8-plus", "a1e-8-minus",
+            "a-0.999999-plus", "a1.999999-plus", "a1.999999-minus"]
+
+
 @pytest.mark.parametrize("family,a,annulus", [
     (NF, -0.5, Annulus.SIGMA_PLUS), (NF, 0.0, Annulus.SIGMA_PLUS),
     (NF, 1.7, Annulus.SIGMA_PLUS), (NF, 1.7, Annulus.SIGMA_MINUS),
-    (NF, 0.3, Annulus.SIGMA_MINUS), (APP, 1.0, Annulus.SIGMA_PLUS)])
+    (NF, 0.3, Annulus.SIGMA_MINUS), (APP, 1.0, Annulus.SIGMA_PLUS)]
+    + HARD_CASES)
 def test_slice_endpoints_as_accurate_as_their_cubic(family, a, annulus):
     # each endpoint is within the rounding of its cubic.  Near the center
     # energy c'(u) is small (the two endpoints merge in a
@@ -84,10 +106,43 @@ def test_slice_endpoints_as_accurate_as_their_cubic(family, a, annulus):
         ts = default_grid(spec, annulus)
     else:
         ts = np.linspace(-4.0 / 3.0 + 1e-5, -1e-6, 200)
+    near = _near_ends(spec, annulus)
+    ts = np.concatenate([ts, near])
     g = slice_grid(spec, annulus, ts)
     for t, lo, hi in zip(ts, g.lo, g.hi):
         for u in (float(lo), float(hi)):
             assert abs(_exact_root(g.r, t, u)) <= _cubic_bound(g.r, t, u)
+    # a slice alone has the bits of its grid entry
+    for j in range(ts.size - near.size, ts.size):
+        sl = slice_oval(spec, annulus, ts[j])
+        assert (sl.lo, sl.hi, sl.third_root) == (
+            g.lo[j], g.hi[j], g.third_root[j])
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.1, 0.5, 1.0, 1.5, 1.9])
+def test_slice_grid_needs_no_bracketed_search(monkeypatch, a):
+    # the closed-form start passes its sign test on every endpoint of a
+    # centroid curve's grid, so the Illinois search never runs there
+    calls = []
+    search = ovals.illinois
+
+    def counted(fun, lo, *args):
+        calls.append(len(lo))
+        return search(fun, lo, *args)
+
+    monkeypatch.setattr(ovals, "illinois", counted)
+    spec = HamiltonianSpec(family=NF, a=a)
+    annuli = [Annulus.SIGMA_PLUS] + ([Annulus.SIGMA_MINUS] if a > 0 else [])
+    for annulus in annuli:
+        slice_grid(spec, annulus, default_grid(spec, annulus))
+    assert calls == []
+    # next to the loop of a = 1e-8 on SigmaMinus the upper endpoint and
+    # the third root nearly merge in w = 1/(u - u_c), the closed form
+    # fails its sign test, and those few of the grid's 160 endpoints go
+    # to the search in one call
+    spec = HamiltonianSpec(family=NF, a=1e-8)
+    slice_grid(spec, Annulus.SIGMA_MINUS, _near_ends(spec, Annulus.SIGMA_MINUS))
+    assert len(calls) == 1 and 0 < calls[0] < 16
 
 
 def test_slice_grid_matches_slice_oval(spec_a05):
@@ -176,8 +231,9 @@ def test_coord_for_energy_inverts_energy(spec_a05, annulus, t):
 @pytest.mark.parametrize("family,a,annulus", [
     (NF, 1.0, Annulus.SIGMA_PLUS), (NF, 1.0, Annulus.SIGMA_MINUS),
     (NF, 0.5, Annulus.SIGMA_PLUS), (NF, 0.5, Annulus.SIGMA_MINUS),
-    (APP, 1.0, Annulus.SIGMA_PLUS),
-], ids=["a1-plus", "a1-minus", "a0.5-plus", "a0.5-minus", "appendix"])
+    (APP, 1.0, Annulus.SIGMA_PLUS)] + HARD_CASES,
+    ids=["a1-plus", "a1-minus", "a0.5-plus", "a0.5-minus", "appendix"]
+    + HARD_IDS)
 def test_coord_for_energy_matches_brentq(family, a, annulus):
     # the section lies on the slice axis, so the chart inversion is a root
     # of the slice cubic: it sits within that cubic's rounding bound of
@@ -189,7 +245,7 @@ def test_coord_for_energy_matches_brentq(family, a, annulus):
     lo, hi = sect.s_bounds()
     e_lo, e_hi = sorted((sect.energy(lo), sect.energy(hi)))
     span = e_hi - e_lo
-    near = np.geomspace(1e-12, 1e-2, 10) * span
+    near = np.geomspace(1e-13, 1e-2, 12) * span
     ts = np.concatenate([np.linspace(e_lo, e_hi, 62)[1:-1], e_lo + near,
                          e_hi - near])
     if (family, a, annulus) == (NF, 1.0, Annulus.SIGMA_PLUS):
