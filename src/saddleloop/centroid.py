@@ -182,7 +182,6 @@ def verify_shape(curve: CentroidCurve) -> ShapeReport:
 @dataclass(frozen=True)
 class LineIntersections:
     count: int
-    ts: tuple[float, ...]
     tangency_suspected: bool    # a near-zero sample without a sign change
     contains_curve: bool        # the functional vanishes on every sample
 
@@ -192,10 +191,9 @@ def line_intersections(curve: CentroidCurve,
     """Count crossings of alpha + beta*xi + gamma*eta = 0 with the curve.
 
     The exact zeros and sign changes of the functional along t
-    (``lockstep.sign_changes``), each sign change placed by linear
-    interpolation between its two samples; values inside
-    TANGENCY_BAND that do not produce a sign change raise the tangency
-    flag (multiplicity is not certified).
+    (``lockstep.sign_changes``); values inside TANGENCY_BAND that do not
+    produce a sign change raise the tangency flag (multiplicity is not
+    certified).
     """
     if coeffs.all_zero:
         raise ValueError("line coefficients are all zero")
@@ -203,13 +201,8 @@ def line_intersections(curve: CentroidCurve,
     scale = (abs(coeffs.alpha) + abs(coeffs.beta) * np.max(np.abs(curve.xi))
              + abs(coeffs.gamma) * np.max(np.abs(curve.eta)))
     if np.max(np.abs(g)) < 1e-13 * max(scale, 1e-300):
-        return LineIntersections(0, (), False, True)
+        return LineIntersections(0, False, True)
     zeros, cells = sign_changes(g)
-    w = g[cells] / (g[cells] - g[cells + 1])
-    order = np.argsort(np.concatenate([zeros, cells]), kind="stable")
-    t = curve.ts
-    lerp = t[cells] + w * (t[cells + 1] - t[cells])
-    ts = np.concatenate([t[zeros], lerp])[order].tolist()
     near = np.abs(g) < TANGENCY_BAND * scale
     tangent = False
     for i in np.nonzero(near)[0]:
@@ -217,5 +210,5 @@ def line_intersections(curve: CentroidCurve,
         right = g[i + 1] if i + 1 < len(g) else g[i]
         if left * right > 0.0 and g[i] != 0.0:
             tangent = True
-    return LineIntersections(count=len(ts), ts=tuple(ts),
+    return LineIntersections(count=zeros.size + cells.size,
                              tangency_suspected=tangent, contains_curve=False)

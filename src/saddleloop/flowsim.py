@@ -40,7 +40,7 @@ import numpy as np
 
 from .lockstep import advance, grid_roots
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
-                    PerturbationSpec, require_finite)
+                    PerturbationSpec, critical_data, require_finite)
 from .ovals import SectionSegment, section_segment
 
 FLOW_TOL = 1e-10            # integrator rtol of a flow unless it sets its own
@@ -208,16 +208,19 @@ def _lockstep_field(flow: FlowSpec):
     """FlowSpec.rhs on a (2, n) array of lanes, from the same coefficients
     and in the same order, with the monomials whose coefficients vanish
     in every component left out.  On (3, n) lanes row 2 integrates the
-    divergence eps*((g_1 - f_2) + (2 g_3 - f_4) x + (g_4 - 2 f_5) y),
-    exact from the one-form, as the Hamiltonian part is divergence-free.
+    divergence -eps*(alpha + beta x + gamma_dir y), exact from the
+    one-form's first-order coefficients and y moment
+    (``QuadraticOneForm.first_order_coeffs``, ``gamma_direction``), as
+    the Hamiltonian part is divergence-free.
 
     The kept monomials are the rows of one array; all components are
     one product with their coefficient columns and one np.add.reduce
     over the rows, which adds the terms row by row, in rhs's order, so
     rows 0-1 of (3, n) lanes only gain zero terms."""
-    f, g, eps = flow.one_form.f, flow.one_form.g, flow.epsilon
-    div = (eps * (g[1] - f[2]), eps * (2.0 * g[3] - f[4]),
-           eps * (g[4] - 2.0 * f[5]), 0.0, 0.0, 0.0)
+    w, eps = flow.one_form, flow.epsilon
+    m1 = w.first_order_coeffs()
+    div = (-eps * m1.alpha, -eps * m1.beta, -eps * w.gamma_direction(),
+           0.0, 0.0, 0.0)
     coef = np.array(flow.coeffs + (div,))
     # the monomials (1, x, y, x^2, x*y, y^2) as products of rows of (1, x, y)
     pairs = np.array([(0, 0), (1, 0), (2, 0), (1, 1), (1, 2), (2, 2)])
@@ -482,6 +485,13 @@ def _newton_saddle(flow: FlowSpec, seed) -> np.ndarray:
     return z
 
 
+def _continued_saddles(flow: FlowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The two saddles of the perturbed flow, by Newton from the
+    unperturbed ones (``model.critical_data``)."""
+    s1, s2 = critical_data(flow.hamiltonian).saddles
+    return _newton_saddle(flow, s1.xy), _newton_saddle(flow, s2.xy)
+
+
 @dataclass(frozen=True)
 class TracePair:
     sigma1: float          # at the saddle continued from (-1, 0)
@@ -494,8 +504,7 @@ def saddle_traces(flow: FlowSpec) -> TracePair:
     """Jacobian traces at the two continued saddles (appendix family)."""
     if flow.hamiltonian.family is not Family.APPENDIX_ELLIPSE:
         raise ValueError("saddle traces are defined for the appendix family")
-    s1 = _newton_saddle(flow, (-1.0, 0.0))
-    s2 = _newton_saddle(flow, (1.0, 0.0))
+    s1, s2 = _continued_saddles(flow)
     j1, j2 = flow.jacobian(s1), flow.jacobian(s2)
     return TracePair(sigma1=float(j1[0, 0] + j1[1, 1]),
                      sigma2=float(j2[0, 0] + j2[1, 1]),
@@ -554,8 +563,7 @@ def separatrix_shifts(flow: FlowSpec) -> ShiftPair:
     """
     if flow.hamiltonian.family is not Family.APPENDIX_ELLIPSE:
         raise ValueError("shift functions are defined for the appendix family")
-    s1 = _newton_saddle(flow, (-1.0, 0.0))
-    s2 = _newton_saddle(flow, (1.0, 0.0))
+    s1, s2 = _continued_saddles(flow)
     u1, v1 = _eig_directions(flow.jacobian(s1))
     u2, v2 = _eig_directions(flow.jacobian(s2))
 

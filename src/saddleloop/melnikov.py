@@ -87,8 +87,9 @@ def _count_sign_changes(f, grid) -> ZeroCount:
     round."""
     vals, ok = f(grid)
     masks = [ok]
-    scale = float(np.max(np.abs(vals)))
-    if scale < 1e-13:
+    # f is linear in its coefficients, so only exact zeros everywhere
+    # mean f is zero: a small scale is no evidence
+    if not vals.any():
         raise ZeroFunctionError("function is identically zero on the grid; "
                                 "zero count is meaningless")
 

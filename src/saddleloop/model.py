@@ -19,8 +19,11 @@ two-saddle loop on the zero level set:
 Everything that tells the families apart lives here.  Each level set
 H = t solves to branch^2(u) = t/u + r(u) over the slice axis u (x for
 the normal form, y for the appendix family), with the quadratic r of
-``HamiltonianSpec.slice_r``; ``slice_span`` and ``section_ends`` place
-each annulus's ovals and transversal section on that axis.
+``HamiltonianSpec.slice_r``.  That quadratic and the annulus's center
+are all ``slice_span`` reads to place the ovals on the axis: they run
+out from the center to the root of r beyond it, the loop end.
+``section_ends`` puts each annulus's transversal section on the same
+axis.
 """
 from __future__ import annotations
 
@@ -57,10 +60,6 @@ class OvalRangeError(ValueError):
     """Energy or annulus outside what the spec carries."""
 
 
-def _normal_form_r(a: float) -> tuple[float, float, float]:
-    return -3.0 * (a - 2.0), 3.0 * (a - 1.0), -a
-
-
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Which family, plus its parameter."""
@@ -88,7 +87,7 @@ class HamiltonianSpec:
         """(r0, r1, r2) of r(u) = r2*u^2 + r1*u + r0, where every oval
         H = t solves branch^2(u) = t/u + r(u) on the slice axis."""
         if self.family is Family.NORMAL_FORM:
-            return _normal_form_r(self.a)
+            return -3.0 * (self.a - 2.0), 3.0 * (self.a - 1.0), -self.a
         return 1.0, 0.0, -1.0 / 12.0
 
     def eval_H(self, x: float, y: float) -> float:
@@ -161,55 +160,28 @@ def critical_data(spec: HamiltonianSpec) -> CriticalData:
     return CriticalData(center0, saddles, center1)
 
 
-def _r_roots(a: float) -> list[float]:
-    """Both real roots of the normal-form r(x) for a != 0, polished to
-    machine precision."""
-    r0, r1, r2 = _normal_form_r(a)
-    disc = 9.0 * (a - 1.0) ** 2 - 12.0 * a * (a - 2.0)
-    if disc < 0.0:
-        raise OvalRangeError(f"r(x) has no real roots for a={a}")
-    sq = math.sqrt(disc)
-    roots = []
-    for x in ((r1 + sq) / (-2.0 * r2), (r1 - sq) / (-2.0 * r2)):
-        for _ in range(2):
-            x -= (r2 * x * x + r1 * x + r0) / (2.0 * r2 * x + r1)
-        roots.append(x)
-    return roots
-
-
-def x1_loop_root(a: float) -> float:
-    """Smaller positive root of the normal-form r(x); right corner of the
-    loop on y=0."""
-    if a == 0.0:
-        return 2.0
-    pos = sorted(x for x in _r_roots(a) if x > 0.0)
-    if not pos:
-        raise OvalRangeError(f"r(x) has no positive root for a={a}")
-    return pos[0]
-
-
-def x_ell_left(a: float) -> float:
-    """Negative root of the normal-form r(x) (left corner of the
-    ellipse), a in (0, 2)."""
-    neg = [x for x in _r_roots(a) if x < 0.0]
-    if not neg:
-        raise OvalRangeError(f"r(x) has no negative root for a={a}")
-    return neg[0]
-
-
 def slice_span(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, float]:
     """(u_c, u_r) on the slice axis: the center the annulus surrounds and
-    the root of r beyond it.  Every oval of the annulus crosses the axis
-    once between 0 and u_c and once between u_c and u_r."""
+    the root of r (``HamiltonianSpec.slice_r``) nearest it on the far
+    side from u = 0.  Every oval of the annulus crosses the axis once
+    between 0 and u_c and once between u_c and u_r."""
     center = critical_data(spec).center_of(annulus)
-    if spec.family is Family.APPENDIX_ELLIPSE:
-        return center.xy[1], math.sqrt(12.0)
-    if annulus is Annulus.SIGMA_MINUS:
-        return center.xy[0], x_ell_left(spec.a)
-    if not spec.two_saddle_loop:
+    if annulus is Annulus.SIGMA_PLUS and not spec.two_saddle_loop:
         raise OvalRangeError(f"no two-saddle loop for a={spec.a}; "
                              "SigmaPlus undefined")
-    return center.xy[0], x1_loop_root(spec.a)
+    uc = center.xy[0 if spec.slice_axis == "x" else 1]
+    # r(u_c + v) = r2*v^2 + s1*v + s0, whose roots q/r2 and s0/q are
+    # free of cancellation (s0/q alone when r2 == 0)
+    r0, r1, r2 = spec.slice_r()
+    s0, s1 = (r2 * uc + r1) * uc + r0, 2.0 * r2 * uc + r1
+    disc = s1 * s1 - 4.0 * r2 * s0
+    q = -0.5 * (s1 + math.copysign(math.sqrt(max(disc, 0.0)), s1))
+    vs = (s0 / q, q / r2) if r2 != 0.0 else (s0 / q,)
+    beyond = [v for v in vs if v * uc > 0.0]
+    if disc < 0.0 or not beyond:
+        raise OvalRangeError(f"r(u) has no real root beyond u_c={uc} "
+                             f"for a={spec.a}")
+    return uc, uc + min(beyond, key=abs)
 
 
 def section_ends(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, float]:

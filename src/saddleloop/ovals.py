@@ -18,13 +18,13 @@ quadrature downstream removes the endpoint sqrt singularity with
 u = mid + halfwidth*sin(theta).
 
 Endpoints are bracketed on either side of the annulus's center u_c:
-one toward the singular line u = 0, one toward the root of r beyond
-u_c (``model.slice_span``; the cubic has exactly one root in each
-bracket).  ``slice_grid`` solves the endpoints of a whole energy grid
-together (``_roots``): each starts from the cubic's closed-form root in
-w = 1/(u - u_c), takes two Newton steps, and is kept where the cubic
-changes sign within its rounding bound; the few that fail go to one
-lockstep Illinois search (``lockstep.illinois``) on their brackets.
+one from the singular line u = 0, where c(u) = t, one out to the root
+of r beyond u_c (``model.slice_span``); the cubic has exactly one root
+in each bracket.  ``slice_grid`` solves the endpoints of a whole energy
+grid together (``_roots``): each starts from the cubic's closed-form
+root in w = 1/(u - u_c), takes two Newton steps, and is kept where the
+cubic changes sign within its rounding bound; the few that fail go to
+one lockstep Illinois search (``lockstep.illinois``) on their brackets.
 ``slice_oval`` is its one-energy view.  Sections come from
 ``model.section_ends`` and lie on the slice axis, so their energy chart
 energy(s) = t is the same cubic: ``SectionSegment.coord_for_energy``
@@ -71,11 +71,12 @@ def phi_prime(r, third_root, u):
 
 @dataclass(frozen=True)
 class OvalSlice:
-    """One closed oval, as a graph over its projection interval on the
-    slice axis: branch_sq(u) = t/u + r(u), with ``r`` = (r0, r1, r2)
-    from ``HamiltonianSpec.slice_r``.  ``third_root`` is the remaining
-    root of the defining cubic; the factored weight is
-    branch_sq(u) = (u-lo)*(hi-u)*phi(u).
+    """One closed oval, as a graph over its projection interval [lo, hi]
+    on the slice axis (``spec.slice_axis``): branch_sq(u) = t/u + r(u),
+    with ``r`` = (r0, r1, r2) from ``HamiltonianSpec.slice_r``.
+    ``third_root`` is the remaining root of the defining cubic; the
+    factored weight is branch_sq(u) = (u-lo)*(hi-u)*phi(r, third_root, u),
+    with ``phi`` and ``phi_prime`` the module's functions.
 
     ``slice_grid`` returns the slices of a whole energy grid as one
     OvalSlice whose t, lo, hi, third_root and degenerate are arrays.
@@ -89,20 +90,6 @@ class OvalSlice:
     r: tuple[float, float, float]
     third_root: float
     degenerate: bool = False
-
-    @property
-    def axis(self) -> str:
-        return self.spec.slice_axis
-
-    def branch_sq(self, u):
-        r0, r1, r2 = self.r
-        return self.t / u + (r2 * u * u + r1 * u + r0)
-
-    def phi(self, u):
-        return phi(self.r, self.third_root, u)
-
-    def phi_prime(self, u):
-        return phi_prime(self.r, self.third_root, u)
 
 
 def _cubic(r, t):
@@ -186,12 +173,16 @@ def _roots(r, t, lo, hi, uc):
 
 
 def _slice_brackets(spec: HamiltonianSpec, annulus: Annulus, ts):
-    """Brackets [lo_end, u_c] and [u_c, hi_end] of the two endpoints of
-    every slice of the grid, as (lo_end, hi_end, u_c, degenerate mask).
+    """(lo_end, hi_end, u_c, degenerate mask) for a grid of energies:
+    the two endpoints of every slice lie in [lo_end, u_c] and
+    [u_c, hi_end].
 
     One endpoint lies between the singular line u = 0 and the center
-    u_c, the other between u_c and the root u_r of r beyond it.  The
-    annulus runs from its center's energy to the loop energy 0.
+    u_c, the other between u_c and the root u_r of r beyond it
+    (``model.slice_span``).  At u = 0 the cubic t + u*r(u) is t itself,
+    so 0 is the inner end of every bracket; the outer end sits just
+    past u_r.  The annulus runs from its center's energy to the loop
+    energy 0.
     """
     t_center = critical_data(spec).center_of(annulus).energy
     uc, ur = slice_span(spec, annulus)
@@ -209,20 +200,10 @@ def _slice_brackets(spec: HamiltonianSpec, annulus: Annulus, ts):
                 f"got t={float(ts[np.argmax(bad)])!r}")
     degenerate = ts == t_center if annulus is Annulus.SIGMA_MINUS \
         else np.zeros(ts.shape, dtype=bool)
-    r0, r1, r2 = spec.slice_r()
-    # |r| bound on the inner side keeps the inner bracket end's cubic
-    # t + u*r(u) on the sign of t
-    rmax = max(abs(r0), abs(r2 * uc * uc + r1 * uc + r0))
-    if r2 != 0.0:
-        uv = -r1 / (2.0 * r2)  # vertex of r
-        if min(uc, 0.0) < uv < max(uc, 0.0):
-            rmax = max(rmax, abs(r2 * uv * uv + r1 * uv + r0))
-    inner = np.copysign(np.minimum(abs(uc) / 2.0, np.abs(ts) / (rmax + 1.0)),
-                        uc)
-    outer = np.full(ts.shape, ur * (1.0 + 1e-9) + math.copysign(1e-12, ur))
+    outer = ur * (1.0 + 1e-9) + math.copysign(1e-12, ur)
     if uc > 0.0:
-        return inner, outer, uc, degenerate
-    return outer, inner, uc, degenerate
+        return 0.0, outer, uc, degenerate
+    return outer, 0.0, uc, degenerate
 
 
 def slice_grid(spec: HamiltonianSpec, annulus: Annulus, ts) -> OvalSlice:
@@ -239,9 +220,8 @@ def slice_grid(spec: HamiltonianSpec, annulus: Annulus, ts) -> OvalSlice:
     lo, hi = np.full(ts.shape, uc), np.full(ts.shape, uc)
     third = np.zeros(ts.shape)
     i = np.flatnonzero(~degenerate)
-    center = np.full(i.size, uc)
-    ends = _roots(r, np.tile(ts[i], 2), np.concatenate([lo_end[i], center]),
-                  np.concatenate([center, hi_end[i]]), uc)
+    ends = _roots(r, np.tile(ts[i], 2), np.repeat([lo_end, uc], i.size),
+                  np.repeat([uc, hi_end], i.size), uc)
     lo[i], hi[i] = ends[:i.size], ends[i.size:]
     _, r1, r2 = r
     # Vieta: the cubic's roots sum to -r1/r2

@@ -20,7 +20,7 @@ from saddleloop.abelian import (
     triple,
     triples_on_grid,
 )
-from saddleloop.ovals import slice_oval
+from saddleloop.ovals import phi, slice_oval
 
 from oracle_values import (
     APPENDIX_MOMENTS,
@@ -165,7 +165,7 @@ def _quadpack_jk(sl, k):
     def f(theta):
         x = m + w * math.sin(theta)
         c = math.cos(theta)
-        return x**k * math.sqrt(sl.phi(x)) * c * c
+        return x**k * math.sqrt(phi(sl.r, sl.third_root, x)) * c * c
 
     q = 0.25 * abelian.QUAD_TOL / max(w * w, 1e-30)
     val, _ = quad(f, -0.5 * math.pi, 0.5 * math.pi, epsabs=q, epsrel=q,

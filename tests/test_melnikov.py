@@ -61,6 +61,19 @@ def test_count_zeros_rejects_zero_function(spec_a1):
         count_zeros(spec_a1, MelnikovCoeffs(0.0, 0.0), Annulus.SIGMA_PLUS)
 
 
+def test_count_zeros_independent_of_scale(spec_a1):
+    # M is linear in its coefficients: scaled by 2**-50 it has the same
+    # zeros to the bit, and a small M is not an identically zero one
+    zc = count_zeros(spec_a1, MelnikovCoeffs(1.0, -1.19), Annulus.SIGMA_PLUS)
+    assert zc.count == 1
+    scaled = MelnikovCoeffs(2.0**-50, -1.19 * 2.0**-50)
+    assert count_zeros(spec_a1, scaled, Annulus.SIGMA_PLUS) == zc
+    small = count_zeros(spec_a1, MelnikovCoeffs(1e-14, -1.19e-14),
+                        Annulus.SIGMA_PLUS)
+    assert small.count == 1
+    assert abs(small.zeros[0] - zc.zeros[0]) < 1e-10
+
+
 def test_pure_gamma_zero_free_near_loop(spec_a1):
     # the x^{-1} integral is positive and log-divergent at the loop, so
     # a pure-gamma function cannot vanish near it

@@ -1,6 +1,7 @@
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -8,9 +9,9 @@ from scipy.optimize import brentq
 from saddleloop import ovals
 from saddleloop.centroid import default_grid
 from saddleloop.model import (Annulus, Family, HamiltonianSpec, critical_data,
-                              x1_loop_root)
-from saddleloop.ovals import (OvalRangeError, section_segment, slice_grid,
-                              slice_oval)
+                              slice_span)
+from saddleloop.ovals import (OvalRangeError, phi, phi_prime, section_segment,
+                              slice_grid, slice_oval)
 
 NF, APP = Family.NORMAL_FORM, Family.APPENDIX_ELLIPSE
 
@@ -24,31 +25,39 @@ SLICE_CASES = pytest.mark.parametrize("family,a,annulus,t", [
 ], ids=["a1-plus", "a-0.5-plus", "a0-plus", "a0.5-minus", "appendix"])
 
 
+def _branch_sq(sl, u):
+    # branch^2(u) = t/u + r(u) on the slice axis
+    r0, r1, r2 = sl.r
+    return sl.t / u + (r2 * u * u + r1 * u + r0)
+
+
 @SLICE_CASES
 def test_slice_endpoints_lie_on_level_set(family, a, annulus, t):
     spec = HamiltonianSpec(family=family, a=a)
     sl = slice_oval(spec, annulus, t)
     for u in (sl.lo, sl.hi):
-        x, y = (u, 0.0) if sl.axis == "x" else (0.0, u)
+        x, y = (u, 0.0) if spec.slice_axis == "x" else (0.0, u)
         assert spec.eval_H(x, y) == pytest.approx(t, abs=1e-10)
     # interior of the span carries a real branch
     um = 0.5 * (sl.lo + sl.hi)
-    assert sl.branch_sq(um) > 0.0
+    assert _branch_sq(sl, um) > 0.0
 
 
 @SLICE_CASES
 def test_slice_factored_weight_consistent(family, a, annulus, t):
     sl = slice_oval(HamiltonianSpec(family=family, a=a), annulus, t)
     for u in np.linspace(sl.lo + 1e-3, sl.hi - 1e-3, 7):
-        direct = sl.branch_sq(u)
-        factored = (u - sl.lo) * (sl.hi - u) * sl.phi(u)
+        direct = _branch_sq(sl, u)
+        weight = phi(sl.r, sl.third_root, u)
+        factored = (u - sl.lo) * (sl.hi - u) * weight
         assert direct == pytest.approx(factored, rel=1e-12)
-        assert sl.phi(u) > 0.0
+        assert weight > 0.0
     # phi_prime by central difference
     u0 = 0.5 * (sl.lo + sl.hi)
     d = 1e-6
-    fd = (sl.phi(u0 + d) - sl.phi(u0 - d)) / (2 * d)
-    assert sl.phi_prime(u0) == pytest.approx(fd, abs=1e-8)
+    fd = (phi(sl.r, sl.third_root, u0 + d)
+          - phi(sl.r, sl.third_root, u0 - d)) / (2 * d)
+    assert phi_prime(sl.r, sl.third_root, u0) == pytest.approx(fd, abs=1e-8)
 
 
 def _exact_root(r, t, u):
@@ -190,7 +199,7 @@ def test_sigma_minus_slice_negative_x(spec_a05):
 
 def test_appendix_slice(appendix_spec):
     sl = slice_oval(appendix_spec, Annulus.SIGMA_PLUS, -0.5)
-    assert sl.axis == "y"
+    assert sl.spec.slice_axis == "y"
     assert 0.0 < sl.lo < 2.0 < sl.hi
     for u in (sl.lo, sl.hi):
         assert appendix_spec.eval_H(0.0, u) == pytest.approx(-0.5, abs=1e-10)
@@ -198,14 +207,41 @@ def test_appendix_slice(appendix_spec):
         slice_oval(appendix_spec, Annulus.SIGMA_MINUS, 0.5)
 
 
-def test_x1_loop_root(spec_a1):
-    x1 = x1_loop_root(spec_a1.a)
-    assert x1 == pytest.approx(math.sqrt(3.0), rel=1e-14)
-    # r(x1) = 0 for general a
-    for a in (0.5, 1.5, -0.5):
-        x1 = x1_loop_root(a)
-        r = -a * x1**2 + 3 * (a - 1) * x1 - 3 * (a - 2)
-        assert abs(r) < 1e-12
+def _exact_r_root(r, u):
+    # Newton on r in 50-digit arithmetic, started at the float root
+    with mpmath.workdps(50):
+        r0, r1, r2 = (mpmath.mpf(v) for v in r)
+        x = mpmath.mpf(u)
+        for _ in range(8):
+            x -= (r2 * x * x + r1 * x + r0) / (2 * r2 * x + r1)
+        return x
+
+
+@pytest.mark.parametrize("family,a", [(NF, a) for a in (
+    0.0, 1e-12, -1e-12, -0.999999, 0.5, 1.0, 1.5, 1.999999)] + [(APP, 1.0)])
+def test_loop_root_as_accurate_as_r(family, a):
+    # slice_span's loop end u_r is within the rounding of r at it, eps
+    # times r's summed term magnitudes over |r'(u_r)|, of r's exact
+    # root, and lies beyond the center, on the far side from u = 0,
+    # with r's other root outside [u_c, u_r]
+    spec = HamiltonianSpec(family=family, a=a)
+    r0, r1, r2 = r = spec.slice_r()
+    annuli = [Annulus.SIGMA_PLUS] + ([Annulus.SIGMA_MINUS]
+                                     if family is NF and 0.0 < a < 2.0 else [])
+    for annulus in annuli:
+        uc, ur = slice_span(spec, annulus)
+        terms = abs(r2) * ur * ur + abs(r1 * ur) + abs(r0)
+        bound = np.finfo(float).eps * (terms / abs(2.0 * r2 * ur + r1)
+                                       + abs(ur))
+        assert abs(float(_exact_r_root(r, ur) - ur)) <= bound, annulus
+        assert 0.0 < uc / ur < 1.0, annulus
+        if r2 != 0.0:
+            other = -r1 / r2 - ur
+            assert (other - uc) * (other - ur) > 0.0, annulus
+    if (family, a) == (NF, 1.0):
+        assert slice_span(spec, Annulus.SIGMA_PLUS)[1] == math.sqrt(3.0)
+    if family is APP:
+        assert slice_span(spec, Annulus.SIGMA_PLUS)[1] == math.sqrt(12.0)
 
 
 def test_section_energy_chart_monotone(spec_a1):
