@@ -7,20 +7,13 @@ The endpoint square-root vanishing is removed exactly by
 x = mid + halfwidth*sin(theta).  The loop limits J_0(0) and J_1(0) of
 either annulus (``jk_at_loop``) are the one source of loop-end values.
 
-Appendix-family ovals are y-graphs; this module provides their closed
-oval moments oint y^m dx (counterclockwise, the orientation pinned by
-the connection integral below), each grid with its converged mask, and
-the open line integral along the upper loop connection Gamma2 (upper
-half-ellipse, (1,0) -> (-1,0)).
-
 Every integral here comes from one lockstep adaptive Gauss-Kronrod
 kernel (``_gk21``): QUADPACK's 21-point rule and error estimate
 (Piessens et al., *QUADPACK*, Springer 1983), with the lanes of a whole
 energy grid, one per (energy, integrand) pair, refined together as
 numpy arrays; scipy's quad is not used.  Sums over nodes and panels run in a fixed order, so a
-lane gives the same bits alone as in any batch; ``triple``,
-``jk_on_slice`` and ``appendix_oval_integral`` are one-lane views of
-the grid functions.
+lane gives the same bits alone as in any batch; ``triple`` and
+``jk_on_slice`` are one-lane views of the grid functions.
 """
 from __future__ import annotations
 
@@ -298,43 +291,15 @@ def jk_at_loop(spec: HamiltonianSpec, annulus: Annulus, k: int) -> float:
 
 
 # --- appendix-family integrals ------------------------------------------
-
-
-def _appendix_integrals(spec: HamiltonianSpec, hs, fe, n_forms: int, tol):
-    """oint f_j dx over the ovals H = h for every h of hs and each of
-    n_forms integrands, one lane per (h, j); ``fe(x2, y, j)`` evaluates
-    integrand j per node.  Returns (values, errors, converged) of shape
-    (len(hs), n_forms)."""
-    if spec.family is not Family.APPENDIX_ELLIPSE:
-        raise ValueError("oval moments in this form apply to the appendix family")
-    _check_tol(tol)
-    g = slice_grid(spec, Annulus.SIGMA_PLUS, hs)
-    e = np.repeat(np.arange(len(g.t)), n_forms)
-    form = np.tile(np.arange(n_forms), len(g.t))
-    w = 0.5 * (g.hi - g.lo)[e]
-    m = 0.5 * (g.hi + g.lo)[e]
-    third = g.third_root[e]
-
-    def f(theta, i):
-        s = np.sin(theta)
-        c = np.cos(theta)
-        wi = w[i]
-        y = m[i] + wi * s
-        ph = phi(g.r, third[i], y)
-        php = phi_prime(g.r, third[i], y)
-        x2 = wi * wi * c * c * ph
-        num = wi * wi * c * c * php - 2.0 * wi * ph * s
-        return fe(x2, y, form[i]) * num / np.sqrt(ph)
-
-    out = _gk21(f, e.size, -HALF_PI, HALF_PI, tol)
-    return tuple(x.reshape(len(g.t), n_forms) for x in out)
+# The program takes appendix integrals from a = 1 (``melnikov``); this
+# one-lane integral stays while the benchmark tracer hooks it by name.
 
 
 def appendix_oval_integral(
         spec: HamiltonianSpec, h: float,
         fe: Callable[[float, float], float]) -> tuple[float, float, bool]:
-    """oint f dx over the oval H = h, counterclockwise, for f even in x,
-    at QUAD_TOL.
+    """oint f dx over the appendix oval H = h, counterclockwise, for f
+    even in x, at QUAD_TOL.
 
     ``fe(x2, y)`` is f expressed through x^2 (odd-in-x parts integrate
     to zero by symmetry and are rejected by construction), evaluated
@@ -342,41 +307,24 @@ def appendix_oval_integral(
     closed integral reduces to int f_e * G'/sqrt(G) dy, which the sin
     substitution makes smooth.
     """
-    val, err, ok = _appendix_integrals(
-        spec, [h], lambda x2, y, _: fe(x2, y), 1, QUAD_TOL)
-    return float(val[0, 0]), float(err[0, 0]), bool(ok[0, 0])
-
-
-def appendix_moments_on_grid(
-        spec: HamiltonianSpec, hs,
-        tol: float = QUAD_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(oint y dx, oint y^2 dx, converged) over the ovals H = h of an
-    h-grid, counterclockwise, from one kernel batch; both moments of an
-    oval share its slice, and its converged entry covers both."""
-    val, _, ok = _appendix_integrals(
-        spec, hs, lambda x2, y, j: np.where(j == 0, y, y * y), 2, tol)
-    return val[:, 0], val[:, 1], ok.all(axis=1)
-
-
-def segment_integral_appendix(spec: HamiltonianSpec, integrand) -> float:
-    """Line integral of integrand(x, y) dx along Gamma2, the upper
-    half-ellipse x^2 + y^2/12 = 1 traversed (1, 0) -> (-1, 0).
-
-    ``integrand`` is a callable f(x, y), evaluated elementwise on numpy
-    arrays.
-    """
     if spec.family is not Family.APPENDIX_ELLIPSE:
-        raise ValueError("connection integrals apply to the appendix family")
+        raise ValueError("oval integrals in this form apply to the appendix family")
+    g = slice_grid(spec, Annulus.SIGMA_PLUS, [h])
+    w = 0.5 * (g.hi - g.lo)
+    m = 0.5 * (g.hi + g.lo)
 
-    # x = sin(theta), y = 2*sqrt(3)*cos(theta); endpoint at theta=pi/2
-    def g(theta, _):
-        return integrand(np.sin(theta),
-                         2.0 * math.sqrt(3.0) * np.cos(theta)) * np.cos(theta)
+    def f(theta, _):
+        s = np.sin(theta)
+        c = np.cos(theta)
+        y = m + w * s
+        ph = phi(g.r, g.third_root, y)
+        php = phi_prime(g.r, g.third_root, y)
+        x2 = w * w * c * c * ph
+        num = w * w * c * c * php - 2.0 * w * ph * s
+        return fe(x2, y) * num / np.sqrt(ph)
 
-    val, err, ok = _gk21(g, 1, -HALF_PI, HALF_PI, LIMIT_QUAD_TOL)
-    if not ok[0]:
-        raise QuadratureError(f"connection integral not converged (err={err[0]})")
-    return -float(val[0])
+    val, err, ok = _gk21(f, 1, -HALF_PI, HALF_PI, QUAD_TOL)
+    return float(val[0]), float(err[0]), bool(ok[0])
 
 
 # --- log-basis fitting ---------------------------------------------------

@@ -162,10 +162,12 @@ def criterion_4():
 
 @_criterion(5, "upper-arc closed forms", 1.0)
 def criterion_5():
-    """Closed-form arc integrals of the ellipse family."""
-    spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
-    iy = abelian.segment_integral_appendix(spec, lambda x, y: y)
-    iy2 = abelian.segment_integral_appendix(spec, lambda x, y: y * y)
+    """Closed-form arc integrals of the ellipse family.  On the loop the
+    segment y = 0 adds nothing to either moment, so the mapped a = 1
+    loop limits are the Gamma2 arc integrals."""
+    a1, plus = melnikov.APPENDIX_NORMAL_FORM, Annulus.SIGMA_PLUS
+    iy = melnikov.APPENDIX_Y_PER_J0 * abelian.jk_at_loop(a1, plus, 0)
+    iy2 = melnikov.APPENDIX_Y2_PER_J1 * abelian.jk_at_loop(a1, plus, 1)
     e1 = abs(iy + math.pi * math.sqrt(3.0))
     e2 = abs(iy2 + 16.0)
     ok = e1 <= 1e-10 and e2 <= 1e-10

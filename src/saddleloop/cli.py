@@ -190,8 +190,9 @@ def cmd_melnikov(args):
         h_center = critical_data(spec).center0.energy
         if np.any(xs >= 0.0) or np.any(xs <= h_center):
             raise ConfigError("h-grid: appendix ovals live in (-4/3, 0)")
-        vals, conv = melnikov.appendix_first_order_on_grid(spec, args.mu2, xs,
-                                                           tol=args.tol)
+        vals, conv = melnikov.values_on_grid(
+            melnikov.APPENDIX_NORMAL_FORM, melnikov.appendix_coeffs(args.mu2),
+            Annulus.SIGMA_PLUS, melnikov.APPENDIX_T_PER_H * xs, tol=args.tol)
     else:
         coeffs = MelnikovCoeffs(alpha=args.alpha, beta=args.beta,
                                 gamma=args.gamma,

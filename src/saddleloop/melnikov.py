@@ -10,34 +10,28 @@ sources elsewhere: the loop value M(0) = alpha*J_0(0) + beta*J_1(0)
 from ``abelian.jk_at_loop``, and the ln|t| and t*ln|t| terms of its
 expansion from the Picard-Fuchs series (``picard_fuchs.fundamental``).
 
-The appendix family's perturbation enters through its own first-order
-function of the oval energy, provided at the bottom of the module; like
-``values_on_grid`` it returns its values with the grid's converged
-mask, so an unconverged oval is flagged, not fatal.
-
-Both zero counts sample their function on GRID_POINTS energies and
-refine every sign change to one root with the lockstep Illinois search
-that the cycle census uses (``lockstep.grid_roots``).  The grid and each
-Illinois round are one quadrature batch (``triples_on_grid``,
-``appendix_moments_on_grid``); M is written once, on a grid triple's
-columns in ``values_on_grid``, and ``value`` is its one-energy view.
+The zero count samples M on GRID_POINTS energies and refines every sign
+change to one root with the lockstep Illinois search that the cycle
+census uses (``lockstep.grid_roots``).  The grid and each Illinois
+round are one ``triples_on_grid`` batch; M is written once, on a grid
+triple's columns in ``values_on_grid``, and ``value`` is its one-energy
+view.
 
 Each quality fact is a field of its result:
 ``ZeroCount.converged`` (every quadrature of the grid and of the
-Illinois rounds converged, for either family) and
-``ZeroCount.grid_coarse`` (two zeros within a few grid cells, so the
-grid may miss a pair between them).
+Illinois rounds converged) and ``ZeroCount.grid_coarse`` (two zeros
+within a few grid cells, so the grid may miss a pair between them).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                     critical_data, require_finite)
-from .abelian import QUAD_TOL, appendix_moments_on_grid, triples_on_grid
+from .abelian import QUAD_TOL, triples_on_grid
 from .lockstep import grid_roots
 
 
@@ -175,32 +169,41 @@ def classify_cyclicity(coeffs: MelnikovCoeffs,
                           "up to three cycles from the loop")
 
 
-def appendix_first_order_on_grid(
-        spec: HamiltonianSpec, mu2: float, hs,
-        tol: float = QUAD_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """(values, converged mask) of the first-order displacement density
-    for the appendix perturbation at every energy of an h-grid, from one
-    ``appendix_moments_on_grid`` batch.
+# The appendix family is the a = 1 normal form in another frame:
+# H_app(x, y) = y*(x^2 + y^2/12 - 1) = (2/3)*H_1(y/2, -sqrt(3)*x), so its
+# oval at energy h is the a = 1 SigmaPlus oval at t = APPENDIX_T_PER_H*h,
+# where oint y dx = APPENDIX_Y_PER_J0*J_0(t) and oint y^2 dx =
+# APPENDIX_Y2_PER_J1*J_1(t).
+APPENDIX_NORMAL_FORM = HamiltonianSpec(family=Family.NORMAL_FORM, a=1.0)
+APPENDIX_T_PER_H = 1.5
+APPENDIX_Y_PER_J0 = -2.0 / math.sqrt(3.0)
+APPENDIX_Y2_PER_J1 = -8.0 / math.sqrt(3.0)
 
-    Along closed ovals the perturbation one-form reduces to
+
+def appendix_coeffs(mu2: float) -> MelnikovCoeffs:
+    """(alpha, beta) of the appendix first-order function at a = 1.
+
+    Along closed ovals the appendix perturbation one-form reduces to
     (16 + mu2) * oint y dx - pi*sqrt(3) * oint y^2 dx: the mu1 and c*x*y
     terms integrate to zero by closedness and x -> -x symmetry.  In the
     loop limit the value tends to -pi*sqrt(3)*mu2.
     """
-    if spec.family is not Family.APPENDIX_ELLIPSE:
-        raise ValueError("defined for the appendix family")
     require_finite("mu2", mu2)
-    iy, iy2, ok = appendix_moments_on_grid(spec, hs, tol=tol)
-    return (16.0 + mu2) * iy - math.pi * math.sqrt(3.0) * iy2, ok
+    return MelnikovCoeffs(alpha=(16.0 + mu2) * APPENDIX_Y_PER_J0,
+                          beta=-math.pi * math.sqrt(3.0) * APPENDIX_Y2_PER_J1)
 
 
 def appendix_count_zeros(spec: HamiltonianSpec, mu2: float,
                          h_range) -> ZeroCount:
-    """Zero count of the appendix first-order function on an h-window,
-    found as count_zeros finds those of M."""
+    """Zero count of the appendix first-order function on an increasing
+    h-window: ``count_zeros`` on the a = 1 normal form over the mapped
+    t-window, with each zero mapped back to h."""
+    if spec.family is not Family.APPENDIX_ELLIPSE:
+        raise ValueError("defined for the appendix family")
     lo, hi = float(h_range[0]), float(h_range[1])
     if not (critical_data(spec).center0.energy < lo < hi < 0.0):
         raise ValueError("h range must lie inside (-4/3, 0)")
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    return _count_sign_changes(
-        lambda hs: appendix_first_order_on_grid(spec, mu2, hs), grid)
+    zc = count_zeros(APPENDIX_NORMAL_FORM, appendix_coeffs(mu2),
+                     Annulus.SIGMA_PLUS,
+                     (APPENDIX_T_PER_H * lo, APPENDIX_T_PER_H * hi))
+    return replace(zc, zeros=tuple(z / APPENDIX_T_PER_H for z in zc.zeros))

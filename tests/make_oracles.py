@@ -10,7 +10,7 @@ file, so the comparison stays one-directional.
     python3 tests/make_oracles.py
 """
 
-from mpmath import mp, mpf, sqrt, quad, polyroots, pi
+from mpmath import findroot, mp, mpf, sqrt, quad, polyroots, pi
 
 mp.dps = 50
 
@@ -88,6 +88,19 @@ def appendix_moments(h):
     return i_y, i_y2
 
 
+def appendix_zero(mu2, lo, hi):
+    """The zero on (lo, hi) of the appendix first-order function
+    (16 + mu2) * I_y - pi*sqrt(3) * I_y2, by a bracketed search on the
+    moments above."""
+    mu2 = mpf(mu2)
+
+    def f(h):
+        i_y, i_y2 = appendix_moments(h)
+        return (16 + mu2) * i_y - pi * sqrt(3) * i_y2
+
+    return findroot(f, (mpf(lo), mpf(hi)), solver="anderson")
+
+
 def emit(label, value, digits=22):
     print(f"    {label}: {mp.nstr(value, digits)},")
 
@@ -126,6 +139,12 @@ def main():
     for h in [-0.5, -1.0, -0.05]:
         iy, iy2 = appendix_moments(h)
         print(f"    {h}: ({mp.nstr(iy, 22)}, {mp.nstr(iy2, 22)}),")
+    print("}")
+
+    print("APPENDIX_ZEROS = {")
+    for mu2, lo, hi in [(0.657, -0.1, -0.01)]:
+        z = appendix_zero(mu2, lo, hi)
+        print(f"    ({mu2}, {lo}, {hi}): {mp.nstr(z, 22)},")
     print("}")
 
 

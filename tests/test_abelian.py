@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from saddleloop import abelian
+from saddleloop import abelian, cli
 from saddleloop.centroid import default_grid
+from saddleloop.melnikov import (APPENDIX_NORMAL_FORM, APPENDIX_T_PER_H,
+                                 APPENDIX_Y2_PER_J1, APPENDIX_Y_PER_J0)
 from saddleloop.model import Annulus, Family, HamiltonianSpec, critical_data
 from saddleloop.abelian import (
     QUAD_LIMIT,
-    appendix_moments_on_grid,
     appendix_oval_integral,
     default_log_window,
     fit_log_basis,
     jk_at_loop,
     jk_on_slice,
     log_coefficient,
-    segment_integral_appendix,
     triple,
     triples_on_grid,
 )
@@ -115,7 +115,7 @@ def test_triples_on_grid_matches_pointwise(spec_a1):
     assert type(one.converged) is bool
 
 
-def test_kernel_lanes_batch_invariant(appendix_spec):
+def test_kernel_lanes_batch_invariant():
     # a lane gives the same bits alone as in any batch
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=0.7)
     for annulus in (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS):
@@ -123,18 +123,28 @@ def test_kernel_lanes_batch_invariant(appendix_spec):
         grid = triples_on_grid(spec, annulus, ts)
         for i in range(0, len(ts), 5):
             _same_row(grid, i, triple(spec, annulus, ts[i]))
-    hs = np.linspace(-1.3, -1e-4, 25)
-    iy, iy2, ok = appendix_moments_on_grid(appendix_spec, hs)
-    assert ok.all()
-    for h, m1, m2 in zip(hs[::4], iy[::4], iy2[::4]):
-        single = np.array(appendix_moments_on_grid(appendix_spec, [h])[:2])
-        assert single.ravel().tobytes() == np.array([m1, m2]).tobytes()
+
+
+def _appendix_moments(hs):
+    """(oint y dx, oint y^2 dx, converged) on the appendix ovals of an
+    h-grid, from the a = 1 triples at the mapped energies."""
+    tr = triples_on_grid(APPENDIX_NORMAL_FORM, Annulus.SIGMA_PLUS,
+                         APPENDIX_T_PER_H * np.asarray(hs, dtype=float))
+    return APPENDIX_Y_PER_J0 * tr.j0, APPENDIX_Y2_PER_J1 * tr.j1, tr.converged
+
+
+def _appendix_loop_moments():
+    """The closed moments at h = 0 from the mapped a = 1 loop limits."""
+    j0, j1 = (jk_at_loop(APPENDIX_NORMAL_FORM, Annulus.SIGMA_PLUS, k)
+              for k in (0, 1))
+    return APPENDIX_Y_PER_J0 * j0, APPENDIX_Y2_PER_J1 * j1
 
 
 def test_one_energy_views_match_grids(spec_a05, appendix_spec):
-    # jk_on_slice and appendix_oval_integral, which the benchmark tracer
-    # wraps, carry the bits of the grid rows, the degenerate center
-    # slice of SigmaMinus included
+    # jk_on_slice, which the benchmark tracer wraps, carries the bits of
+    # the grid rows, the degenerate center slice of SigmaMinus included;
+    # appendix_oval_integral, which it wraps too, agrees with the mapped
+    # a = 1 moments
     t_center = critical_data(spec_a05).center1.energy
     for annulus in (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS):
         ts = default_grid(spec_a05, annulus, n=8)
@@ -148,13 +158,14 @@ def test_one_energy_views_match_grids(spec_a05, appendix_spec):
             assert np.array(e).tobytes() == grid.err[i].tobytes()
             assert all(ok) == grid.converged[i]
     hs = np.linspace(-1.3, -1e-3, 6)
-    iy, iy2, ok = appendix_moments_on_grid(appendix_spec, hs)
-    for h, m1, m2, conv in zip(hs, iy, iy2, ok):
+    iy, iy2, ok = _appendix_moments(hs)
+    assert ok.all()
+    for h, m1, m2 in zip(hs, iy, iy2):
         one = [appendix_oval_integral(appendix_spec, h, fe)
                for fe in (lambda x2, y: y, lambda x2, y: y * y)]
-        assert (np.array([one[0][0], one[1][0]]).tobytes()
-                == np.array([m1, m2]).tobytes())
-        assert (one[0][2] and one[1][2]) == conv
+        assert one[0][0] == pytest.approx(m1, rel=1e-12, abs=0.0)
+        assert one[1][0] == pytest.approx(m2, rel=1e-12, abs=0.0)
+        assert one[0][2] and one[1][2]
 
 
 def _quadpack_jk(sl, k):
@@ -219,11 +230,18 @@ def test_budget_exhausted_lane_flagged_and_isolated():
         assert alone[2][0]
 
 
-def test_tolerance_floor(spec_a1, appendix_spec):
+def test_tolerance_floor(spec_a1, tmp_path, capsys):
     with pytest.raises(ValueError, match="quadrature tolerance"):
         triples_on_grid(spec_a1, Annulus.SIGMA_PLUS, [-1.0], tol=1e-13)
-    with pytest.raises(ValueError, match="quadrature tolerance"):
-        appendix_moments_on_grid(appendix_spec, [-0.5], tol=1e-13)
+    # the appendix first-order function is the a = 1 grid's, behind the
+    # command line: its --tol meets the same floor, a config error
+    out = tmp_path / "m.csv"
+    code = cli.main(["melnikov", "--family", "appendix", "--mu2", "0.657",
+                     "--h-grid=-0.5:-0.1:3", "--tol", "1e-13",
+                     "--out", str(out)])
+    assert code == 2
+    assert "quadrature tolerance" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
@@ -245,29 +263,31 @@ def test_log_fit_recovers_synthetic_basis():
     assert fit.coeffs["t^1*log"] == pytest.approx(0.25, abs=1e-6)
 
 
-def test_appendix_segment_closed_forms(appendix_spec):
-    i_y = segment_integral_appendix(appendix_spec, lambda x, y: y)
-    i_y2 = segment_integral_appendix(appendix_spec, lambda x, y: y * y)
+def test_appendix_segment_closed_forms():
+    # on the loop the lower segment y = 0 adds nothing to either moment,
+    # so the closed moments at h = 0 are the Gamma2 arc integrals
+    i_y, i_y2 = _appendix_loop_moments()
     assert i_y == pytest.approx(-math.pi * math.sqrt(3.0), abs=1e-12)
     assert i_y2 == pytest.approx(-16.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("h", sorted(APPENDIX_MOMENTS))
-def test_appendix_oval_moments_against_oracle(appendix_spec, h):
-    (iy,), (iy2,), (ok,) = appendix_moments_on_grid(appendix_spec, [h])
+def test_appendix_oval_moments_against_oracle(h):
+    (iy,), (iy2,), (ok,) = _appendix_moments([h])
     ref = APPENDIX_MOMENTS[h]
     assert ok
     assert iy == pytest.approx(ref[0], rel=1e-10)
     assert iy2 == pytest.approx(ref[1], rel=1e-10)
 
 
-def test_appendix_moments_approach_loop_values(appendix_spec):
+def test_appendix_moments_approach_loop_values():
     # as h -> 0- the oval tends to the upper loop arc plus the segment,
-    # where the y and y^2 moments have known closed forms
-    (iy,), (iy2,), (ok,) = appendix_moments_on_grid(appendix_spec, [-1e-6])
+    # where the moments take the mapped loop limits
+    (iy,), (iy2,), (ok,) = _appendix_moments([-1e-6])
+    loop_y, loop_y2 = _appendix_loop_moments()
     assert ok
-    assert iy == pytest.approx(-math.pi * math.sqrt(3.0), rel=1e-3)
-    assert iy2 == pytest.approx(-16.0, rel=1e-3)
+    assert iy == pytest.approx(loop_y, rel=1e-3)
+    assert iy2 == pytest.approx(loop_y2, rel=1e-3)
 
 
 def test_loop_identity_cross_check(spec_a1):

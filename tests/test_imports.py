@@ -154,6 +154,28 @@ def test_benchmark_tracer_hooks_resolve():
         assert set(names) <= fields, cls.__name__
 
 
+def test_benchmark_witness_capture_resolves(monkeypatch):
+    # perfbench/rep.py's witness item rebinds these module attributes to
+    # capture their results, then runs criterion 9 and reads the census's
+    # cycles and the zero count's count: criterion 9 has to call both
+    # through their modules
+    from saddleloop import acceptance, flowsim, melnikov
+
+    seen = {}
+    for mod, name in ((flowsim, "census"), (melnikov, "appendix_count_zeros")):
+        def capture(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            seen[_name] = _fn(*args, **kwargs)
+            return seen[_name]
+
+        monkeypatch.setattr(mod, name, capture)
+    acceptance.criterion_9()
+    assert set(seen) == {"census", "appendix_count_zeros"}
+    # the result fields that the benchmark's checks read
+    assert [(c.stability, c.section_coordinate)
+            for c in seen["census"].cycles]
+    assert isinstance(seen["appendix_count_zeros"].count, int)
+
+
 def test_import_path_loads_no_scipy_solvers(tmp_path):
     # the runtime needs numpy only: importing every module of the
     # package and running sim --traj load no part of scipy

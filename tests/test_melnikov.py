@@ -10,16 +10,18 @@ from saddleloop.centroid import sample_curve
 from saddleloop.model import Annulus, MelnikovCoeffs
 from saddleloop.picard_fuchs import fundamental
 from saddleloop.melnikov import (
+    APPENDIX_NORMAL_FORM,
+    APPENDIX_T_PER_H,
     ZeroFunctionError,
+    appendix_coeffs,
     appendix_count_zeros,
-    appendix_first_order_on_grid,
     classify_cyclicity,
     count_zeros,
     value,
     values_on_grid,
 )
 
-from oracle_values import APPENDIX_MOMENTS, SIGMA_PLUS_TRIPLES
+from oracle_values import APPENDIX_MOMENTS, APPENDIX_ZEROS, SIGMA_PLUS_TRIPLES
 
 
 def test_value_is_oracle_combination(spec_a1):
@@ -185,36 +187,44 @@ def test_classification_table(coeffs, d0_is_zero, expected):
     assert str(classify_cyclicity(coeffs, d0_is_zero)) == expected
 
 
+def _appendix_first_order(mu2, hs):
+    """(values, converged) of the appendix first-order function on an
+    h-grid: M on the a = 1 normal form at the mapped energies."""
+    return values_on_grid(APPENDIX_NORMAL_FORM, appendix_coeffs(mu2),
+                          Annulus.SIGMA_PLUS,
+                          APPENDIX_T_PER_H * np.asarray(hs, dtype=float))
+
+
 @pytest.mark.parametrize("h", sorted(APPENDIX_MOMENTS))
-def test_appendix_first_order_from_moments(appendix_spec, h):
+def test_appendix_first_order_from_moments(h):
     iy, iy2 = APPENDIX_MOMENTS[h]
     mu2 = 0.3
     want = (16.0 + mu2) * iy - math.pi * math.sqrt(3.0) * iy2
-    (got,), (ok,) = appendix_first_order_on_grid(appendix_spec, mu2, [h])
+    (got,), (ok,) = _appendix_first_order(mu2, [h])
     assert got == pytest.approx(want, rel=1e-9)
     assert ok
 
 
-def test_appendix_loop_value_is_mu2_line(appendix_spec):
+def test_appendix_loop_value_is_mu2_line():
     # M(0-) -> -pi*sqrt(3)*mu2: the mu1 channel integrates to zero over
-    # a closed oval and the remaining terms cancel at the loop
+    # a closed oval and the remaining terms cancel at the loop, exactly
+    # in the loop limits J_0(0), J_1(0)
+    j0, j1 = (abelian.jk_at_loop(APPENDIX_NORMAL_FORM, Annulus.SIGMA_PLUS, k)
+              for k in (0, 1))
     for mu2 in (0.2, -0.4):
-        (got,), _ = appendix_first_order_on_grid(appendix_spec, mu2, [-1e-7])
-        assert got == pytest.approx(-math.pi * math.sqrt(3.0) * mu2, rel=1e-4)
+        c = appendix_coeffs(mu2)
+        want = -math.pi * math.sqrt(3.0) * mu2
+        assert c.alpha * j0 + c.beta * j1 == pytest.approx(want, rel=1e-12)
+        (got,), _ = _appendix_first_order(mu2, [-1e-7])
+        assert got == pytest.approx(want, rel=1e-4)
 
 
 def test_appendix_zero_location(appendix_spec):
     # with mu2=0.657 the first-order function changes sign once around
-    # h ~ -0.065 and nowhere in the witness window
+    # h ~ -0.061 and nowhere in the witness window
     zc = appendix_count_zeros(appendix_spec, 0.657, (-0.1, -0.01))
     assert zc.count == 1
-    assert -0.08 < zc.zeros[0] < -0.05
-    def m1(h):
-        return float(appendix_first_order_on_grid(appendix_spec, 0.657,
-                                                  [h])[0][0])
-
-    oracle = brentq(m1, -0.08, -0.05, xtol=1e-14)
-    assert abs(zc.zeros[0] - oracle) < 1e-10
+    assert abs(zc.zeros[0] - APPENDIX_ZEROS[(0.657, -0.1, -0.01)]) < 1e-10
     zc2 = appendix_count_zeros(appendix_spec, 0.657, (-0.004, -0.00115))
     assert zc2.count == 0
     assert zc.converged and zc2.converged

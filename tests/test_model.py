@@ -1,14 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
+from saddleloop.melnikov import APPENDIX_NORMAL_FORM, APPENDIX_T_PER_H
 from saddleloop.model import (
+    Annulus,
     Family,
     HamiltonianSpec,
     MelnikovCoeffs,
     PerturbationSpec,
     critical_data,
 )
+from saddleloop.ovals import slice_grid
 
 
 def grad_H(spec, x, y):
@@ -80,6 +84,29 @@ def test_appendix_critical_points():
         assert grad_H(spec, *p.xy) == (0.0, 0.0)
     assert data.center1 is None
     assert spec.two_saddle_loop
+
+
+def test_appendix_is_a1_normal_form():
+    # H_app(x, y) = (2/3)*H_1(y/2, -sqrt(3)*x): the appendix oval at
+    # energy h is the a = 1 oval at t = (3/2)*h, with X = y/2 on its axis
+    app = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
+    a1 = APPENDIX_NORMAL_FORM
+    assert a1.family is Family.NORMAL_FORM and a1.a == 1.0
+    rng = np.random.default_rng(27)
+    for x, y in rng.uniform(-3.0, 3.0, (20, 2)):
+        assert app.eval_H(x, y) == pytest.approx(
+            (2.0 / 3.0) * a1.eval_H(y / 2.0, -math.sqrt(3.0) * x),
+            rel=1e-14, abs=1e-14)
+    app_data, a1_data = critical_data(app), critical_data(a1)
+    assert APPENDIX_T_PER_H * app_data.center0.energy == a1_data.center0.energy
+    assert {APPENDIX_T_PER_H * s.energy for s in app_data.saddles} \
+        == {s.energy for s in a1_data.saddles} == {0.0}
+    hs = np.linspace(-1.3, -1e-4, 30)
+    g_app = slice_grid(app, Annulus.SIGMA_PLUS, hs)
+    g_a1 = slice_grid(a1, Annulus.SIGMA_PLUS, APPENDIX_T_PER_H * hs)
+    for u_app, u_a1 in ((g_app.lo, g_a1.lo), (g_app.hi, g_a1.hi)):
+        assert np.all(np.abs(u_app - 2.0 * u_a1)
+                      <= 4.0 * np.spacing(np.abs(u_app)))
 
 
 def test_appendix_requires_c_above_16():
