@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Annulus, Family, HamiltonianSpec, slice_span
+from .model import (APPENDIX_SPEC, Annulus, Family, HamiltonianSpec,
+                    slice_span)
 from .ovals import OvalSlice, phi, phi_prime, slice_grid
 
 HALF_PI = math.pi / 2.0
@@ -296,7 +297,7 @@ def jk_at_loop(spec: HamiltonianSpec, annulus: Annulus, k: int) -> float:
 
 
 def appendix_oval_integral(
-        spec: HamiltonianSpec, h: float,
+        h: float,
         fe: Callable[[float, float], float]) -> tuple[float, float, bool]:
     """oint f dx over the appendix oval H = h, counterclockwise, for f
     even in x, at QUAD_TOL.
@@ -307,9 +308,7 @@ def appendix_oval_integral(
     closed integral reduces to int f_e * G'/sqrt(G) dy, which the sin
     substitution makes smooth.
     """
-    if spec.family is not Family.APPENDIX_ELLIPSE:
-        raise ValueError("oval integrals in this form apply to the appendix family")
-    g = slice_grid(spec, Annulus.SIGMA_PLUS, [h])
+    g = slice_grid(APPENDIX_SPEC, Annulus.SIGMA_PLUS, [h])
     w = 0.5 * (g.hi - g.lo)
     m = 0.5 * (g.hi + g.lo)
 

@@ -42,10 +42,6 @@ class CriterionResult:
     budget_s: float
     detail: str
 
-    @property
-    def within_budget(self) -> bool:
-        return self.runtime_s < self.budget_s
-
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return (f"[{mark}] {self.number:2d}. {self.title}: {self.detail} "
@@ -204,37 +200,40 @@ def criterion_7():
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=1.0)
     curve = centroid.sample_curve(spec, Annulus.SIGMA_PLUS, n=200)
     rng = default_rng(RANDOM_LINE_SEED)
-    worst_general = 0
-    worst_vertical = 0
+    general, vertical = [], []
     for _ in range(1000):
         alpha, beta, gamma = rng.uniform(-1.0, 1.0, 3)
-        n = centroid.line_intersections(
+        general.append(centroid.line_intersections(
             curve, MelnikovCoeffs(alpha=alpha, beta=beta, gamma=gamma,
-                                  order_k=2)).count
-        worst_general = max(worst_general, n)
-        m = centroid.line_intersections(
-            curve, MelnikovCoeffs(alpha=alpha, beta=beta, gamma=0.0)).count
-        worst_vertical = max(worst_vertical, m)
-    xi_zero = centroid.line_intersections(
-        curve, MelnikovCoeffs(alpha=0.0, beta=1.0, gamma=0.0)).count
+                                  order_k=2)))
+        vertical.append(centroid.line_intersections(
+            curve, MelnikovCoeffs(alpha=alpha, beta=beta, gamma=0.0)))
+    xi_line = centroid.line_intersections(
+        curve, MelnikovCoeffs(alpha=0.0, beta=1.0, gamma=0.0))
+    worst_general = max(li.count for li in general)
+    worst_vertical = max(li.count for li in vertical)
+    xi_zero = xi_line.count
+    # a flagged count may be low, so a bound could pass wrongly
+    uncertain = sum(li.tangency_suspected or li.contains_curve
+                    for li in general + vertical + [xi_line])
     ok = (worst_general <= 2 and worst_vertical <= 1 and xi_zero == 0
-          and curve.converged)
+          and not uncertain and curve.converged)
     return ok, (f"max general {worst_general} (<=2), "
                 f"max gamma=0 {worst_vertical} (<=1), xi=0 line {xi_zero} (=0)"
+                + (f", {uncertain} counts uncertain" if uncertain else "")
                 + ("" if curve.converged else ", not converged"))
 
 
 @_criterion(8, "trace/shift first-order laws, 3x3 grid", 60.0)
 def criterion_8():
     """First-order trace and shift laws on a 3x3 mu-grid at eps=1e-3."""
-    spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
     eps = 1e-3
     grid = (-0.01, 0.007, 0.01)
     worst = {"sigma1": 0.0, "sigma2": 0.0, "b1": 0.0, "b2": 0.0}
     for mu1 in grid:
         for mu2 in grid:
             pert = PerturbationSpec(epsilon=eps, mu1=mu1, mu2=mu2, c=17.0)
-            flow = flowsim.appendix_flow(spec, pert)
+            flow = flowsim.appendix_flow(pert)
             tr = flowsim.saddle_traces(flow)
             sh = flowsim.separatrix_shifts(flow)
             exp_s1 = -16.0 + pert.c - mu2
@@ -266,15 +265,17 @@ def criterion_9():
     coords_ok = all(
         abs(c.section_coordinate - e) <= float(w["coord_tolerance"])
         for c, e in zip(res.cycles, w["expected_section_coords"]))
-    zc = melnikov.appendix_count_zeros(flow.hamiltonian, float(w["mu2"]),
+    zc = melnikov.appendix_count_zeros(float(w["mu2"]),
                                        tuple(w["energy_window"]))
+    # a coarse grid may miss a pair of zeros, so the count may be low
     ok = (n_cycles == int(w["expected_cycles"])
           and list(stabs) == list(w["expected_stabilities"])
           and coords_ok
           and zc.count <= int(w["melnikov_max_zeros"])
-          and zc.converged)
+          and not zc.grid_coarse and zc.converged)
     return ok, (f"census {n_cycles} cycles {stabs}, "
                 f"first-order zeros {zc.count} (<= {w['melnikov_max_zeros']})"
+                + (", grid coarse" if zc.grid_coarse else "")
                 + ("" if zc.converged else ", not converged"))
 
 

@@ -95,10 +95,7 @@ def default_grid(spec: HamiltonianSpec, annulus: Annulus,
     if n < 4:
         raise ValueError("need at least 4 samples")
     t_center = critical_data(spec).center_of(annulus).energy
-    if annulus is Annulus.SIGMA_PLUS:
-        t_loop = -LOOP_MARGIN * abs(t_center)
-    else:
-        t_loop = LOOP_MARGIN * t_center
+    t_loop = LOOP_MARGIN * t_center
     v0 = 2.0 / math.pi * math.sqrt(CENTER_MARGIN)
     v = np.linspace(v0, 1.0, n)
     s = 0.5 * (1.0 - np.cos(math.pi * v))
@@ -106,16 +103,14 @@ def default_grid(spec: HamiltonianSpec, annulus: Annulus,
     return np.sort(ts)
 
 
-def sample_curve(spec: HamiltonianSpec, annulus: Annulus, t_grid=None,
+def sample_curve(spec: HamiltonianSpec, annulus: Annulus,
                  n: int = CURVE_POINTS,
                  tol: float = QUAD_TOL) -> CentroidCurve:
-    """Sample the centroid curve on t_grid, or on default_grid(n)."""
+    """Sample the centroid curve on default_grid(n)."""
     if spec.family is not Family.NORMAL_FORM:
         raise ValueError("centroid curves are defined for the normal-form "
                          "family")
-    if t_grid is None:
-        t_grid = default_grid(spec, annulus, n=n)
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    t_grid = default_grid(spec, annulus, n=n)
     tr = triples_on_grid(spec, annulus, t_grid, tol=tol)
     if np.any(tr.j0 == 0.0):
         raise ArithmeticError("J_0 vanished on the grid; orientation "
@@ -129,19 +124,11 @@ def sample_curve(spec: HamiltonianSpec, annulus: Annulus, t_grid=None,
 
 @dataclass(frozen=True)
 class ShapeReport:
-    n: int
-    xi_decreasing: bool
-    eta_increasing: bool
-    curvature_constant_sign: bool
-    curvature_sign: int         # sign of cross products along increasing t
-    expected_curvature_sign: int
-    first_violation: str | None
+    first_violation: str | None     # None when the curve has the shape
 
     @property
     def passed(self) -> bool:
-        return (self.xi_decreasing and self.eta_increasing
-                and self.curvature_constant_sign
-                and self.curvature_sign == self.expected_curvature_sign)
+        return self.first_violation is None
 
 
 # Cross product of consecutive secants along increasing t.  On the plus
@@ -151,32 +138,25 @@ _EXPECTED_CURVATURE = {Annulus.SIGMA_PLUS: -1, Annulus.SIGMA_MINUS: 1}
 
 
 def verify_shape(curve: CentroidCurve) -> ShapeReport:
+    """The first of: xi not decreasing, eta not increasing, the
+    curvature sign not constant or not the annulus's."""
     if len(curve) < 20:
         raise ValueError("shape verification needs at least 20 samples")
     dxi = np.diff(curve.xi)
     deta = np.diff(curve.eta)
-    violation = None
-    xi_dec = bool(np.all(dxi < 0.0))
-    if not xi_dec:
-        violation = f"xi not decreasing at index {int(np.argmax(dxi >= 0.0))}"
-    eta_inc = bool(np.all(deta > 0.0))
-    if eta_inc is False and violation is None:
-        violation = f"eta not increasing at index {int(np.argmax(deta <= 0.0))}"
-    cross = dxi[:-1] * deta[1:] - deta[:-1] * dxi[1:]
-    signs = np.sign(cross)
-    constant = bool(np.all(signs == signs[0])) and signs[0] != 0.0
-    if not constant and violation is None:
-        violation = "curvature sign not constant"
-    sign = int(signs[0]) if constant else 0
+    signs = np.sign(dxi[:-1] * deta[1:] - deta[:-1] * dxi[1:])
     expected = _EXPECTED_CURVATURE[curve.annulus]
-    if constant and sign != expected and violation is None:
-        violation = f"curvature sign {sign}, expected {expected}"
-    return ShapeReport(n=len(curve), xi_decreasing=xi_dec,
-                       eta_increasing=eta_inc,
-                       curvature_constant_sign=constant,
-                       curvature_sign=sign,
-                       expected_curvature_sign=expected,
-                       first_violation=violation)
+    if not np.all(dxi < 0.0):
+        violation = f"xi not decreasing at index {int(np.argmax(dxi >= 0.0))}"
+    elif not np.all(deta > 0.0):
+        violation = f"eta not increasing at index {int(np.argmax(deta <= 0.0))}"
+    elif not np.all(signs == signs[0]) or signs[0] == 0.0:
+        violation = "curvature sign not constant"
+    elif signs[0] != expected:
+        violation = f"curvature sign {int(signs[0])}, expected {expected}"
+    else:
+        violation = None
+    return ShapeReport(violation)
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__, abelian, acceptance, centroid, melnikov, picard_fuchs
 from .flowsim import (CENSUS_POINTS, FLOW_TOL, RETURN_T_MAX, FlowSpec,
                       QuadraticOneForm, appendix_flow, census, integrate)
-from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
-                    PerturbationSpec, critical_data)
+from .model import (APPENDIX_SPEC, Annulus, Family, HamiltonianSpec,
+                    MelnikovCoeffs, PerturbationSpec, critical_data)
 
 OUT_DIR_ENV = "SADDLELOOP_OUT_DIR"
 TRAJ_T = 100.0          # sim --traj duration when --T is not given
@@ -123,12 +123,6 @@ def _write_manifest(path: Path, config: dict, artifacts: list[str],
     })
 
 
-def _spec_for(args) -> HamiltonianSpec:
-    if args.family == "appendix":
-        return HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
-    return HamiltonianSpec(family=Family.NORMAL_FORM, a=args.a)
-
-
 def _artifact(cmd):
     """The tail every artifact command shares.  cmd(args) writes its
     artifact and returns (path, quality flags); the manifest echoes
@@ -184,10 +178,9 @@ def cmd_pf(args):
 @_artifact
 def cmd_melnikov(args):
     out = _out_path(args, "melnikov.csv")
-    spec = _spec_for(args)
     if args.family == "appendix":
         col, xs = "h", _parse_grid(args.h_grid, "h-grid")
-        h_center = critical_data(spec).center0.energy
+        h_center = critical_data(APPENDIX_SPEC).center0.energy
         if np.any(xs >= 0.0) or np.any(xs <= h_center):
             raise ConfigError("h-grid: appendix ovals live in (-4/3, 0)")
         vals, conv = melnikov.values_on_grid(
@@ -197,6 +190,7 @@ def cmd_melnikov(args):
         coeffs = MelnikovCoeffs(alpha=args.alpha, beta=args.beta,
                                 gamma=args.gamma,
                                 order_k=2 if args.gamma else 1)
+        spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=args.a)
         col, xs = "t", _parse_grid(args.t_grid, "t-grid")
         vals, conv = melnikov.values_on_grid(spec, coeffs,
                                              _annulus(args.annulus), xs,
@@ -221,14 +215,14 @@ def cmd_centroid(args):
 
 
 def _sim_flow(args) -> FlowSpec:
-    spec = _spec_for(args)
     if args.family == "appendix":
         pert = PerturbationSpec(epsilon=args.eps, mu1=args.mu1, mu2=args.mu2,
                                 c=args.c)
-        return appendix_flow(spec, pert, tol=args.tol)
+        return appendix_flow(pert, tol=args.tol)
     f = _parse_coeffs(args.f, "f") if args.f else (0.0,) * 6
     g = _parse_coeffs(args.g, "g") if args.g else (0.0,) * 6
     one_form = QuadraticOneForm(f=f, g=g)
+    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=args.a)
     return FlowSpec(hamiltonian=spec, epsilon=args.eps, one_form=one_form,
                     tol=args.tol)
 

@@ -39,8 +39,9 @@ from functools import cached_property
 import numpy as np
 
 from .lockstep import advance, grid_roots
-from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
-                    PerturbationSpec, critical_data, require_finite)
+from .model import (APPENDIX_SPEC, Annulus, Family, HamiltonianSpec,
+                    MelnikovCoeffs, PerturbationSpec, critical_data,
+                    require_finite)
 from .ovals import SectionSegment, section_segment
 
 FLOW_TOL = 1e-10            # integrator rtol of a flow unless it sets its own
@@ -103,14 +104,6 @@ class QuadraticOneForm:
     def gamma_type(cls, c: float = 1.0) -> "QuadraticOneForm":
         return cls(f=(0.0, 0.0, 0.0, 0.0, 0.0, 0.5 * c))
 
-    @classmethod
-    def appendix(cls, spec: HamiltonianSpec,
-                 pert: PerturbationSpec) -> "QuadraticOneForm":
-        if spec.family is not Family.APPENDIX_ELLIPSE:
-            raise ValueError("appendix one-form requires the appendix family")
-        return cls(f=(pert.mu1, 0.0, 16.0 + pert.mu2, 0.0, pert.c,
-                      -math.pi * math.sqrt(3.0)))
-
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -157,10 +150,12 @@ class FlowSpec:
         return self.hamiltonian.eval_H(z[0], z[1])
 
 
-def appendix_flow(spec: HamiltonianSpec, pert: PerturbationSpec,
-                  tol: float = FLOW_TOL) -> FlowSpec:
-    return FlowSpec(hamiltonian=spec, epsilon=pert.epsilon,
-                    one_form=QuadraticOneForm.appendix(spec, pert), tol=tol)
+def appendix_flow(pert: PerturbationSpec, tol: float = FLOW_TOL) -> FlowSpec:
+    """The appendix flow, with the one-form of the module docstring."""
+    f = (pert.mu1, 0.0, 16.0 + pert.mu2, 0.0, pert.c,
+         -math.pi * math.sqrt(3.0))
+    return FlowSpec(hamiltonian=APPENDIX_SPEC, epsilon=pert.epsilon,
+                    one_form=QuadraticOneForm(f=f), tol=tol)
 
 
 @dataclass
@@ -321,20 +316,21 @@ def _returns_and_slopes(flow: FlowSpec, section: SectionSegment, s,
     return q[c], field(z[:2])[o] / field(q[:2])[o] * np.exp(q[2])
 
 
-def return_map(flow: FlowSpec, section: SectionSegment, s: float,
-               T_max: float = RETURN_T_MAX) -> ReturnResult:
-    """First return to the section in the flow direction: one lane of
-    return_maps.  No-return outcomes are reported as data, not errors."""
-    lanes = return_maps(flow, section, s, T_max=T_max)
+def return_map(flow: FlowSpec, section: SectionSegment,
+               s: float) -> ReturnResult:
+    """First return to the section in the flow direction within
+    RETURN_T_MAX: one lane of return_maps.  No-return outcomes are
+    reported as data, not errors."""
+    lanes = return_maps(flow, section, s, T_max=RETURN_T_MAX)
     if lanes.reason[0] != "ok":
         return ReturnResult(None, str(lanes.reason[0]), None)
     return ReturnResult(float(lanes.s_return[0]), "ok",
                         float(lanes.t_return[0]))
 
 
-def displacement(flow: FlowSpec, section: SectionSegment, s: float,
-                 T_max: float = RETURN_T_MAX) -> float | None:
-    res = return_map(flow, section, s, T_max=T_max)
+def displacement(flow: FlowSpec, section: SectionSegment,
+                 s: float) -> float | None:
+    res = return_map(flow, section, s)
     return None if res.s_return is None else res.s_return - s
 
 
@@ -496,8 +492,6 @@ def _continued_saddles(flow: FlowSpec) -> tuple[np.ndarray, np.ndarray]:
 class TracePair:
     sigma1: float          # at the saddle continued from (-1, 0)
     sigma2: float          # at the saddle continued from (+1, 0)
-    saddle1: tuple[float, float]
-    saddle2: tuple[float, float]
 
 
 def saddle_traces(flow: FlowSpec) -> TracePair:
@@ -507,9 +501,7 @@ def saddle_traces(flow: FlowSpec) -> TracePair:
     s1, s2 = _continued_saddles(flow)
     j1, j2 = flow.jacobian(s1), flow.jacobian(s2)
     return TracePair(sigma1=float(j1[0, 0] + j1[1, 1]),
-                     sigma2=float(j2[0, 0] + j2[1, 1]),
-                     saddle1=(float(s1[0]), float(s1[1])),
-                     saddle2=(float(s2[0]), float(s2[1])))
+                     sigma2=float(j2[0, 0] + j2[1, 1]))
 
 
 def _eig_directions(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -608,7 +600,6 @@ def alien_witness() -> dict:
 def witness_flow(witness: dict | None = None) -> FlowSpec:
     """Build the perturbed flow at the committed witness point."""
     w = alien_witness() if witness is None else witness
-    spec = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
     pert = PerturbationSpec(epsilon=float(w["epsilon"]), mu1=float(w["mu1"]),
                             mu2=float(w["mu2"]), c=float(w["c"]))
-    return appendix_flow(spec, pert)
+    return appendix_flow(pert)

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
-                    critical_data, require_finite)
+from .model import (APPENDIX_SPEC, Annulus, Family, HamiltonianSpec,
+                    MelnikovCoeffs, critical_data, require_finite)
 from .abelian import QUAD_TOL, triples_on_grid
 from .lockstep import grid_roots
 
@@ -75,30 +75,6 @@ def _default_range(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, floa
     return 1e-6 * t_center, t_center * (1.0 - 1e-3)
 
 
-def _count_sign_changes(f, grid) -> ZeroCount:
-    """Zeros of f on grid; f maps an array of points to their values
-    and a converged mask, one batch for the grid and one per Illinois
-    round."""
-    vals, ok = f(grid)
-    masks = [ok]
-    # f is linear in its coefficients, so only exact zeros everywhere
-    # mean f is zero: a small scale is no evidence
-    if not vals.any():
-        raise ZeroFunctionError("function is identically zero on the grid; "
-                                "zero count is meaningless")
-
-    def values(xs):
-        vals, ok = f(xs)
-        masks.append(ok)
-        return vals
-
-    zeros = grid_roots(values, grid, vals).tolist()
-    step = abs(grid[1] - grid[0]) if len(grid) > 1 else 0.0
-    coarse = any(z2 - z1 < 3.0 * step for z1, z2 in zip(zeros, zeros[1:]))
-    return ZeroCount(count=len(zeros), zeros=tuple(zeros), grid_coarse=coarse,
-                     converged=all(bool(m.all()) for m in masks))
-
-
 def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
                 annulus: Annulus, t_range=None) -> ZeroCount:
     """Zeros of M on the annulus: the exact zeros and sign changes of
@@ -114,8 +90,24 @@ def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
         t_range = _default_range(spec, annulus)
     lo, hi = float(t_range[0]), float(t_range[1])
     grid = np.linspace(lo, hi, GRID_POINTS)
-    return _count_sign_changes(
-        lambda ts: values_on_grid(spec, coeffs, annulus, ts), grid)
+    vals, ok = values_on_grid(spec, coeffs, annulus, grid)
+    masks = [ok]
+    # M is linear in its coefficients, so only exact zeros everywhere
+    # mean M is zero: a small scale is no evidence
+    if not vals.any():
+        raise ZeroFunctionError("function is identically zero on the grid; "
+                                "zero count is meaningless")
+
+    def values(ts):
+        vals, ok = values_on_grid(spec, coeffs, annulus, ts)
+        masks.append(ok)
+        return vals
+
+    zeros = grid_roots(values, grid, vals).tolist()
+    step = abs(grid[1] - grid[0])
+    coarse = any(z2 - z1 < 3.0 * step for z1, z2 in zip(zeros, zeros[1:]))
+    return ZeroCount(count=len(zeros), zeros=tuple(zeros), grid_coarse=coarse,
+                     converged=all(bool(m.all()) for m in masks))
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,6 @@ class Classification:
     max_cycles_from_loop: int
     max_cycles_from_annulus: int
     annulus_closure: str   # "closed" or "open"
-    note: str
 
     def __str__(self) -> str:
         return (f"order k={self.order_k}, {self.regime}: "
@@ -147,26 +138,20 @@ def classify_cyclicity(coeffs: MelnikovCoeffs,
     k = coeffs.order_k
     if k == 1:
         if d0_is_zero:
-            return Classification(k, "M1(0) = 0", 2, 0, "open",
-                                  "both cycles split off the loop")
-        return Classification(k, "M1(0) != 0", 0, 1, "closed",
-                              "single cycle from the closed annulus")
+            return Classification(k, "M1(0) = 0", 2, 0, "open")
+        return Classification(k, "M1(0) != 0", 0, 1, "closed")
     if coeffs.gamma != 0.0:
-        return Classification(k, "gamma != 0", 0, 2, "closed",
-                              "log-dominated loop limit")
+        return Classification(k, "gamma != 0", 0, 2, "closed")
     if d0_is_zero:
         if coeffs.alpha == 0.0:
             # gamma = alpha = 0 forces M_k(0) = beta*J_1(0) != 0
             raise ValueError("d0_is_zero inconsistent: with gamma = alpha = 0 "
                              "the loop limit is beta*J_1(0) != 0")
-        return Classification(k, "gamma = 0, M_k(0) = 0", 2, 0, "open",
-                              "loop-dominated regime")
+        return Classification(k, "gamma = 0, M_k(0) = 0", 2, 0, "open")
     if coeffs.alpha != 0.0:
         return Classification(k, "gamma = 0, alpha != 0, M_k(0) != 0",
-                              0, 1, "closed",
-                              "single cycle from the closed annulus")
-    return Classification(k, "gamma = alpha = 0, beta != 0", 3, 0, "open",
-                          "up to three cycles from the loop")
+                              0, 1, "closed")
+    return Classification(k, "gamma = alpha = 0, beta != 0", 3, 0, "open")
 
 
 # The appendix family is the a = 1 normal form in another frame:
@@ -193,15 +178,12 @@ def appendix_coeffs(mu2: float) -> MelnikovCoeffs:
                           beta=-math.pi * math.sqrt(3.0) * APPENDIX_Y2_PER_J1)
 
 
-def appendix_count_zeros(spec: HamiltonianSpec, mu2: float,
-                         h_range) -> ZeroCount:
+def appendix_count_zeros(mu2: float, h_range) -> ZeroCount:
     """Zero count of the appendix first-order function on an increasing
     h-window: ``count_zeros`` on the a = 1 normal form over the mapped
     t-window, with each zero mapped back to h."""
-    if spec.family is not Family.APPENDIX_ELLIPSE:
-        raise ValueError("defined for the appendix family")
     lo, hi = float(h_range[0]), float(h_range[1])
-    if not (critical_data(spec).center0.energy < lo < hi < 0.0):
+    if not (critical_data(APPENDIX_SPEC).center0.energy < lo < hi < 0.0):
         raise ValueError("h range must lie inside (-4/3, 0)")
     zc = count_zeros(APPENDIX_NORMAL_FORM, appendix_coeffs(mu2),
                      Annulus.SIGMA_PLUS,

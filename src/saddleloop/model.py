@@ -109,6 +109,10 @@ class HamiltonianSpec:
                 (-1.0, 0.0, 0.0, 1.0, 0.0, 0.25))
 
 
+# the appendix family has no parameter: this is its one spec
+APPENDIX_SPEC = HamiltonianSpec(family=Family.APPENDIX_ELLIPSE)
+
+
 @dataclass(frozen=True)
 class CriticalPoint:
     xy: tuple[float, float]

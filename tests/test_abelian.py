@@ -140,7 +140,7 @@ def _appendix_loop_moments():
     return APPENDIX_Y_PER_J0 * j0, APPENDIX_Y2_PER_J1 * j1
 
 
-def test_one_energy_views_match_grids(spec_a05, appendix_spec):
+def test_one_energy_views_match_grids(spec_a05):
     # jk_on_slice, which the benchmark tracer wraps, carries the bits of
     # the grid rows, the degenerate center slice of SigmaMinus included;
     # appendix_oval_integral, which it wraps too, agrees with the mapped
@@ -161,7 +161,7 @@ def test_one_energy_views_match_grids(spec_a05, appendix_spec):
     iy, iy2, ok = _appendix_moments(hs)
     assert ok.all()
     for h, m1, m2 in zip(hs, iy, iy2):
-        one = [appendix_oval_integral(appendix_spec, h, fe)
+        one = [appendix_oval_integral(h, fe)
                for fe in (lambda x2, y: y, lambda x2, y: y * y)]
         assert one[0][0] == pytest.approx(m1, rel=1e-12, abs=0.0)
         assert one[1][0] == pytest.approx(m2, rel=1e-12, abs=0.0)

@@ -13,6 +13,7 @@ verified at eps=1e-6 in test_flowsim.py, where the contamination is
 three orders of magnitude smaller.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -31,7 +32,7 @@ def _check(criterion):
     # the function is the one registered under its result's number
     assert acceptance.CRITERIA[result.number] is criterion
     assert result.passed, result.detail
-    assert result.within_budget, (
+    assert result.runtime_s < result.budget_s, (
         f"criterion {result.number} took {result.runtime_s:.1f}s, "
         f"budget {result.budget_s:.0f}s")
 
@@ -92,6 +93,26 @@ def test_criterion_7_fails_on_unconverged_curve(monkeypatch):
     assert result.detail.endswith(", not converged")
 
 
+@pytest.mark.parametrize("flag", ["tangency_suspected", "contains_curve"])
+def test_criterion_7_fails_on_uncertain_count(monkeypatch, flag):
+    # a flagged count may be low, so one flagged count of the 2001 must
+    # fail the bounds it would otherwise pass
+    exact = centroid.line_intersections
+    calls = []
+
+    def one_flagged(curve, coeffs):
+        calls.append(coeffs)
+        return dataclasses.replace(exact(curve, coeffs),
+                                   **{flag: len(calls) == 1})
+
+    monkeypatch.setattr(centroid, "line_intersections", one_flagged)
+    result = acceptance.criterion_7()
+    assert len(calls) == 2001
+    assert not result.passed
+    assert result.detail == ("max general 2 (<=2), max gamma=0 1 (<=1), "
+                             "xi=0 line 0 (=0), 1 counts uncertain")
+
+
 def test_criterion_8_trace_and_shift_laws():
     _check(acceptance.criterion_8)
 
@@ -107,6 +128,17 @@ def test_criterion_9_fails_on_unconverged_zero_count(monkeypatch):
     result = acceptance.criterion_9()
     assert not result.passed
     assert result.detail.endswith(", not converged")
+
+
+def test_criterion_9_fails_on_coarse_zero_grid(monkeypatch):
+    # a coarse grid may miss a pair of zeros, so the bound on the count
+    # is no evidence
+    exact = melnikov.appendix_count_zeros
+    monkeypatch.setattr(melnikov, "appendix_count_zeros", lambda *args:
+                        dataclasses.replace(exact(*args), grid_coarse=True))
+    result = acceptance.criterion_9()
+    assert not result.passed
+    assert result.detail.endswith("first-order zeros 0 (<= 1), grid coarse")
 
 
 @pytest.mark.slow

@@ -1,10 +1,11 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from saddleloop.model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs
-from saddleloop.abelian import jk_at_loop
+from saddleloop.abelian import jk_at_loop, triples_on_grid
 from saddleloop.centroid import (
     TANGENCY_BAND,
     center_endpoint,
@@ -38,20 +39,22 @@ def test_loop_abscissa_matches_oracle_ratio(spec_a1):
 
 
 def test_curve_passes_through_oracle_point(spec_a1):
+    # the samples are the triple ratios, whose lanes carry the same bits
+    # in any batch: the curve's map holds at the oracle energy t = -1 too
     jm1, j0, j1 = SIGMA_PLUS_TRIPLES[(1.0, -1.0)]
-    curve = sample_curve(spec_a1, Annulus.SIGMA_PLUS, t_grid=np.array([-1.1, -1.0, -0.9]))
-    assert curve.xi[1] == pytest.approx(j1 / j0, rel=1e-10)
-    assert curve.eta[1] == pytest.approx(jm1 / j0, rel=1e-10)
+    curve = sample_curve(spec_a1, Annulus.SIGMA_PLUS, n=20)
+    tr = triples_on_grid(spec_a1, Annulus.SIGMA_PLUS, np.append(curve.ts, -1.0))
+    assert curve.xi.tobytes() == (tr.j1 / tr.j0)[:-1].tobytes()
+    assert curve.eta.tobytes() == (tr.jm1 / tr.j0)[:-1].tobytes()
+    assert tr.j1[-1] / tr.j0[-1] == pytest.approx(j1 / j0, rel=1e-10)
+    assert tr.jm1[-1] / tr.j0[-1] == pytest.approx(jm1 / j0, rel=1e-10)
 
 
 def test_shape_report_plus(spec_a1):
     curve = sample_curve(spec_a1, Annulus.SIGMA_PLUS, n=80)
     assert curve.converged
     rep = verify_shape(curve)
-    assert rep.xi_decreasing
-    assert rep.eta_increasing
-    assert rep.curvature_constant_sign
-    assert rep.curvature_sign == rep.expected_curvature_sign
+    assert rep.passed
     assert rep.first_violation is None
     # samples extrapolated to the center energy against the closed form
     xi_c, eta_c = center_endpoint(spec_a1, Annulus.SIGMA_PLUS)
@@ -67,8 +70,25 @@ def test_shape_report_plus(spec_a1):
 def test_shape_report_minus(spec_a05):
     curve = sample_curve(spec_a05, Annulus.SIGMA_MINUS, n=80)
     rep = verify_shape(curve)
-    assert rep.curvature_constant_sign
+    assert rep.passed
     assert rep.first_violation is None
+
+
+def test_shape_report_names_first_violation(spec_a1):
+    # each break of the shape, named by the first test it fails, in the
+    # order xi, eta, curvature
+    curve = sample_curve(spec_a1, Annulus.SIGMA_PLUS, n=40)
+    xi, eta = curve.xi.copy(), curve.eta.copy()
+    xi[11], eta[21] = xi[10], eta[20]
+    cases = {"xi not decreasing at index 10": dict(xi=xi, eta=eta),
+             "eta not increasing at index 20": dict(eta=eta),
+             # points on a line: every cross product is exactly zero
+             "curvature sign not constant": dict(xi=-curve.ts, eta=curve.ts),
+             "curvature sign -1, expected 1": dict(
+                 annulus=Annulus.SIGMA_MINUS)}
+    for violation, changes in cases.items():
+        rep = verify_shape(dataclasses.replace(curve, **changes))
+        assert (rep.passed, rep.first_violation) == (False, violation)
 
 
 def test_line_intersections_planted(spec_a1):

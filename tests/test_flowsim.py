@@ -28,7 +28,6 @@ from saddleloop.flowsim import (
     alien_witness,
     appendix_flow,
     census,
-    displacement,
     integrate,
     return_map,
     return_maps,
@@ -54,8 +53,8 @@ def test_energy_conserved_normal_form(spec_a1):
     assert np.max(np.abs(hs - hs[0])) < 1e-7
 
 
-def test_energy_conserved_appendix(appendix_spec):
-    flow = appendix_flow(appendix_spec, PerturbationSpec(epsilon=0.0))
+def test_energy_conserved_appendix():
+    flow = appendix_flow(PerturbationSpec(epsilon=0.0))
     start = np.array([0.0, 1.0])
     assert flow.energy(start) == pytest.approx(-11.0 / 12.0, rel=1e-15)
     traj = integrate(flow, start, 100.0)
@@ -65,14 +64,14 @@ def test_energy_conserved_appendix(appendix_spec):
 
 @pytest.mark.parametrize("tol", [0.0, 1e-30, 2e-14, -1.0, 1.0, 1e3,
                                  math.nan, math.inf])
-def test_flow_tolerance_outside_range_rejected(spec_a1, appendix_spec, tol):
+def test_flow_tolerance_outside_range_rejected(spec_a1, tol):
     # every way of building a flow checks its tolerance; nothing is
     # integrated (at tol 0 or 1e-30 a trajectory need not end)
     with pytest.raises(ValueError, match="flow tolerance must lie in"):
         FlowSpec(hamiltonian=spec_a1, epsilon=0.0,
                  one_form=QuadraticOneForm.gamma_type(0.0), tol=tol)
     with pytest.raises(ValueError, match="flow tolerance must lie in"):
-        appendix_flow(appendix_spec, PerturbationSpec(epsilon=1e-3), tol=tol)
+        appendix_flow(PerturbationSpec(epsilon=1e-3), tol=tol)
     with pytest.raises(ValueError, match="flow tolerance must lie in"):
         dataclasses.replace(unperturbed(spec_a1), tol=tol)
     # the floor itself, 100 machine epsilons, is a valid tolerance
@@ -147,7 +146,7 @@ def test_return_map_rejects_out_of_section(spec_a1):
     with pytest.raises(ValueError):
         return_map(flow, sect, hi + 0.5)
     with pytest.raises(ValueError):
-        return_map(flow, sect, 0.5 * (lo + hi), T_max=BURN_IN)
+        return_maps(flow, sect, 0.5 * (lo + hi), T_max=BURN_IN)
 
 
 # --- one-form bookkeeping -----------------------------------------------
@@ -175,11 +174,6 @@ def test_gamma_type_constructor():
     assert w.gamma_direction() == pytest.approx(0.8)
 
 
-def test_appendix_one_form_requires_family(spec_a1):
-    with pytest.raises(ValueError):
-        QuadraticOneForm.appendix(spec_a1, PerturbationSpec(epsilon=1e-3))
-
-
 # --- saddle quantities ---------------------------------------------------
 
 
@@ -197,18 +191,18 @@ def test_jacobian_matches_finite_difference(spec_a05):
             assert np.max(np.abs(flow.jacobian(z) - fd)) < 1e-7
 
 
-def test_traces_vanish_unperturbed(appendix_spec):
-    flow = appendix_flow(appendix_spec, PerturbationSpec(epsilon=0.0))
+def test_traces_vanish_unperturbed():
+    flow = appendix_flow(PerturbationSpec(epsilon=0.0))
     tp = saddle_traces(flow)
     assert tp.sigma1 == pytest.approx(0.0, abs=1e-12)
     assert tp.sigma2 == pytest.approx(0.0, abs=1e-12)
 
 
-def test_traces_first_order_law(appendix_spec):
+def test_traces_first_order_law():
     eps, mu1, mu2 = 1e-6, 0.005, 0.003
     pert = PerturbationSpec(eps, mu1, mu2)
     c = pert.c
-    flow = appendix_flow(appendix_spec, pert)
+    flow = appendix_flow(pert)
     tp = saddle_traces(flow)
     assert tp.sigma1 / eps == pytest.approx(-16.0 + c - mu2, rel=1e-2)
     assert tp.sigma2 / eps == pytest.approx(-16.0 - c - mu2, rel=1e-2)
@@ -221,18 +215,18 @@ def test_traces_reject_normal_form(spec_a1):
         saddle_traces(unperturbed(spec_a1))
 
 
-def test_shifts_first_order_law(appendix_spec):
+def test_shifts_first_order_law():
     # at eps=1e-6 the eps^2 contamination of the connection shifts sits
     # near 1e-2 relative; at eps=1e-3 it dominates b2 and the law fails
     eps, mu1, mu2 = 1e-6, 0.005, 0.003
-    flow = appendix_flow(appendix_spec, PerturbationSpec(eps, mu1, mu2))
+    flow = appendix_flow(PerturbationSpec(eps, mu1, mu2))
     sh = separatrix_shifts(flow)
     assert sh.b1 / eps == pytest.approx(2 * mu1, rel=5e-2)
     assert sh.b2 / eps == pytest.approx(-2 * mu1 - math.pi * math.sqrt(3.0) * mu2,
                                         rel=5e-2)
 
 
-def test_shift_second_order_coefficients(appendix_spec):
+def test_shift_second_order_coefficients():
     # criterion 8's b2 clause fails because b2 carries a term near
     # 207.5*eps^2 at c=17, whatever mu; b1 has almost none.  The
     # coefficients converge linearly in eps, so one Richardson step
@@ -242,17 +236,16 @@ def test_shift_second_order_coefficients(appendix_spec):
         q2 = []
         for eps in (1e-3, 5e-4):
             sh = separatrix_shifts(appendix_flow(
-                appendix_spec, PerturbationSpec(eps, mu1, mu2)))
+                PerturbationSpec(eps, mu1, mu2)))
             q2.append((sh.b2 - eps * b2_1) / eps ** 2)
             assert abs((sh.b1 - 2.0 * eps * mu1) / eps ** 2) < 0.5
         assert 2.0 * q2[1] - q2[0] == pytest.approx(207.5, rel=1e-2)
 
 
-def test_separatrix_shifts_match_tight_tolerance(appendix_spec):
+def test_separatrix_shifts_match_tight_tolerance():
     # near the saddles the error control alone sets the step; the shifts
     # at the default tol 1e-10 agree with the same runs at tol 1e-13
-    corner = appendix_flow(appendix_spec,
-                           PerturbationSpec(1e-3, 0.007, -0.01))
+    corner = appendix_flow(PerturbationSpec(1e-3, 0.007, -0.01))
     for flow in (witness_flow(), corner):
         sh = separatrix_shifts(flow)
         ref = separatrix_shifts(dataclasses.replace(flow, tol=1e-13))
@@ -320,8 +313,7 @@ def test_census_validation(spec_a1):
         with pytest.raises(ValueError, match="increasing"):
             census(flow, n=100, s_range=s_range)
     with pytest.raises(OvalRangeError):
-        census(appendix_flow(HamiltonianSpec(family=Family.APPENDIX_ELLIPSE),
-                             PerturbationSpec(epsilon=1e-3)),
+        census(appendix_flow(PerturbationSpec(epsilon=1e-3)),
                annulus=Annulus.SIGMA_MINUS, n=100)
 
 
@@ -433,9 +425,9 @@ def test_witness_cycle_is_fixed_point():
     flow = witness_flow()
     sect = section_segment(flow.hamiltonian, Annulus.SIGMA_PLUS)
     s_rep = w["expected_section_coords"][0]
-    d = displacement(flow, sect, s_rep, T_max=float(w["t_max"]))
-    assert d is not None
-    assert abs(d) < 5e-7
+    lanes = return_maps(flow, sect, s_rep, T_max=float(w["t_max"]))
+    assert lanes.reason[0] == "ok"
+    assert abs(lanes.s_return[0] - s_rep) < 5e-7
 
 
 # --- lockstep return maps ------------------------------------------------
@@ -447,13 +439,13 @@ def _draw_grid(trial):
     return flow, sect, np.linspace(s_range[0], s_range[1], 100)
 
 
-def test_lockstep_field_matches_rhs(spec_a05, appendix_spec):
+def test_lockstep_field_matches_rhs(spec_a05):
     rng = np.random.default_rng(5)
     z = rng.uniform(-2.0, 2.0, (2, 2000))
     draw = scan_draws()[1][1]
     flows = [draw, FlowSpec(hamiltonian=spec_a05, epsilon=0.1,
                             one_form=draw.one_form), witness_flow(),
-             appendix_flow(appendix_spec, PerturbationSpec(epsilon=0.0))]
+             appendix_flow(PerturbationSpec(epsilon=0.0))]
     for flow in flows:
         field = _lockstep_field(flow)
         got = field(z)
@@ -754,7 +746,7 @@ def test_near_saddle_returns_match_tight_oracle():
     tight = dataclasses.replace(flow, tol=1e-13)
     lanes = [3, 4, 5, 6, 8, 10, 14, 20, 30, 40]
     got = return_maps(flow, sect, grid[lanes], T_max=T_max)
-    tp = saddle_traces(flow)
+    saddles = flowsim._continued_saddles(flow)
     for k, i in enumerate(lanes):
         s_ret, reason = _oracle_return(tight, sect, grid[i], T_max)
         assert got.reason[k] == reason
@@ -762,7 +754,7 @@ def test_near_saddle_returns_match_tight_oracle():
             continue
         assert abs(got.s_return[k] - s_ret) < 2e-10
         orbit = integrate(flow, sect.point(grid[i]), got.t_return[k]).states
-        for saddle in (tp.saddle1, tp.saddle2):
+        for saddle in saddles:
             assert np.min(np.hypot(*(orbit - saddle).T)) < 0.07
     assert list(got.reason[:2]) == ["left_annulus"] * 2
 

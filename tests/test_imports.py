@@ -80,14 +80,18 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return refs
 
 
+def _trees(*dirs: str) -> list[ast.Module]:
+    """The parsed Python files under the repository's directories."""
+    return [ast.parse(p.read_text()) for d in dirs
+            for p in sorted((ROOT / d).rglob("*.py"))]
+
+
 def test_no_unreferenced_definitions():
     # every module-level definition of the package is read somewhere in
     # the package, the tests or the benchmark
-    files = [p for d in ("src", "tests", "perfbench")
-             for p in sorted((ROOT / d).rglob("*.py"))]
-    assert SRC / "flowsim.py" in files
-    refs = set().union(*(_referenced_names(ast.parse(p.read_text()))
-                         for p in files))
+    trees = _trees("src", "tests", "perfbench")
+    assert len(trees) > len(list(SRC.glob("*.py")))
+    refs = set().union(*map(_referenced_names, trees))
     unreferenced = {p.name: [n for n in _defined_names(ast.parse(p.read_text()))
                              if n not in refs]
                     for p in sorted(SRC.glob("*.py"))}
@@ -115,18 +119,72 @@ def _registered_functions(tree: ast.Module) -> set[str]:
 def test_no_definitions_only_tests_read():
     # every module-level definition of the package is read by the
     # package or the benchmark; a test alone is not a reader
-    files = [p for d in ("src", "perfbench")
-             for p in sorted((ROOT / d).rglob("*.py"))]
-    trees = [ast.parse(p.read_text()) for p in files]
+    trees = _trees("src", "perfbench")
     refs = set().union(*map(_referenced_names, trees),
                        *map(_registered_functions, trees))
     defined = {p.name: _defined_names(ast.parse(p.read_text()))
                for p in sorted(SRC.glob("*.py"))}
+    assert len(defined) >= 10
     unread = {k: [n for n in v if n not in refs | PROGRAM_UNREAD]
               for k, v in defined.items()}
     assert {k: v for k, v in unread.items() if v} == {}
-    # an exemption goes stale once the program reads it or it is gone
-    assert PROGRAM_UNREAD <= set().union(*defined.values()) - refs
+    # an exemption goes stale once the program reads it, it is gone, or
+    # no test reads it either
+    test_refs = set().union(*map(_referenced_names, _trees("tests")))
+    assert PROGRAM_UNREAD <= (set().union(*defined.values()) - refs) & test_refs
+
+
+# class members the program does not read, each kept for a stated use
+MEMBERS_PROGRAM_UNREAD = {
+    # the fields of match_asymptotics's result, which is exempt above
+    "AsymptoticsMatch.lam_expected",
+    "AsymptoticsMatch.rel_err",
+}
+
+
+def _class_members(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, member) of every field, class attribute, method and
+    property of a module-level class, dunders left out."""
+    members = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            members += [(cls.name, n) for n in names if not n.startswith("__")]
+    return members
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names a module reads, and names it spells as a whole
+    string (for getattr, or the tracer's hooks)."""
+    return ({n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and not isinstance(n.ctx, ast.Store)}
+            | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+               and isinstance(n.value, str) and n.value.isidentifier()})
+
+
+def test_no_members_only_tests_read():
+    # every member of a package class is read, by name, by the package
+    # or the benchmark; a test alone is not a reader
+    reads = set().union(*map(_read_attributes, _trees("src", "perfbench")))
+    members = {f"{c}.{m}" for p in sorted(SRC.glob("*.py"))
+               for c, m in _class_members(ast.parse(p.read_text()))}
+    assert "FlowSpec.rhs" in members
+    unread = {m for m in members if m.split(".")[1] not in reads}
+    assert sorted(unread - MEMBERS_PROGRAM_UNREAD) == []
+    # an exemption goes stale once the program reads it, it is gone, or
+    # no test reads it either
+    test_reads = set().union(*map(_read_attributes, _trees("tests")))
+    assert MEMBERS_PROGRAM_UNREAD <= {m for m in unread
+                                      if m.split(".")[1] in test_reads}
 
 
 def test_benchmark_tracer_hooks_resolve():
@@ -238,15 +296,27 @@ def _passed_parameters(tree: ast.Module) -> set[tuple[str, str | int]]:
     return passed
 
 
+# defaulted parameters the program does not set, each kept for a stated use
+PROGRAM_UNSET = {
+    # the in-process seam through which tests run the command line (the
+    # scan is by name, so perfbench/rep.py's own main(argv) also sets it)
+    "cli.main(argv)",
+}
+
+
 def test_no_unset_parameters():
     # every defaulted parameter of the package is set by some call in
-    # the package, the tests or the benchmark: a default that no call
-    # overrides is a constant (nested closures are exempt)
-    files = [p for d in ("src", "tests", "perfbench")
-             for p in sorted((ROOT / d).rglob("*.py"))]
-    passed = set().union(*(_passed_parameters(ast.parse(p.read_text()))
-                           for p in files))
-    unset = [f"{p.stem}.{fn}({arg})" for p in sorted(SRC.glob("*.py"))
-             for fn, arg, pos in _defaulted_parameters(ast.parse(p.read_text()))
-             if (fn, arg) not in passed and (fn, pos) not in passed]
-    assert unset == []
+    # the package or the benchmark: a default that only tests override
+    # is a constant (nested closures are exempt)
+    params = {f"{p.stem}.{fn}({arg})": (fn, arg, pos)
+              for p in sorted(SRC.glob("*.py"))
+              for fn, arg, pos in _defaulted_parameters(ast.parse(p.read_text()))}
+
+    def set_by(*dirs: str) -> set[str]:
+        passed = set().union(*map(_passed_parameters, _trees(*dirs)))
+        return {k for k, (fn, arg, pos) in params.items()
+                if (fn, arg) in passed or (fn, pos) in passed}
+
+    assert sorted(set(params) - set_by("src", "perfbench") - PROGRAM_UNSET) == []
+    # an exemption goes stale once its parameter is gone or no test sets it
+    assert PROGRAM_UNSET <= set_by("tests")

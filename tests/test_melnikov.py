@@ -6,12 +6,14 @@ import pytest
 from scipy.optimize import brentq
 
 from saddleloop import abelian, melnikov
-from saddleloop.centroid import sample_curve
-from saddleloop.model import Annulus, MelnikovCoeffs
+from saddleloop.flowsim import appendix_flow
+from saddleloop.model import Annulus, MelnikovCoeffs, PerturbationSpec
 from saddleloop.picard_fuchs import fundamental
 from saddleloop.melnikov import (
     APPENDIX_NORMAL_FORM,
     APPENDIX_T_PER_H,
+    APPENDIX_Y2_PER_J1,
+    APPENDIX_Y_PER_J0,
     ZeroFunctionError,
     appendix_coeffs,
     appendix_count_zeros,
@@ -100,8 +102,8 @@ def test_close_zeros_flag_grid_coarse(spec_a1, descending):
     lo, hi = melnikov._default_range(spec_a1, Annulus.SIGMA_PLUS)
     step = (hi - lo) / (melnikov.GRID_POINTS - 1)
     ts = lo + step * np.array([100.3, 102.3])
-    curve = sample_curve(spec_a1, Annulus.SIGMA_PLUS, t_grid=ts)
-    coeffs = _line_through(*zip(curve.xi, curve.eta))
+    tr = abelian.triples_on_grid(spec_a1, Annulus.SIGMA_PLUS, ts)
+    coeffs = _line_through(*zip(tr.j1 / tr.j0, tr.jm1 / tr.j0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         zc = count_zeros(spec_a1, coeffs, Annulus.SIGMA_PLUS,
@@ -219,21 +221,32 @@ def test_appendix_loop_value_is_mu2_line():
         assert got == pytest.approx(want, rel=1e-4)
 
 
-def test_appendix_zero_location(appendix_spec):
+def test_appendix_one_form_states_appendix_coeffs():
+    # the appendix flow's one-form and appendix_coeffs state the same
+    # perturbation: its y and y^2 coefficients, times the oval moments
+    # per J_0 and J_1, are alpha and beta exactly
+    for mu2 in (0.0, 0.657, -16.5, 3.25e-3):
+        form = appendix_flow(PerturbationSpec(epsilon=1e-3, mu1=0.01,
+                                              mu2=mu2)).one_form
+        coeffs = appendix_coeffs(mu2)
+        assert form.f[2] * APPENDIX_Y_PER_J0 == coeffs.alpha
+        assert form.f[5] * APPENDIX_Y2_PER_J1 == coeffs.beta
+
+
+def test_appendix_zero_location():
     # with mu2=0.657 the first-order function changes sign once around
     # h ~ -0.061 and nowhere in the witness window
-    zc = appendix_count_zeros(appendix_spec, 0.657, (-0.1, -0.01))
+    zc = appendix_count_zeros(0.657, (-0.1, -0.01))
     assert zc.count == 1
     assert abs(zc.zeros[0] - APPENDIX_ZEROS[(0.657, -0.1, -0.01)]) < 1e-10
-    zc2 = appendix_count_zeros(appendix_spec, 0.657, (-0.004, -0.00115))
+    zc2 = appendix_count_zeros(0.657, (-0.004, -0.00115))
     assert zc2.count == 0
     assert zc.converged and zc2.converged
 
 
-def test_appendix_unconverged_moments_clear_zero_count_flag(appendix_spec,
-                                                            monkeypatch):
+def test_appendix_unconverged_moments_clear_zero_count_flag(monkeypatch):
     # one panel per lane: the moments off the center side do not
     # converge, which the count reports instead of raising
     monkeypatch.setattr(abelian, "QUAD_LIMIT", 1)
-    zc = appendix_count_zeros(appendix_spec, 0.657, (-0.1, -0.01))
+    zc = appendix_count_zeros(0.657, (-0.1, -0.01))
     assert not zc.converged
