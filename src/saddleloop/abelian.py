@@ -208,21 +208,16 @@ def _jk_lanes(r, lo, hi, third_root, k, tol):
 
 def _jk_grid(spec: HamiltonianSpec, annulus: Annulus, ts, ks, tol):
     """J_k for every (t, k) of ts x ks in one kernel batch: (values,
-    errors, converged) of shape (len(ts), len(ks)), zero on degenerate
-    point slices, and the degenerate mask."""
+    errors, converged) of shape (len(ts), len(ks))."""
     if spec.family is not Family.NORMAL_FORM:
         raise ValueError("x^k y dx basis applies to the normal-form family")
     _check_tol(tol)
     g = slice_grid(spec, annulus, ts)
-    shape = (len(g.t), len(ks))
-    vals, errs = np.zeros(shape), np.zeros(shape)
-    ok = np.ones(shape, dtype=bool)
-    i = np.flatnonzero(~g.degenerate)
-    e = np.repeat(i, len(ks))
-    v, er, conv = _jk_lanes(g.r, g.lo[e], g.hi[e], g.third_root[e],
-                            np.tile(np.asarray(ks), i.size), tol)
-    vals[i], errs[i], ok[i] = (x.reshape(i.size, len(ks)) for x in (v, er, conv))
-    return vals, errs, ok, g.degenerate
+    n, m = len(g.t), len(ks)
+    lo, hi, third = (np.repeat(x, m) for x in (g.lo, g.hi, g.third_root))
+    v, er, conv = _jk_lanes(g.r, lo, hi, third, np.tile(np.asarray(ks), n),
+                            tol)
+    return tuple(x.reshape(n, m) for x in (v, er, conv))
 
 
 def jk_on_slice(sl: OvalSlice, k: int) -> tuple[float, float, bool]:
@@ -232,8 +227,6 @@ def jk_on_slice(sl: OvalSlice, k: int) -> tuple[float, float, bool]:
     """
     if sl.spec.family is not Family.NORMAL_FORM:
         raise ValueError("x^k y dx basis applies to the normal-form family")
-    if sl.degenerate:
-        return 0.0, 0.0, True
     v, e, ok = _jk_lanes(sl.r, np.array([sl.lo]), np.array([sl.hi]),
                          np.array([sl.third_root]), np.array([k]), QUAD_TOL)
     return float(v[0]), float(e[0]), bool(ok[0])
@@ -244,8 +237,8 @@ def triples_on_grid(spec: HamiltonianSpec, annulus: Annulus,
                     tol: float = QUAD_TOL) -> AbelianTriple:
     """(J_{-1}, J_0, J_1) with error flags at every energy of a t-grid,
     from one kernel batch, as one AbelianTriple of arrays in grid order."""
-    vals, errs, ok, degenerate = _jk_grid(spec, annulus, ts, (-1, 0, 1), tol)
-    bad = ~(vals[:, 1] > 0.0) & ~degenerate
+    vals, errs, ok = _jk_grid(spec, annulus, ts, (-1, 0, 1), tol)
+    bad = ~(vals[:, 1] > 0.0)
     if bad.any():
         raise QuadratureError("orientation normalization violated: "
                               f"J0={float(vals[np.argmax(bad), 1])!r}")

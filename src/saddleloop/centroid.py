@@ -41,8 +41,6 @@ EXTRAPOLATION_POINTS = 4
 
 @dataclass(frozen=True, eq=False)
 class CentroidCurve:
-    spec: HamiltonianSpec
-    annulus: Annulus
     ts: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
@@ -57,20 +55,20 @@ class CentroidCurve:
 
     def endpoint_extrapolated(self) -> tuple[float, float]:
         """Richardson (polynomial) extrapolation of the
-        EXTRAPOLATION_POINTS samples nearest the center energy, for
-        checking against the analytic endpoint."""
+        EXTRAPOLATION_POINTS samples at the grid end nearer the center
+        energy, for checking against the analytic endpoint."""
         n_points = EXTRAPOLATION_POINTS
         if len(self.ts) < n_points:
             raise ValueError("not enough samples to extrapolate")
-        if self.annulus is Annulus.SIGMA_PLUS:
-            idx = np.arange(n_points)
+        if abs(self.ts[0] - self.t_center) < abs(self.ts[-1] - self.t_center):
+            end = slice(None, n_points)
         else:
-            idx = np.arange(len(self.ts) - n_points, len(self.ts))
-        ts = self.ts[idx]
+            end = slice(-n_points, None)
+        ts = self.ts[end]
         out = []
         for arr in (self.xi, self.eta):
             # Neville tableau evaluated at t = t_center
-            w = arr[idx].astype(float).copy()
+            w = arr[end].astype(float).copy()
             for level in range(1, n_points):
                 for i in range(n_points - level):
                     num = ((self.t_center - ts[i]) * w[i + 1]
@@ -81,10 +79,9 @@ class CentroidCurve:
 
 
 def center_endpoint(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, float]:
-    """Analytic centroid limit at the center energy."""
-    if annulus is Annulus.SIGMA_PLUS:
-        return 1.0, 1.0
-    xc = (spec.a - 2.0) / spec.a
+    """Analytic centroid limit at the center energy: (x_c, 1/x_c) for
+    the center (x_c, 0)."""
+    xc = critical_data(spec).center_of(annulus).xy[0]
     return xc, 1.0 / xc
 
 
@@ -116,8 +113,7 @@ def sample_curve(spec: HamiltonianSpec, annulus: Annulus,
         raise ArithmeticError("J_0 vanished on the grid; orientation "
                               "normalization violated upstream")
     return CentroidCurve(
-        spec=spec, annulus=annulus, ts=t_grid, xi=tr.j1 / tr.j0,
-        eta=tr.jm1 / tr.j0,
+        ts=t_grid, xi=tr.j1 / tr.j0, eta=tr.jm1 / tr.j0,
         t_center=critical_data(spec).center_of(annulus).energy,
         converged=bool(tr.converged.all()))
 
@@ -131,12 +127,6 @@ class ShapeReport:
         return self.first_violation is None
 
 
-# Cross product of consecutive secants along increasing t.  On the plus
-# curve (xi falls, eta rises, convex toward the asymptote) the sign is
-# negative; on the minus curve positive.  Checked numerically in tests.
-_EXPECTED_CURVATURE = {Annulus.SIGMA_PLUS: -1, Annulus.SIGMA_MINUS: 1}
-
-
 def verify_shape(curve: CentroidCurve) -> ShapeReport:
     """The first of: xi not decreasing, eta not increasing, the
     curvature sign not constant or not the annulus's."""
@@ -144,8 +134,12 @@ def verify_shape(curve: CentroidCurve) -> ShapeReport:
         raise ValueError("shape verification needs at least 20 samples")
     dxi = np.diff(curve.xi)
     deta = np.diff(curve.eta)
+    # Cross product of consecutive secants along increasing t: negative
+    # on the plus curve (xi falls, eta rises, convex toward the
+    # asymptote), positive on the minus curve; the sign of the center
+    # energy either way.  Checked numerically in tests.
     signs = np.sign(dxi[:-1] * deta[1:] - deta[:-1] * dxi[1:])
-    expected = _EXPECTED_CURVATURE[curve.annulus]
+    expected = int(np.sign(curve.t_center))
     if not np.all(dxi < 0.0):
         violation = f"xi not decreasing at index {int(np.argmax(dxi >= 0.0))}"
     elif not np.all(deta > 0.0):

@@ -83,10 +83,6 @@ def _parse_coeffs(text: str, field: str) -> tuple[float, ...]:
         raise ConfigError(f"{field}: {exc}") from exc
 
 
-def _annulus(name: str) -> Annulus:
-    return Annulus.SIGMA_PLUS if name == "plus" else Annulus.SIGMA_MINUS
-
-
 def _out_path(args, default_name: str) -> Path:
     if args.out:
         return Path(args.out)
@@ -130,11 +126,12 @@ def _artifact(cmd):
     whole of cmd, and any flag makes the exit code 3."""
     @functools.wraps(cmd)
     def run(args) -> int:
-        t0 = time.time()
+        t0 = time.perf_counter()
         out, flags = cmd(args)
         config = {k: v for k, v in vars(args).items() if v is not None
                   and k not in ("command", "fn", "out", "config", "mode")}
-        _write_manifest(out, config, [str(out)], time.time() - t0, flags)
+        _write_manifest(out, config, [str(out)], time.perf_counter() - t0,
+                        flags)
         print(out)
         return 3 if flags else 0
     return run
@@ -144,7 +141,7 @@ def _artifact(cmd):
 def cmd_abelian(args):
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=float(args.a))
     ts = _parse_grid(args.t_grid, "t-grid")
-    tr = abelian.triples_on_grid(spec, _annulus(args.annulus), ts,
+    tr = abelian.triples_on_grid(spec, Annulus(args.annulus), ts,
                                  tol=args.tol)
     out = _out_path(args, "abelian.csv")
     cols = (tr.t, tr.jm1, tr.j0, tr.j1, *tr.err.T, tr.converged.astype(int))
@@ -193,7 +190,7 @@ def cmd_melnikov(args):
         spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=args.a)
         col, xs = "t", _parse_grid(args.t_grid, "t-grid")
         vals, conv = melnikov.values_on_grid(spec, coeffs,
-                                             _annulus(args.annulus), xs,
+                                             Annulus(args.annulus), xs,
                                              tol=args.tol)
     _write_csv(out, [col, "value"], zip(xs.tolist(), vals.tolist()))
     flags = [f"row {col}={x:g} not converged" for x in xs[~conv]]
@@ -203,7 +200,7 @@ def cmd_melnikov(args):
 @_artifact
 def cmd_centroid(args):
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=float(args.a))
-    curve = centroid.sample_curve(spec, _annulus(args.annulus), n=args.n,
+    curve = centroid.sample_curve(spec, Annulus(args.annulus), n=args.n,
                                   tol=args.tol)
     out = _out_path(args, "centroid.csv")
     rows = list(zip((float(t) for t in curve.ts),
@@ -234,7 +231,7 @@ def cmd_sim(args):
         out = _out_path(args, "census.json")
         s_range = (_parse_pair(args.window, "window")
                    if args.window else None)
-        res = census(flow, annulus=_annulus(args.annulus), s_range=s_range,
+        res = census(flow, annulus=Annulus(args.annulus), s_range=s_range,
                      n=args.n, T_max=RETURN_T_MAX if args.T is None else args.T,
                      with_saddle_data=True)
         payload = {
@@ -281,7 +278,7 @@ def cmd_sim(args):
 
 
 def cmd_verify(args) -> int:
-    if args.criteria:
+    if args.criteria is not None:
         try:
             numbers = tuple(int(p) for p in args.criteria.split(","))
         except ValueError as exc:

@@ -69,10 +69,10 @@ class ZeroCount:
 
 
 def _default_range(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, float]:
+    """(lo, hi) inside the annulus: 1e-3*|t_c| off its center energy t_c
+    and 1e-6*|t_c| off the loop energy 0."""
     t_center = critical_data(spec).center_of(annulus).energy
-    if annulus is Annulus.SIGMA_PLUS:
-        return t_center + 1e-3 * abs(t_center), -1e-6 * abs(t_center)
-    return 1e-6 * t_center, t_center * (1.0 - 1e-3)
+    return tuple(sorted((t_center - 1e-3 * t_center, 1e-6 * t_center)))
 
 
 def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,

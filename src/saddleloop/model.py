@@ -43,7 +43,9 @@ class Annulus(enum.Enum):
     SIGMA_PLUS is the annulus bounded above by the loop at energy 0 and
     below by the primary center (right center for the normal form, upper
     center for the appendix family).  SIGMA_MINUS is the normal-form
-    annulus around the second center, energies (0, t1].
+    annulus around the second center, energies (0, t1).  Either holds
+    the energies strictly between its center's (``CriticalData.center_of``)
+    and the loop's.
     """
 
     SIGMA_PLUS = "plus"

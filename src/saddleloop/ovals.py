@@ -79,17 +79,15 @@ class OvalSlice:
     with ``phi`` and ``phi_prime`` the module's functions.
 
     ``slice_grid`` returns the slices of a whole energy grid as one
-    OvalSlice whose t, lo, hi, third_root and degenerate are arrays.
+    OvalSlice whose t, lo, hi and third_root are arrays.
     """
 
     spec: HamiltonianSpec
-    annulus: Annulus
     t: float
     lo: float
     hi: float
     r: tuple[float, float, float]
     third_root: float
-    degenerate: bool = False
 
 
 def _cubic(r, t):
@@ -173,68 +171,56 @@ def _roots(r, t, lo, hi, uc):
 
 
 def _slice_brackets(spec: HamiltonianSpec, annulus: Annulus, ts):
-    """(lo_end, hi_end, u_c, degenerate mask) for a grid of energies:
-    the two endpoints of every slice lie in [lo_end, u_c] and
-    [u_c, hi_end].
+    """(lo_end, hi_end, u_c) for a grid of energies: the two endpoints of
+    every slice lie in [lo_end, u_c] and [u_c, hi_end].
 
     One endpoint lies between the singular line u = 0 and the center
     u_c, the other between u_c and the root u_r of r beyond it
     (``model.slice_span``).  At u = 0 the cubic t + u*r(u) is t itself,
     so 0 is the inner end of every bracket; the outer end sits just
-    past u_r.  The annulus runs from its center's energy to the loop
-    energy 0.
+    past u_r.  The annulus holds the energies strictly between its
+    center's and the loop's, 0.
     """
     t_center = critical_data(spec).center_of(annulus).energy
     uc, ur = slice_span(spec, annulus)
-    if annulus is Annulus.SIGMA_PLUS:
-        bad = ~((t_center < ts) & (ts < 0.0))
-        if bad.any():
-            raise OvalRangeError(
-                f"SigmaPlus requires t in ({t_center}, 0.0), "
-                f"got t={float(ts[np.argmax(bad)])!r}")
-    else:
-        bad = ~((0.0 < ts) & (ts <= t_center))
-        if bad.any():
-            raise OvalRangeError(
-                f"SigmaMinus requires t in (0.0, {t_center}], "
-                f"got t={float(ts[np.argmax(bad)])!r}")
-    degenerate = ts == t_center if annulus is Annulus.SIGMA_MINUS \
-        else np.zeros(ts.shape, dtype=bool)
+    t_lo, t_hi = sorted((t_center, 0.0))
+    bad = ~((t_lo < ts) & (ts < t_hi))
+    if bad.any():
+        raise OvalRangeError(
+            f"{annulus.name} requires t in ({t_lo}, {t_hi}), "
+            f"got t={float(ts[np.argmax(bad)])!r}")
     outer = ur * (1.0 + 1e-9) + math.copysign(1e-12, ur)
     if uc > 0.0:
-        return 0.0, outer, uc, degenerate
-    return outer, 0.0, uc, degenerate
+        return 0.0, outer, uc
+    return outer, 0.0, uc
 
 
 def slice_grid(spec: HamiltonianSpec, annulus: Annulus, ts) -> OvalSlice:
     """Slice the period annulus at every energy of ts at once.
 
-    Returns one OvalSlice whose t, lo, hi, third_root and degenerate are
-    arrays over the grid.  SigmaPlus rejects the center energy exactly
-    (open endpoint); SigmaMinus accepts t = t1 as the degenerate point
-    slice, lo = hi = u_c.
+    Returns one OvalSlice whose t, lo, hi and third_root are arrays over
+    the grid.  Every energy lies strictly inside the annulus: the center
+    and loop energies are rejected with OvalRangeError.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    lo_end, hi_end, uc, degenerate = _slice_brackets(spec, annulus, ts)
+    lo_end, hi_end, uc = _slice_brackets(spec, annulus, ts)
     r = spec.slice_r()
-    lo, hi = np.full(ts.shape, uc), np.full(ts.shape, uc)
-    third = np.zeros(ts.shape)
-    i = np.flatnonzero(~degenerate)
-    ends = _roots(r, np.tile(ts[i], 2), np.repeat([lo_end, uc], i.size),
-                  np.repeat([uc, hi_end], i.size), uc)
-    lo[i], hi[i] = ends[:i.size], ends[i.size:]
+    n = ts.size
+    ends = _roots(r, np.tile(ts, 2), np.repeat([lo_end, uc], n),
+                  np.repeat([uc, hi_end], n), uc)
+    lo, hi = ends[:n], ends[n:]
     _, r1, r2 = r
     # Vieta: the cubic's roots sum to -r1/r2
-    third[i] = -r1 / r2 - lo[i] - hi[i] if r2 != 0.0 else math.inf
-    return OvalSlice(spec, annulus, ts, lo, hi, r, third, degenerate)
+    third = -r1 / r2 - lo - hi if r2 != 0.0 else np.full(n, math.inf)
+    return OvalSlice(spec, ts, lo, hi, r, third)
 
 
 def slice_oval(spec: HamiltonianSpec, annulus: Annulus, t: float) -> OvalSlice:
     """Slice the period annulus at energy t: the one-energy view of
     ``slice_grid``."""
     g = slice_grid(spec, annulus, [t])
-    return OvalSlice(spec, annulus, t, float(g.lo[0]), float(g.hi[0]), g.r,
-                     float(g.third_root[0]), bool(g.degenerate[0]))
+    return OvalSlice(spec, t, float(g.lo[0]), float(g.hi[0]), g.r,
+                     float(g.third_root[0]))
 
 
 @dataclass(frozen=True)
@@ -248,8 +234,7 @@ class SectionSegment:
     """
 
     spec: HamiltonianSpec
-    annulus: Annulus
-    s_center: float  # parameter at the center (degenerate) end
+    s_center: float  # parameter at the center end
     s_loop: float  # parameter at the loop end (energy 0)
 
     @property
@@ -303,7 +288,7 @@ def section_segment(
     """Build the annulus section (``model.section_ends``) and check the
     energy chart is monotone."""
     s_center, s_loop = section_ends(spec, annulus)
-    seg = SectionSegment(spec, annulus, s_center, s_loop)
+    seg = SectionSegment(spec, s_center, s_loop)
     dh = np.diff(seg.energy(np.linspace(seg.s_center, seg.s_loop,
                                         CHART_CHECK_POINTS)))
     if not (np.all(dh > 0.0) or np.all(dh < 0.0)):

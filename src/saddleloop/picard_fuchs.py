@@ -36,7 +36,6 @@ STENCIL_STEP = 1e-3     # spacing of finite_difference_residuals' stencil
 class PFSystem:
     """Coefficient matrices of (A1*t + A0) J' = B J."""
 
-    a: float
     A1: np.ndarray
     A0: np.ndarray
     B: np.ndarray
@@ -67,14 +66,13 @@ def pf_system(spec: HamiltonianSpec) -> PFSystem:
     B = np.array([[1.0 / 3.0, 0.0, 0.0],
                   [0.0, 4.0 * a / 3.0, 0.0],
                   [0.0, 1.5 * (1.0 - a), a]])
-    return PFSystem(a=a, A1=A1, A0=A0, B=B)
+    return PFSystem(A1=A1, A0=A0, B=B)
 
 
 @dataclass(frozen=True)
 class FundamentalSeries:
     """P, Q pair of the fundamental system near the loop energy."""
 
-    a: float
     lam: float
     p_const: np.ndarray
     p_lin: np.ndarray
@@ -150,7 +148,7 @@ def fundamental(spec: HamiltonianSpec, order: int = 8) -> FundamentalSeries:
                                  f"at level {j}")
 
     lam = -2.0 * math.sqrt(3.0 * (2.0 - a))
-    return FundamentalSeries(a=a, lam=lam, p_const=p_const, p_lin=p_lin, q=q)
+    return FundamentalSeries(lam=lam, p_const=p_const, p_lin=p_lin, q=q)
 
 
 def finite_difference_residuals(spec: HamiltonianSpec, ts) -> np.ndarray:

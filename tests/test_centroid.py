@@ -85,7 +85,7 @@ def test_shape_report_names_first_violation(spec_a1):
              # points on a line: every cross product is exactly zero
              "curvature sign not constant": dict(xi=-curve.ts, eta=curve.ts),
              "curvature sign -1, expected 1": dict(
-                 annulus=Annulus.SIGMA_MINUS)}
+                 t_center=-curve.t_center)}
     for violation, changes in cases.items():
         rep = verify_shape(dataclasses.replace(curve, **changes))
         assert (rep.passed, rep.first_violation) == (False, violation)

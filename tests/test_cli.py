@@ -1,5 +1,6 @@
 import csv
 import importlib
+import itertools
 import json
 import os
 import shlex
@@ -613,6 +614,49 @@ def test_verify_out_with_criterion_4(tmp_path, capsys):
 def test_verify_rejects_bad_criterion(capsys):
     code, _, err = run(["verify", "--criteria", "3,99"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_rejects_empty_criteria(tmp_path, capsys, source):
+    # an empty list names no criterion, from the command line or a
+    # config file alike; it is not the default run
+    out = tmp_path / "ver.json"
+    if source == "flag":
+        argv = ["verify", "--criteria="]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"criteria": ""}))
+        argv = ["verify", "--config", str(cfg)]
+    code, stdout, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2 and "error: criteria:" in err
+    assert stdout == "" and not out.exists()
+
+
+def test_durations_survive_clock_steps(tmp_path, capsys, monkeypatch):
+    # a wall clock that steps back between any two readings leaves the
+    # manifest's wall time and each criterion's runtime >= 0
+    readings = itertools.count(1e9, -60.0)
+    monkeypatch.setattr(time, "time", lambda: next(readings))
+    out = tmp_path / "pf.json"
+    code, _, _ = run(["pf", "--a", "0.5", "--out", str(out)], capsys)
+    assert code == 0
+    man = json.loads((tmp_path / "pf.json.manifest.json").read_text())
+    assert man["wall_time_s"] >= 0.0
+    out = tmp_path / "ver.json"
+    code, _, _ = run(["verify", "--criteria", "3", "--out", str(out)], capsys)
+    assert code == 0
+    assert json.loads(out.read_text())["results"][0]["runtime_s"] >= 0.0
+
+
+def test_abelian_rejects_center_energy(tmp_path, capsys):
+    # t1 = 13.5, the center energy of a = 0.5's SigmaMinus, bounds that
+    # annulus as a - 3 bounds SigmaPlus: no oval, a config error and no
+    # artifact
+    out = tmp_path / "ab.csv"
+    code, _, err = run(["abelian", "--a", "0.5", "--annulus", "minus",
+                        "--t-grid=13.5:13.5:1", "--out", str(out)], capsys)
+    assert code == 2 and "SIGMA_MINUS requires t in (0.0, 13.5)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, module, name", [

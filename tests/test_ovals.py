@@ -155,14 +155,23 @@ def test_slice_grid_needs_no_bracketed_search(monkeypatch, a):
 
 
 def test_slice_grid_matches_slice_oval(spec_a05):
-    ts = np.concatenate([default_grid(spec_a05, Annulus.SIGMA_MINUS, n=30),
-                         [critical_data(spec_a05).center1.energy]])
+    ts = default_grid(spec_a05, Annulus.SIGMA_MINUS, n=30)
     g = slice_grid(spec_a05, Annulus.SIGMA_MINUS, ts)
-    assert g.degenerate.tolist() == [False] * 30 + [True]
     for j, t in enumerate(ts):
         sl = slice_oval(spec_a05, Annulus.SIGMA_MINUS, t)
-        assert (sl.lo, sl.hi, sl.third_root, sl.degenerate) == (
-            g.lo[j], g.hi[j], g.third_root[j], g.degenerate[j])
+        assert (sl.lo, sl.hi, sl.third_root) == (
+            g.lo[j], g.hi[j], g.third_root[j])
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_annulus_ends_are_not_slices(a):
+    # each annulus holds the energies strictly between its center's and
+    # the loop's: neither end energy is an oval, on either annulus
+    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
+    for annulus in (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS):
+        for t in (critical_data(spec).center_of(annulus).energy, 0.0):
+            with pytest.raises(OvalRangeError, match=annulus.name):
+                slice_oval(spec, annulus, t)
 
 
 def test_slice_shrinks_to_center(spec_a1):
