@@ -5,7 +5,8 @@ clockwise (with-flow) traversal: on an x-graph oval the closed integral
 collapses to J_k(t) = 2 * int_{x_lo}^{x_hi} x^k sqrt(t/x + r(x)) dx.
 The endpoint square-root vanishing is removed exactly by
 x = mid + halfwidth*sin(theta).  The loop limits J_0(0) and J_1(0) of
-either annulus (``jk_at_loop``) are the one source of loop-end values.
+either annulus (``jk_at_loop``) are the one source of loop-end values;
+the loop is the slice at t = 0, integrated by the grids' slice kernel.
 
 Every integral here comes from one lockstep adaptive Gauss-Kronrod
 kernel (``_gk21``): QUADPACK's 21-point rule and error estimate
@@ -190,8 +191,9 @@ class AbelianTriple:
 
 def _jk_lanes(r, lo, hi, third_root, k, tol):
     """J_k on normal-form slices, one lane per (slice, k): arrays of the
-    slice endpoints, third roots and k.  Returns (values, errors,
-    converged) arrays."""
+    slice endpoints, third roots and k.  ``tol`` (a scalar or one per
+    lane) bounds the kernel's theta-integral, before its 2*w^2 scale.
+    Returns (values, errors, converged) arrays."""
     w = 0.5 * (hi - lo)
     m = 0.5 * (hi + lo)
 
@@ -201,8 +203,7 @@ def _jk_lanes(r, lo, hi, third_root, k, tol):
         xk = np.where(k[i] == 0, 1.0, np.where(k[i] < 0, 1.0 / x, x))
         return xk * np.sqrt(phi(r, third_root[i], x)) * c * c
 
-    val, err, ok = _gk21(f, len(k), -HALF_PI, HALF_PI,
-                         0.25 * tol / np.maximum(w * w, 1e-30))
+    val, err, ok = _gk21(f, len(k), -HALF_PI, HALF_PI, tol)
     return 2.0 * w * w * val, 2.0 * w * w * err, ok
 
 
@@ -215,8 +216,9 @@ def _jk_grid(spec: HamiltonianSpec, annulus: Annulus, ts, ks, tol):
     g = slice_grid(spec, annulus, ts)
     n, m = len(g.t), len(ks)
     lo, hi, third = (np.repeat(x, m) for x in (g.lo, g.hi, g.third_root))
+    w = 0.5 * (hi - lo)     # tol holds after the kernel's 2*w^2 scale
     v, er, conv = _jk_lanes(g.r, lo, hi, third, np.tile(np.asarray(ks), n),
-                            tol)
+                            0.25 * tol / np.maximum(w * w, 1e-30))
     return tuple(x.reshape(n, m) for x in (v, er, conv))
 
 
@@ -227,8 +229,10 @@ def jk_on_slice(sl: OvalSlice, k: int) -> tuple[float, float, bool]:
     """
     if sl.spec.family is not Family.NORMAL_FORM:
         raise ValueError("x^k y dx basis applies to the normal-form family")
+    w = 0.5 * (sl.hi - sl.lo)
     v, e, ok = _jk_lanes(sl.r, np.array([sl.lo]), np.array([sl.hi]),
-                         np.array([sl.third_root]), np.array([k]), QUAD_TOL)
+                         np.array([sl.third_root]), np.array([k]),
+                         0.25 * QUAD_TOL / max(w * w, 1e-30))
     return float(v[0]), float(e[0]), bool(ok[0])
 
 
@@ -255,33 +259,23 @@ def triple(spec: HamiltonianSpec, annulus: Annulus, t: float) -> AbelianTriple:
 
 
 def jk_at_loop(spec: HamiltonianSpec, annulus: Annulus, k: int) -> float:
-    """J_k(0) = 2 * int x^k sqrt(r(x)) dx between 0 and the annulus's
-    loop end u_r (``slice_span``), J_0(0) > 0, for k in {0, 1}; the
-    k = -1 integral diverges logarithmically at the loop.
-
-    x = u_r sin^2(psi) gives r(x) = |u_r| cos^2(psi) q(x), with
-    q = -r2 sign(u_r) (x - u_o) and u_o the other root of r.
+    """J_k(0) = 2 * int x^k sqrt(r(x)) dx, J_0(0) > 0, for k in {0, 1};
+    the k = -1 integral diverges logarithmically at the loop.  The loop
+    is the slice at t = 0: its ends are 0 and u_r (``slice_span``), its
+    third root the other root of r; LIMIT_QUAD_TOL bounds its
+    theta-integral (``_jk_lanes``).
     """
     if spec.family is not Family.NORMAL_FORM:
         raise ValueError("loop-limit J_k applies to the normal-form family")
     if k not in (0, 1):
         raise ValueError(f"J_k(0) finite only for k in {{0, 1}}, got k={k}")
-    _, r1, r2 = spec.slice_r()
-    u_r = slice_span(spec, annulus)[1]
-    sign = math.copysign(1.0, u_r)
-    u_o = -r1 / r2 - u_r if r2 != 0.0 else 0.0  # other root of r
-
-    def f(psi, _):
-        s = np.sin(psi)
-        c = np.cos(psi)
-        x = u_r * s * s
-        q = -r2 * sign * (x - u_o) if r2 != 0.0 else np.full(x.shape, -r1)
-        return (x if k else 1.0) * np.sqrt(q) * s * c * c
-
-    val, err, ok = _gk21(f, 1, 0.0, HALF_PI, LIMIT_QUAD_TOL)
+    r = spec.slice_r()
+    lo, hi = np.sort([[0.0], [slice_span(spec, annulus)[1]]], axis=0)
+    third = -r[1] / r[2] - lo - hi if r[2] != 0.0 else np.full(1, math.inf)
+    val, err, ok = _jk_lanes(r, lo, hi, third, np.array([k]), LIMIT_QUAD_TOL)
     if not ok[0]:
         raise QuadratureError(f"loop-limit quadrature not converged (err={err[0]})")
-    return 4.0 * abs(u_r)**1.5 * float(val[0])
+    return float(val[0])
 
 
 # --- appendix-family integrals ------------------------------------------

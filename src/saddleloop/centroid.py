@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Annulus, Family, HamiltonianSpec, MelnikovCoeffs, critical_data
+from .model import Annulus, HamiltonianSpec, MelnikovCoeffs, critical_data
 from .abelian import QUAD_TOL, triples_on_grid
 from .lockstep import sign_changes
 
@@ -104,14 +104,8 @@ def sample_curve(spec: HamiltonianSpec, annulus: Annulus,
                  n: int = CURVE_POINTS,
                  tol: float = QUAD_TOL) -> CentroidCurve:
     """Sample the centroid curve on default_grid(n)."""
-    if spec.family is not Family.NORMAL_FORM:
-        raise ValueError("centroid curves are defined for the normal-form "
-                         "family")
     t_grid = default_grid(spec, annulus, n=n)
     tr = triples_on_grid(spec, annulus, t_grid, tol=tol)
-    if np.any(tr.j0 == 0.0):
-        raise ArithmeticError("J_0 vanished on the grid; orientation "
-                              "normalization violated upstream")
     return CentroidCurve(
         ts=t_grid, xi=tr.j1 / tr.j0, eta=tr.jm1 / tr.j0,
         t_center=critical_data(spec).center_of(annulus).energy,

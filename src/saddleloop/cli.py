@@ -255,6 +255,11 @@ def cmd_sim(args):
                  for c in res.cycles if c.stability == "undetermined"]
         if res.outcomes.get("failed"):
             flags.append(f"{res.outcomes['failed']} census lanes failed")
+        # a scan with no return measured nothing; a degenerate census
+        # scans no lanes, and one whose lanes all failed is flagged above
+        if not res.outcomes.get("ok") and set(res.outcomes) - {"failed"}:
+            flags.append("no census lane returned: " + ", ".join(
+                f"{n} {why}" for why, n in res.outcomes.items()))
         for key, names, pair in (
                 ("traces", ("sigma1", "sigma2"), res.saddle_traces),
                 ("shifts", ("b1", "b2"), res.shifts)):

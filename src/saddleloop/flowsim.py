@@ -188,7 +188,6 @@ def integrate(flow: FlowSpec, start, T: float) -> Trajectory:
 class ReturnResult:
     s_return: float | None
     reason: str          # ok | escape | left_annulus | timeout | failed
-    t_return: float | None
 
 
 REASONS = ("ok", "escape", "left_annulus", "timeout", "failed")
@@ -240,7 +239,6 @@ class ReturnLanes:
 
     s_return: np.ndarray        # nan where the lane did not return
     reason: np.ndarray          # entries of REASONS
-    t_return: np.ndarray        # nan where the lane did not return
 
 
 def _first_returns(field, z, section: SectionSegment, T_max: float,
@@ -256,8 +254,8 @@ def _first_returns(field, z, section: SectionSegment, T_max: float,
     outside the annulus: it slipped through a broken connection),
     timeout (no crossing within T_max) or failed (a step size that
     underflows or is not finite).
-    Returns per lane the reason code, the return time and the state at
-    the return, nan where the lane did not return.
+    Returns per lane the reason code and the state at the return, nan
+    where the lane did not return.
     """
     if not BURN_IN < T_max < math.inf:
         raise ValueError(f"T_max must be finite and exceed the burn-in "
@@ -269,22 +267,20 @@ def _first_returns(field, z, section: SectionSegment, T_max: float,
         raise ValueError(f"s={z[coord][outside][0]} outside section range "
                          f"{section.s_bounds()}")
     reason = np.full(z.shape[1], _FAILED)
-    t_ret = np.full(z.shape[1], np.nan)
     z_ret = np.full(z.shape, np.nan)
     st, _, _, z = advance(field, z, BURN_IN, ((_escape, 1),), tol)
     reason[st == 1] = _ESCAPE
     go = np.flatnonzero(st == 0)
     events = ((lambda z: z[1 - coord], section.direction), (_escape, 1))
-    st, which, t, z = advance(field, z[:, go], T_max - BURN_IN, events, tol)
+    st, which, _, z = advance(field, z[:, go], T_max - BURN_IN, events, tol)
     crossed = (st == 1) & (which == 0)
     inside = (lo <= z[coord]) & (z[coord] <= hi)
     r = np.select([crossed & inside, crossed, st == 1, st == 0],
                   [_OK, _LEFT, _ESCAPE, _TIMEOUT], _FAILED)
     reason[go] = r
     ok = r == _OK
-    t_ret[go[ok]] = BURN_IN + t[ok]
     z_ret[:, go[ok]] = z[:, ok]
-    return reason, t_ret, z_ret
+    return reason, z_ret
 
 
 def return_maps(flow: FlowSpec, section: SectionSegment, s,
@@ -296,9 +292,9 @@ def return_maps(flow: FlowSpec, section: SectionSegment, s,
     c = section.row
     z = np.zeros((2, s.size))
     z[c] = s
-    reason, t_ret, z = _first_returns(_lockstep_field(flow), z, section,
-                                      T_max, flow.tol)
-    return ReturnLanes(z[c], np.array(REASONS)[reason], t_ret)
+    reason, z = _first_returns(_lockstep_field(flow), z, section, T_max,
+                               flow.tol)
+    return ReturnLanes(z[c], np.array(REASONS)[reason])
 
 
 def _returns_and_slopes(flow: FlowSpec, section: SectionSegment, s,
@@ -312,7 +308,7 @@ def _returns_and_slopes(flow: FlowSpec, section: SectionSegment, s,
     z = np.zeros((3, s.size))
     z[c] = s
     field = _lockstep_field(flow)
-    _, _, q = _first_returns(field, z, section, T_max, flow.tol)
+    _, q = _first_returns(field, z, section, T_max, flow.tol)
     return q[c], field(z[:2])[o] / field(q[:2])[o] * np.exp(q[2])
 
 
@@ -323,9 +319,8 @@ def return_map(flow: FlowSpec, section: SectionSegment,
     reported as data, not errors."""
     lanes = return_maps(flow, section, s, T_max=RETURN_T_MAX)
     if lanes.reason[0] != "ok":
-        return ReturnResult(None, str(lanes.reason[0]), None)
-    return ReturnResult(float(lanes.s_return[0]), "ok",
-                        float(lanes.t_return[0]))
+        return ReturnResult(None, str(lanes.reason[0]))
+    return ReturnResult(float(lanes.s_return[0]), "ok")
 
 
 def displacement(flow: FlowSpec, section: SectionSegment,

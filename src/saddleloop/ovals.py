@@ -26,9 +26,8 @@ root in w = 1/(u - u_c), takes two Newton steps, and is kept where the
 cubic changes sign within its rounding bound; the few that fail go to
 one lockstep Illinois search (``lockstep.illinois``) on their brackets.
 ``slice_oval`` is its one-energy view.  Sections come from
-``model.section_ends`` and lie on the slice axis, so their energy chart
-energy(s) = t is the same cubic: ``SectionSegment.coord_for_energy``
-solves it as one bracket of the same solver.
+``model.section_ends`` and lie on the slice axis, so a section point is
+a slice endpoint: ``SectionSegment.coord_for_energy`` reads it off.
 """
 from __future__ import annotations
 
@@ -225,7 +224,7 @@ def slice_oval(spec: HamiltonianSpec, annulus: Annulus, t: float) -> OvalSlice:
 
 @dataclass(frozen=True)
 class SectionSegment:
-    """Transversal segment crossing every oval of an annulus once.
+    """Transversal segment crossing every oval of ``annulus`` once.
 
     Parameterized by the coordinate ``s`` along the section axis (the
     slice axis: 'x', the section on y = 0, or 'y', on x = 0); the energy
@@ -234,6 +233,7 @@ class SectionSegment:
     """
 
     spec: HamiltonianSpec
+    annulus: Annulus
     s_center: float  # parameter at the center end
     s_loop: float  # parameter at the loop end (energy 0)
 
@@ -264,21 +264,12 @@ class SectionSegment:
         return lo <= s <= hi
 
     def coord_for_energy(self, t: float) -> float:
-        """Invert the energy chart on the segment.  The section lies on
-        the slice axis, where energy(s) = t is the slice cubic's root,
-        c(s) = t - energy(s): one bracket of ``_roots``, from the center
-        end to the loop end."""
-        a, b = self.s_bounds()
-        fa = self.energy(a) - t
-        fb = self.energy(b) - t
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if fa * fb > 0.0:
-            raise OvalRangeError(f"energy {t!r} not attained on the section")
-        return float(_roots(self.spec.slice_r(), np.array([t]), np.array([a]),
-                            np.array([b]), self.s_center)[0])
+        """Invert the energy chart: the endpoint of the slice at t
+        (``slice_grid``) on the section's side of the center.  Only the
+        annulus's open energy interval is charted: its center's and the
+        loop's energies raise OvalRangeError."""
+        g = slice_grid(self.spec, self.annulus, [t])
+        return float((g.hi if self.s_loop > self.s_center else g.lo)[0])
 
 
 def section_segment(
@@ -288,7 +279,7 @@ def section_segment(
     """Build the annulus section (``model.section_ends``) and check the
     energy chart is monotone."""
     s_center, s_loop = section_ends(spec, annulus)
-    seg = SectionSegment(spec, s_center, s_loop)
+    seg = SectionSegment(spec, annulus, s_center, s_loop)
     dh = np.diff(seg.energy(np.linspace(seg.s_center, seg.s_loop,
                                         CHART_CHECK_POINTS)))
     if not (np.all(dh > 0.0) or np.all(dh < 0.0)):

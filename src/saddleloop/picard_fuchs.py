@@ -96,16 +96,18 @@ class FundamentalSeries:
 def fundamental(spec: HamiltonianSpec, order: int = 8) -> FundamentalSeries:
     """Compute P and the Q series to the given order.
 
-    Rejects a in {0, 2}: at a=0 the polynomial solution degenerates and
-    at a=2 the loop collapses (the series denominators vanish).
+    Rejects a = 0 and a >= 2, within 1e-12: at a=0 the polynomial
+    solution degenerates, at a=2 the loop collapses (the series
+    denominators vanish) and beyond it the saddles are complex, so the
+    log multiplier -2*sqrt(3*(2-a)) is not real.
     """
     sys = pf_system(spec)
     a = spec.a
     if order < 3:
         raise ValueError("order must be at least 3")
-    for bad in (0.0, 2.0):
-        if abs(a - bad) < 1e-12:
-            raise ValueError(f"fundamental system not defined at a={bad}")
+    if abs(a) < 1e-12 or a > 2.0 - 1e-12:
+        raise ValueError(f"fundamental system not defined at a={a}: it "
+                         "needs a != 0 and real saddles (a < 2)")
     disc = 3.0 + 2.0 * a - a * a  # vanishes at a=-1, 3, off the loop range
     if abs(disc) < 1e-12:
         raise ValueError(f"series recursion breaks down at a={a}")

@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from saddleloop import abelian, cli
-from saddleloop.centroid import default_grid
+from saddleloop.centroid import center_endpoint, default_grid
 from saddleloop.melnikov import (APPENDIX_NORMAL_FORM, APPENDIX_T_PER_H,
                                  APPENDIX_Y2_PER_J1, APPENDIX_Y_PER_J0)
-from saddleloop.model import Annulus, Family, HamiltonianSpec
+from saddleloop.model import Annulus, Family, HamiltonianSpec, critical_data
 from saddleloop.abelian import (
     QUAD_LIMIT,
     appendix_oval_integral,
@@ -81,6 +81,32 @@ def test_loop_limits_mirror_at_a1(spec_a1):
 def test_loop_limit_closed_form_a1(spec_a1):
     # at a=1 the loop is y^2 = 3 - x^2: J_0(0) = 3*pi/2 exactly
     assert jk_at_loop(spec_a1, Annulus.SIGMA_PLUS, 0) == pytest.approx(1.5 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", np.linspace(0.05, 1.95, 39).tolist())
+def test_sigma_minus_is_sigma_plus_at_two_minus_a(a):
+    # X = -lam*x, Y = mu*y (lam = a/(2-a), mu = sqrt(lam)) take H at a to
+    # -kappa*H' at 2 - a, kappa = ((2-a)/a)^2, and SigmaMinus onto
+    # SigmaPlus: J_k^-(t; a) = (-1)^k lam^-(k+1) mu^-1 J_k^+(-t/kappa; 2-a).
+    # The whole minus path (slices, kernel, loop limits) against the plus
+    # path, with no reference values
+    lam = a / (2.0 - a)
+    kappa = ((2.0 - a) / a) ** 2
+    minus = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
+    plus = HamiltonianSpec(family=Family.NORMAL_FORM, a=2.0 - a)
+    scale = [(-1) ** k * lam ** -(k + 1) / math.sqrt(lam) for k in (-1, 0, 1)]
+    ts = np.linspace(0.999, 1e-6, 6) * critical_data(minus).center1.energy
+    got = triples_on_grid(minus, Annulus.SIGMA_MINUS, ts).as_vector()
+    want = scale * triples_on_grid(plus, Annulus.SIGMA_PLUS,
+                                   -ts / kappa).as_vector()
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(got)))
+    for k in (0, 1):
+        assert jk_at_loop(minus, Annulus.SIGMA_MINUS, k) == pytest.approx(
+            scale[k + 1] * jk_at_loop(plus, Annulus.SIGMA_PLUS, k), rel=4e-15)
+    # the centroid's center ends: xi^- = -xi^+/lam, eta^- = -lam*eta^+
+    xi, eta = center_endpoint(plus, Annulus.SIGMA_PLUS)
+    assert center_endpoint(minus, Annulus.SIGMA_MINUS) == pytest.approx(
+        (-xi / lam, -lam * eta), rel=1e-15)
 
 
 def test_error_estimates_honest(spec_a1):

@@ -107,6 +107,18 @@ def test_pf_json_payload(tmp_path, capsys):
     assert len(doc["A1"]) == 3 and len(doc["A1"][0]) == 3
 
 
+@pytest.mark.parametrize("a", ["2.5", "4", "2", "1e-13"])
+def test_pf_names_the_rejected_a(tmp_path, capsys, a):
+    # beyond a = 2 the saddles are complex and the log multiplier is not
+    # real; a = 0 and a = 2 degenerate the series.  The error names the
+    # given a, and no artifact is written
+    out = tmp_path / "pf.json"
+    code, _, err = run(["pf", "--a", a, "--out", str(out)], capsys)
+    assert code == 2
+    assert f"not defined at a={float(a)}:" in err
+    assert not out.exists()
+
+
 def test_melnikov_both_families(tmp_path, capsys):
     out1 = tmp_path / "mel_app.csv"
     code, _, _ = run(["melnikov", "--family", "appendix", "--mu2", "0.01",
@@ -225,6 +237,20 @@ def test_sim_census_zero_one_form_degenerate(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["degenerate_continuum"] is True
     assert doc["cycles"] == [] and doc["outcomes"] == {}
+
+
+def test_sim_census_without_returns_flagged(tmp_path, capsys):
+    # T = 1 is too short for any orbit to come back to the section: the
+    # census writes its empty scan, and the flag names the outcomes
+    out = tmp_path / "census.json"
+    code, _, _ = run(["sim", "--family", "normal", "--a", "1",
+                      "--eps", "1e-3", "--f", "0,0,1,0,0,0", "--census",
+                      "--n", "100", "--T", "1", "--out", str(out)], capsys)
+    assert code == 3
+    doc = json.loads(out.read_text())
+    assert doc["outcomes"] == {"timeout": 100} and doc["cycles"] == []
+    man = json.loads((tmp_path / "census.json.manifest.json").read_text())
+    assert man["flags"] == ["no census lane returned: 100 timeout"]
 
 
 def test_sim_census_witness_replay(tmp_path, capsys):

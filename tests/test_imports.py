@@ -234,6 +234,23 @@ def test_benchmark_witness_capture_resolves(monkeypatch):
     assert isinstance(seen["appendix_count_zeros"].count, int)
 
 
+def test_benchmark_items_run(monkeypatch):
+    # perfbench/rep.py's census and first-order items, run on their first
+    # inputs with a collecting check: a program change that breaks a call
+    # the benchmark makes fails here, and so does any failed item check
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "rep", ROOT / "perfbench" / "rep.py")
+    rep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rep)
+    check = rep.Checks()
+    for inp in rep.census_inputs(rep.DEFAULT_SEEDS["census_scan"], 0):
+        rep.census_item(inp, check)
+    rep.first_order_item(rep.first_order_inputs(1, 0)[0], check)
+    assert check.failures == []
+    assert check.attempted == 22
+
+
 def test_import_path_loads_no_scipy_solvers(tmp_path):
     # the runtime needs numpy only: importing every module of the
     # package and running sim --traj load no part of scipy

@@ -174,6 +174,19 @@ def test_annulus_ends_are_not_slices(a):
                 slice_oval(spec, annulus, t)
 
 
+@pytest.mark.parametrize("family,a,annulus", [
+    (NF, 1.0, Annulus.SIGMA_PLUS), (NF, 0.5, Annulus.SIGMA_MINUS),
+    (APP, 1.0, Annulus.SIGMA_PLUS)])
+def test_section_chart_holds_the_open_annulus(family, a, annulus):
+    # the chart inverts the energies of the annulus's ovals only: its
+    # center's energy and the loop's are ends of the section, not ovals
+    spec = HamiltonianSpec(family=family, a=a)
+    sect = section_segment(spec, annulus)
+    for t in (critical_data(spec).center_of(annulus).energy, 0.0):
+        with pytest.raises(OvalRangeError, match=annulus.name):
+            sect.coord_for_energy(t)
+
+
 def test_slice_shrinks_to_center(spec_a1):
     # t just above the center energy a-3 = -2
     sl = slice_oval(spec_a1, Annulus.SIGMA_PLUS, -2.0 + 1e-6)
