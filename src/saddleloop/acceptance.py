@@ -267,15 +267,17 @@ def criterion_9():
         for c, e in zip(res.cycles, w["expected_section_coords"]))
     zc = melnikov.appendix_count_zeros(float(w["mu2"]),
                                        tuple(w["energy_window"]))
-    # a coarse grid may miss a pair of zeros, so the count may be low
+    # a flagged count may have missed a pair of zeros
     ok = (n_cycles == int(w["expected_cycles"])
           and list(stabs) == list(w["expected_stabilities"])
           and coords_ok
           and zc.count <= int(w["melnikov_max_zeros"])
-          and not zc.grid_coarse and zc.converged)
+          and not zc.grid_coarse and not zc.tangency_suspected
+          and zc.converged)
     return ok, (f"census {n_cycles} cycles {stabs}, "
                 f"first-order zeros {zc.count} (<= {w['melnikov_max_zeros']})"
                 + (", grid coarse" if zc.grid_coarse else "")
+                + (", tangency suspected" if zc.tangency_suspected else "")
                 + ("" if zc.converged else ", not converged"))
 
 

@@ -12,8 +12,10 @@ which is what ties zero counts of Melnikov functions to cycle counts.
 
 Intersections are counted in the t-parameterization: sign changes of the
 affine functional along the samples, which is exact for monotone curves
-and avoids 2-D clipping predicates.  What a count cannot certify is a
-field of its result, never a warning: ``tangency_suspected`` (a possible
+and avoids 2-D clipping predicates.  ``line_intersections`` is the sign
+stage of both counters: ``melnikov.count_zeros`` runs it too, on
+``default_grid`` by default.  What a count cannot certify is a field of
+its result, never a warning: ``tangency_suspected`` (a possible
 even-multiplicity contact the count leaves out) and ``contains_curve``
 (the line holds the whole curve, so the count of 0 means nothing).
 """
@@ -28,7 +30,7 @@ from .model import Annulus, HamiltonianSpec, MelnikovCoeffs, critical_data
 from .abelian import QUAD_TOL, triples_on_grid
 from .lockstep import sign_changes
 
-# samples of a centroid curve's default grid
+# samples of every centroid curve and zero-count grid
 CURVE_POINTS = 200
 # relative distance of the default grid from the center and loop energies
 CENTER_MARGIN = 1e-5
@@ -105,9 +107,14 @@ def sample_curve(spec: HamiltonianSpec, annulus: Annulus,
                  tol: float = QUAD_TOL) -> CentroidCurve:
     """Sample the centroid curve on default_grid(n)."""
     t_grid = default_grid(spec, annulus, n=n)
-    tr = triples_on_grid(spec, annulus, t_grid, tol=tol)
+    return curve_of(spec, annulus, t_grid,
+                    triples_on_grid(spec, annulus, t_grid, tol=tol))
+
+
+def curve_of(spec: HamiltonianSpec, annulus: Annulus, ts, tr) -> CentroidCurve:
+    """The centroid curve at energies ts, from their grid triple tr."""
     return CentroidCurve(
-        ts=t_grid, xi=tr.j1 / tr.j0, eta=tr.jm1 / tr.j0,
+        ts=ts, xi=tr.j1 / tr.j0, eta=tr.jm1 / tr.j0,
         t_center=critical_data(spec).center_of(annulus).energy,
         converged=bool(tr.converged.all()))
 
@@ -156,9 +163,10 @@ class LineIntersections:
 
 def line_intersections(curve: CentroidCurve,
                        coeffs: MelnikovCoeffs) -> LineIntersections:
-    """Count crossings of alpha + beta*xi + gamma*eta = 0 with the curve.
+    """Count crossings of alpha + beta*xi + gamma*eta = 0 with the curve:
+    the sign stage of both counters.
 
-    The exact zeros and sign changes of the functional along t
+    The exact zeros and sign-change cells of the functional along t
     (``lockstep.sign_changes``); values inside TANGENCY_BAND that do not
     produce a sign change raise the tangency flag (multiplicity is not
     certified).
@@ -171,12 +179,9 @@ def line_intersections(curve: CentroidCurve,
     if np.max(np.abs(g)) < 1e-13 * max(scale, 1e-300):
         return LineIntersections(0, False, True)
     zeros, cells = sign_changes(g)
-    near = np.abs(g) < TANGENCY_BAND * scale
-    tangent = False
-    for i in np.nonzero(near)[0]:
-        left = g[i - 1] if i > 0 else g[i]
-        right = g[i + 1] if i + 1 < len(g) else g[i]
-        if left * right > 0.0 and g[i] != 0.0:
-            tangent = True
+    # a sample's neighbours, each end standing in for its missing one
+    side = np.concatenate([g[:1], g, g[-1:]])
+    tangent = bool(np.any((np.abs(g) < TANGENCY_BAND * scale) & (g != 0.0)
+                          & (side[:-2] * side[2:] > 0.0)))
     return LineIntersections(count=zeros.size + cells.size,
                              tangency_suspected=tangent, contains_curve=False)

@@ -10,17 +10,15 @@ sources elsewhere: the loop value M(0) = alpha*J_0(0) + beta*J_1(0)
 from ``abelian.jk_at_loop``, and the ln|t| and t*ln|t| terms of its
 expansion from the Picard-Fuchs series (``picard_fuchs.fundamental``).
 
-The zero count samples M on GRID_POINTS energies and refines every sign
-change to one root with the lockstep Illinois search that the cycle
-census uses (``lockstep.grid_roots``).  The grid and each Illinois
-round are one ``triples_on_grid`` batch; M is written once, on a grid
-triple's columns in ``values_on_grid``, and ``value`` is its one-energy
-view.
-
-Each quality fact is a field of its result:
-``ZeroCount.converged`` (every quadrature of the grid and of the
-Illinois rounds converged) and ``ZeroCount.grid_coarse`` (two zeros
-within a few grid cells, so the grid may miss a pair between them).
+The zero count samples M on ``centroid.default_grid``, or on a linear
+grid over a given window, where the centroid sign stage
+(``centroid.line_intersections``) decides its exact zeros, sign-change
+cells and flags: M = J_0*(alpha + beta*xi + gamma*eta) with J_0 > 0.
+Each cell is refined to one root with the census's lockstep Illinois
+search (``lockstep.grid_roots``).  The grid and each Illinois round are
+one ``triples_on_grid`` batch; M is written once, on a grid triple's
+columns in ``values_on_grid``, and ``value`` is its one-energy view.
+Each quality fact is a field of ``ZeroCount``.
 """
 from __future__ import annotations
 
@@ -32,6 +30,7 @@ import numpy as np
 from .model import (APPENDIX_SPEC, Annulus, Family, HamiltonianSpec,
                     MelnikovCoeffs, critical_data, require_finite)
 from .abelian import QUAD_TOL, triples_on_grid
+from .centroid import CURVE_POINTS, curve_of, default_grid, line_intersections
 from .lockstep import grid_roots
 
 
@@ -57,56 +56,49 @@ def value(spec: HamiltonianSpec, coeffs: MelnikovCoeffs, annulus: Annulus,
     return float(values_on_grid(spec, coeffs, annulus, [t])[0][0])
 
 
-GRID_POINTS = 200   # samples of a zero-count grid
-
-
 @dataclass(frozen=True)
 class ZeroCount:
     count: int
     zeros: tuple[float, ...]
-    grid_coarse: bool     # adjacent zeros closer than a few grid cells
-    converged: bool       # every quadrature of the grid and the rounds
-
-
-def _default_range(spec: HamiltonianSpec, annulus: Annulus) -> tuple[float, float]:
-    """(lo, hi) inside the annulus: 1e-3*|t_c| off its center energy t_c
-    and 1e-6*|t_c| off the loop energy 0."""
-    t_center = critical_data(spec).center_of(annulus).energy
-    return tuple(sorted((t_center - 1e-3 * t_center, 1e-6 * t_center)))
+    # either flag: the grid may have missed a pair of zeros
+    grid_coarse: bool         # adjacent zeros within three grid cells
+    tangency_suspected: bool  # a near-zero sample without a sign change
+    converged: bool           # every quadrature of the grid and the rounds
 
 
 def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
                 annulus: Annulus, t_range=None) -> ZeroCount:
-    """Zeros of M on the annulus: the exact zeros and sign changes of
-    GRID_POINTS samples, each sign change refined to one root by the
-    lockstep Illinois search of ``lockstep.grid_roots``.
+    """Zeros of M on ``centroid.default_grid``, or on a linear grid over
+    t_range: the exact zeros and sign-change cells that the sign stage
+    finds on the grid's centroid curve, each cell refined to one root by
+    the lockstep Illinois search of ``lockstep.grid_roots``.
 
     Counts isolated sign-crossing zeros only; no multiplicity claim.
     """
     if coeffs.all_zero:
         raise ZeroFunctionError("Melnikov coefficients are identically zero; "
                                 "order insufficient")
-    if t_range is None:
-        t_range = _default_range(spec, annulus)
-    lo, hi = float(t_range[0]), float(t_range[1])
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    vals, ok = values_on_grid(spec, coeffs, annulus, grid)
-    masks = [ok]
-    # M is linear in its coefficients, so only exact zeros everywhere
-    # mean M is zero: a small scale is no evidence
-    if not vals.any():
+    grid = (default_grid(spec, annulus) if t_range is None else
+            np.linspace(float(t_range[0]), float(t_range[1]), CURVE_POINTS))
+    tr = triples_on_grid(spec, annulus, grid)
+    curve = curve_of(spec, annulus, grid, tr)
+    stage = line_intersections(curve, coeffs)
+    if stage.contains_curve:
         raise ZeroFunctionError("function is identically zero on the grid; "
                                 "zero count is meaningless")
+    masks = [tr.converged]
 
     def values(ts):
         vals, ok = values_on_grid(spec, coeffs, annulus, ts)
         masks.append(ok)
         return vals
 
-    zeros = grid_roots(values, grid, vals).tolist()
-    step = abs(grid[1] - grid[0])
-    coarse = any(z2 - z1 < 3.0 * step for z1, z2 in zip(zeros, zeros[1:]))
-    return ZeroCount(count=len(zeros), zeros=tuple(zeros), grid_coarse=coarse,
+    # J_0 > 0: J_0*functional has the stage's signs and exact zeros
+    zeros = grid_roots(values, grid, tr.j0 * curve.functional(coeffs))
+    cell = np.interp(zeros, np.sort(grid), np.argsort(grid))
+    return ZeroCount(count=zeros.size, zeros=tuple(zeros.tolist()),
+                     grid_coarse=bool(np.any(np.abs(np.diff(cell)) < 3.0)),
+                     tangency_suspected=stage.tangency_suspected,
                      converged=all(bool(m.all()) for m in masks))
 
 

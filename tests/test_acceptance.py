@@ -141,6 +141,19 @@ def test_criterion_9_fails_on_coarse_zero_grid(monkeypatch):
     assert result.detail.endswith("first-order zeros 0 (<= 1), grid coarse")
 
 
+def test_criterion_9_fails_on_tangent_zero_count(monkeypatch):
+    # a near-tangent sample may hide a pair of zeros, so the bound on the
+    # count is no evidence
+    exact = melnikov.appendix_count_zeros
+    monkeypatch.setattr(melnikov, "appendix_count_zeros", lambda *args:
+                        dataclasses.replace(exact(*args),
+                                            tangency_suspected=True))
+    result = acceptance.criterion_9()
+    assert not result.passed
+    assert result.detail.endswith("first-order zeros 0 (<= 1), "
+                                  "tangency suspected")
+
+
 @pytest.mark.slow
 def test_criterion_10_census_bound():
     _check(acceptance.criterion_10)

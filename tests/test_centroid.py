@@ -143,19 +143,19 @@ def test_line_intersections_bounds(spec_a1):
 
 def test_minus_annulus_counts_agree():
     # M = J_0 * (alpha + beta*xi + gamma*eta) with J_0 > 0: on the minus
-    # annulus its zeros are the minus curve's crossings
-    rng = np.random.default_rng(7)
-    seen = set()
-    for a in (0.5, 1.0, 1.5):
-        spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
-        minus = sample_curve(spec, Annulus.SIGMA_MINUS)
-        for _ in range(12):
-            coeffs = MelnikovCoeffs(*rng.uniform(-1.0, 1.0, 3), order_k=2)
-            on_minus = line_intersections(minus, coeffs).count
-            seen.add(on_minus)
-            assert count_zeros(spec, coeffs,
-                               Annulus.SIGMA_MINUS).count == on_minus
-    assert seen == {0, 1}
+    # annulus, and on the plus one, its zeros are the curve's crossings
+    for annulus in (Annulus.SIGMA_MINUS, Annulus.SIGMA_PLUS):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for a in (0.5, 1.0, 1.5):
+            spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
+            curve = sample_curve(spec, annulus)
+            for _ in range(12):
+                coeffs = MelnikovCoeffs(*rng.uniform(-1.0, 1.0, 3), order_k=2)
+                on_curve = line_intersections(curve, coeffs).count
+                seen.add(on_curve)
+                assert count_zeros(spec, coeffs, annulus).count == on_curve
+        assert seen == {0, 1}, annulus
 
 
 @pytest.mark.parametrize("a", [round(0.1 * k, 1) for k in range(1, 20)])

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from saddleloop import abelian, melnikov
+from saddleloop import abelian, centroid, melnikov
 from saddleloop.flowsim import appendix_flow
-from saddleloop.model import Annulus, MelnikovCoeffs, PerturbationSpec
+from saddleloop.lockstep import ROOT_XTOL
+from saddleloop.model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
+                              PerturbationSpec, critical_data)
 from saddleloop.picard_fuchs import fundamental
 from saddleloop.melnikov import (
     APPENDIX_NORMAL_FORM,
@@ -98,9 +100,9 @@ def _line_through(p1, p2):
 def test_close_zeros_flag_grid_coarse(spec_a1, descending):
     # M = J0 * (line functional) vanishes where the line meets the
     # centroid curve: here at two energies about two grid cells apart,
-    # on a grid run in either direction
-    lo, hi = melnikov._default_range(spec_a1, Annulus.SIGMA_PLUS)
-    step = (hi - lo) / (melnikov.GRID_POINTS - 1)
+    # on a linear grid run in either direction
+    lo, hi = -1.998, -2e-6
+    step = (hi - lo) / (centroid.CURVE_POINTS - 1)
     ts = lo + step * np.array([100.3, 102.3])
     tr = abelian.triples_on_grid(spec_a1, Annulus.SIGMA_PLUS, ts)
     coeffs = _line_through(*zip(tr.j1 / tr.j0, tr.jm1 / tr.j0))
@@ -114,9 +116,32 @@ def test_close_zeros_flag_grid_coarse(spec_a1, descending):
     assert zc.converged
 
 
+@pytest.mark.parametrize("annulus", [Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS],
+                         ids=["plus", "minus"])
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+def test_near_loop_pairs_counted(a, annulus):
+    # a line through the centroid points at (10^-k, 10^-(k+1))*t_c, t_c
+    # the center energy, plants two zeros of M next to the loop: the
+    # default grid counts both, each to the root tolerance or flagged as
+    # closer than three of its cells, and so does the sampled curve
+    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=a)
+    t_c = critical_data(spec).center_of(annulus).energy
+    curve = centroid.sample_curve(spec, annulus)
+    for k in range(1, 5):
+        ts = t_c * np.array([10.0 ** -k, 10.0 ** -(k + 1)])
+        tr = abelian.triples_on_grid(spec, annulus, ts)
+        coeffs = _line_through(*zip(tr.j1 / tr.j0, tr.jm1 / tr.j0))
+        zc = count_zeros(spec, coeffs, annulus)
+        assert zc.count == 2, f"k={k}"
+        assert zc.grid_coarse or np.allclose(zc.zeros, np.sort(ts), rtol=0.0,
+                                             atol=ROOT_XTOL), f"k={k}"
+        assert centroid.line_intersections(curve, coeffs).count == 2, f"k={k}"
+
+
 def _clear_one_mask_entry(monkeypatch, at_call):
-    """Wrap values_on_grid so that its at_call-th call (0 is the grid)
-    reports its first point unconverged; the values are untouched."""
+    """Wrap values_on_grid so that its at_call-th call (0 is the first
+    Illinois round) reports its first point unconverged; the values are
+    untouched."""
     calls = []
 
     def wrapped(*args, **kwargs):
@@ -134,7 +159,7 @@ def _clear_one_mask_entry(monkeypatch, at_call):
 @pytest.mark.parametrize("at_call", [0, 1])
 def test_unconverged_quadrature_clears_zero_count_flag(spec_a1, monkeypatch,
                                                        at_call):
-    # one unconverged point, on the grid or in the first Illinois round
+    # one unconverged point, in the first or the second Illinois round
     _, j0, j1 = SIGMA_PLUS_TRIPLES[(1.0, -1.0)]
     coeffs = MelnikovCoeffs(alpha=1.0, beta=-j0 / j1)
     clean = count_zeros(spec_a1, coeffs, Annulus.SIGMA_PLUS)
