@@ -12,9 +12,13 @@ Every integral here comes from one lockstep adaptive Gauss-Kronrod
 kernel (``_gk21``): QUADPACK's 21-point rule and error estimate
 (Piessens et al., *QUADPACK*, Springer 1983), with the lanes of a whole
 energy grid, one per (energy, integrand) pair, refined together as
-numpy arrays; scipy's quad is not used.  Sums over nodes and panels run in a fixed order, so a
-lane gives the same bits alone as in any batch; ``triple`` and
-``jk_on_slice`` are one-lane views of the grid functions.
+numpy arrays; scipy's quad is not used.  A batch holds only the J_k its
+caller reads (``triples_on_grid``'s ``ks``), and its first round, where
+every lane's panel is the whole interval, evaluates the sines and
+cosines of one shared column of 21 nodes.  Sums over nodes and panels
+run in a fixed order, so a lane gives the same bits alone as in any
+batch; ``triple`` and ``jk_on_slice`` are one-lane views of the grid
+functions.
 """
 from __future__ import annotations
 
@@ -81,10 +85,14 @@ class QuadratureError(RuntimeError):
     pass
 
 
-def _sum_rows(first, rows):
-    """first + rows[0] + rows[1] + ..., added row by row in that order
-    (np.add.accumulate is sequential for every array shape)."""
-    return np.add.accumulate(np.vstack([first[None], rows]), axis=0)[-1]
+def _sum_rows(first, w, rows):
+    """first + w[0]*rows[0] + w[1]*rows[1] + ..., added row by row in that
+    order in one preallocated buffer (np.add.accumulate is sequential for
+    every array shape)."""
+    buf = np.empty((len(rows) + 1, first.shape[-1]))
+    buf[0] = first
+    np.multiply(w, rows, out=buf[1:])
+    return np.add.accumulate(buf, axis=0)[-1]
 
 
 def _qk21(f, lane, a, b):
@@ -97,12 +105,12 @@ def _qk21(f, lane, a, b):
     fc, f1, f2 = fv[0], fv[1:11], fv[11:]
     fsum = (f1 + f2)[_ORDER]
     fabs = (np.abs(f1) + np.abs(f2))[_ORDER]
-    resk = _sum_rows(_WGK[10] * fc, _WK_ORDERED * fsum)
-    resg = _sum_rows(_WG_COL[0] * fsum[0], _WG_COL[1:] * fsum[1:5])
-    resabs = _sum_rows(np.abs(_WGK[10] * fc), _WK_ORDERED * fabs)
+    resk = _sum_rows(_WGK[10] * fc, _WK_ORDERED, fsum)
+    resg = _sum_rows(_WG_COL[0] * fsum[0], _WG_COL[1:], fsum[1:5])
+    resabs = _sum_rows(np.abs(_WGK[10] * fc), _WK_ORDERED, fabs)
     reskh = resk * 0.5
-    resasc = _sum_rows(_WGK[10] * np.abs(fc - reskh),
-                       _WK * (np.abs(f1 - reskh) + np.abs(f2 - reskh)))
+    resasc = _sum_rows(_WGK[10] * np.abs(fc - reskh), _WK,
+                       np.abs(f1 - reskh) + np.abs(f2 - reskh))
     dhlgth = np.abs(hlgth)
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
@@ -120,13 +128,16 @@ def _gk21(f, n, lo, hi, tol):
     """Lockstep adaptive GK21 integrals of n lanes over [lo, hi].
 
     ``f(x, lane)`` evaluates the integrands of lanes ``lane`` (shape
-    (m,)) at nodes x (shape (21, m)).  Every round bisects, per lane,
-    the panels whose error is at least BISECT_SHARE of the lane's
-    largest, until err <= tol * max(1, |val|) (epsabs = epsrel = tol,
-    a scalar or one per lane) or the next round would take the lane past
-    QUAD_LIMIT panels.  A lane's value and error are the sums of its
-    panels', accumulated in the lane's own panel order (np.bincount adds
-    in array order).  Returns per lane (value, error, converged).
+    (m,)) at nodes x (shape (21, m)), and broadcasts a node column of
+    shape (21, 1) across the lanes: the first round passes the panel
+    [lo, hi] that every lane starts from once, as such a column.  Every
+    round bisects, per lane, the panels whose error is at least
+    BISECT_SHARE of the lane's largest, until err <= tol * max(1, |val|)
+    (epsabs = epsrel = tol, a scalar or one per lane) or the next round
+    would take the lane past QUAD_LIMIT panels.  A lane's value and
+    error are the sums of its panels', accumulated in the lane's own
+    panel order (np.bincount adds in array order).  Returns per lane
+    (value, error, converged).
     """
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
     val, err = np.zeros(n), np.zeros(n)
@@ -135,7 +146,9 @@ def _gk21(f, n, lo, hi, tol):
     count = np.ones(n, dtype=int)
     lane = np.arange(n)
     a, b = np.full(n, float(lo)), np.full(n, float(hi))
-    pv, pe = _qk21(f, lane, a, b)
+    # every lane's first panel is [lo, hi]: one node column for all lanes
+    pv, pe = (np.broadcast_to(x, (n,))
+              for x in _qk21(f, lane, float(lo), float(hi)))
     while True:
         sv = np.bincount(lane, pv, minlength=n)
         se = np.bincount(lane, pe, minlength=n)
@@ -152,10 +165,10 @@ def _gk21(f, n, lo, hi, tol):
         count += nsplit
         split &= open_[lane]
         stay = open_[lane] & ~split
-        mid = 0.5 * (a[split] + b[split])
         new_lane = np.repeat(lane[split], 2)
-        new_a = np.column_stack([a[split], mid]).ravel()
-        new_b = np.column_stack([mid, b[split]]).ravel()
+        new_a = np.repeat(a[split], 2)
+        new_b = np.repeat(b[split], 2)
+        new_a[1::2] = new_b[::2] = 0.5 * (new_a[::2] + new_b[1::2])
         nv, ne = _qk21(f, new_lane, new_a, new_b)
         lane = np.concatenate([lane[stay], new_lane])
         a = np.concatenate([a[stay], new_a])
@@ -175,12 +188,13 @@ class AbelianTriple:
     """(J_{-1}, J_0, J_1) with error estimates and a converged flag:
     arrays over a grid (``err`` of shape (n, 3)) from ``triples_on_grid``,
     floats, an ``err`` tuple and a bool from its one-energy view ``triple``.
+    J_{-1} or J_1 is None where the grid did not integrate it.
     """
 
     t: float | np.ndarray
-    jm1: float | np.ndarray
+    jm1: float | np.ndarray | None
     j0: float | np.ndarray
-    j1: float | np.ndarray
+    j1: float | np.ndarray | None
     err: tuple[float, float, float] | np.ndarray
     converged: bool | np.ndarray
 
@@ -237,17 +251,25 @@ def jk_on_slice(sl: OvalSlice, k: int) -> tuple[float, float, bool]:
 
 
 def triples_on_grid(spec: HamiltonianSpec, annulus: Annulus,
-                    ts: Sequence[float],
-                    tol: float = QUAD_TOL) -> AbelianTriple:
+                    ts: Sequence[float], tol: float = QUAD_TOL,
+                    ks: Sequence[int] = (-1, 0, 1)) -> AbelianTriple:
     """(J_{-1}, J_0, J_1) with error flags at every energy of a t-grid,
-    from one kernel batch, as one AbelianTriple of arrays in grid order."""
-    vals, errs, ok = _jk_grid(spec, annulus, ts, (-1, 0, 1), tol)
-    bad = ~(vals[:, 1] > 0.0)
+    from one kernel batch, as one AbelianTriple of arrays in grid order.
+
+    The batch integrates J_0, which orients every integral, and the
+    other J_k of ``ks`` only: an integral left out is None, its ``err``
+    column nan, and ``converged`` covers the integrals integrated."""
+    ks = [k for k in (-1, 0, 1) if k == 0 or k in ks]
+    vals, errs, ok = _jk_grid(spec, annulus, ts, ks, tol)
+    cols = dict(zip(ks, vals.T))
+    bad = ~(cols[0] > 0.0)
     if bad.any():
         raise QuadratureError("orientation normalization violated: "
-                              f"J0={float(vals[np.argmax(bad), 1])!r}")
-    return AbelianTriple(np.asarray(ts, dtype=float).reshape(-1), *vals.T,
-                         errs, ok.all(axis=1))
+                              f"J0={float(cols[0][np.argmax(bad)])!r}")
+    err = np.full((len(vals), 3), np.nan)
+    err[:, [k + 1 for k in ks]] = errs
+    return AbelianTriple(np.asarray(ts, dtype=float).reshape(-1), cols.get(-1),
+                         cols[0], cols.get(1), err, ok.all(axis=1))
 
 
 def triple(spec: HamiltonianSpec, annulus: Annulus, t: float) -> AbelianTriple:

@@ -22,7 +22,7 @@ even-multiplicity contact the count leaves out) and ``contains_curve``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,17 +43,34 @@ EXTRAPOLATION_POINTS = 4
 
 @dataclass(frozen=True, eq=False)
 class CentroidCurve:
+    """Samples of (xi, eta) at energies ts, and the largest magnitude of
+    each over them; a coordinate whose integral the grid left out is
+    None, and so is its largest magnitude."""
+
     ts: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
+    xi: np.ndarray | None
+    eta: np.ndarray | None
     t_center: float
     converged: bool
+    xi_max: float | None = field(init=False)
+    eta_max: float | None = field(init=False)
+
+    def __post_init__(self):
+        for name, v in (("xi_max", self.xi), ("eta_max", self.eta)):
+            object.__setattr__(self, name,
+                               None if v is None else np.max(np.abs(v)))
 
     def __len__(self) -> int:
         return len(self.ts)
 
     def functional(self, coeffs: MelnikovCoeffs) -> np.ndarray:
-        return coeffs.alpha + coeffs.beta * self.xi + coeffs.gamma * self.eta
+        """alpha + beta*xi + gamma*eta, reading only the coordinates
+        whose coefficient is nonzero (a zero coefficient's term is +-0)."""
+        g = np.full(len(self.ts), coeffs.alpha, dtype=float)
+        for c, v in ((coeffs.beta, self.xi), (coeffs.gamma, self.eta)):
+            if c != 0.0:
+                g = g + c * v
+        return g
 
     def endpoint_extrapolated(self) -> tuple[float, float]:
         """Richardson (polynomial) extrapolation of the
@@ -113,8 +130,9 @@ def sample_curve(spec: HamiltonianSpec, annulus: Annulus,
 
 def curve_of(spec: HamiltonianSpec, annulus: Annulus, ts, tr) -> CentroidCurve:
     """The centroid curve at energies ts, from their grid triple tr."""
+    xi, eta = (None if jk is None else jk / tr.j0 for jk in (tr.j1, tr.jm1))
     return CentroidCurve(
-        ts=ts, xi=tr.j1 / tr.j0, eta=tr.jm1 / tr.j0,
+        ts=ts, xi=xi, eta=eta,
         t_center=critical_data(spec).center_of(annulus).energy,
         converged=bool(tr.converged.all()))
 
@@ -174,8 +192,10 @@ def line_intersections(curve: CentroidCurve,
     if coeffs.all_zero:
         raise ValueError("line coefficients are all zero")
     g = curve.functional(coeffs)
-    scale = (abs(coeffs.alpha) + abs(coeffs.beta) * np.max(np.abs(curve.xi))
-             + abs(coeffs.gamma) * np.max(np.abs(curve.eta)))
+    scale = abs(coeffs.alpha)
+    for c, v_max in ((coeffs.beta, curve.xi_max), (coeffs.gamma, curve.eta_max)):
+        if c != 0.0:
+            scale = scale + abs(c) * v_max
     if np.max(np.abs(g)) < 1e-13 * max(scale, 1e-300):
         return LineIntersections(0, False, True)
     zeros, cells = sign_changes(g)

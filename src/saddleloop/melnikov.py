@@ -16,9 +16,12 @@ grid over a given window, where the centroid sign stage
 cells and flags: M = J_0*(alpha + beta*xi + gamma*eta) with J_0 > 0.
 Each cell is refined to one root with the census's lockstep Illinois
 search (``lockstep.grid_roots``).  The grid and each Illinois round are
-one ``triples_on_grid`` batch; M is written once, on a grid triple's
-columns in ``values_on_grid``, and ``value`` is its one-energy view.
-Each quality fact is a field of ``ZeroCount``.
+one ``triples_on_grid`` batch of J_0 and the J_k that M weights
+(``weighted_ks``): a first-order form, gamma = 0, integrates no J_{-1}.
+M is written once, on the columns its coefficients weight, in
+``values_on_grid``, and ``value`` is its one-energy view.  Each quality
+fact is a field of ``ZeroCount``; its ``converged`` covers exactly the
+integrals M weights.
 """
 from __future__ import annotations
 
@@ -39,14 +42,25 @@ class ZeroFunctionError(RuntimeError):
     therefore meaningless."""
 
 
+def weighted_ks(coeffs: MelnikovCoeffs) -> tuple[int, ...]:
+    """k of the integrals M reads: J_0, which orients M, and each other
+    J_k whose coefficient is nonzero."""
+    return (0,) + tuple(k for k, c in ((1, coeffs.beta), (-1, coeffs.gamma))
+                        if c != 0.0)
+
+
 def values_on_grid(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
                    annulus: Annulus, ts,
                    tol: float = QUAD_TOL) -> tuple[np.ndarray, np.ndarray]:
     """(values, converged mask) of M over the grid: one
-    ``triples_on_grid`` batch combined column by column."""
-    tr = triples_on_grid(spec, annulus, ts, tol=tol)
-    return (coeffs.alpha * tr.j0 + coeffs.beta * tr.j1 + coeffs.gamma * tr.jm1,
-            tr.converged)
+    ``triples_on_grid`` batch of the integrals M weights, combined
+    column by column (a zero coefficient's term, +-0, is left out)."""
+    tr = triples_on_grid(spec, annulus, ts, tol=tol, ks=weighted_ks(coeffs))
+    vals = coeffs.alpha * tr.j0
+    for c, jk in ((coeffs.beta, tr.j1), (coeffs.gamma, tr.jm1)):
+        if c != 0.0:
+            vals = vals + c * jk
+    return vals, tr.converged
 
 
 def value(spec: HamiltonianSpec, coeffs: MelnikovCoeffs, annulus: Annulus,
@@ -63,7 +77,7 @@ class ZeroCount:
     # either flag: the grid may have missed a pair of zeros
     grid_coarse: bool         # adjacent zeros within three grid cells
     tangency_suspected: bool  # a near-zero sample without a sign change
-    converged: bool           # every quadrature of the grid and the rounds
+    converged: bool           # every weighted quadrature, grid and rounds
 
 
 def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
@@ -80,7 +94,7 @@ def count_zeros(spec: HamiltonianSpec, coeffs: MelnikovCoeffs,
                                 "order insufficient")
     grid = (default_grid(spec, annulus) if t_range is None else
             np.linspace(float(t_range[0]), float(t_range[1]), CURVE_POINTS))
-    tr = triples_on_grid(spec, annulus, grid)
+    tr = triples_on_grid(spec, annulus, grid, ks=weighted_ks(coeffs))
     curve = curve_of(spec, annulus, grid, tr)
     stage = line_intersections(curve, coeffs)
     if stage.contains_curve:

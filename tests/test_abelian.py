@@ -142,13 +142,23 @@ def test_triples_on_grid_matches_pointwise(spec_a1):
 
 
 def test_kernel_lanes_batch_invariant():
-    # a lane gives the same bits alone as in any batch
+    # a lane gives the same bits alone as in any batch, and so in a batch
+    # that integrates J_0 and J_1 only, whose converged flag covers those
     spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=0.7)
     for annulus in (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS):
         ts = default_grid(spec, annulus, n=40)
         grid = triples_on_grid(spec, annulus, ts)
+        sub = triples_on_grid(spec, annulus, ts, ks=(0, 1))
+        assert sub.jm1 is None and np.isnan(sub.err[:, 0]).all()
         for i in range(0, len(ts), 5):
-            _same_row(grid, i, triple(spec, annulus, ts[i]))
+            one = triple(spec, annulus, ts[i])
+            _same_row(grid, i, one)
+            assert np.array([sub.j0[i], sub.j1[i]]).tobytes() == \
+                np.array([one.j0, one.j1]).tobytes()
+            assert sub.err[i, 1:].tobytes() == np.array(one.err[1:]).tobytes()
+            sl = slice_oval(spec, annulus, ts[i])
+            assert sub.converged[i] == all(jk_on_slice(sl, k)[2]
+                                           for k in (0, 1))
 
 
 def _appendix_moments(hs):

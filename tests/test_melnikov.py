@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from saddleloop import abelian, centroid, melnikov
+from saddleloop import abelian, centroid, cli, melnikov
 from saddleloop.flowsim import appendix_flow
-from saddleloop.lockstep import ROOT_XTOL
+from saddleloop.lockstep import ROOT_XTOL, grid_roots
 from saddleloop.model import (Annulus, Family, HamiltonianSpec, MelnikovCoeffs,
                               PerturbationSpec, critical_data)
 from saddleloop.picard_fuchs import fundamental
@@ -172,6 +173,134 @@ def test_unconverged_quadrature_clears_zero_count_flag(spec_a1, monkeypatch,
     assert not zc.converged
     assert (zc.count, zc.zeros, zc.grid_coarse) == (
         clean.count, clean.zeros, clean.grid_coarse)
+
+
+def _minus_one_lanes_unconverged(monkeypatch):
+    """Wrap abelian._jk_lanes so that every k = -1 lane reports
+    unconverged; the values are untouched."""
+    exact = abelian._jk_lanes
+
+    def wrapped(r, lo, hi, third_root, k, tol):
+        val, err, ok = exact(r, lo, hi, third_root, k, tol)
+        return val, err, ok & (k != -1)
+
+    monkeypatch.setattr(abelian, "_jk_lanes", wrapped)
+
+
+def test_flags_cover_the_weighted_integrals(spec_a1, monkeypatch, tmp_path,
+                                            capsys):
+    # failed J_-1 lanes clear the flags of a form that weights J_-1, and
+    # of none that does not: the zero count, the grid mask and the
+    # command line's row flags
+    _minus_one_lanes_unconverged(monkeypatch)
+    _, j0, j1 = SIGMA_PLUS_TRIPLES[(1.0, -1.0)]
+    ts = np.array([-1.5, -1.0, -0.4])
+    for gamma in (0.0, 1e-3):
+        coeffs = MelnikovCoeffs(alpha=1.0, beta=-j0 / j1, gamma=gamma,
+                                order_k=2 if gamma else 1)
+        weighted = gamma != 0.0
+        assert count_zeros(spec_a1, coeffs, Annulus.SIGMA_PLUS).converged \
+            is not weighted
+        _, ok = values_on_grid(spec_a1, coeffs, Annulus.SIGMA_PLUS, ts)
+        assert ok.tolist() == [not weighted] * len(ts)
+        out = tmp_path / f"m{gamma}.csv"
+        code = cli.main(["melnikov", "--family", "normal", "--a", "1",
+                         "--alpha", "0.3", "--beta", "-0.2", "--gamma",
+                         str(gamma), "--t-grid=-1.5:-0.1:4", "--out",
+                         str(out)])
+        man = json.loads(out.with_name(out.name + ".manifest.json")
+                         .read_text())
+        assert (code, len(man["flags"])) == ((3, 4) if weighted else (0, 0))
+    capsys.readouterr()
+
+
+def _count_from_full_columns(spec, coeffs, annulus, t_range=None):
+    """(count, zeros, grid_coarse, tangency_suspected) of count_zeros,
+    from all three J_k on the grid and in every Illinois round, with M
+    and its sign-stage functional summed over all three terms."""
+    grid = (centroid.default_grid(spec, annulus) if t_range is None else
+            np.linspace(t_range[0], t_range[1], centroid.CURVE_POINTS))
+    tr = abelian.triples_on_grid(spec, annulus, grid)
+    xi, eta = tr.j1 / tr.j0, tr.jm1 / tr.j0
+    g = coeffs.alpha + coeffs.beta * xi + coeffs.gamma * eta
+
+    def values(ts):
+        t = abelian.triples_on_grid(spec, annulus, ts)
+        return coeffs.alpha * t.j0 + coeffs.beta * t.j1 + coeffs.gamma * t.jm1
+
+    zeros = grid_roots(values, grid, tr.j0 * g)
+    cell = np.interp(zeros, np.sort(grid), np.argsort(grid))
+    curve = centroid.curve_of(spec, annulus, grid, tr)
+    return (zeros.size, zeros.tobytes(),
+            bool(np.any(np.abs(np.diff(cell)) < 3.0)),
+            centroid.line_intersections(curve, coeffs).tangency_suspected)
+
+
+def _seeded_forms():
+    """40 (spec, annulus, coeffs): gamma = 0 lines through a seeded
+    point between two grid energies (a planted zero that Illinois rounds
+    refine), every fifth a constant-sign alpha-only form, and every
+    seventh a gamma != 0 line through two such points."""
+    rng = np.random.default_rng(20261020)
+    for i in range(40):
+        spec = HamiltonianSpec(family=Family.NORMAL_FORM,
+                               a=float(rng.uniform(0.1, 1.9)))
+        annulus = (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS)[i % 2]
+        grid = centroid.default_grid(spec, annulus)
+        j = int(rng.integers(20, len(grid) - 20))
+        ts = grid[[j, j + 5]] + rng.uniform(0.2, 0.8, 2) * (grid[j + 1] - grid[j])
+        tr = abelian.triples_on_grid(spec, annulus, ts)
+        beta = float(rng.uniform(0.5, 1.5) * rng.choice((-1.0, 1.0)))
+        if i % 7 == 6:
+            coeffs = _line_through(*zip(tr.j1 / tr.j0, tr.jm1 / tr.j0))
+        elif i % 5 == 4:
+            coeffs = MelnikovCoeffs(beta, 0.0)
+        else:
+            coeffs = MelnikovCoeffs(-beta * tr.j1[0] / tr.j0[0], beta)
+        yield spec, annulus, coeffs
+
+
+def test_weighted_count_launches_no_unread_lanes(monkeypatch):
+    # a gamma = 0 count integrates no J_-1 lane on its grid or in any
+    # Illinois round, and its count, zeros and flags carry the bits of
+    # the count from all three integrals
+    batches = []
+    exact = abelian._jk_lanes
+
+    def recorded(r, lo, hi, third_root, k, tol):
+        batches.append(k.copy())
+        return exact(r, lo, hi, third_root, k, tol)
+
+    def weighted_count(spec, coeffs, annulus, t_range=None):
+        batches.clear()
+        monkeypatch.setattr(abelian, "_jk_lanes", recorded)
+        zc = count_zeros(spec, coeffs, annulus, t_range)
+        monkeypatch.setattr(abelian, "_jk_lanes", exact)
+        return (zc.count, np.array(zc.zeros).tobytes(), zc.grid_coarse,
+                zc.tangency_suspected)
+
+    kinds = set()
+    for spec, annulus, coeffs in _seeded_forms():
+        got = weighted_count(spec, coeffs, annulus)
+        ks = set(np.concatenate(batches).tolist())
+        assert ks == {0, 1, -1} - {k for k, c in ((1, coeffs.beta),
+                                                 (-1, coeffs.gamma)) if c == 0.0}
+        assert got == _count_from_full_columns(spec, coeffs, annulus)
+        kinds.add((coeffs.gamma != 0.0, coeffs.beta != 0.0, got[0],
+                   len(batches) > 1))
+    # planted zeros refined in Illinois rounds, alpha-only forms without
+    # a zero, and gamma != 0 lines with their two zeros
+    assert {(False, True, 1, True), (False, False, 0, False),
+            (True, True, 2, True)} <= kinds
+    # the appendix window of the witness, and one with a zero
+    for h_range in ((-0.004, -0.00115), (-0.1, -0.01)):
+        t_range = tuple(APPENDIX_T_PER_H * h for h in h_range)
+        got = weighted_count(APPENDIX_NORMAL_FORM, appendix_coeffs(0.657),
+                             Annulus.SIGMA_PLUS, t_range)
+        assert -1 not in np.concatenate(batches)
+        assert got == _count_from_full_columns(
+            APPENDIX_NORMAL_FORM, appendix_coeffs(0.657), Annulus.SIGMA_PLUS,
+            t_range)
 
 
 def test_d1_expected_closed_form(spec_a1):
