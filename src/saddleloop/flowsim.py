@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lockstep import advance, grid_roots
+from .lockstep import advance, evaluate, grid_roots
 from .model import (APPENDIX_SPEC, Annulus, Family, HamiltonianSpec,
                     MelnikovCoeffs, PerturbationSpec, critical_data,
                     require_finite)
@@ -199,18 +199,22 @@ def _escape(z):
 
 
 def _lockstep_field(flow: FlowSpec):
-    """FlowSpec.rhs on a (2, n) array of lanes, from the same coefficients
-    and in the same order, with the monomials whose coefficients vanish
-    in every component left out.  On (3, n) lanes row 2 integrates the
+    """FlowSpec.rhs under the lockstep field contract (``lockstep.advance``):
+    it reads a state buffer e, whose rows 0-2 are (1, x, y), and writes
+    into out, from the same coefficients and in the same order, with the
+    monomials whose coefficients vanish in every component left out.  On
+    (2, n) lanes out has two rows.  On (3, n) lanes row 2 integrates the
     divergence -eps*(alpha + beta x + gamma_dir y), exact from the
     one-form's first-order coefficients and y moment
     (``QuadraticOneForm.first_order_coeffs``, ``gamma_direction``), as
-    the Hamiltonian part is divergence-free.
+    the Hamiltonian part is divergence-free.  Rows of e past row 2 are
+    not read.
 
-    The kept monomials are the rows of one array; all components are
-    one product with their coefficient columns and one np.add.reduce
-    over the rows, which adds the terms row by row, in rhs's order, so
-    rows 0-1 of (3, n) lanes only gain zero terms."""
+    The kept monomials come from one gather of their factor rows of e
+    (row 0 is ones, so 1 and x are 1*1 and x*1); all components are one
+    product with their coefficient columns and one np.add.reduce over
+    the monomials into out, which adds the terms monomial by monomial, in
+    rhs's order, so rows 0-1 of (3, n) lanes only gain zero terms."""
     w, eps = flow.one_form, flow.epsilon
     m1 = w.first_order_coeffs()
     div = (-eps * m1.alpha, -eps * m1.beta, -eps * w.gamma_direction(),
@@ -218,17 +222,16 @@ def _lockstep_field(flow: FlowSpec):
     coef = np.array(flow.coeffs + (div,))
     # the monomials (1, x, y, x^2, x*y, y^2) as products of rows of (1, x, y)
     pairs = np.array([(0, 0), (1, 0), (2, 0), (1, 1), (1, 2), (2, 2)])
-    by_rows = {}        # lane rows: monomial pairs, (monomial, row, 1) block
-    for rows in (2, 3):
+    by_rows = {}        # out rows: (2, monomial, 1) factor rows of e and
+    for rows in (2, 3):     # the (monomial, row, 1) coefficient block
         kept = [0] + [k for k in range(1, 6) if coef[:rows, k].any()]
-        by_rows[rows] = (*pairs[kept].T, coef[:rows, kept].T[:, :, None])
+        by_rows[rows] = (pairs[kept].T[:, :, None],
+                         coef[:rows, kept].T[:, :, None])
 
-    def field(z):
-        a, b, c = by_rows[len(z)]
-        e = np.empty((3, z.shape[1]))
-        e[0] = 1.0
-        e[1:] = z[:2]
-        return np.add.reduce(c * (e[a] * e[b])[:, None], axis=0)
+    def field(e, out):
+        factors, c = by_rows[len(out)]
+        ab = e.take(factors, axis=0)
+        return np.add.reduce(c * (ab[0] * ab[1]), axis=0, out=out)
 
     return field
 
@@ -309,7 +312,8 @@ def _returns_and_slopes(flow: FlowSpec, section: SectionSegment, s,
     z[c] = s
     field = _lockstep_field(flow)
     _, q = _first_returns(field, z, section, T_max, flow.tol)
-    return q[c], field(z[:2])[o] / field(q[:2])[o] * np.exp(q[2])
+    return q[c], (evaluate(field, z[:2])[o] / evaluate(field, q[:2])[o]
+                  * np.exp(q[2]))
 
 
 def return_map(flow: FlowSpec, section: SectionSegment,
@@ -521,12 +525,15 @@ class ShiftPair:
 
 def _signed_field(flow: FlowSpec):
     """The lockstep field on (3, n) lanes whose row 2 is a constant time
-    sign: rows 0-1 get z[2] * field, so a lane with sign -1 runs the
-    negated field, bit for bit."""
+    sign: rows 0-1 of out get the sign times the field, so a lane with
+    sign -1 runs the negated field, bit for bit, and row 2 gets 0."""
     rhs = _lockstep_field(flow)
 
-    def signed(z):
-        return np.vstack([z[2] * rhs(z[:2]), np.zeros((1, z.shape[1]))])
+    def signed(e, out):
+        rhs(e, out[:2])
+        out[:2] *= e[3]
+        out[2] = 0.0
+        return out
 
     return signed
 

@@ -12,10 +12,20 @@ step policy is the engine's own: a caller sets rtol, atol is
 ATOL_PER_RTOL*rtol and every step is at most MAX_STEP.
 Terminal events, if any, are detected by sign changes at step ends, as
 solve_ivp does, and located on the step's dense output; a run may record
-its accepted steps instead (``sim --traj``).  A step where lanes hit an
-event keeps their stages; the dense output (three more stages and the
-interpolant rows) is built once per run, for those lanes only, just
-before the events are located.
+its accepted steps instead (``sim --traj``).
+
+The field has one contract: field(e, out) reads a state buffer e of
+shape (d + 1, m), whose row 0 is ones and whose rows 1..d are the
+lanes' states (``state``), writes their derivatives into every entry of
+out, shape (d, m), and returns out.  The row of ones lets a polynomial
+field form its constant and linear monomials as products of rows, like
+the others.  A step owns its buffers: one state buffer, into which each
+stage input is written in place (the last one is the step's end), and
+one (13, d, n) stage array, whose rows the field fills.  A step where
+lanes hit an event keeps their columns of the stage array; the dense
+output (three more stages, in rows 13-15 of the same layout, and the
+interpolant rows read from them) is built once per run, for those lanes
+only, just before the events are located.
 
 Every sum over stages is accumulated term by term in a fixed order,
 never by a matrix product, whose summation order depends on the array
@@ -52,12 +62,11 @@ def _terms(row) -> tuple[tuple[int, float], ...]:
 
 _N_STAGES = _dop.N_STAGES
 # Sums over the stages of one step, accumulated as each stage arrives:
-# rows 0..10 feed stages 1..11, then y_new (B) and the err5 and err3
-# estimates.  Column j multiplies stage j; the last stage (the derivative
-# at y_new) has zero weight in both error estimates.
+# rows 0..10 feed stages 1..11, row 11 (B) feeds y_new, whose derivative
+# is stage 12, then the err5 and err3 estimates.  Column j multiplies
+# stage j; stage 12 has zero weight in both error estimates.
 _W = np.vstack([_dop.A[1:_N_STAGES, :_N_STAGES], _dop.B,
                 _dop.E5[:_N_STAGES], _dop.E3[:_N_STAGES]])[:, :, None, None]
-_Y_ROW = _N_STAGES - 1
 # the three extra stages and the interpolant rows of the dense output
 _EXTRA = tuple(_terms(_dop.A[s, :s])
                for s in range(_N_STAGES + 1, _dop.N_STAGES_EXTENDED))
@@ -82,13 +91,27 @@ def _rms(z):
     return np.sqrt(z[0] * z[0] + z[1] * z[1]) / math.sqrt(2.0)
 
 
+def state(z):
+    """The state buffer of lanes z, shape (d, n), that a field reads: a
+    (d + 1, n) array whose row 0 is ones and whose rows 1..d are z."""
+    e = np.empty((len(z) + 1, z.shape[1]))
+    e[0] = 1.0
+    e[1:] = z
+    return e
+
+
+def evaluate(field, z):
+    """The derivatives of lanes z, shape (d, n), as a new array."""
+    return field(state(z), np.empty(z.shape))
+
+
 def _initial_step(field, z, f, t_end, rtol, atol):
     """scipy's select_initial_step, per lane (error estimator order 7)."""
     scale = atol + np.abs(z) * rtol
     d0, d1 = _rms(z / scale), _rms(f / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, t_end)
-    d2 = _rms((field(z + h0 * f) - f) / scale) / h0
+    d2 = _rms((evaluate(field, z + h0 * f) - f) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                   np.maximum(1e-6, h0 * 1e-3),
                   _root8(0.01 / np.maximum(d1, d2)))
@@ -98,10 +121,14 @@ def _initial_step(field, z, f, t_end, rtol, atol):
 
 def _interpolant(field, K, h, z, y):
     """DOP853 interpolant coefficients, shape (7, d, n), of lanes whose
-    steps z -> y of size h have the stages K, shape (13, d, n)."""
-    K = list(K)
-    for terms in _EXTRA:
-        K.append(field(z + _combo(terms, K) * h))
+    steps z -> y of size h have the stages K, shape (13, d, n); the three
+    extra stages go into rows 13-15 of one stage array, as in a step."""
+    K = np.concatenate([K, np.empty((len(_EXTRA),) + z.shape)])
+    e = state(z)
+    for s, terms in enumerate(_EXTRA, start=_N_STAGES + 1):
+        np.multiply(_combo(terms, K), h, out=e[1:])
+        e[1:] += z
+        field(e, K[s])
     dy = y - z
     return np.array([dy, h * K[0] - dy, 2.0 * dy - h * (K[_N_STAGES] + K[0])]
                     + [h * _combo(terms, K) for terms in _D])
@@ -206,7 +233,10 @@ def advance(field, z, t_end, events, rtol, record=None):
     """Advance lanes z (shape (d, n), d >= 2) from t = 0 to t_end,
     stopping each lane at the first of its terminal events.
 
-    field maps a (d, m) array of states to their derivatives.  Error
+    field follows the module's field contract: field(e, out) writes the
+    derivatives of the states in rows 1..d of e, whose row 0 is ones, into
+    out.  A step evaluates it 12 times, stage j + 1 from the sum of the
+    stages before it, into row j + 1 of the step's stage array.  Error
     control and the first step read rows 0-1 only.  events holds (func,
     direction) pairs, possibly none: func maps a (d, m) array to m
     values, direction is as in solve_ivp.  The tolerances are rtol and
@@ -215,9 +245,10 @@ def advance(field, z, t_end, events, rtol, record=None):
     underflow or not finite), the index of the event that stopped it, and
     the time and state where it stopped.
     Event times are roots of the event function on the step's dense
-    output, located to 4 eps as solve_ivp does.  A list passed as record
-    receives (t, z) at the end of every step for the lanes that accepted
-    it: the steps of a one-lane run.
+    output, read from the stage array of the step, located to 4 eps as
+    solve_ivp does.  A list passed as record receives (t, z) at the end
+    of every step for the lanes that accepted it: the steps of a one-lane
+    run.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _advance(field, z, t_end, events, rtol, record)
@@ -230,16 +261,17 @@ def _event_values(events, z):
 
 
 def _advance(field, z, t_end, events, rtol, record):
-    n = z.shape[1]
+    d, n = z.shape
     status = np.zeros(n, dtype=int)
     which = np.full(n, -1)
     t_stop = np.zeros(n)
     z_stop = z.copy()
-    dirs = np.array([d for _, d in events]).reshape(len(events), 1)
+    dirs = np.array([dn for _, dn in events]).reshape(len(events), 1)
     rising, falling = dirs >= 0, dirs <= 0
+    sign = np.sign(dirs) if dirs.all() else None
     lane = np.arange(n)
     t = np.zeros(n)
-    f = field(z)
+    f = evaluate(field, z)
     atol = ATOL_PER_RTOL * rtol
     h_abs = _initial_step(field, z, f, t_end, rtol, atol)
     retry = None        # lanes retrying a rejected step; None if none
@@ -252,25 +284,29 @@ def _advance(field, z, t_end, events, rtol, record):
         failed = ~(h_abs >= min_step)   # a nan step fails too
         t_new = np.minimum(t + h_abs, t_end)
         h = t_new - t
-        K = [f]
-        S = np.zeros((len(_W), z.shape[0], lane.size))
+        # the stages, the running sums and the state buffer; each stage
+        # input is written into the buffer's rows 1..d, and the last one
+        # is the step's end y
+        K = np.empty((_N_STAGES + 1, d, lane.size))
+        K[0] = f
+        S = np.zeros((len(_W), d, lane.size))
+        e = np.empty((d + 1, lane.size))
+        e[0] = 1.0
+        y = e[1:]
         for j in range(_N_STAGES):
             S[j:] += _W[j:, j] * K[j]
-            if j < _Y_ROW:
-                K.append(field(z + S[j] * h))
-        y = z + h * S[_Y_ROW]
-        K.append(field(y))
+            np.multiply(S[j], h, out=y)
+            y += z
+            field(e, K[j + 1])
         scale = atol + np.maximum(np.abs(z[:2]), np.abs(y[:2])) * rtol
-        e5 = S[-2, :2] / scale
-        e3 = S[-1, :2] / scale
-        n5 = e5[0] * e5[0] + e5[1] * e5[1]
-        n3 = e3[0] * e3[0] + e3[1] * e3[1]
-        err = np.where((n5 == 0.0) & (n3 == 0.0), 0.0,
-                       h * n5 / np.sqrt((n5 + 0.01 * n3) * 2.0))
+        e53 = S[-2:, :2] / scale
+        n53 = np.add.reduce(e53 * e53, axis=1)
+        n5, n3 = n53[0], n53[1]
+        err = np.where(n53.any(axis=0),
+                       h * n5 / np.sqrt((n5 + 0.01 * n3) * 2.0), 0.0)
         ok = (err < 1.0) & ~failed
-        factor = SAFETY / _root8(err)
-        grow = np.where(err == 0.0, MAX_FACTOR,
-                        np.minimum(MAX_FACTOR, factor))
+        factor = SAFETY / _root8(err)      # inf where err is 0
+        grow = np.minimum(MAX_FACTOR, factor)
         if retry is not None:
             grow = np.where(retry, np.minimum(1.0, grow), grow)
         retry = None if ok.all() else ~ok
@@ -280,23 +316,27 @@ def _advance(field, z, t_end, events, rtol, record):
             record.append((t_new[ok], y[:, ok]))
 
         g_new = _event_values(events, y)
-        act = ok & ((rising & (g <= 0.0) & (g_new >= 0.0))
-                    | (falling & (g >= 0.0) & (g_new <= 0.0)))
+        if sign is None:
+            act = ok & ((rising & (g <= 0.0) & (g_new >= 0.0))
+                        | (falling & (g >= 0.0) & (g_new <= 0.0)))
+        else:
+            act = ok & (sign * g <= 0.0) & (sign * g_new >= 0.0)
         fired = act.any(axis=0)
-        reached = ok & ~fired & (t_new >= t_end)
-        leave = failed | fired | reached
+        leave = failed | fired | (ok & (t_new >= t_end))
         some_leave = leave.any()
         if some_leave:
+            reached = leave & ~failed & ~fired
             p = np.flatnonzero(fired)
             if p.size:
                 hits.append((lane[p], t[p], t_new[p], h[p], z[:, p], y[:, p],
-                             np.array(K)[..., p], act[:, p], g[:, p],
-                             g_new[:, p]))
-            status[lane[failed]] = -1
-            t_stop[lane[failed]] = t[failed]
-            z_stop[:, lane[failed]] = z[:, failed]
-            t_stop[lane[reached]] = t_new[reached]
-            z_stop[:, lane[reached]] = y[:, reached]
+                             K[..., p], act[:, p], g[:, p], g_new[:, p]))
+            if failed.any():
+                status[lane[failed]] = -1
+                t_stop[lane[failed]] = t[failed]
+                z_stop[:, lane[failed]] = z[:, failed]
+            if reached.any():
+                t_stop[lane[reached]] = t_new[reached]
+                z_stop[:, lane[reached]] = y[:, reached]
 
         if retry is None:
             z, f, t, g = y, K[-1], t_new, g_new

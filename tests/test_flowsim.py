@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -14,8 +15,8 @@ from saddleloop.model import (
 from saddleloop.ovals import OvalRangeError, section_segment
 from saddleloop.acceptance import scan_draws
 from saddleloop import flowsim
-from saddleloop.lockstep import (ATOL_PER_RTOL, MAX_STEP, advance,
-                                 grid_roots, illinois, sign_changes)
+from saddleloop.lockstep import (ATOL_PER_RTOL, MAX_STEP, advance, evaluate,
+                                 grid_roots, illinois, sign_changes, state)
 from saddleloop.flowsim import (
     BURN_IN,
     FlowSpec,
@@ -259,9 +260,9 @@ def test_witness_separatrix_runs_take_few_steps(monkeypatch):
     batches, lane_evals = [], []
 
     def counted(field, z, *args):
-        def counting(z):
-            lane_evals.append(z.shape[1])
-            return field(z)
+        def counting(e, out):
+            lane_evals.append(e.shape[1])
+            return field(e, out)
 
         batches.append(z.shape)
         return advance(counting, z, *args)
@@ -445,15 +446,22 @@ def test_lockstep_field_matches_rhs(spec_a05):
     flows = [draw, FlowSpec(hamiltonian=spec_a05, epsilon=0.1,
                             one_form=draw.one_form), witness_flow(),
              appendix_flow(PerturbationSpec(epsilon=0.0))]
+    z3 = np.vstack([z, np.full((1, 2000), np.nan)])     # row 2 is not read
     for flow in flows:
         field = _lockstep_field(flow)
-        got = field(z)
+        # the field reads a ones-row state buffer and writes into out,
+        # which it returns; rows of the buffer past (1, x, y) are not read
+        e, out = state(z), np.full(z.shape, np.nan)
+        got = field(e, out)
+        assert got is out
         assert np.array_equal(got, np.array(flow.rhs(0.0, z)))
+        assert np.array_equal(e, np.vstack([np.ones((1, 2000)), z]))
         # (3, n) lanes: the same rows 0-1, and the divergence in row 2,
         # which is the trace of the Jacobian up to the rounding of its
         # terms (the Hamiltonian ones cancel): a few ulps of their sum
-        div = field(np.vstack([z, np.zeros((1, z.shape[1]))]))
+        div = field(state(z3), np.full(z3.shape, np.nan))
         assert np.array_equal(div[:2], got)
+        assert div.tobytes() == evaluate(field, z3).tobytes()
         jac = flow.jacobian(z)
         cx, cy = np.abs(flow.coeffs)
         ax, ay = np.abs(z)
@@ -463,10 +471,24 @@ def test_lockstep_field_matches_rhs(spec_a05):
         assert np.all(err <= 4.0 * np.spacing(terms))
         # a lane alone has its bits in the batch
         for i in (0, 1, 1999):
-            assert field(z[:, i:i + 1]).tobytes() == got[:, i:i + 1].tobytes()
-            alone = field(np.vstack([z, np.zeros((1, 2000))])[:, i:i + 1])
+            alone = evaluate(field, z[:, i:i + 1])
+            assert alone.tobytes() == got[:, i:i + 1].tobytes()
+            alone = evaluate(field, z3[:, i:i + 1])
             assert alone.tobytes() == div[:, i:i + 1].tobytes()
     assert {f.hamiltonian.family for f in flows} == set(Family)
+
+
+def test_signed_field_rows():
+    # rows 0-1 of a lane with time sign +-1 are +-rhs bit for bit, and the
+    # sign row's derivative is exactly +0.0
+    flow = witness_flow()
+    z = np.random.default_rng(7).uniform(-2.0, 2.0, (2, 1000))
+    sign = np.tile([1.0, -1.0], 500)
+    out = evaluate(_signed_field(flow), np.vstack([z, sign]))
+    ref = np.array(flow.rhs(0.0, z))
+    assert out[:2, ::2].tobytes() == ref[:, ::2].tobytes()
+    assert out[:2, 1::2].tobytes() == (-ref[:, 1::2]).tobytes()
+    assert out[2].tobytes() == np.zeros(1000).tobytes()
 
 
 def test_dop853_table_matches_scipy():
@@ -628,8 +650,10 @@ def test_advance_extra_row_keeps_planar_bits():
     events = ((lambda z: z[1 - coord], sect.direction), (_escape, 1))
     planar = advance(rhs, z, T_max, events, flow.tol)
 
-    def padded(z):
-        return np.vstack([rhs(z[:2]), np.zeros((1, z.shape[1]))])
+    def padded(e, out):
+        rhs(e, out[:2])
+        out[2] = 0.0
+        return out
 
     extra = advance(padded, np.vstack([z, np.full((1, grid.size), 0.5)]),
                     T_max, events, flow.tol)
@@ -681,7 +705,11 @@ def test_sign_lane_runs_negated_field():
                        np.repeat([[1.0, -1.0]], 8, axis=1)])
     both = advance(_signed_field(flow), lanes, 20.0, events, flow.tol)
     fwd = advance(rhs, starts, 20.0, events, flow.tol)
-    back = advance(lambda z: -rhs(z), starts, 20.0, events, flow.tol)
+
+    def negated(e, out):
+        return np.negative(rhs(e, out), out=out)
+
+    back = advance(negated, starts, 20.0, events, flow.tol)
     assert (both[0] == 1).all()
     for k, ref in enumerate((fwd, back)):
         i = slice(8 * k, 8 * k + 8)
@@ -843,3 +871,49 @@ def test_witness_slopes_match_variational_oracle():
     assert oracle == pytest.approx([1.2307329, 0.9372720], abs=2e-6)
     for cyc, ref in zip(res.cycles, oracle):
         assert abs(cyc.return_derivative - ref) < 1e-7
+
+
+# --- bit pins ------------------------------------------------------------
+
+# sha256 digests of flow-simulation outputs.  A change that moves one of
+# them moves the engine's numbers, and says why.
+_PINNED = {
+    "draw2_s": "d2de083ec72badcbd97ee0045f368fc96e2a70dce8b1b73d0af50f6c5f17d6e9",
+    "draw2_reason": "cf97507779d5263f8905b4a196de4efc0bae7468ec55ecbbef57ac665c09cb51",
+    "draw11_s": "b2e4ae304be73a2147cec1bf50c51100c0d923cde54eb4ef08dcf19d0df56c35",
+    "draw11_reason": "ed7da00fd467053908d91fcb17f2633c4cbc0558220810b7995446609a5785c8",
+    "witness_reason": "05d09a7267b08ff1ef236bcb43cd7a12337500f9b5445d83d2e4f7eea5c1312e",
+    "witness_states": "99049912ed03644f87598c5849fe95e22fe94c7de44d22b088b8e88a9990c92c",
+    "traj_states": "15de7915d72a8d157c43a5b35b67a09fb33c667b4d3d62ccd66ad0d5b0bca3f9",
+}
+_PINNED_SHIFTS = ("0x1.3879aadb4fcaap-9", "-0x1.9ea4c6b5221c0p-8")
+
+
+def _sha256(data):
+    if isinstance(data, np.ndarray):
+        data = data.tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_flow_outputs_keep_their_bits(spec_a1):
+    # criterion-10 draws 2 and 11, the witness grid as (3, n) lanes with
+    # the divergence row (the slopes are left out: np.exp is not correctly
+    # rounded), the witness separatrix shifts and the README trajectory
+    got = {}
+    for k in (2, 11):
+        flow, sect, grid = _draw_grid(k)
+        lanes = return_maps(flow, sect, grid, T_max=60.0)
+        got[f"draw{k}_s"] = _sha256(lanes.s_return)
+        got[f"draw{k}_reason"] = _sha256(",".join(lanes.reason).encode())
+    flow, sect, grid, T_max = _witness_grid()
+    z = np.zeros((3, grid.size))
+    z[sect.row] = grid
+    reason, z = _first_returns(_lockstep_field(flow), z, sect, T_max,
+                               flow.tol)
+    got["witness_reason"] = _sha256(reason.astype(np.int64))
+    got["witness_states"] = _sha256(z)
+    traj = integrate(unperturbed(spec_a1), np.array([1.0, 0.5]), 20.0)
+    got["traj_states"] = _sha256(traj.states)
+    assert got == _PINNED
+    sh = separatrix_shifts(flow)
+    assert (sh.b1.hex(), sh.b2.hex()) == _PINNED_SHIFTS
