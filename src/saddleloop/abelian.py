@@ -13,12 +13,13 @@ kernel (``_gk21``): QUADPACK's 21-point rule and error estimate
 (Piessens et al., *QUADPACK*, Springer 1983), with the lanes of a whole
 energy grid, one per (energy, integrand) pair, refined together as
 numpy arrays; scipy's quad is not used.  A batch holds only the J_k its
-caller reads (``triples_on_grid``'s ``ks``), and its first round, where
-every lane's panel is the whole interval, evaluates the sines and
-cosines of one shared column of 21 nodes.  Sums over nodes and panels
-run in a fixed order, so a lane gives the same bits alone as in any
-batch; ``triple`` and ``jk_on_slice`` are one-lane views of the grid
-functions.
+caller reads (``triples_on_grid``'s ``ks``).  Every lane bisects the
+same interval at midpoints, so the lanes of a round share few distinct
+panels: a round forms the 21 nodes of each distinct panel once, as one
+column, and the integrands take the sines and cosines of those columns
+only.  Sums over nodes and panels run in a fixed order, so a lane gives
+the same bits alone as in any batch; ``triple`` and ``jk_on_slice`` are
+one-lane views of the grid functions.
 """
 from __future__ import annotations
 
@@ -67,13 +68,19 @@ _WG = (0.066671344308688137593568809893332,
        0.219086362515982043995534934228163,
        0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
-# node rows of a panel: the center, then centr - h*x and centr + h*x
-_NODES = np.array((0.0,) + tuple(-x for x in _XGK) + _XGK)[:, None]
-# qk21 adds the Gauss abscissae's terms first, then the others
-_ORDER = np.array((1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
-_WK = np.array(_WGK[:10])[:, None]
-_WK_ORDERED = _WK[_ORDER]
+# node rows of a panel in the order qk21 adds their terms: the center,
+# then centr - h*x and centr + h*x for the Gauss abscissae x = _XGK[1],
+# _XGK[3], ..., _XGK[9] first and the others after them
+_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_X_ORDERED = tuple(_XGK[j] for j in _ORDER)
+_NODES = np.array((0.0,) + tuple(-x for x in _X_ORDERED) + _X_ORDERED)[:, None]
+# Kronrod weights of the center and of the node pairs, in that order
+_WK = np.array((_WGK[10],) + tuple(_WGK[j] for j in _ORDER))[:, None]
 _WG_COL = np.array(_WG)[:, None]
+# resasc adds its pairs in abscissa order: the rows of the center and of
+# pairs _XGK[0], ..., _XGK[9] among the center and the ordered pairs
+_ABSCISSA_ROWS = np.array((0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5))
+_WK_ABSCISSA = np.array((_WGK[10],) + _WGK[:10])[:, None]
 _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
 # a panel is bisected when its error is at least this share of its
@@ -85,36 +92,46 @@ class QuadratureError(RuntimeError):
     pass
 
 
-def _sum_rows(first, w, rows):
-    """first + w[0]*rows[0] + w[1]*rows[1] + ..., added row by row in that
-    order in one preallocated buffer (np.add.accumulate is sequential for
-    every array shape)."""
-    buf = np.empty((len(rows) + 1, first.shape[-1]))
-    buf[0] = first
-    np.multiply(w, rows, out=buf[1:])
-    return np.add.accumulate(buf, axis=0)[-1]
+def _qk21(f, lane, a, b, col):
+    """QUADPACK's qk21 on the lane-panels of lanes ``lane``, whose panels
+    are [a[col], b[col]]: (result, abserr) per lane-panel, with the
+    resasc/resabs error estimate and its 50*eps roundoff floor.
 
-
-def _qk21(f, lane, a, b):
-    """QUADPACK's qk21 on panels [a, b] of lanes ``lane``: (result,
-    abserr) per panel, with the resasc/resabs error estimate and its
-    50*eps roundoff floor.  Sums run in qk21's own order."""
+    The nodes of each distinct panel [a, b] are formed once, as one
+    column of a (21, len(a)) array, and ``f(theta, col, lane)`` returns
+    the integrand of lane-panel i at nodes theta[:, col[i]], shape
+    (21, len(lane)).  Node rows come in the order qk21 adds their terms:
+    resk and resabs add the center, then the Gauss pairs, then the
+    others; resg adds the Gauss pairs; resasc adds its terms in abscissa
+    order.  Each sum is one in-place np.add.accumulate, which adds in
+    row order for every array shape."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    fv = f(centr + hlgth * _NODES, lane)
-    fc, f1, f2 = fv[0], fv[1:11], fv[11:]
-    fsum = (f1 + f2)[_ORDER]
-    fabs = (np.abs(f1) + np.abs(f2))[_ORDER]
-    resk = _sum_rows(_WGK[10] * fc, _WK_ORDERED, fsum)
-    resg = _sum_rows(_WG_COL[0] * fsum[0], _WG_COL[1:], fsum[1:5])
-    resabs = _sum_rows(np.abs(_WGK[10] * fc), _WK_ORDERED, fabs)
-    reskh = resk * 0.5
-    resasc = _sum_rows(_WGK[10] * np.abs(fc - reskh), _WK,
-                       np.abs(f1 - reskh) + np.abs(f2 - reskh))
+    fv = f(centr + hlgth * _NODES, col, lane)
+    hlgth = hlgth[col]
+    # terms of resk (s[0]) and resabs (s[1]): the center, then the pairs
+    s = np.empty((2, 11, len(lane)))
+    s[0, 0] = fv[0]
+    np.add(fv[1:11], fv[11:], out=s[0, 1:])
+    resg = s[0, 1:6] * _WG_COL
+    np.add.accumulate(resg, axis=0, out=resg)
+    d = np.abs(fv)
+    s[1, 0] = d[0]
+    np.add(d[1:11], d[11:], out=s[1, 1:])
+    s *= _WK
+    np.add.accumulate(s, axis=1, out=s)
+    resk, resabs = s[0, -1], s[1, -1]
+    # terms of resasc, in abscissa order
+    np.subtract(fv, resk * 0.5, out=d)
+    np.abs(d, out=d)
+    np.add(d[1:11], d[11:], out=d[1:11])
+    d = d[_ABSCISSA_ROWS]
+    d *= _WK_ABSCISSA
+    np.add.accumulate(d, axis=0, out=d)
     dhlgth = np.abs(hlgth)
     resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = np.abs((resk - resg) * hlgth)
+    resasc = d[-1] * dhlgth
+    abserr = np.abs((resk - resg[-1]) * hlgth)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.minimum(1.0, 200.0 * abserr / resasc)
         abserr = np.where((resasc != 0.0) & (abserr != 0.0),
@@ -127,17 +144,21 @@ def _qk21(f, lane, a, b):
 def _gk21(f, n, lo, hi, tol):
     """Lockstep adaptive GK21 integrals of n lanes over [lo, hi].
 
-    ``f(x, lane)`` evaluates the integrands of lanes ``lane`` (shape
-    (m,)) at nodes x (shape (21, m)), and broadcasts a node column of
-    shape (21, 1) across the lanes: the first round passes the panel
-    [lo, hi] that every lane starts from once, as such a column.  Every
-    round bisects, per lane, the panels whose error is at least
-    BISECT_SHARE of the lane's largest, until err <= tol * max(1, |val|)
-    (epsabs = epsrel = tol, a scalar or one per lane) or the next round
-    would take the lane past QUAD_LIMIT panels.  A lane's value and
-    error are the sums of its panels', accumulated in the lane's own
-    panel order (np.bincount adds in array order).  Returns per lane
-    (value, error, converged).
+    ``f(theta, col, lane)`` evaluates the integrands of lanes ``lane``
+    (shape (m,)): lane-panel i at nodes theta[:, col[i]], where theta
+    (shape (21, u)) holds the nodes of the round's u distinct panels
+    (``_qk21``).  Every lane starts from [lo, hi] and bisects at
+    midpoints, so lane-panels at one place of the bisection tree have
+    the same ends: the batch keeps a table of panels, row 0 being
+    [lo, hi], each lane-panel carries its row, and a round appends the
+    two halves of each distinct parent row it splits, ranked by an
+    np.bincount over the table rows, however many lanes split it.  Every round bisects, per lane,
+    the panels whose error is at least BISECT_SHARE of the lane's
+    largest, until err <= tol * max(1, |val|) (epsabs = epsrel = tol, a
+    scalar or one per lane) or the next round would take the lane past
+    QUAD_LIMIT panels.  A lane's value and error are the sums of its
+    panels', accumulated in the lane's own panel order (np.bincount adds
+    in array order).  Returns per lane (value, error, converged).
     """
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
     val, err = np.zeros(n), np.zeros(n)
@@ -145,10 +166,9 @@ def _gk21(f, n, lo, hi, tol):
     open_ = np.ones(n, dtype=bool)
     count = np.ones(n, dtype=int)
     lane = np.arange(n)
-    a, b = np.full(n, float(lo)), np.full(n, float(hi))
-    # every lane's first panel is [lo, hi]: one node column for all lanes
-    pv, pe = (np.broadcast_to(x, (n,))
-              for x in _qk21(f, lane, float(lo), float(hi)))
+    table = np.array([[float(lo)], [float(hi)]])
+    row = np.zeros(n, dtype=np.intp)
+    pv, pe = _qk21(f, lane, table[0], table[1], row)
     while True:
         sv = np.bincount(lane, pv, minlength=n)
         se = np.bincount(lane, pe, minlength=n)
@@ -165,14 +185,21 @@ def _gk21(f, n, lo, hi, tol):
         count += nsplit
         split &= open_[lane]
         stay = open_[lane] & ~split
+        parent = row[split]
+        used = np.bincount(parent, minlength=table.shape[1]) > 0
+        rank = np.cumsum(used) - 1
+        a, b = table[:, used]
+        halves = np.empty((2, 2 * len(a)))
+        halves[0, ::2] = a
+        halves[1, 1::2] = b
+        halves[0, 1::2] = halves[1, ::2] = 0.5 * (a + b)
+        col = np.repeat(2 * rank[parent], 2)
+        col[1::2] += 1
         new_lane = np.repeat(lane[split], 2)
-        new_a = np.repeat(a[split], 2)
-        new_b = np.repeat(b[split], 2)
-        new_a[1::2] = new_b[::2] = 0.5 * (new_a[::2] + new_b[1::2])
-        nv, ne = _qk21(f, new_lane, new_a, new_b)
+        nv, ne = _qk21(f, new_lane, halves[0], halves[1], col)
+        row = np.concatenate([row[stay], col + table.shape[1]])
+        table = np.concatenate([table, halves], axis=1)
         lane = np.concatenate([lane[stay], new_lane])
-        a = np.concatenate([a[stay], new_a])
-        b = np.concatenate([b[stay], new_b])
         pv = np.concatenate([pv[stay], nv])
         pe = np.concatenate([pe[stay], ne])
 
@@ -209,13 +236,22 @@ def _jk_lanes(r, lo, hi, third_root, k, tol):
     lane) bounds the kernel's theta-integral, before its 2*w^2 scale.
     Returns (values, errors, converged) arrays."""
     w = 0.5 * (hi - lo)
-    m = 0.5 * (hi + lo)
+    par = np.stack([w, 0.5 * (hi + lo), third_root, k])
 
-    def f(theta, i):
-        x = m[i] + w[i] * np.sin(theta)
-        c = np.cos(theta)
-        xk = np.where(k[i] == 0, 1.0, np.where(k[i] < 0, 1.0 / x, x))
-        return xk * np.sqrt(phi(r, third_root[i], x)) * c * c
+    def f(theta, col, lane):
+        wi, mi, ti, ki = par.take(lane, axis=1)
+        x = np.sin(theta)[:, col]
+        x *= wi
+        x += mi
+        y = np.sqrt(phi(r, ti, x))
+        # x^k: 1/x where k < 0, 1 where k == 0
+        np.divide(1.0, x, out=x, where=ki < 0)
+        np.copyto(x, 1.0, where=ki == 0)
+        x *= y
+        c = np.cos(theta)[:, col]
+        x *= c
+        x *= c
+        return x
 
     val, err, ok = _gk21(f, len(k), -HALF_PI, HALF_PI, tol)
     return 2.0 * w * w * val, 2.0 * w * w * err, ok
@@ -321,9 +357,9 @@ def appendix_oval_integral(
     w = 0.5 * (g.hi - g.lo)
     m = 0.5 * (g.hi + g.lo)
 
-    def f(theta, _):
-        s = np.sin(theta)
-        c = np.cos(theta)
+    def f(theta, col, _):
+        s = np.sin(theta)[:, col]
+        c = np.cos(theta)[:, col]
         y = m + w * s
         ph = phi(g.r, g.third_root, y)
         php = phi_prime(g.r, g.third_root, y)

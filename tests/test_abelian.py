@@ -245,9 +245,9 @@ def test_budget_exhausted_lane_flagged_and_isolated():
 
     evals = []
 
-    def f(theta, lane):
+    def f(theta, col, lane):
         evals.append(np.count_nonzero(lane == 1))
-        return integrand(theta, lane)
+        return integrand(theta[:, col], lane)
 
     val, err, ok = abelian._gk21(f, 3, -0.5 * math.pi, 0.5 * math.pi, 1e-11)
     assert ok.tolist() == [True, False, True]
@@ -255,11 +255,53 @@ def test_budget_exhausted_lane_flagged_and_isolated():
     panels = (sum(evals) + 1) // 2      # each bisection adds two panels
     assert QUAD_LIMIT // 2 < panels <= QUAD_LIMIT
     for j in (0, 2):
-        alone = abelian._gk21(lambda x, lane: integrand(x, np.full_like(lane, j)),
-                              1, -0.5 * math.pi, 0.5 * math.pi, 1e-11)
+        alone = abelian._gk21(
+            lambda x, col, lane: integrand(x[:, col], np.full_like(lane, j)),
+            1, -0.5 * math.pi, 0.5 * math.pi, 1e-11)
         assert alone[0].tobytes() == val[j:j + 1].tobytes()
         assert alone[1].tobytes() == err[j:j + 1].tobytes()
         assert alone[2][0]
+
+
+def test_round_evaluates_each_distinct_panel_once(monkeypatch):
+    # the lanes of a grid bisect one interval, so a round's lane-panels
+    # share few distinct panels: each round hands the integrand one node
+    # column per distinct panel, every column read by some lane-panel,
+    # and no lane's bits depend on the batch
+    spec = HamiltonianSpec(family=Family.NORMAL_FORM, a=0.7)
+    kernel = abelian._gk21
+    batches = []
+
+    def recording(f, n, lo, hi, tol):
+        rounds = []
+
+        def g(theta, col, lane):
+            rounds.append((theta.copy(), col.copy()))
+            return f(theta, col, lane)
+
+        out = kernel(g, n, lo, hi, tol)
+        batches.append((f, n, lo, hi, np.broadcast_to(tol, (n,)), rounds, out))
+        return out
+
+    monkeypatch.setattr(abelian, "_gk21", recording)
+    for annulus in (Annulus.SIGMA_PLUS, Annulus.SIGMA_MINUS):
+        triples_on_grid(spec, annulus, default_grid(spec, annulus))
+    monkeypatch.undo()
+    assert len(batches) == 2
+    for f, n, lo, hi, tol, rounds, out in batches:
+        assert n == 600 and len(rounds) > 1
+        for theta, col in rounds:
+            assert theta.shape[0] == 21
+            assert len(np.unique(theta.T, axis=0)) == theta.shape[1]
+            assert np.array_equal(np.unique(col), np.arange(theta.shape[1]))
+        columns = sum(theta.shape[1] for theta, _ in rounds)
+        assert columns <= 0.02 * sum(len(col) for _, col in rounds)
+        for j in range(n):
+            alone = kernel(
+                lambda x, col, lane: f(x, col, np.full_like(lane, j)),
+                1, lo, hi, tol[j])
+            for got, one in zip(out, alone):
+                assert got[j:j + 1].tobytes() == one.tobytes()
 
 
 def test_tolerance_floor(spec_a1, tmp_path, capsys):
