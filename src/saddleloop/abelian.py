@@ -13,8 +13,14 @@ kernel (``_gk21``): QUADPACK's 21-point rule and error estimate
 (Piessens et al., *QUADPACK*, Springer 1983), with the lanes of a whole
 energy grid, one per (energy, integrand) pair, refined together as
 numpy arrays; scipy's quad is not used.  A batch holds only the J_k its
-caller reads (``triples_on_grid``'s ``ks``).  Every lane bisects the
-same interval at midpoints, so the lanes of a round share few distinct
+caller reads (``triples_on_grid``'s ``ks``).  Next to the loop the
+integrand changes on the scale of the slice end at the saddle, a
+feature that no node of a coarse panel resolves and that GK21's error
+estimate can accept unresolved, so each lane starts from the panels of
+the bisection tree graded toward that end, as deep as its slice asks
+(``_start_depth``; QUADPACK's remedy of breakpoints at a known
+difficult point).  Every lane's panels come from bisecting the same
+interval at midpoints, so the lanes of a round share few distinct
 panels: a round forms the 21 nodes of each distinct panel once, as one
 column, and the integrands take the sines and cosines of those columns
 only.  Sums over nodes and panels run in a fixed order, so a lane gives
@@ -141,34 +147,77 @@ def _qk21(f, lane, a, b, col):
     return resk * hlgth, abserr
 
 
-def _gk21(f, n, lo, hi, tol):
+def _start_table(lo, hi, depth):
+    """The bisection tree of [lo, hi] down to level ``depth`` toward
+    both ends, for ``_gk21``: the (a, b) ends of its panels, one table
+    row each, stored as a (2, p) array (row 0 is [lo, hi], each child a
+    half of its parent, cut at 0.5*(a + b)), the row of each row's
+    first child (the second follows it; -1 for none), and per end
+    (0: lo, 1: hi) and level the rows of the end panel and of its
+    sibling."""
+    ends, child = [[lo], [hi]], [-1]
+    end = np.zeros((2, depth + 1), dtype=np.intp)
+    sib = np.zeros((2, depth + 1), dtype=np.intp)
+    for level in range(1, depth + 1):
+        for s in (0, 1):
+            p = end[s, level - 1]
+            if child[p] < 0:
+                a, b = ends[0][p], ends[1][p]
+                mid = 0.5 * (a + b)
+                child[p] = len(child)
+                ends[0] += [a, mid]
+                ends[1] += [mid, b]
+                child += [-1, -1]
+            end[s, level] = child[p] + s
+            sib[s, level] = child[p] + 1 - s
+    return np.array(ends), np.array(child), end, sib
+
+
+def _gk21(f, n, lo, hi, tol, start):
     """Lockstep adaptive GK21 integrals of n lanes over [lo, hi].
 
     ``f(theta, col, lane)`` evaluates the integrands of lanes ``lane``
     (shape (m,)): lane-panel i at nodes theta[:, col[i]], where theta
     (shape (21, u)) holds the nodes of the round's u distinct panels
-    (``_qk21``).  Every lane starts from [lo, hi] and bisects at
-    midpoints, so lane-panels at one place of the bisection tree have
-    the same ends: the batch keeps a table of panels, row 0 being
-    [lo, hi], each lane-panel carries its row, and a round appends the
-    two halves of each distinct parent row it splits, ranked by an
-    np.bincount over the table rows, however many lanes split it.  Every round bisects, per lane,
-    the panels whose error is at least BISECT_SHARE of the lane's
-    largest, until err <= tol * max(1, |val|) (epsabs = epsrel = tol, a
-    scalar or one per lane) or the next round would take the lane past
-    QUAD_LIMIT panels.  A lane's value and error are the sums of its
-    panels', accumulated in the lane's own panel order (np.bincount adds
-    in array order).  Returns per lane (value, error, converged).
+    (``_qk21``).  Every panel is a panel of the bisection tree of
+    [lo, hi], each child a half of its parent cut at 0.5*(a + b).  A
+    lane starts graded toward one end (QUADPACK's breakpoint remedy
+    for a known difficult point): with d = |start| (an int per lane, or
+    one for all), from the panels that bisection reaches by splitting
+    the panel at the lo end (start < 0) or the hi end (start > 0) d
+    times, the siblings at levels 1..d and then the level-d end panel;
+    start = 0 is [lo, hi] alone.  The batch keeps a table of the tree's
+    panels, one row each, with the row of each row's first child; each
+    lane-panel carries its row, and a round forms the nodes of each
+    distinct row it reads once, however many lanes read it.  Every
+    round bisects, per lane, the panels whose error is at least
+    BISECT_SHARE of the lane's largest, until err <= tol * max(1, |val|)
+    (epsabs = epsrel = tol, a scalar or one per lane) or the next round
+    would take the lane past QUAD_LIMIT panels, counting its d + 1
+    start panels.  A lane's value and error are the sums of its
+    panels', accumulated in the lane's own panel order (np.bincount
+    adds in array order).  Returns per lane (value, error, converged).
     """
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
+    start = np.broadcast_to(np.asarray(start, dtype=np.intp), (n,))
+    depth = np.abs(start)
+    side = (start > 0).astype(np.intp)
     val, err = np.zeros(n), np.zeros(n)
     converged = np.zeros(n, dtype=bool)
     open_ = np.ones(n, dtype=bool)
-    count = np.ones(n, dtype=int)
-    lane = np.arange(n)
-    table = np.array([[float(lo)], [float(hi)]])
-    row = np.zeros(n, dtype=np.intp)
-    pv, pe = _qk21(f, lane, table[0], table[1], row)
+    count = depth + 1
+    lane = np.repeat(np.arange(n), count)
+    table, child, end, sib = _start_table(float(lo), float(hi),
+                                          int(depth.max(initial=0)))
+    # a lane's j-th start panel: the sibling at level j + 1 for j < d,
+    # then the end panel at level d
+    level = np.arange(len(lane)) + 1 - np.repeat(np.cumsum(count) - count,
+                                                 count)
+    d, s = depth[lane], side[lane]
+    row = np.where(level <= d, sib[s, np.minimum(level, len(end[0]) - 1)],
+                   end[s, d])
+    used = np.bincount(row, minlength=len(child)) > 0
+    pv, pe = _qk21(f, lane, *table[:, used], (np.cumsum(used) - 1)[row])
     while True:
         sv = np.bincount(lane, pv, minlength=n)
         se = np.bincount(lane, pe, minlength=n)
@@ -186,19 +235,24 @@ def _gk21(f, n, lo, hi, tol):
         split &= open_[lane]
         stay = open_[lane] & ~split
         parent = row[split]
-        used = np.bincount(parent, minlength=table.shape[1]) > 0
-        rank = np.cumsum(used) - 1
-        a, b = table[:, used]
+        # rows split for the first time get their two halves appended
+        used = np.bincount(parent, minlength=len(child)) > 0
+        new = used & (child < 0)
+        a, b = table[:, new]
         halves = np.empty((2, 2 * len(a)))
         halves[0, ::2] = a
         halves[1, 1::2] = b
         halves[0, 1::2] = halves[1, ::2] = 0.5 * (a + b)
-        col = np.repeat(2 * rank[parent], 2)
+        child[new] = len(child) + 2 * np.arange(len(a))
+        rows = np.repeat(child[used], 2)
+        rows[1::2] += 1
+        table = np.concatenate([table, halves], axis=1)
+        child = np.concatenate([child, np.full(2 * len(a), -1)])
+        col = np.repeat(2 * (np.cumsum(used) - 1)[parent], 2)
         col[1::2] += 1
         new_lane = np.repeat(lane[split], 2)
-        nv, ne = _qk21(f, new_lane, halves[0], halves[1], col)
-        row = np.concatenate([row[stay], col + table.shape[1]])
-        table = np.concatenate([table, halves], axis=1)
+        nv, ne = _qk21(f, new_lane, *table[:, rows], col)
+        row = np.concatenate([row[stay], rows[col]])
         lane = np.concatenate([lane[stay], new_lane])
         pv = np.concatenate([pv[stay], nv])
         pe = np.concatenate([pe[stay], ne])
@@ -230,6 +284,22 @@ class AbelianTriple:
         return np.stack([self.jm1, self.j0, self.j1], axis=-1)
 
 
+def _start_depth(lo, hi, w):
+    """``_gk21``'s start of each slice's lane, graded toward the slice
+    end u_e nearer the saddle u = 0, where the integrand changes on the
+    scale |u_e|: at theta = phi from that end, x - u_e ~ w*phi^2/2
+    reaches |u_e| at phi = sqrt(2|u_e|/w), so the start is split
+    d = max(0, floor(log2(pi/phi)) - 1) times toward it, whose end
+    panel spans 2*phi to 4*phi; d = 0 on the loop slice (u_e = 0), and
+    d + 1 <= QUAD_LIMIT."""
+    near_lo = np.abs(lo) <= np.abs(hi)
+    ue = np.abs(np.where(near_lo, lo, hi))
+    with np.errstate(divide="ignore"):
+        d = np.floor(np.log2(math.pi / np.sqrt(2.0 * ue / w))) - 1.0
+    d = np.where(ue > 0.0, np.clip(d, 0, QUAD_LIMIT - 1), 0).astype(np.intp)
+    return np.where(near_lo, -d, d)
+
+
 def _jk_lanes(r, lo, hi, third_root, k, tol):
     """J_k on normal-form slices, one lane per (slice, k): arrays of the
     slice endpoints, third roots and k.  ``tol`` (a scalar or one per
@@ -253,7 +323,8 @@ def _jk_lanes(r, lo, hi, third_root, k, tol):
         x *= c
         return x
 
-    val, err, ok = _gk21(f, len(k), -HALF_PI, HALF_PI, tol)
+    val, err, ok = _gk21(f, len(k), -HALF_PI, HALF_PI, tol,
+                         _start_depth(lo, hi, w))
     return 2.0 * w * w * val, 2.0 * w * w * err, ok
 
 
@@ -367,7 +438,7 @@ def appendix_oval_integral(
         num = w * w * c * c * php - 2.0 * w * ph * s
         return fe(x2, y) * num / np.sqrt(ph)
 
-    val, err, ok = _gk21(f, 1, -HALF_PI, HALF_PI, QUAD_TOL)
+    val, err, ok = _gk21(f, 1, -HALF_PI, HALF_PI, QUAD_TOL, 0)
     return float(val[0]), float(err[0]), bool(ok[0])
 
 

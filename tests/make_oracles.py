@@ -101,6 +101,21 @@ def appendix_zero(mu2, lo, hi):
     return findroot(f, (mpf(lo), mpf(hi)), solver="anderson")
 
 
+# (annulus, a, t) of the near-loop rows, where the integrand of J_1
+# changes on the scale of the slice end next to the saddle: default_grid
+# samples at a = 0.7 and a = -0.5, index 3 of geomspace(0.999, 1e-6, 6)
+# times the center energy at a = 1.15, t = -1.5e-4 at a = 1, and
+# 7.8e-5 times the center energy at a = 0.3
+NEAR_LOOP_ROWS = [
+    ("SIGMA_PLUS", 0.7, -0.0005731666621278109),
+    ("SIGMA_MINUS", 0.7, 0.0003697057015124017),
+    ("SIGMA_MINUS", 1.15, 0.0002949217660819588),
+    ("SIGMA_PLUS", 1.0, -0.00015),
+    ("SIGMA_PLUS", -0.5, -0.0002206910122151129),
+    ("SIGMA_MINUS", 0.3, 0.003256066666666666),
+]
+
+
 def emit(label, value, digits=22):
     print(f"    {label}: {mp.nstr(value, digits)},")
 
@@ -119,6 +134,14 @@ def main():
         trip = tuple(jk_normal(a, t, k, minus=True) for k in (-1, 0, 1))
         body = ", ".join(mp.nstr(v, 22) for v in trip)
         print(f"    ({a}, {t}): ({body}),")
+    print("}")
+
+    print("NEAR_LOOP_TRIPLES = {")
+    for annulus, a, t in NEAR_LOOP_ROWS:
+        minus = annulus == "SIGMA_MINUS"
+        trip = tuple(jk_normal(a, t, k, minus=minus) for k in (-1, 0, 1))
+        body = ", ".join(mp.nstr(v, 22) for v in trip)
+        print(f"    ({annulus!r}, {a}, {t!r}): ({body}),")
     print("}")
 
     print("LOOP_LIMITS = {")
