@@ -244,6 +244,7 @@ def cmd_sim(args):
             "outcomes": res.outcomes,
             "refine_rounds": res.refine_rounds,
             "refine_lanes": res.refine_lanes,
+            "unresolved_cells": res.unresolved_cells,
             "cycles": [{
                 "section_coordinate": c.section_coordinate,
                 "energy": c.energy_estimate,
@@ -255,6 +256,9 @@ def cmd_sim(args):
                  for c in res.cycles if c.stability == "undetermined"]
         if res.outcomes.get("failed"):
             flags.append(f"{res.outcomes['failed']} census lanes failed")
+        if res.unresolved_cells:
+            flags.append(f"{res.unresolved_cells} sign-change cells lost a "
+                         f"refinement lane: a cycle there may be missing")
         # a scan with no return measured nothing; a degenerate census
         # scans no lanes, and one whose lanes all failed is flagged above
         if not res.outcomes.get("ok") and set(res.outcomes) - {"failed"}:

@@ -20,11 +20,12 @@ separatrix runs of ``separatrix_shifts``, whose stable lanes run
 backward through a constant time-sign row, stop on events located on
 each lane's dense output; the recorded trajectory of ``sim --traj``
 (``integrate``) is one lane with no events.  Also here: a cycle census by
-displacement sign changes, refined together by a lockstep Illinois
-search that takes Newton steps with the refinement lanes' slopes,
-saddle traces by Newton continuation, and separatrix shift
-functions measured in the Hamiltonian chart on mid-connection
-transversals.
+displacement sign changes, refined together by one batch over a
+sub-grid of every sign-change cell and then a lockstep Illinois search
+that starts each sub-cell at its Hermite root and takes Newton steps
+with the refinement lanes' slopes, saddle traces by Newton
+continuation, and separatrix shift functions measured in the
+Hamiltonian chart on mid-connection transversals.
 
 Cycle detection is fixed-point based rather than attractor settling:
 the cycles of interest can be repelling or nearly neutral (traces are
@@ -38,7 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .lockstep import advance, evaluate, grid_roots
+from .lockstep import (ATOL_PER_RTOL, advance, evaluate, grid_roots,
+                       sign_changes)
 from .model import (APPENDIX_SPEC, Annulus, Family, HamiltonianSpec,
                     MelnikovCoeffs, PerturbationSpec, critical_data,
                     require_finite)
@@ -47,6 +49,7 @@ from .ovals import SectionSegment, section_segment
 FLOW_TOL = 1e-10            # integrator rtol of a flow unless it sets its own
 RETURN_T_MAX = 400.0        # return-map time limit unless a caller sets one
 CENSUS_POINTS = 100         # default census grid size, also its minimum
+SUBGRID_POINTS = 15         # evenly spaced inner points of a census cell
 ESCAPE_RADIUS = 12.0        # |z| at which a trajectory has left the loop region
 BURN_IN = 1e-3              # return-map lead time before the section event arms
 SEPARATRIX_OFFSET = 1e-8    # launch distance along the saddle eigenvectors
@@ -333,6 +336,18 @@ def displacement(flow: FlowSpec, section: SectionSegment,
     return None if res.s_return is None else res.s_return - s
 
 
+def _sub_grids(grid, vals, cells):
+    """The sub-grid of each sign-change cell of the census grid, one row
+    per cell, sorted: its two ends, its regula falsi point and
+    SUBGRID_POINTS evenly spaced inner points."""
+    a, b, fa, fb = grid[cells], grid[cells + 1], vals[cells], vals[cells + 1]
+    inner = np.arange(1, SUBGRID_POINTS + 1) / (SUBGRID_POINTS + 1)
+    nodes = np.column_stack([a, b, (a * fb - b * fa) / (fb - fa),
+                             a[:, None] + (b - a)[:, None] * inner])
+    nodes.sort(axis=1)
+    return nodes
+
+
 @dataclass(frozen=True)
 class Cycle:
     section_coordinate: float
@@ -353,6 +368,7 @@ class CycleCensus:
     outcomes: dict[str, int] = field(default_factory=dict)  # lanes by reason
     refine_rounds: int = 0              # serial refinement batches
     refine_lanes: int = 0               # lanes over all of them
+    unresolved_cells: int = 0           # sign-change cells that lost a lane
     # saddle data that raised ("traces", "shifts"): the error message
     unmeasured: dict[str, str] = field(default_factory=dict)
 
@@ -364,23 +380,31 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
 
     s_range defaults to the full section span (slightly shrunk); pass a
     narrow window near the loop end for near-loop censuses.  The grid is
-    one lockstep batch of return maps; its exact displacement zeros and
-    one root per displacement sign change are the cycles
+    one lockstep batch of return maps.  Its exact displacement zeros are
+    cycles, and its sign-change cells are refined on (3, n) lanes, whose
+    slopes P' (``_returns_and_slopes``) come with each return.  The first
+    refinement round is one batch over every sign-change cell's sub-grid
+    (``_sub_grids``: its ends, its regula falsi point and SUBGRID_POINTS
+    inner points).  Every sign change of a sub-grid is one cycle
     (``lockstep.grid_roots``: all brackets refined in one lockstep
-    Illinois search, each root in its own cell, so none is merged away
-    however close).  The refinement runs on (3, n) lanes, whose slopes
-    P' (``_returns_and_slopes``) give each bracket Newton steps on
-    P(s) - s; each root carries the slope of the round that evaluated
-    it.  refine_rounds and refine_lanes count the refinement batches and
-    their lanes.
-    no_return_count counts grid lanes without a return plus brackets
-    abandoned because a refinement lane did not return.  A flow whose
-    perturbation part is zero has a continuum of closed orbits and is
-    reported as degenerate_continuum without a scan.  with_saddle_data
-    adds the saddle traces and connection shifts of an appendix flow;
-    either is None when its measurement raises RuntimeError (a saddle
-    that Newton loses, a separatrix that misses the transversal), and
-    unmeasured keeps the message.
+    Illinois search, each root in its own sub-cell, so a cell hiding
+    three roots gives three, and none is merged away however close).
+    Each search starts at the root of the sub-cell's cubic Hermite
+    interpolant of P(s) - s and takes Newton steps until one lies within
+    the integrator's error scale at the root, ATOL_PER_RTOL*tol +
+    tol*|s| for the flow's tol.  Each root carries the slope of the round
+    that evaluated it.  refine_rounds and refine_lanes count the
+    refinement batches and their lanes; a census without a sign change
+    refines nothing.
+    unresolved_cells counts the sign-change cells in which a refinement
+    lane did not return, so a cycle there may be missing, and
+    no_return_count the grid lanes without a return plus those cells.
+    A flow whose perturbation part is zero has a continuum of closed
+    orbits and is reported as degenerate_continuum without a scan.
+    with_saddle_data adds the saddle traces and connection shifts of an
+    appendix flow; either is None when its measurement raises
+    RuntimeError (a saddle that Newton loses, a separatrix that misses
+    the transversal), and unmeasured keeps the message.
     """
     if n < CENSUS_POINTS:
         raise ValueError(f"census needs a grid of at least {CENSUS_POINTS} "
@@ -407,23 +431,42 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
     lanes = return_maps(flow, sec, grid, T_max=T_max)
     outcomes = {r: int(np.count_nonzero(lanes.reason == r))
                 for r in REASONS if r in lanes.reason}
-    no_return = n - outcomes.get("ok", 0)
     slope_at = {}       # P' of every refinement point; each root is one
     rounds = []         # lanes of every refinement round
+    lost = []           # refinement points that did not return
 
     def displacements(s):
         s_ret, slopes = _returns_and_slopes(flow, sec, s, T_max)
         slope_at.update(zip(s.tolist(), slopes.tolist()))
         rounds.append(s.size)
+        lost.extend(s[np.isnan(s_ret)].tolist())
         return s_ret - s, slopes - 1.0
 
-    roots = grid_roots(displacements, grid, lanes.s_return - grid)
-    abandoned = np.isnan(roots)
-    no_return += int(abandoned.sum())
-    found = roots[~abandoned].tolist()
+    vals = lanes.s_return - grid
+    zeros, cells = sign_changes(vals)
+    roots = grid[zeros]
+    if cells.size:
+        # one batch of every sign-change cell's sub-grid, then the sub-grids
+        # in a row, each closed by a nan node so that no two cells join,
+        # without a node that repeats the one before it
+        nodes = _sub_grids(grid, vals, cells)
+        sep = np.full((cells.size, 1), np.nan)
+        sub, d, dd = (np.hstack([v.reshape(nodes.shape), sep]).ravel()
+                      for v in (nodes, *displacements(nodes.ravel())))
+        keep = np.append(True, sub[1:] != sub[:-1])
+        # roots to the integrator's error scale at them
+        refined = grid_roots(displacements, sub[keep], d[keep], dd[keep],
+                             ATOL_PER_RTOL * flow.tol, flow.tol)
+        roots = np.sort(np.append(roots, refined[~np.isnan(refined)]))
+    found = roots.tolist()
     unseen = [r for r in found if r not in slope_at]    # exact grid zeros
     if unseen:
         displacements(np.array(unseen))
+    lost = np.array(lost)
+    unresolved = int(np.count_nonzero(
+        ((grid[cells, None] <= lost) & (lost <= grid[cells + 1, None]))
+        .any(axis=1)))
+    no_return = n - outcomes.get("ok", 0) + unresolved
 
     cycles = []
     for r in found:
@@ -457,7 +500,7 @@ def census(flow: FlowSpec, annulus: Annulus = Annulus.SIGMA_PLUS,
                        no_return_count=no_return, grid_size=n,
                        window=(lo, hi), outcomes=outcomes,
                        refine_rounds=len(rounds), refine_lanes=sum(rounds),
-                       unmeasured=unmeasured)
+                       unresolved_cells=unresolved, unmeasured=unmeasured)
 
 
 class NewtonError(RuntimeError):

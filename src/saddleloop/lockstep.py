@@ -39,7 +39,9 @@ cells of sampled values (``sign_changes``, ``grid_roots``) for the cycle
 census, both Melnikov zero counts and the centroid line intersections,
 and solves the oval slice endpoints whose closed-form start fails its
 sign test (``ovals``).  Where the function also returns slopes (the
-census), the search takes Newton steps inside each bracket.
+census), the search takes Newton steps inside each bracket, and where
+the sampled values come with slopes (the census's sub-grids) each
+bracket starts at the root of its cubic Hermite interpolant.
 """
 from __future__ import annotations
 
@@ -143,19 +145,21 @@ def _dense_eval(t_old, h, z_old, F, t):
     return y + z_old
 
 
-def illinois(fun, a, b, fa, fb, xtol, rtol):
+def illinois(fun, a, b, fa, fb, xtol, rtol, start=None):
     """Lockstep Illinois (modified regula falsi) search for one root in
     each sign-change bracket [a[i], b[i]] with end values fa[i], fb[i],
     safeguarded Newton where fun also returns slopes.
 
     fun(i, x) evaluates brackets i at points x: their values, or a
     (values, slopes) pair.  A nan value abandons a bracket, whose root is
-    then nan.  After a point x with value v and slope d, the next point
-    is the Newton target x - v/d if it lies in the bracket, else the
-    Illinois point (Numerical Recipes' rtsafe).  A bracket is done when
-    it is narrower than xtol + rtol*|b|, a point evaluates to exactly 0,
-    or a Newton target in the bracket lies within xtol + rtol*|x| of x;
-    its root is the last point evaluated, also after MAXITER rounds.
+    then nan.  A bracket's first point is its regula falsi point, or
+    start[i] where start is given and start[i] is not nan.  After a
+    point x with value v and slope d, the next point is the Newton target
+    x - v/d if it lies in the bracket, else the Illinois point (Numerical
+    Recipes' rtsafe).  A bracket is done when it is narrower than
+    xtol + rtol*|b|, a point evaluates to exactly 0, or a Newton target
+    in the bracket lies within xtol + rtol*|x| of x; its root is the last
+    point evaluated, also after MAXITER rounds.
     Every point lies half the width tolerance or more inside its bracket
     (brentq's minimum step), so an end at the root cannot stall the
     search.  Each bracket's iterates depend on its own values only.
@@ -165,7 +169,7 @@ def illinois(fun, a, b, fa, fb, xtol, rtol):
     step = None             # Newton steps v/d at root, once fun gives slopes
     live = (fa != 0.0) & (fb != 0.0)
     kept = np.zeros(a.size, dtype=int)      # end retained last: 1 a, -1 b
-    for _ in range(MAXITER):
+    for k in range(MAXITER):
         live &= np.abs(b - a) > xtol + rtol * np.abs(b)
         if step is not None:
             target = root - step
@@ -179,6 +183,8 @@ def illinois(fun, a, b, fa, fb, xtol, rtol):
         c = (ai * fb[i] - bi * fa[i]) / (fb[i] - fa[i])
         if step is not None:
             c = np.where(newton[i], target[i], c)
+        elif k == 0 and start is not None:
+            c = np.where(np.isnan(start[i]), c, start[i])
         tol = 0.5 * (xtol + rtol * np.abs(bi))
         c = np.fmax(np.minimum(ai, bi) + tol,
                     np.fmin(c, np.maximum(ai, bi) - tol))
@@ -200,8 +206,8 @@ def illinois(fun, a, b, fa, fb, xtol, rtol):
     return root
 
 
-# Illinois tolerances of every grid root: the census and both Melnikov
-# zero counts
+# Illinois tolerances of a grid root unless its caller sets its own: both
+# Melnikov zero counts (the census refines to its flow's error scale)
 ROOT_XTOL, ROOT_RTOL = 1e-10, 8.9e-16
 
 
@@ -214,18 +220,49 @@ def sign_changes(vals):
             np.flatnonzero(vals[:-1] * vals[1:] < 0.0))
 
 
-def grid_roots(fun, grid, vals):
+def _hermite_roots(a, b, fa, fb, da, db):
+    """A root in each cell [a[i], b[i]] of the cubic Hermite interpolant
+    of the end values fa, fb (of opposite signs) and end slopes da, db:
+    the same search on the cubic, to EVENT_TOL.  nan where the cubic is
+    not finite (a nan or infinite slope), the one case in which it has
+    no root in the cell."""
+    h, df = b - a, fb - fa
+    # H = fa + t*(c1 + t*(c2 + t*c3)) with t = (x - a)/h
+    c1 = h * da
+    c2 = 3.0 * df - h * (2.0 * da + db)
+    c3 = h * (da + db) - 2.0 * df
+    f0 = np.where(np.isfinite(c1 + c2 + c3), fa, np.nan)
+
+    def cubic(i, x):
+        t = (x - a[i]) / h[i]
+        return (f0[i] + t * (c1[i] + t * (c2[i] + t * c3[i])),
+                (c1[i] + t * (2.0 * c2[i] + 3.0 * t * c3[i])) / h[i])
+
+    return illinois(cubic, a, b, f0, fb, 0.0, EVENT_TOL)
+
+
+def grid_roots(fun, grid, vals, slopes=None, xtol=ROOT_XTOL, rtol=ROOT_RTOL):
     """Sorted roots of a function sampled as vals on grid: its exact
-    zeros plus one lockstep Illinois root in each sign-change cell.
+    zeros plus one lockstep Illinois root in each sign-change cell, to
+    the tolerances xtol and rtol.
 
     fun maps an array of points to their values, or to a (values,
     slopes) pair for Newton steps; a bracket abandoned on a nan value
-    gives a nan root, sorted last.
+    gives a nan root, sorted last.  A nan node separates the cells on
+    either side of it.  With slopes at the grid nodes, each cell's
+    search starts at a root of its cubic Hermite interpolant
+    (``_hermite_roots``), or at its regula falsi point where that is nan.
     """
     grid, vals = np.asarray(grid, dtype=float), np.asarray(vals, dtype=float)
     zeros, i = sign_changes(vals)
-    refined = illinois(lambda _, x: fun(x), grid[i], grid[i + 1], vals[i],
-                       vals[i + 1], ROOT_XTOL, ROOT_RTOL)
+    a, b, fa, fb = grid[i], grid[i + 1], vals[i], vals[i + 1]
+    start = None
+    if slopes is not None:
+        slopes = np.asarray(slopes, dtype=float)
+        with np.errstate(invalid="ignore"):     # inf - inf: a nan cubic
+            start = _hermite_roots(a, b, fa, fb, slopes[i], slopes[i + 1])
+    refined = illinois(lambda _, x: fun(x), a, b, fa, fb, xtol, rtol,
+                       start)
     return np.sort(np.concatenate([grid[zeros], refined]))
 
 

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import saddleloop
@@ -265,14 +266,43 @@ def test_sim_census_witness_replay(tmp_path, capsys):
     assert doc["window"] == [1.15e-3, 4.0e-3]
     assert doc["outcomes"] == {"ok": 155, "left_annulus": 5}
     assert doc["no_return_count"] == 5
-    # two brackets: a false-position round, then Newton steps until one
-    # lands within the root tolerance
-    assert (doc["refine_rounds"], doc["refine_lanes"]) == (4, 7)
+    # two cells: one batch of their 18-point sub-grids, the repeller's and
+    # the attractor's Hermite starts, then one Newton step for the
+    # repeller, whose start lies outside the root tolerance
+    assert (doc["refine_rounds"], doc["refine_lanes"]) == (3, 39)
+    assert doc["unresolved_cells"] == 0
     assert [c["stability"] for c in doc["cycles"]] == ["repelling",
                                                        "attracting"]
     man = json.loads((tmp_path / "census.json.manifest.json").read_text())
     assert set(man["config"]) == {"family", "c", "eps", "mu1", "mu2",
                                   "annulus", "window", "n", "T", "tol"}
+
+
+def test_sim_census_flags_a_cell_that_lost_a_lane(tmp_path, capsys,
+                                                  monkeypatch):
+    # refinement lanes near the repeller do not return, so its cell
+    # yields no cycle: the census says so, and the run exits 3
+    from saddleloop import flowsim
+
+    refine = flowsim._returns_and_slopes
+
+    def lossy(flow, sect, s, T_max):
+        s_ret, slopes = refine(flow, sect, s, T_max)
+        return np.where(abs(s - 1.2411e-3) > 1.2e-6, s_ret, np.nan), slopes
+
+    monkeypatch.setattr(flowsim, "_returns_and_slopes", lossy)
+    out = tmp_path / "census.json"
+    code, _, _ = run(["sim", "--family", "appendix", "--c", "60",
+                      "--eps", "3.6e-3", "--mu1", "0.352", "--mu2", "0.657",
+                      "--census", "--window", "1.15e-3,4.0e-3", "--n", "160",
+                      "--T", "80", "--out", str(out)], capsys)
+    assert code == 3
+    doc = json.loads(out.read_text())
+    assert [c["stability"] for c in doc["cycles"]] == ["attracting"]
+    assert doc["unresolved_cells"] == 1 and doc["no_return_count"] == 6
+    man = json.loads((tmp_path / "census.json.manifest.json").read_text())
+    assert man["flags"] == ["1 sign-change cells lost a refinement lane: "
+                            "a cycle there may be missing"]
 
 
 @pytest.mark.parametrize("argv, outcome", [

@@ -395,11 +395,12 @@ def test_census_keeps_close_cycle_pair(monkeypatch):
 
 
 def test_witness_refinement_newton_rounds(monkeypatch):
-    # the refinement lanes' slopes steer Newton steps: a false-position
-    # round, then Newton until a step lands within the root tolerance
-    # (Illinois alone takes 6 rounds and 11 lanes), so each root is a
-    # fixed point to far below that tolerance (Illinois leaves a Newton
-    # residual of about 5e-11)
+    # one batch evaluates both sign-change cells' sub-grids with their
+    # slopes; each bracket then starts at its Hermite root and takes
+    # Newton steps until one lands within the root tolerance, one lane
+    # per live bracket a round, so each root is a fixed point to far
+    # below that tolerance (Illinois leaves a Newton residual of about
+    # 5e-11)
     w = alien_witness()
     flow, sect, _, T_max = _witness_grid()
     lanes = []
@@ -412,12 +413,63 @@ def test_witness_refinement_newton_rounds(monkeypatch):
     monkeypatch.setattr(flowsim, "_returns_and_slopes", counted)
     res = census(flow, s_range=tuple(w["section_window"]),
                  n=int(w["grid_points"]), T_max=T_max)
-    assert len(lanes) <= 4 and sum(lanes) <= 7
+    assert len(lanes) <= 3 and lanes[0] == 2 * (flowsim.SUBGRID_POINTS + 3)
+    assert all(k <= 2 for k in lanes[1:])
     assert (res.refine_rounds, res.refine_lanes) == (len(lanes), sum(lanes))
     roots = np.array([c.section_coordinate for c in res.cycles])
     s_ret, slopes = run(flow, sect, roots, T_max)
     assert slopes.tolist() == [c.return_derivative for c in res.cycles]
     assert np.all(np.abs((s_ret - roots) / (slopes - 1.0)) <= 1e-12)
+
+
+def test_census_flags_a_cell_that_lost_a_lane(monkeypatch):
+    # refinement lanes within 1.2e-6 of the repeller do not return: its
+    # cell's sub-grid (nodes 1.1e-6 apart) loses the sign change, and the
+    # census counts the cell instead of dropping the cycle silently
+    w = alien_witness()
+    s_rep = w["expected_section_coords"][0]
+    run = flowsim._returns_and_slopes
+
+    def lossy(flow, sect, s, T_max):
+        s_ret, slopes = run(flow, sect, s, T_max)
+        return np.where(np.abs(s - s_rep) > 1.2e-6, s_ret, np.nan), slopes
+
+    monkeypatch.setattr(flowsim, "_returns_and_slopes", lossy)
+    res = census(witness_flow(), s_range=tuple(w["section_window"]),
+                 n=int(w["grid_points"]), T_max=float(w["t_max"]))
+    assert [c.stability for c in res.cycles] == ["attracting"]
+    assert res.unresolved_cells == 1
+    assert res.no_return_count == 5 + 1
+
+
+def test_census_finds_three_roots_in_one_cell(monkeypatch):
+    # a displacement with three roots inside one grid cell: every sign
+    # change of the cell's sub-grid is a cycle, with alternating
+    # stabilities (the grid sees one sign change there)
+    flow = witness_flow()
+    lo, hi = 1.15e-3, 4.0e-3
+    grid = np.linspace(lo, hi, 100)
+    cell = grid[40] + (grid[41] - grid[40]) * np.array([0.22, 0.53, 0.81])
+
+    def disp(s):
+        d, dd = _cubic(s, cell)
+        return 1e9 * d, 1e9 * dd
+
+    def maps(flow, sect, s, T_max):
+        return flowsim.ReturnLanes(s + disp(s)[0], np.full(s.size, "ok"))
+
+    def slopes(flow, sect, s, T_max):
+        d, dd = disp(s)
+        return s + d, 1.0 + dd
+
+    monkeypatch.setattr(flowsim, "return_maps", maps)
+    monkeypatch.setattr(flowsim, "_returns_and_slopes", slopes)
+    res = census(flow, s_range=(lo, hi), n=100, T_max=80.0)
+    coords = [c.section_coordinate for c in res.cycles]
+    assert np.all(np.abs(np.array(coords) - cell) <= 1e-12)
+    assert [c.stability for c in res.cycles] == [
+        "repelling", "attracting", "repelling"]
+    assert res.refine_rounds == 2 and res.unresolved_cells == 0
 
 
 def test_witness_cycle_is_fixed_point():
@@ -612,6 +664,81 @@ def test_grid_roots_zeros_cells_and_abandoned():
     roots = grid_roots(fun, grid, np.array([0.0, -1.0, 1.0, 0.0, 2.0]))
     assert roots[0] == 0.0 and roots[2] == 3.0
     assert abs(roots[1] - 1.5) < 1e-10
+
+
+def test_grid_roots_keep_their_bits_without_slopes():
+    # without node slopes (or with nan starts) every bracket starts at its
+    # regula falsi point: these roots are pinned bit for bit
+    grid = np.linspace(0.0, 3.0, 7)
+
+    def f(x):
+        return np.cos(np.pi * x) - 0.25 * x
+
+    def f_df(x):
+        return f(x), -np.pi * np.sin(np.pi * x) - 0.25
+
+    assert [r.hex() for r in grid_roots(f, grid, f(grid))] == [
+        "0x1.da2e5ab6341afp-2", "0x1.a24a176647356p+0",
+        "0x1.26fbc5727f17bp+1"]
+    assert [r.hex() for r in grid_roots(f_df, grid, f(grid))] == [
+        "0x1.da2e5ab558508p-2", "0x1.a24a17667e2bfp+0",
+        "0x1.26fbc57263fe6p+1"]
+    ks = np.array([2.0, 5.0, 7.0])
+    a, b = np.ones(3), np.full(3, 2.0)
+    for start in (None, np.full(3, np.nan)):
+        roots = illinois(lambda i, x: x ** 3 - ks[i], a, b, a ** 3 - ks,
+                         b ** 3 - ks, 1e-13, 0.0, start)
+        assert [r.hex() for r in roots] == [
+            "0x1.428a2f98d728bp+0", "0x1.b5c0fbcfec5b4p+0",
+            "0x1.e9b5dba5817bdp+0"]
+
+
+def _cubic(x, r):
+    """(x - r0)(x - r1)(x - r2) and its slope."""
+    d = x[:, None] - r
+    return (np.prod(d, axis=1),
+            d[:, 1] * d[:, 2] + d[:, 0] * d[:, 2] + d[:, 0] * d[:, 1])
+
+
+_CUBIC_ROOTS = np.array([0.3, 1.45, 2.9])
+
+
+def _cubic_search(slopes):
+    """grid_roots of the cubic with _CUBIC_ROOTS on the nodes 0..3 with
+    the given node slopes, and the points of every round."""
+    grid = np.arange(4.0)
+    rounds = []
+
+    def fun(x):
+        rounds.append(x)
+        return _cubic(x, _CUBIC_ROOTS)
+
+    return grid_roots(fun, grid, _cubic(grid, _CUBIC_ROOTS)[0],
+                      slopes), rounds
+
+
+def test_grid_roots_start_at_the_hermite_root():
+    # the Hermite interpolant of a cubic is the cubic: each cell's first
+    # point is its root, where the search ends
+    r = _CUBIC_ROOTS
+    slopes = _cubic(np.arange(4.0), r)[1]
+    roots, rounds = _cubic_search(slopes)
+    assert len(rounds) == 1
+    assert np.all(np.abs(rounds[0] - r) <= 1e-15)
+    assert rounds[0].tolist() == roots.tolist()
+    # without slopes the first points are the regula falsi points
+    _, plain = _cubic_search(None)
+    assert np.all(np.abs(plain[0] - r) > 1e-2)
+    # a nan slope, or an infinite one, whose cubic is not finite and so has
+    # no root in the cell, puts the cells next to it back on that point
+    for bad in (np.nan, np.inf):
+        spoilt = slopes.copy()
+        spoilt[1] = bad
+        roots, rounds = _cubic_search(spoilt)
+        assert rounds[0][:2].tobytes() == plain[0][:2].tobytes()
+        assert abs(rounds[0][2] - r[2]) <= 1e-15
+        assert np.all(np.abs(roots - r) <= 1e-10)
+
 
 def test_return_maps_batch_invariant():
     # the 100 grid lanes of one criterion-10 draw (two of them without a
@@ -852,6 +979,8 @@ def test_scan_slopes_match_variational_oracle(trial):
     sect = section_segment(flow.hamiltonian, Annulus.SIGMA_PLUS)
     res = census(flow, s_range=s_range, n=100, T_max=60.0)
     (cyc,) = res.cycles
+    # one sub-grid batch, the Hermite start and at most one Newton step
+    assert res.refine_rounds == {85: 2, 97: 2, 138: 3}[trial]
     oracle = _oracle_slope(flow, sect, cyc.section_coordinate, 60.0)
     assert abs(cyc.return_derivative - oracle) < 1e-9
     assert cyc.stability == ("attracting" if oracle < 1.0 else "repelling")
