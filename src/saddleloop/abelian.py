@@ -422,7 +422,8 @@ def appendix_oval_integral(
     to zero by symmetry and are rejected by construction), evaluated
     elementwise on numpy arrays.  On the y-graph x = +-sqrt(G(y)) the
     closed integral reduces to int f_e * G'/sqrt(G) dy, which the sin
-    substitution makes smooth.
+    substitution makes smooth.  The lane starts graded toward the slice
+    end nearer the saddle (``_start_depth``), as every grid lane does.
     """
     g = slice_grid(APPENDIX_SPEC, Annulus.SIGMA_PLUS, [h])
     w = 0.5 * (g.hi - g.lo)
@@ -438,7 +439,8 @@ def appendix_oval_integral(
         num = w * w * c * c * php - 2.0 * w * ph * s
         return fe(x2, y) * num / np.sqrt(ph)
 
-    val, err, ok = _gk21(f, 1, -HALF_PI, HALF_PI, QUAD_TOL, 0)
+    val, err, ok = _gk21(f, 1, -HALF_PI, HALF_PI, QUAD_TOL,
+                         _start_depth(g.lo, g.hi, w))
     return float(val[0]), float(err[0]), bool(ok[0])
 
 

@@ -12,7 +12,8 @@ The parser is the input policy: a ``melnikov`` or ``sim`` run is parsed
 with only the flags its family (and for ``sim`` its ``--census`` or
 ``--traj`` mode) reads, the ones it needs required, so a flag of another
 family or mode fails as an unrecognized argument instead of being
-dropped.  The manifest echoes every setting of the parsed run.
+dropped.  The manifest echoes every setting of the parsed run, a ``sim``
+run's mode as its flag, so its config replays the run.
 
 Exit codes: 0 success, 1 hard failure, 2 invalid config, 3 degraded
 (artifact written, but one or more numerical quality flags were raised).
@@ -122,14 +123,17 @@ def _write_manifest(path: Path, config: dict, artifacts: list[str],
 def _artifact(cmd):
     """The tail every artifact command shares.  cmd(args) writes its
     artifact and returns (path, quality flags); the manifest echoes
-    every setting the run was parsed with, its wall time covers the
-    whole of cmd, and any flag makes the exit code 3."""
+    every setting the run was parsed with (a sim mode as its flag,
+    census or traj: true), its wall time covers the whole of cmd, and
+    any flag makes the exit code 3."""
     @functools.wraps(cmd)
     def run(args) -> int:
         t0 = time.perf_counter()
         out, flags = cmd(args)
         config = {k: v for k, v in vars(args).items() if v is not None
                   and k not in ("command", "fn", "out", "config", "mode")}
+        if getattr(args, "mode", None):
+            config[args.mode] = True
         _write_manifest(out, config, [str(out)], time.perf_counter() - t0,
                         flags)
         print(out)

@@ -274,11 +274,11 @@ def _first_returns(field, z, section: SectionSegment, T_max: float,
                          f"{section.s_bounds()}")
     reason = np.full(z.shape[1], _FAILED)
     z_ret = np.full(z.shape, np.nan)
-    st, _, _, z = advance(field, z, BURN_IN, ((_escape, 1),), tol)
+    st, _, z = advance(field, z, BURN_IN, ((_escape, 1),), tol)
     reason[st == 1] = _ESCAPE
     go = np.flatnonzero(st == 0)
     events = ((lambda z: z[1 - coord], section.direction), (_escape, 1))
-    st, which, _, z = advance(field, z[:, go], T_max - BURN_IN, events, tol)
+    st, which, z = advance(field, z[:, go], T_max - BURN_IN, events, tol)
     crossed = (st == 1) & (which == 0)
     inside = (lo <= z[coord]) & (z[coord] <= hi)
     r = np.select([crossed & inside, crossed, st == 1, st == 0],
@@ -615,8 +615,8 @@ def separatrix_shifts(flow: FlowSpec) -> ShiftPair:
                                     s1 + SEPARATRIX_OFFSET * u1,
                                     s2 + SEPARATRIX_OFFSET * v2]),
                    [1.0, -1.0, 1.0, -1.0]])
-    st, which, _, z = advance(_signed_field(flow), z, SEPARATRIX_T_MAX,
-                              ((lambda z: z[0], 0), (_escape, 1)), flow.tol)
+    st, which, z = advance(_signed_field(flow), z, SEPARATRIX_T_MAX,
+                           ((lambda z: z[0], 0), (_escape, 1)), flow.tol)
     missed = np.flatnonzero((st != 1) | (which != 0))
     if missed.size:
         k = missed[0]

@@ -12,7 +12,10 @@ step policy is the engine's own: a caller sets rtol, atol is
 ATOL_PER_RTOL*rtol and every step is at most MAX_STEP.
 Terminal events, if any, are detected by sign changes at step ends, as
 solve_ivp does, and located on the step's dense output; a run may record
-its accepted steps instead (``sim --traj``).
+its accepted steps instead (``sim --traj``).  A step takes one path for
+every batch: masks, not branches, keep each lane's retry of a rejected
+step and its own state, and a run returns each lane's status, stopping
+event and final state.
 
 The field has one contract: field(e, out) reads a state buffer e of
 shape (d + 1, m), whose row 0 is ones and whose rows 1..d are the
@@ -266,6 +269,13 @@ def grid_roots(fun, grid, vals, slopes=None, xtol=ROOT_XTOL, rtol=ROOT_RTOL):
     return np.sort(np.concatenate([grid[zeros], refined]))
 
 
+def _event_values(events, z):
+    """(len(events), n) values of the event functions at lanes z."""
+    return np.array([fn(z) for fn, _ in events]).reshape(len(events),
+                                                         z.shape[1])
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def advance(field, z, t_end, events, rtol, record=None):
     """Advance lanes z (shape (d, n), d >= 2) from t = 0 to t_end,
     stopping each lane at the first of its terminal events.
@@ -278,46 +288,38 @@ def advance(field, z, t_end, events, rtol, record=None):
     direction) pairs, possibly none: func maps a (d, m) array to m
     values, direction is as in solve_ivp.  The tolerances are rtol and
     ATOL_PER_RTOL*rtol, and MAX_STEP bounds every step of every lane.
-    Returns per lane the status (0 reached t_end, 1 event, -1 step size
-    underflow or not finite), the index of the event that stopped it, and
-    the time and state where it stopped.
+    Every step takes one path, whatever its lanes do: a lane retrying a
+    rejected step (a mask from the first step) keeps its reduced step
+    and may not grow it, and an event fires where its function rises
+    through zero (direction >= 0) or falls through it (direction <= 0).
+    Returns (status, which, z_stop) per lane: the status (0 reached
+    t_end, 1 event, -1 step size underflow or not finite), the index of
+    the event that stopped it (-1 if none), and the state where it
+    stopped.
     Event times are roots of the event function on the step's dense
     output, read from the stage array of the step, located to 4 eps as
     solve_ivp does.  A list passed as record receives (t, z) at the end
     of every step for the lanes that accepted it: the steps of a one-lane
     run.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _advance(field, z, t_end, events, rtol, record)
-
-
-def _event_values(events, z):
-    """(len(events), n) values of the event functions at lanes z."""
-    return np.array([fn(z) for fn, _ in events]).reshape(len(events),
-                                                         z.shape[1])
-
-
-def _advance(field, z, t_end, events, rtol, record):
     d, n = z.shape
     status = np.zeros(n, dtype=int)
     which = np.full(n, -1)
-    t_stop = np.zeros(n)
     z_stop = z.copy()
     dirs = np.array([dn for _, dn in events]).reshape(len(events), 1)
     rising, falling = dirs >= 0, dirs <= 0
-    sign = np.sign(dirs) if dirs.all() else None
     lane = np.arange(n)
     t = np.zeros(n)
     f = evaluate(field, z)
     atol = ATOL_PER_RTOL * rtol
     h_abs = _initial_step(field, z, f, t_end, rtol, atol)
-    retry = None        # lanes retrying a rejected step; None if none
+    retry = np.zeros(n, dtype=bool)     # lanes retrying a rejected step
     g = _event_values(events, z)
     hits = []   # lanes, bracket, step ends, stages and event values
     while lane.size:
         min_step = 10.0 * np.spacing(t)
-        clamped = np.minimum(np.maximum(h_abs, min_step), MAX_STEP)
-        h_abs = clamped if retry is None else np.where(retry, h_abs, clamped)
+        h_abs = np.where(retry, h_abs,
+                         np.minimum(np.maximum(h_abs, min_step), MAX_STEP))
         failed = ~(h_abs >= min_step)   # a nan step fails too
         t_new = np.minimum(t + h_abs, t_end)
         h = t_new - t
@@ -342,52 +344,36 @@ def _advance(field, z, t_end, events, rtol, record):
         err = np.where(n53.any(axis=0),
                        h * n5 / np.sqrt((n5 + 0.01 * n3) * 2.0), 0.0)
         ok = (err < 1.0) & ~failed
-        factor = SAFETY / _root8(err)      # inf where err is 0
-        grow = np.minimum(MAX_FACTOR, factor)
-        if retry is not None:
-            grow = np.where(retry, np.minimum(1.0, grow), grow)
-        retry = None if ok.all() else ~ok
-        h_abs = h * (grow if retry is None
-                     else np.where(ok, grow, np.fmax(MIN_FACTOR, factor)))
+        # err < 1 puts the factor (inf where err is 0) at or above SAFETY
+        # and err >= 1 at or below it, so one clip serves accepted and
+        # rejected lanes alike (fmax takes a nan factor to MIN_FACTOR)
+        factor = SAFETY / _root8(err)
+        h_abs = h * np.fmax(MIN_FACTOR, np.minimum(
+            np.where(retry, 1.0, MAX_FACTOR), factor))
+        retry = ~ok
         if record is not None:
             record.append((t_new[ok], y[:, ok]))
 
         g_new = _event_values(events, y)
-        if sign is None:
-            act = ok & ((rising & (g <= 0.0) & (g_new >= 0.0))
-                        | (falling & (g >= 0.0) & (g_new <= 0.0)))
-        else:
-            act = ok & (sign * g <= 0.0) & (sign * g_new >= 0.0)
+        act = ok & ((rising & (g <= 0.0) & (g_new >= 0.0))
+                    | (falling & (g >= 0.0) & (g_new <= 0.0)))
         fired = act.any(axis=0)
-        leave = failed | fired | (ok & (t_new >= t_end))
-        some_leave = leave.any()
-        if some_leave:
-            reached = leave & ~failed & ~fired
+        if fired.any():
             p = np.flatnonzero(fired)
-            if p.size:
-                hits.append((lane[p], t[p], t_new[p], h[p], z[:, p], y[:, p],
-                             K[..., p], act[:, p], g[:, p], g_new[:, p]))
-            if failed.any():
-                status[lane[failed]] = -1
-                t_stop[lane[failed]] = t[failed]
-                z_stop[:, lane[failed]] = z[:, failed]
-            if reached.any():
-                t_stop[lane[reached]] = t_new[reached]
-                z_stop[:, lane[reached]] = y[:, reached]
-
-        if retry is None:
-            z, f, t, g = y, K[-1], t_new, g_new
-        else:
-            z = np.where(ok, y, z)
-            f = np.where(ok, K[-1], f)
-            t = np.where(ok, t_new, t)
-            g = np.where(ok, g_new, g)
-        if some_leave:
+            hits.append((lane[p], t[p], t_new[p], h[p], z[:, p], y[:, p],
+                         K[..., p], act[:, p], g[:, p], g_new[:, p]))
+        z = np.where(ok, y, z)
+        f = np.where(ok, K[-1], f)
+        t = np.where(ok, t_new, t)
+        g = np.where(ok, g_new, g)
+        leave = failed | fired | (t >= t_end)
+        if leave.any():
+            status[lane[failed]] = -1
+            stop = leave & ~fired       # a failed lane stops where it stands
+            z_stop[:, lane[stop]] = z[:, stop]
             keep = ~leave
             lane, t, z, f = lane[keep], t[keep], z[:, keep], f[:, keep]
-            h_abs, g = h_abs[keep], g[:, keep]
-            if retry is not None:
-                retry = retry[keep]
+            h_abs, g, retry = h_abs[keep], g[:, keep], retry[keep]
 
     if hits:
         lanes, t0, t1, h, z0, y1, K, act, ga, gb = (
@@ -405,6 +391,6 @@ def _advance(field, z, t_end, events, rtol, record):
                                    EVENT_TOL, EVENT_TOL)
         first = np.argmin(t_hit, axis=0)
         th = t_hit[first, np.arange(lanes.size)]
-        status[lanes], which[lanes], t_stop[lanes] = 1, first, th
+        status[lanes], which[lanes] = 1, first
         z_stop[:, lanes] = _dense_eval(t0, h, z0, F, th)
-    return status, which, t_stop, z_stop
+    return status, which, z_stop

@@ -159,7 +159,7 @@ def main():
     print("}")
 
     print("APPENDIX_MOMENTS = {")
-    for h in [-0.5, -1.0, -0.05]:
+    for h in [-0.5, -1.0, -0.05, -1e-2, -1e-3, -1e-4, -1e-5, -1e-6]:
         iy, iy2 = appendix_moments(h)
         print(f"    {h}: ({mp.nstr(iy, 22)}, {mp.nstr(iy2, 22)}),")
     print("}")

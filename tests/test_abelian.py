@@ -397,6 +397,17 @@ def test_appendix_oval_moments_against_oracle(h):
     assert iy2 == pytest.approx(ref[1], rel=1e-10)
 
 
+@pytest.mark.parametrize("h", sorted(APPENDIX_MOMENTS))
+def test_appendix_oval_integral_err_bounds_its_error(h):
+    # the one-lane view starts graded toward the saddle end of its slice,
+    # so next to the loop its error estimate still covers its true error
+    for fe, ref in zip((lambda x2, y: y, lambda x2, y: y * y),
+                       APPENDIX_MOMENTS[h]):
+        val, err, ok = appendix_oval_integral(h, fe)
+        assert ok
+        assert abs(val - ref) <= err
+
+
 def test_appendix_moments_approach_loop_values():
     # as h -> 0- the oval tends to the upper loop arc plus the segment,
     # where the moments take the mapped loop limits

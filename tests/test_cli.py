@@ -170,7 +170,8 @@ def test_sim_traj_csv(tmp_path, capsys):
     h0 = float(rows[1][3])
     assert all(abs(float(r[3]) - h0) < 1e-7 for r in rows[1:])
     man = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
-    assert set(man["config"]) == {"family", "a", "eps", "start", "T", "tol"}
+    assert set(man["config"]) == {"family", "a", "eps", "traj", "start", "T",
+                                  "tol"}
 
 
 def test_sim_traj_failed_run_is_flagged(tmp_path, capsys):
@@ -224,8 +225,8 @@ def test_sim_census_json(tmp_path, capsys):
         assert set(c) == {"section_coordinate", "energy", "stability",
                           "return_derivative"}
     man = json.loads((tmp_path / "census.json.manifest.json").read_text())
-    assert set(man["config"]) == {"family", "a", "eps", "f", "g", "annulus",
-                                  "n", "T", "tol"}
+    assert set(man["config"]) == {"family", "a", "eps", "f", "g", "census",
+                                  "annulus", "n", "T", "tol"}
 
 
 def test_sim_census_zero_one_form_degenerate(tmp_path, capsys):
@@ -275,7 +276,8 @@ def test_sim_census_witness_replay(tmp_path, capsys):
                                                        "attracting"]
     man = json.loads((tmp_path / "census.json.manifest.json").read_text())
     assert set(man["config"]) == {"family", "c", "eps", "mu1", "mu2",
-                                  "annulus", "window", "n", "T", "tol"}
+                                  "census", "annulus", "window", "n", "T",
+                                  "tol"}
 
 
 def test_sim_census_flags_a_cell_that_lost_a_lane(tmp_path, capsys,
@@ -622,13 +624,22 @@ _README_COMMANDS = _readme_commands()
     f"{i}-{argv[0]}" for i, argv in enumerate(_README_COMMANDS)])
 def test_readme_command_lines(argv, tmp_path, capsys, monkeypatch):
     # each example runs as printed and writes its artifact and manifest,
-    # so an example with a flag its run does not read fails here
+    # so an example with a flag its run does not read fails here; its
+    # manifest's config, fed back through --config, writes the same bytes
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("SADDLELOOP_OUT_DIR", raising=False)
     code, stdout, err = run(argv, capsys)
     assert code == 0, err
     out = tmp_path / stdout.strip()
-    assert out.is_file() and Path(f"{out}.manifest.json").is_file()
+    manifest = Path(f"{out}.manifest.json")
+    assert out.is_file() and manifest.is_file()
+    cfg = tmp_path / "replay.json"
+    cfg.write_text(json.dumps(json.loads(manifest.read_text())["config"]))
+    replay = tmp_path / "replay" / out.name
+    code, _, err = run([argv[0], "--config", str(cfg), "--out", str(replay)],
+                       capsys)
+    assert code == 0, err
+    assert replay.read_bytes() == out.read_bytes()
 
 
 def test_grid_syntax_error(tmp_path, capsys):

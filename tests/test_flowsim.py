@@ -90,8 +90,8 @@ def test_reversibility_normal_form(spec_a1):
     worst = 0.0
     for k, T in enumerate((1.0, 2.5, 5.0)):
         fwd = integrate(flow, start, T).states[-1]
-        st, _, _, back = advance(_signed_field(flow), lanes[:, k:k + 1], T,
-                                 ((_escape, 1),), flow.tol)
+        st, _, back = advance(_signed_field(flow), lanes[:, k:k + 1], T,
+                              ((_escape, 1),), flow.tol)
         assert st[0] == 0
         worst = max(worst, abs(fwd[0] - back[0, 0]), abs(fwd[1] + back[1, 0]))
     assert worst < 1e-8
@@ -767,13 +767,13 @@ def _witness_grid():
 def test_advance_extra_row_keeps_planar_bits():
     # the witness grid lanes, after return_maps' burn-in, run to their
     # section or escape events once as (2, n) lanes and once with a third
-    # row of zero derivative: rows 0-1, events and times keep their bits
+    # row of zero derivative: rows 0-1 and events keep their bits
     flow, sect, grid, T_max = _witness_grid()
     coord = sect.row
     rhs = _lockstep_field(flow)
     z = np.zeros((2, grid.size))
     z[coord] = grid
-    _, _, _, z = advance(rhs, z, BURN_IN, ((_escape, 1),), flow.tol)
+    _, _, z = advance(rhs, z, BURN_IN, ((_escape, 1),), flow.tol)
     events = ((lambda z: z[1 - coord], sect.direction), (_escape, 1))
     planar = advance(rhs, z, T_max, events, flow.tol)
 
@@ -785,15 +785,16 @@ def test_advance_extra_row_keeps_planar_bits():
     extra = advance(padded, np.vstack([z, np.full((1, grid.size), 0.5)]),
                     T_max, events, flow.tol)
     assert (planar[0] == 1).all() and (planar[1] == 0).all()
-    for a, b in zip(planar[:3], extra[:3]):
+    for a, b in zip(planar[:2], extra[:2]):
         assert a.tobytes() == b.tobytes()
-    assert planar[3].tobytes() == extra[3][:2].tobytes()
-    assert (extra[3][2] == 0.5).all()
+    assert planar[2].tobytes() == extra[2][:2].tobytes()
+    assert (extra[2][2] == 0.5).all()
 
 
 def test_advance_without_events():
     # the witness grid lanes with no events take the bits of a run whose
-    # one event never fires
+    # one event never fires, and each stops at t_end with the bits of
+    # its one-lane trajectory's last step
     flow, sect, grid, _ = _witness_grid()
     z = np.zeros((2, grid.size))
     z[sect.row] = grid
@@ -801,9 +802,13 @@ def test_advance_without_events():
     bare = advance(rhs, z, 5.0, (), flow.tol)
     never = advance(rhs, z, 5.0, ((lambda z: np.full(z.shape[1], -1.0), 1),),
                     flow.tol)
-    assert (bare[0] == 0).all() and (bare[2] == 5.0).all()
+    assert (bare[0] == 0).all() and (bare[1] == -1).all()
     for a, b in zip(bare, never):
         assert a.tobytes() == b.tobytes()
+    for k in (0, grid.size - 1):
+        traj = integrate(flow, z[:, k], 5.0)
+        assert traj.ts[-1] == 5.0
+        assert traj.states[-1].tobytes() == bare[2][:, k].tobytes()
 
 
 def test_advance_fails_lanes_whose_step_is_not_finite():
@@ -813,11 +818,11 @@ def test_advance_fails_lanes_whose_step_is_not_finite():
     rhs = _lockstep_field(FlowSpec(HamiltonianSpec(Family.NORMAL_FORM, 1.0),
                                    1e-3, QuadraticOneForm(f=(1.0,) * 6)))
     z = np.array([[1.2, np.nan, 1e200, 1.5], [0.0, 0.5, 1e200, 0.0]])
-    st, which, t, zs = advance(rhs, z, 5.0, (), 1e-10)
+    st, which, zs = advance(rhs, z, 5.0, (), 1e-10)
     assert st.tolist() == [0, -1, -1, 0]
-    assert t[[1, 2]].tolist() == [0.0, 0.0]
+    assert zs[:, [1, 2]].tobytes() == z[:, [1, 2]].tobytes()
     finite = advance(rhs, z[:, [0, 3]], 5.0, (), 1e-10)
-    for a, b in zip((st, which, t, zs), finite):
+    for a, b in zip((st, which, zs), finite):
         assert a[..., [0, 3]].tobytes() == b.tobytes()
 
 
@@ -840,9 +845,9 @@ def test_sign_lane_runs_negated_field():
     assert (both[0] == 1).all()
     for k, ref in enumerate((fwd, back)):
         i = slice(8 * k, 8 * k + 8)
-        for a, b in zip(ref[:3], both[:3]):
+        for a, b in zip(ref[:2], both[:2]):
             assert a.tobytes() == b[i].tobytes()
-        assert ref[3].tobytes() == both[3][:2, i].tobytes()
+        assert ref[2].tobytes() == both[2][:2, i].tobytes()
 
 
 def _oracle_return(flow, sect, s, T_max):
@@ -1007,12 +1012,16 @@ def test_witness_slopes_match_variational_oracle():
 # sha256 digests of flow-simulation outputs.  A change that moves one of
 # them moves the engine's numbers, and says why.
 _PINNED = {
+    "draw0_s": "6e1072a52cddee89c9d6c7421f846f54212442daf817bad5199af547849ede23",
+    "draw0_reason": "34098f92530ea488cbe7f171225b9242bde4afa1beced988ae9d65f054ec4592",
     "draw2_s": "d2de083ec72badcbd97ee0045f368fc96e2a70dce8b1b73d0af50f6c5f17d6e9",
     "draw2_reason": "cf97507779d5263f8905b4a196de4efc0bae7468ec55ecbbef57ac665c09cb51",
     "draw11_s": "b2e4ae304be73a2147cec1bf50c51100c0d923cde54eb4ef08dcf19d0df56c35",
     "draw11_reason": "ed7da00fd467053908d91fcb17f2633c4cbc0558220810b7995446609a5785c8",
     "witness_reason": "05d09a7267b08ff1ef236bcb43cd7a12337500f9b5445d83d2e4f7eea5c1312e",
     "witness_states": "99049912ed03644f87598c5849fe95e22fe94c7de44d22b088b8e88a9990c92c",
+    "cycles_reason": "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    "cycles_states": "c9b950ad83e843a57d636fecf436e39c0c06f708079b0ea338b2fca72afffb6f",
     "traj_states": "15de7915d72a8d157c43a5b35b67a09fb33c667b4d3d62ccd66ad0d5b0bca3f9",
 }
 _PINNED_SHIFTS = ("0x1.3879aadb4fcaap-9", "-0x1.9ea4c6b5221c0p-8")
@@ -1025,11 +1034,13 @@ def _sha256(data):
 
 
 def test_flow_outputs_keep_their_bits(spec_a1):
-    # criterion-10 draws 2 and 11, the witness grid as (3, n) lanes with
-    # the divergence row (the slopes are left out: np.exp is not correctly
-    # rounded), the witness separatrix shifts and the README trajectory
+    # criterion-10 draws 0 (pure gamma, tight window), 2 and 11, the
+    # witness grid as (3, n) lanes with the divergence row (the slopes are
+    # left out: np.exp is not correctly rounded), a two-lane (3, n) batch
+    # at the witness cycles, the shape of the census's late refinement
+    # rounds, the witness separatrix shifts and the README trajectory
     got = {}
-    for k in (2, 11):
+    for k in (0, 2, 11):
         flow, sect, grid = _draw_grid(k)
         lanes = return_maps(flow, sect, grid, T_max=60.0)
         got[f"draw{k}_s"] = _sha256(lanes.s_return)
@@ -1041,6 +1052,12 @@ def test_flow_outputs_keep_their_bits(spec_a1):
                                flow.tol)
     got["witness_reason"] = _sha256(reason.astype(np.int64))
     got["witness_states"] = _sha256(z)
+    z = np.zeros((3, 2))
+    z[sect.row] = alien_witness()["expected_section_coords"]
+    reason, z = _first_returns(_lockstep_field(flow), z, sect, T_max,
+                               flow.tol)
+    got["cycles_reason"] = _sha256(reason.astype(np.int64))
+    got["cycles_states"] = _sha256(z)
     traj = integrate(unperturbed(spec_a1), np.array([1.0, 0.5]), 20.0)
     got["traj_states"] = _sha256(traj.states)
     assert got == _PINNED
